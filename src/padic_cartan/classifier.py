@@ -24,15 +24,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .curve import (
-    MULTIPLICATIVE,
-    WeierstrassCurve,
-    semistability_defect,
-)
+from .curve import MULTIPLICATIVE, WeierstrassCurve
 from .errors import ExcludedJInvariantError, NormalizationError
 from .padic import INFINITY, check_odd_prime
 from .volkov import (
     ALPHA_INFINITY,
+    adaptive_level,
     has_canonical_subgroup,
     hodge_parameters,
     stabilization_level,
@@ -179,78 +176,49 @@ def classify(p, a, b, precision=None, k=None, k_cap=_DEFAULT_K_CAP) -> ImageRepo
     classification never needs visibility, it only enriches the report).
     """
     curve = WeierstrassCurve(p, a, b)
-    red = semistability_defect(curve)
+    red = curve.reduction
     e = red.defect
-    vdisc = red.v_min_discriminant
-    base = dict(
-        prime=p,
-        defect=e,
-        reduction_type=red.potential_type,
-        supersingular=red.supersingular,
-        v_min_discriminant=vdisc,
-    )
+    hyps = []  # (condition, holds), in the order the gates run
+
+    def report(label, canonical=False, hodge=None, n0=None, index=None):
+        return ImageReport(
+            prime=p,
+            defect=e,
+            reduction_type=red.potential_type,
+            supersingular=red.supersingular,
+            v_min_discriminant=red.v_min_discriminant,
+            canonical_subgroup=canonical,
+            hodge=hodge,
+            n0=n0,
+            image_label=label,
+            index_at_level=index,
+            hypotheses_checked=tuple(hyps),
+        )
 
     if red.potential_type == MULTIPLICATIVE:
-        return ImageReport(
-            **base,
-            canonical_subgroup=None,
-            hodge=None,
-            n0=None,
-            image_label=out_of_scope_label(REASON_MULTIPLICATIVE),
-            index_at_level=None,
-            hypotheses_checked=(("potentially_good_reduction", False),),
-        )
+        hyps.append(("potentially_good_reduction", False))
+        return report(out_of_scope_label(REASON_MULTIPLICATIVE), canonical=None)
 
     if not red.supersingular:
-        failed = ("e|p+1", False) if e in (3, 4, 6) else ("supersingular_reduction", False)
-        return ImageReport(
-            **base,
-            # Ordinary reduction always carries a canonical subgroup.
-            canonical_subgroup=True,
-            hodge=None,
-            n0=None,
-            image_label=out_of_scope_label(REASON_ORDINARY),
-            index_at_level=None,
-            hypotheses_checked=(failed,),
-        )
+        hyps.append(("e|p+1" if e in (3, 4, 6) else "supersingular_reduction", False))
+        # Ordinary reduction always carries a canonical subgroup.
+        return report(out_of_scope_label(REASON_ORDINARY), canonical=True)
 
+    hyps.append(("p>7", p > 7))
     if e in (1, 2):
         # Good supersingular reduction over Q_p or a quadratic extension:
         # the image is the full normalizer, granted the mod-p containment
         # we cannot check from (A, B) alone.
-        hyps = (
-            ("p>7", p > 7),
-            ("supersingular_reduction", True),
-            ("mod_p_image_in_Cns_plus (assumed)", True),
-        )
+        hyps.append(("supersingular_reduction", True))
+        hyps.append(("mod_p_image_in_Cns_plus (assumed)", True))
         if p <= 7:
-            return ImageReport(
-                **base,
-                canonical_subgroup=False,
-                hodge=None,
-                n0=None,
-                image_label=out_of_scope_label(REASON_SMALL_PRIME),
-                index_at_level=None,
-                hypotheses_checked=hyps,
-            )
-        return ImageReport(
-            **base,
-            canonical_subgroup=False,
-            hodge=None,
-            n0=None,
-            image_label=FULL_LABEL,
-            index_at_level=1,
-            hypotheses_checked=hyps,
-        )
+            return report(out_of_scope_label(REASON_SMALL_PRIME))
+        return report(FULL_LABEL, index=1)
 
     # e in {3, 4, 6}: the pi-adic deformation pipeline.
     v_j, v_jm = curve.v_j, curve.v_j_minus_1728
     if k is None:
-        v_closed = v_beta_closed_form(e, v_j, v_jm)
-        if v_closed == INFINITY:
-            k = 1
-        else:
-            k = max(1, min(k_cap, math.floor(v_closed - Fraction(1, e)) + 1))
+        k = max(1, min(k_cap, adaptive_level(e, v_beta_closed_form(e, v_j, v_jm))))
     if precision is not None:
         # classify() treats precision as a cap on the certificate; it never
         # raises k (use hodge_parameters directly for request semantics).
@@ -264,67 +232,27 @@ def classify(p, a, b, precision=None, k=None, k_cap=_DEFAULT_K_CAP) -> ImageRepo
         # expansion; the small-prime gate below reports it.
         hodge = None
     canonical = has_canonical_subgroup(e, v_j, v_jm)
-    cm_type = hodge is not None and hodge.beta.is_exact_zero
 
-    hyps = [("p>7", p > 7), ("e|p+1", True), ("no_canonical_subgroup", not canonical)]
+    hyps.append(("e|p+1", True))
+    hyps.append(("no_canonical_subgroup", not canonical))
     if canonical:
-        return ImageReport(
-            **base,
-            canonical_subgroup=True,
-            hodge=hodge,
-            n0=None,
-            image_label=out_of_scope_label(REASON_CANONICAL),
-            index_at_level=None,
-            hypotheses_checked=tuple(hyps),
-        )
+        return report(out_of_scope_label(REASON_CANONICAL), canonical=True, hodge=hodge)
     if p <= 7:
-        return ImageReport(
-            **base,
-            canonical_subgroup=False,
-            hodge=hodge,
-            n0=None,
-            image_label=out_of_scope_label(REASON_SMALL_PRIME),
-            index_at_level=None,
-            hypotheses_checked=tuple(hyps),
-        )
+        return report(out_of_scope_label(REASON_SMALL_PRIME), hodge=hodge)
 
-    index = index_at_stabilization(p, e, vdisc)
-    if cm_type:
+    index = index_at_stabilization(p, e, red.v_min_discriminant)
+    if hodge is not None and hodge.beta.is_exact_zero:
         # beta = 0 exactly: the curve behaves like a CM lift, the image is
         # contained in C_ns+ at every level and n0 is undefined.
         hyps.append(("beta_is_exactly_zero", True))
-        return ImageReport(
-            **base,
-            canonical_subgroup=False,
-            hodge=hodge,
-            n0=None,
-            image_label=FULL_LABEL,
-            index_at_level=index,
-            hypotheses_checked=tuple(hyps),
-        )
+        return report(FULL_LABEL, hodge=hodge, index=index)
 
     n0 = stabilization_level(e, v_j, v_jm)
     hyps.append(("p>sqrt(n0+1)", p * p > n0 + 1))
     if p * p <= n0 + 1:
-        return ImageReport(
-            **base,
-            canonical_subgroup=False,
-            hodge=hodge,
-            n0=n0,
-            image_label=out_of_scope_label(REASON_LEVEL_VS_PRIME),
-            index_at_level=None,
-            hypotheses_checked=tuple(hyps),
-        )
+        return report(out_of_scope_label(REASON_LEVEL_VS_PRIME), hodge=hodge, n0=n0)
     label = index3_label(n0) if index == 3 else preimage_label(n0)
-    return ImageReport(
-        **base,
-        canonical_subgroup=False,
-        hodge=hodge,
-        n0=n0,
-        image_label=label,
-        index_at_level=index,
-        hypotheses_checked=tuple(hyps),
-    )
+    return report(label, hodge=hodge, n0=n0, index=index)
 
 
 def per_prime_index_bound(p: int, n: int, mod_p_case: str = "contained", j_invariant=None):
@@ -367,12 +295,20 @@ def delta_correction(x: float) -> float:
 def adelic_bound(h_j) -> AdelicBound:
     """Both adelic index bounds at logarithmic Weil height h_j >= 0.
 
+    Raises ValueError for a negative or non-finite h_j, and for one so large
+    that a bound overflows a double (from about h_j = 3.85e93).
+
     bound_a = 1.6e17 * (h + 480)**3.11
     bound_b = 7e17 * (h + 270)**(2 + 3.251 * delta_correction(12 h))
     """
     h = float(h_j)
-    if not h >= 0.0:
-        raise ValueError(f"h_j must be a nonnegative real, got {h_j!r}")
-    bound_a = 1.6e17 * (h + 480.0) ** 3.11
-    bound_b = 7e17 * (h + 270.0) ** (2.0 + 3.251 * delta_correction(12.0 * h))
+    if not 0.0 <= h < math.inf:
+        raise ValueError(f"h_j must be a finite nonnegative real, got {h_j!r}")
+    try:
+        bound_a = 1.6e17 * (h + 480.0) ** 3.11
+        bound_b = 7e17 * (h + 270.0) ** (2.0 + 3.251 * delta_correction(12.0 * h))
+    except OverflowError:
+        bound_a = bound_b = math.inf
+    if not (math.isfinite(bound_a) and math.isfinite(bound_b)):
+        raise ValueError(f"h_j = {h_j!r} is too large: the bounds overflow a double")
     return AdelicBound(bound_a, bound_b)

@@ -23,6 +23,8 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import partial
+from operator import attrgetter
 
 from .classifier import (
     _eisenstein_json,
@@ -31,7 +33,7 @@ from .classifier import (
     classify,
     per_prime_index_bound,
 )
-from .curve import WeierstrassCurve, good_model_over_L, semistability_defect
+from .curve import WeierstrassCurve, good_model_over_L
 from .divpoly import build_gk, format_table, root_valuation_partition
 from .eisenstein import EisensteinElement
 from .errors import PadicCartanError, UnsupportedPrimeError
@@ -47,6 +49,10 @@ _PRIME_MESSAGE = "p must be an odd prime > 3"
 _ENV_PRECISION = "PADIC_CARTAN_PRECISION"
 _LOGCOEFF_CAP = 501
 _DIVPOLY_K_CAP = 3
+# Adaptive-level cap of `classify`.  The library's own default is 3; the CLI
+# keeps 2, which the benchmark corpora assume (with 3, p=11 and p=17 lifts
+# of v(beta) = 7/3 move to k=3).
+_DEFAULT_K_MAX = 2
 
 
 class _InputError(Exception):
@@ -64,7 +70,7 @@ def _resolve_precision(flag_value, e: int) -> int:
     """pi_e-digit precision from the flag, the environment, or the default.
 
     Accepts a plain digit count ("12") or an e-multiplier ("4e").  The
-    default is 4e digits, enough to report the k=2 certificate in full.
+    default is 4e digits, enough to report the k<=3 certificates in full.
     """
     text = flag_value
     if text is None:
@@ -132,8 +138,7 @@ def _print_text(payload: dict, indent: int = 0) -> None:
 
 def _classify_one(p, a_text, b_text, args) -> dict:
     curve = _build_curve(p, a_text, b_text)
-    e = semistability_defect(curve).defect
-    precision = _resolve_precision(args.precision, e)
+    precision = _resolve_precision(args.precision, curve.reduction.defect)
     try:
         report = classify(
             p, curve.a, curve.b, precision=precision, k=args.k, k_cap=args.k_max
@@ -202,7 +207,7 @@ def _classify_batch(args) -> int:
 
 def _cmd_beta(args) -> int:
     curve = _build_curve(args.p, args.a, args.b)
-    e = semistability_defect(curve).defect
+    e = curve.reduction.defect
     precision = None
     if args.precision is not None:
         precision = _resolve_precision(args.precision, e)
@@ -407,50 +412,28 @@ def _check_example1_beta_k2_value() -> list:
     return problems
 
 
-def _check_example1_classification() -> list:
-    report = classify(11, 11**3, 11**2)
-    want = {
-        "image_label": "preimage_of_index3_subgroup_level_1",
-        "n0": 1,
-        "index_at_level": 3,
-        "defect": 3,
-        "canonical_subgroup": False,
-    }
+# (check name, p, a, b, forced k, expected report fields); a dotted field is
+# read off the report's hodge parameters.
+_CLASSIFY_EXAMPLES = (
+    ("example1_classification", 11, 11**3, 11**2, None, (
+        ("image_label", "preimage_of_index3_subgroup_level_1"), ("n0", 1),
+        ("index_at_level", 3), ("defect", 3), ("canonical_subgroup", False))),
+    ("example2_classification", 23, 23**4, 23**2, 1, (
+        ("image_label", "preimage_of_Cns_plus_level_2"), ("n0", 2),
+        ("index_at_level", 1), ("hodge.v_beta", Fraction(7, 3)), ("hodge.v_alpha", -1))),
+    ("example3_canonical_gate", 11, 11, 11**2, None, (
+        ("image_label", "out_of_scope(canonical_subgroup)"),
+        ("canonical_subgroup", True), ("hodge.v_beta", Fraction(1, 4)))),
+)
+
+
+def _check_classification(p, a, b, k, want) -> list:
+    report = classify(p, a, b, k=k)
     problems = []
-    for field, expected in want.items():
-        got = getattr(report, field)
+    for field, expected in want:
+        got = attrgetter(field)(report)
         if got != expected:
             problems.append(f"{field} = {got!r} != {expected!r}")
-    return problems
-
-
-def _check_example2_classification() -> list:
-    p = 23
-    report = classify(p, p**4, p**2, k=1)
-    problems = []
-    if report.image_label != "preimage_of_Cns_plus_level_2":
-        problems.append(f"label = {report.image_label}")
-    if report.n0 != 2:
-        problems.append(f"n0 = {report.n0} != 2")
-    if report.index_at_level != 1:
-        problems.append(f"index = {report.index_at_level} != 1")
-    if report.hodge.v_beta != Fraction(7, 3):
-        problems.append(f"v(beta) = {report.hodge.v_beta} != 7/3")
-    if report.hodge.v_alpha != -1:
-        problems.append(f"v(alpha) = {report.hodge.v_alpha} != -1")
-    return problems
-
-
-def _check_example3_canonical_gate() -> list:
-    p = 11
-    report = classify(p, p, p**2)
-    problems = []
-    if report.image_label != "out_of_scope(canonical_subgroup)":
-        problems.append(f"label = {report.image_label}")
-    if report.canonical_subgroup is not True:
-        problems.append("canonical subgroup not detected")
-    if report.hodge.v_beta != Fraction(1, 4):
-        problems.append(f"v(beta) = {report.hodge.v_beta} != 1/4")
     return problems
 
 
@@ -470,7 +453,7 @@ def _check_valpha_table_vs_alpha() -> list:
     problems = []
     for p, a, b, k in ((11, 11**3, 11**2, 2), (23, 23**4, 23**2, 1)):
         curve = WeierstrassCurve(p, a, b)
-        red = semistability_defect(curve)
+        red = curve.reduction
         hodge = hodge_parameters(curve, k=k)
         table = v_alpha_table(
             red.defect,
@@ -489,9 +472,7 @@ _EXAMPLE_CHECKS = (
     ("example1_log_coefficients", _check_example1_log_coefficients),
     ("example1_beta_k1_window", _check_example1_beta_k1_window),
     ("example1_beta_k2_value", _check_example1_beta_k2_value),
-    ("example1_classification", _check_example1_classification),
-    ("example2_classification", _check_example2_classification),
-    ("example3_canonical_gate", _check_example3_canonical_gate),
+    *((name, partial(_check_classification, *row)) for name, *row in _CLASSIFY_EXAMPLES),
     ("dr_dual_route", _check_dr_dual_route),
     ("valpha_table_vs_alpha", _check_valpha_table_vs_alpha),
 )
@@ -543,7 +524,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     cls.add_argument("--k", type=int, help="force the refinement level k")
     cls.add_argument(
-        "--k-max", type=int, default=2, help="cap on the adaptive level (default 2)"
+        "--k-max",
+        type=int,
+        default=_DEFAULT_K_MAX,
+        help=f"cap on the adaptive level (default {_DEFAULT_K_MAX})",
     )
     cls.add_argument("--json", action="store_true", help="emit JSON")
     cls.add_argument(

@@ -74,6 +74,11 @@ class WeierstrassCurve:
     def v_j_minus_1728(self):
         return self.v(self.j_minus_1728)
 
+    @cached_property
+    def reduction(self) -> ReductionData:
+        """`semistability_defect` of this curve, computed once."""
+        return semistability_defect(self)
+
 
 class CurveInvariants(NamedTuple):
     discriminant: Fraction
@@ -228,7 +233,7 @@ def good_model_over_L(
     p = curve.prime
     if e not in (3, 4, 6):
         raise NormalizationError(f"no Eisenstein normalization for e={e}")
-    data = semistability_defect(curve)
+    data = curve.reduction
     if data.potential_type == MULTIPLICATIVE:
         raise NormalizationError("potentially multiplicative curve has no good L-model")
     if data.defect != e:

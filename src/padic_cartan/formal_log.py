@@ -53,12 +53,9 @@ _SERIES_DEFAULT_CAP = 500
 
 @dataclass(frozen=True)
 class FormalLogPrefix:
-    """A computed prefix of the formal logarithm, with its provenance."""
+    """A computed prefix d_0..d_n of the formal logarithm."""
 
-    a: object
-    b: object
     coefficients: tuple
-    method: str
 
     def d(self, r: int):
         return self.coefficients[r]
@@ -199,6 +196,8 @@ def yasuda_coefficient_exact(A, B, r: int) -> Fraction:
     total = Fraction(0)
     for m in range((2 * N) % 3, N // 2 + 1, 3):
         n = (N - 2 * m) // 3
+        if (m and A == 0) or (n and B == 0):
+            continue  # A**m or B**n is exactly 0: skip the factorial-sized multinomial
         total += multinomial_exact(N, (m + 2 * n, m, n)) * A**m * B**n
     return total / r
 
@@ -302,7 +301,7 @@ def series_inversion_logarithm(A, B, n_terms: int, force: bool = False) -> Forma
     coeffs = [zero]
     for r in range(1, n_terms + 1):
         coeffs.append(-g[r - 1] / (2 * r))
-    return FormalLogPrefix(a=A, b=B, coefficients=tuple(coeffs), method="series_inversion")
+    return FormalLogPrefix(tuple(coeffs))
 
 
 def hasse_invariant(A, B, p: int | None = None):

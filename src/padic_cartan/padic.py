@@ -188,7 +188,7 @@ def multinomial_padic(n: int, parts, p: int, digits: int) -> "PadicScalar":
     for a in parts:
         den = den * _unit_table(p, digits).factorial_unit(a) % P
     unit = num * pow(den, -1, P) % P
-    return PadicScalar.from_unit_valuation(p, unit, v, v + digits)
+    return PadicScalar(p, unit, v, v + digits)
 
 
 class PadicScalar:
@@ -235,10 +235,6 @@ class PadicScalar:
     @classmethod
     def zero_to_precision(cls, p: int, abs_precision: int) -> "PadicScalar":
         return cls(p, 0, INFINITY, abs_precision)
-
-    @classmethod
-    def from_unit_valuation(cls, p, unit, valuation, abs_precision) -> "PadicScalar":
-        return cls(p, unit, valuation, abs_precision)
 
     @classmethod
     def from_rational(cls, value, p: int, abs_precision) -> "PadicScalar":
@@ -444,7 +440,7 @@ class PadicScalar:
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** -exponent
-        out = PadicScalar.from_unit_valuation(self.prime, 1, 0, INFINITY)
+        out = PadicScalar(self.prime, 1, 0, INFINITY)
         base = self
         e = exponent
         while e:

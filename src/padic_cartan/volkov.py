@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curve import WeierstrassCurve, good_model_over_L, semistability_defect
+from .curve import WeierstrassCurve, good_model_over_L
 from .eisenstein import EisensteinElement
 from .errors import (
     CanonicalSubgroupError,
@@ -93,6 +93,16 @@ def v_beta_closed_form(e: int, v_j, v_j_minus_1728):
             return INFINITY
         return Fraction(v_j_minus_1728, 2) - Fraction(1, 4)
     raise ValueError(f"no beta for defect e={e}")
+
+
+def adaptive_level(e: int, v_beta) -> int:
+    """Smallest k >= 1 whose certificate window k*e+1 exceeds e*v(beta).
+
+    That makes beta visibly nonzero; the CM cases (v(beta) = INFINITY) get 1.
+    """
+    if v_beta == INFINITY:
+        return 1
+    return max(1, math.floor(v_beta - Fraction(1, e)) + 1)
 
 
 def v_alpha_table(e: int, v_min_discriminant: int, v_j, v_j_minus_1728) -> int:
@@ -230,12 +240,12 @@ def hodge_parameters(
 ) -> HodgeParameters:
     """Compute (beta, epsilon, alpha) for a curve with defect e in {3,4,6}.
 
-    With k=None the level is chosen just large enough that the certificate
-    window k*e+1 exceeds e*v(beta), making beta visibly nonzero (non-CM).
+    With k=None the level is `adaptive_level`, just large enough to make beta
+    visibly nonzero (non-CM).
     verify=True cross-checks the log route against the closed forms and the
     k-1 certificate; failures raise PadicCartanError.
     """
-    red = semistability_defect(curve)
+    red = curve.reduction
     e = red.defect
     if e not in (3, 4, 6):
         raise NormalizationError(
@@ -245,11 +255,7 @@ def hodge_parameters(
     v_j, v_jm = curve.v_j, curve.v_j_minus_1728
     v_closed = v_beta_closed_form(e, v_j, v_jm)
     if k is None:
-        if v_closed == INFINITY:
-            k = 1
-        else:
-            # smallest k with k*e + 1 > e*v(beta)
-            k = max(1, math.floor(v_closed - Fraction(1, e)) + 1)
+        k = adaptive_level(e, v_closed)
     if precision is not None:
         k = max(k, -((1 - precision) // e))  # ceil((precision-1)/e)
     model = good_model_over_L(curve, e)

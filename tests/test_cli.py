@@ -67,6 +67,16 @@ def test_classify_precision_env_and_flag(capsys, monkeypatch):
     assert json.loads(out)["hodge"]["certificate_pi_digits"] == 7
 
 
+def test_classify_default_k_max_is_two(capsys):
+    # v(beta) = 7/3 wants k = 3; the CLI caps the adaptive level at 2.
+    rc, out, _ = run(
+        capsys, "classify", "--p", "11", "--a", "14641", "--b", "121", "--json"
+    )
+    assert rc == 0
+    hodge = json.loads(out)["hodge"]
+    assert hodge["k_used"] == 2 and hodge["certificate_pi_digits"] == 7
+
+
 def test_classify_batch_text_and_json(capsys, tmp_path):
     batch = tmp_path / "curves.txt"
     batch.write_text(
@@ -213,6 +223,10 @@ def test_adelic_bound_errors(capsys):
         "--index-p", "5", "--index-n", "1", "--j", str(2**4 * 3**2 * 5**7 * 23**3),
     )
     assert rc == 2 and "excluded" in err
+    # 1e100 overflows inside the power, 1e95 in the product; inf is no height.
+    for h_j in ("1e100", "1e95", "inf"):
+        rc, out, err = run(capsys, "adelic-bound", "--h-j", h_j, "--json")
+        assert rc == 2 and out == "" and "h_j" in err
 
 
 def test_examples_list_and_run(capsys):

@@ -32,6 +32,17 @@ def test_low_index_closed_forms():
     assert yasuda_coefficient_exact(A, B, 11) == 20 * A * B / 11
 
 
+@pytest.mark.parametrize("r", [1, 3, 5, 7, 9, 13, 19, 25, 11**4, 11**4 + 4])
+def test_exact_route_with_a_zero_coefficient(r):
+    # A = 0 leaves the m = 0 term: d_r = C(3n, n) B**n / r when r = 6n + 1.
+    # B = 0 leaves the n = 0 term: d_r = C(2m, m) A**m / r when r = 4m + 1.
+    N = (r - 1) // 2
+    want_a0 = math.comb(N, N // 3) * B ** (N // 3) / r if N % 3 == 0 else 0
+    want_b0 = math.comb(N, N // 2) * A ** (N // 2) / r if N % 2 == 0 else 0
+    assert yasuda_coefficient_exact(0, B, r) == want_a0
+    assert yasuda_coefficient_exact(A, 0, r) == want_b0
+
+
 def test_even_or_nonpositive_indices_rejected():
     for bad in (0, -1, 2, 6):
         with pytest.raises(ValueError):

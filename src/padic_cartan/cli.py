@@ -143,8 +143,6 @@ def _classify_one(p, a_text, b_text, args) -> dict:
         report = classify(
             p, curve.a, curve.b, precision=precision, k=args.k, k_cap=args.k_max
         )
-    except PadicCartanError as exc:
-        raise _InputError(str(exc)) from exc
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
     return report.to_dict()
@@ -213,7 +211,7 @@ def _cmd_beta(args) -> int:
         precision = _resolve_precision(args.precision, e)
     try:
         hodge = hodge_parameters(curve, k=args.k, precision=precision)
-    except PadicCartanError as exc:
+    except ValueError as exc:
         raise _InputError(str(exc)) from exc
     payload = {"prime": curve.prime, "defect": e}
     payload.update(_hodge_dict(hodge))
@@ -293,7 +291,7 @@ def _cmd_divpoly(args) -> int:
         poly = build_gk(p, e, alpha_inv, k)
     except UnsupportedPrimeError as exc:
         raise _InputError(_PRIME_MESSAGE) from exc
-    except (PadicCartanError, ValueError) as exc:
+    except ValueError as exc:
         raise _InputError(str(exc)) from exc
     partition = root_valuation_partition(poly)
     if args.json:
@@ -340,7 +338,7 @@ def _cmd_adelic_bound(args) -> int:
             )
         except UnsupportedPrimeError as exc:
             raise _InputError(_PRIME_MESSAGE) from exc
-        except (PadicCartanError, ValueError) as exc:
+        except ValueError as exc:
             raise _InputError(str(exc)) from exc
         payload["per_prime"] = {
             "p": args.index_p,

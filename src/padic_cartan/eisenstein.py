@@ -306,8 +306,4 @@ def _embed(value, like: EisensteinElement) -> EisensteinElement:
     target = INFINITY
     for c in like.coords:
         target = min(target, c.abs_precision)
-    if target == INFINITY:
-        return EisensteinElement.from_rational(
-            value, like.prime, like.ram_index, INFINITY
-        )
     return EisensteinElement.from_rational(value, like.prime, like.ram_index, target)

@@ -19,9 +19,10 @@ Two independent routes are provided and cross-checked in the test suite:
   index p**7 ~ 10**9 affordable.
 
 * `series_inversion_logarithm` computes the same prefix by inverting the
-  Weierstrass parametrization (t = -x/y, w = -1/y, w = t**3 + A t w**2 +
-  B w**3) and integrating the invariant differential.  O(n**2) ring
-  operations; oracle use only, capped by default.
+  Weierstrass parametrization (t = -x/y, w = -1/y = t**3 z) one coefficient
+  at a time, z_k = [k = 0] + A (z**2)_(k-4) + B (z**3)_(k-6), and
+  integrating the invariant differential dx/(2y) = (1 + t z'/(2z)) dt.
+  O(n**2) ring operations; oracle use only, capped by default.
 
 Both routes work over Q_p (PadicScalar or exact Fraction coefficients) and
 over L = Q_p(pi_e) (EisensteinElement coefficients).
@@ -211,36 +212,24 @@ def _is_ring_zero(x) -> bool:
     return x.is_exact_zero
 
 
-def _ser_mul(f, g, cut: int, zero):
-    out = [zero] * (cut + 1)
-    for i, fi in enumerate(f):
-        if i > cut or _is_ring_zero(fi):
+def _product_coefficient(f, g, k: int, start: int, zero):
+    """Sum of f_i * g_(k-i) over start <= i <= k, skipping exact-zero factors."""
+    acc = zero
+    for i in range(start, k + 1):
+        if _is_ring_zero(f[i]) or _is_ring_zero(g[k - i]):
             continue
-        for j, gj in enumerate(g):
-            if i + j > cut:
-                break
-            if _is_ring_zero(gj):
-                continue
-            out[i + j] = out[i + j] + fi * gj
-    return out
-
-
-def _ser_inv(h, cut: int, zero, one):
-    """Inverse of a series with constant term exactly 1."""
-    out = [zero] * (cut + 1)
-    out[0] = one
-    for k in range(1, cut + 1):
-        acc = zero
-        for i in range(1, min(k, len(h) - 1) + 1):
-            if _is_ring_zero(h[i]) or _is_ring_zero(out[k - i]):
-                continue
-            acc = acc + h[i] * out[k - i]
-        out[k] = -acc
-    return out
+        acc = acc + f[i] * g[k - i]
+    return acc
 
 
 def series_inversion_logarithm(A, B, n_terms: int, force: bool = False) -> FormalLogPrefix:
     """Formal-log prefix d_0..d_{n_terms} via parameter inversion.
+
+    With w = -1/y = t**3 * z, the series z solves z = 1 + A t^4 z^2 + B t^6 z^3,
+    so its coefficients follow z_k = [k = 0] + A (z^2)_(k-4) + B (z^3)_(k-6).
+    From x = t^-2 / z and y = -t^-3 / z the invariant differential is
+    dx / (2y) = (1 + q) dt with q = t z' / (2z); solving z q = t z' / 2 gives
+    q_k = (k/2) z_k - sum_{i=1..k} z_i q_(k-i), and d_r = (1 + q)_(r-1) / r.
 
     Exact over Q (int/Fraction inputs); bounded precision over Q_p or L.
     Independent of the multinomial route, hence usable as an oracle against
@@ -264,44 +253,20 @@ def series_inversion_logarithm(A, B, n_terms: int, force: bool = False) -> Forma
         zero = PadicScalar.exact_zero(A.prime)
         one = PadicScalar.from_rational(1, A.prime, INFINITY)
 
-    cut = n_terms  # work with series truncated at t**cut
-    # z solves z = 1 + A t^4 z^2 + B t^6 z^3 (z = w / t^3 for the inverted
-    # parameter w = -1/y); Newton iteration doubles the valid order.
-    z = [one]
-    valid = 4
-    while True:
-        reach = min(max(2 * valid, 8), cut + 1)
-        width = reach - 1
-        z = z + [zero] * (width + 1 - len(z))
-        z2 = _ser_mul(z, z, width, zero)
-        z3 = _ser_mul(z2, z, width, zero)
-        # F = z - 1 - A t^4 z^2 - B t^6 z^3
-        F = list(z)
-        F[0] = F[0] - one
-        for i in range(4, width + 1):
-            F[i] = F[i] - A * z2[i - 4]
-        for i in range(6, width + 1):
-            F[i] = F[i] - B * z3[i - 6]
-        # F' = 1 - 2 A t^4 z - 3 B t^6 z^2
-        Fp = [zero] * (width + 1)
-        Fp[0] = one
-        for i in range(4, width + 1):
-            Fp[i] = Fp[i] - 2 * A * z[i - 4]
-        for i in range(6, width + 1):
-            Fp[i] = Fp[i] - 3 * B * z2[i - 6]
-        correction = _ser_mul(F, _ser_inv(Fp, width, zero, one), width, zero)
-        z = [zi - ci for zi, ci in zip(z, correction)]
-        if valid >= cut + 1:
-            break
-        valid = reach
-    u = _ser_inv(z, cut, zero, one)  # u = 1/z, x = t^-2 u, y = -t^-3 u
-    # g = log' = x'/(2y) = -(1/2) * (sum (i-2) u_i t^i) * z
-    xw = [u_i * (i - 2) for i, u_i in enumerate(u)]
-    g = _ser_mul(xw, z, cut - 1, zero)
-    coeffs = [zero]
-    for r in range(1, n_terms + 1):
-        coeffs.append(-g[r - 1] / (2 * r))
-    return FormalLogPrefix(tuple(coeffs))
+    # Step k appends z_k, (z^2)_k, (z^3)_k and q_k in turn; each reads only
+    # entries already appended.
+    z, z2, z3, q = [], [], [], []
+    for k in range(n_terms):
+        z_k = one if k == 0 else zero
+        if k >= 4 and not _is_ring_zero(z2[k - 4]):
+            z_k = z_k + A * z2[k - 4]
+        if k >= 6 and not _is_ring_zero(z3[k - 6]):
+            z_k = z_k + B * z3[k - 6]
+        z.append(z_k)
+        z2.append(_product_coefficient(z, z, k, 0, zero))
+        z3.append(_product_coefficient(z, z2, k, 0, zero))
+        q.append(z_k * Fraction(k, 2) - _product_coefficient(z, q, k, 1, zero))
+    return FormalLogPrefix((zero, one, *(q[r - 1] / r for r in range(2, n_terms + 1))))
 
 
 def hasse_invariant(A, B, p: int | None = None):

@@ -236,13 +236,12 @@ def hodge_parameters(
     curve: WeierstrassCurve,
     k: int | None = None,
     precision: int | None = None,
-    verify: bool = True,
 ) -> HodgeParameters:
     """Compute (beta, epsilon, alpha) for a curve with defect e in {3,4,6}.
 
     With k=None the level is `adaptive_level`, just large enough to make beta
     visibly nonzero (non-CM).
-    verify=True cross-checks the log route against the closed forms and the
+    The log route is always cross-checked against the closed forms and the
     k-1 certificate; failures raise PadicCartanError.
     """
     red = curve.reduction
@@ -264,40 +263,37 @@ def hodge_parameters(
     epsilon = epsilon_sign(red.v_min_discriminant)
 
     if beta.is_exact_zero:
+        if v_closed != INFINITY:
+            raise PadicCartanError(
+                f"log route gives beta = 0 but closed form v(beta) = {v_closed}"
+            )
         alpha = ALPHA_INFINITY if epsilon == 1 else PadicScalar.exact_zero(p)
         v_alpha = NEG_INFINITY if epsilon == 1 else INFINITY
+    elif beta.is_zero_to_precision():
+        if v_closed < Fraction(certificate, e):
+            raise PadicCartanError(
+                f"beta invisible mod pi^{certificate} contradicts "
+                f"closed form v(beta) = {v_closed}"
+            )
+        alpha, v_alpha = None, v_alpha_table(e, red.v_min_discriminant, v_j, v_jm)
     else:
+        if beta.valuation() != v_closed:
+            raise PadicCartanError(
+                f"log route v(beta) = {beta.valuation()} != closed form {v_closed}"
+            )
+        alpha = alpha_from_beta(beta, epsilon)
         v_alpha = v_alpha_table(e, red.v_min_discriminant, v_j, v_jm)
-        alpha = None if beta.is_zero_to_precision() else alpha_from_beta(beta, epsilon)
-
-    if verify:
-        if beta.is_exact_zero:
-            if v_closed != INFINITY:
-                raise PadicCartanError(
-                    f"log route gives beta = 0 but closed form v(beta) = {v_closed}"
-                )
-        elif beta.is_zero_to_precision():
-            if v_closed < Fraction(certificate, e):
-                raise PadicCartanError(
-                    f"beta invisible mod pi^{certificate} contradicts "
-                    f"closed form v(beta) = {v_closed}"
-                )
-        else:
-            if beta.valuation() != v_closed:
-                raise PadicCartanError(
-                    f"log route v(beta) = {beta.valuation()} != closed form {v_closed}"
-                )
-            if alpha.valuation != v_alpha:
-                raise PadicCartanError(
-                    f"alpha valuation {alpha.valuation} != table value {v_alpha}"
-                )
-        if k >= 1:
-            window = min((k - 1) * e + 1, certificate)
-            prev = beta_from_logarithm(model, k - 1, None)
-            if not beta.is_congruent(prev, window):
-                raise PadicCartanError(
-                    f"beta certificates at k={k - 1} and k={k} disagree mod pi^{window}"
-                )
+        if alpha.valuation != v_alpha:
+            raise PadicCartanError(
+                f"alpha valuation {alpha.valuation} != table value {v_alpha}"
+            )
+    if k >= 1:
+        window = min((k - 1) * e + 1, certificate)
+        prev = beta_from_logarithm(model, k - 1, None)
+        if not beta.is_congruent(prev, window):
+            raise PadicCartanError(
+                f"beta certificates at k={k - 1} and k={k} disagree mod pi^{window}"
+            )
 
     return HodgeParameters(
         prime=p,

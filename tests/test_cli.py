@@ -126,6 +126,10 @@ def test_beta_request_precision_raises_k(capsys):
 def test_beta_rejects_unsupported_defect(capsys):
     rc, _, err = run(capsys, "beta", "--p", "11", "--a", "1", "--b", "1")
     assert rc == 2 and "e in {3,4,6}" in err
+    for bad in (["--precision", "0"], ["--precision", "-3"], ["--k", "-1"]):
+        rc, out, err = run(capsys, "beta", *EXAMPLE1, *bad)
+        assert rc == 2 and out == "", bad
+        assert err.strip() and len(err.strip().splitlines()) == 1, (bad, err)
 
 
 def test_logcoeffs_text_and_methods_agree(capsys):

@@ -80,6 +80,25 @@ def test_series_route_matches_bounded_route_over_Qp():
         assert prefix.d(r) == yasuda_coefficient(a, b, r, 8)
 
 
+@pytest.mark.parametrize(
+    "a, b, e",
+    [(5 * 11**3 + 11**4, 3 * 11**2, 3), (11, 2 * 11**3, 4), (2 * 11**4, 3 * 11, 6)],
+)
+def test_series_route_matches_bounded_route_over_L(a, b, e):
+    # Exact L coordinates cannot be divided by a p-free r, so the good model
+    # is truncated first; 30 pi-digits leave both routes above the target.
+    model = good_model_over_L(WeierstrassCurve(11, a, b), e)
+    A, B = model.a.truncate_pi(30), model.b.truncate_pi(30)
+    prefix = series_inversion_logarithm(A, B, 119)
+    nonzero = 0
+    for r in range(1, 120, 2):
+        got, want = prefix.d(r), yasuda_coefficient(A, B, r, 12)
+        assert min(got.pi_precision(), want.pi_precision()) >= 12, r
+        assert got.is_congruent(want, 12), (r, got, want)
+        nonzero += not want.is_congruent(0, 12)
+    assert nonzero > 10
+
+
 def test_series_caps():
     with pytest.raises(ValueError):
         series_inversion_logarithm(A, B, 501)

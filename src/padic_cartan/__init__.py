@@ -25,7 +25,6 @@ from .curve import (
     ReductionData,
     WeierstrassCurve,
     good_model_over_L,
-    invariants,
     minimal_model,
     quadratic_twist,
     semistability_defect,
@@ -98,7 +97,6 @@ __all__ = [
     "has_canonical_subgroup",
     "hasse_invariant",
     "hodge_parameters",
-    "invariants",
     "minimal_model",
     "multinomial_exact",
     "multinomial_padic",

@@ -38,6 +38,7 @@ from .divpoly import build_gk, format_table, root_valuation_partition
 from .eisenstein import EisensteinElement
 from .errors import PadicCartanError, UnsupportedPrimeError
 from .formal_log import (
+    _EXACT_MULTINOMIAL_CAP,
     series_inversion_logarithm,
     yasuda_coefficient,
     yasuda_coefficient_exact,
@@ -231,6 +232,11 @@ def _cmd_logcoeffs(args) -> int:
     r_max = args.r_max
     if r_max < 1:
         raise _InputError("r-max must be >= 1")
+    if args.method == "multinomial" and (r_max - 1) // 2 > _EXACT_MULTINOMIAL_CAP:
+        raise _InputError(
+            f"r-max {r_max} > {2 * _EXACT_MULTINOMIAL_CAP + 1} is beyond the exact "
+            "multinomial route, even with --force"
+        )
     if r_max > _LOGCOEFF_CAP and not args.force:
         raise _InputError(
             f"r-max {r_max} > {_LOGCOEFF_CAP} is slow; pass --force to allow it"

@@ -80,27 +80,6 @@ class WeierstrassCurve:
         return semistability_defect(self)
 
 
-class CurveInvariants(NamedTuple):
-    discriminant: Fraction
-    j_invariant: Fraction
-    j_minus_1728: Fraction
-    v_discriminant: object
-    v_j: object
-    v_j_minus_1728: object
-
-
-def invariants(curve: WeierstrassCurve) -> CurveInvariants:
-    """Discriminant, j, j - 1728 and their exact valuations."""
-    return CurveInvariants(
-        curve.discriminant,
-        curve.j_invariant,
-        curve.j_minus_1728,
-        curve.v_discriminant,
-        curve.v_j,
-        curve.v_j_minus_1728,
-    )
-
-
 def minimal_model(curve: WeierstrassCurve) -> WeierstrassCurve:
     """Scale by p-powers to the minimal integral model.
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import CosetViolationError, PrecisionError
-from .padic import INFINITY, PadicScalar
+from .padic import INFINITY, PadicScalar, power_by_squaring
 
 _ALLOWED_E = (3, 4, 6)
 
@@ -59,13 +59,7 @@ class EisensteinElement:
     @classmethod
     def pi_monomial(cls, scalar: PadicScalar, power: int, e: int) -> "EisensteinElement":
         """scalar * pi_e**power, any integer power (reduced via pi**e = -p)."""
-        p = scalar.prime
-        shift, index = divmod(power, e)
-        # pi**(e*shift) = (-p)**shift
-        scaled = scalar.shift(shift) if shift % 2 == 0 else (-scalar).shift(shift)
-        coords = [PadicScalar.exact_zero(p)] * e
-        coords[index] = scaled
-        return cls(p, e, coords)
+        return cls.from_scalar(scalar, e).mul_pi_power(power)
 
     # -- views ---------------------------------------------------------------
 
@@ -210,16 +204,8 @@ class EisensteinElement:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
-        out = EisensteinElement.from_rational(1, self.prime, self.ram_index, INFINITY)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        one = EisensteinElement.from_rational(1, self.prime, self.ram_index, INFINITY)
+        return power_by_squaring(self, exponent, one)
 
     def mul_pi_power(self, power: int) -> "EisensteinElement":
         """Multiply by pi_e**power exactly (any sign)."""

@@ -12,7 +12,8 @@ Two independent routes are provided and cross-checked in the test suite:
   their exact Legendre valuations.  One extra admissible index is kept as a
   guard.  The surviving pairs are listed from valuations before any
   arithmetic.  If none was dropped the sum is evaluated as given, so exact A
-  and B give an exact d_r; otherwise A and B are first reduced to
+  and B give an exact d_r up to index 2*10**4 + 1 (past it the multinomials
+  are taken mod a power of p); otherwise A and B are first reduced to
   target + e*v_p(r) + e pi-digits (what the truncated result can use, plus
   a guard of e) before they are raised to powers, as in Caruso-Roe-Vaccon,
   "Tracking p-adic precision" (2014).  This is what makes coefficients of
@@ -140,9 +141,11 @@ def yasuda_coefficient(A, B, r: int, target_pi_digits: int):
     indices of the odd series vanish identically.
 
     The terms that can reach the target are listed from valuations alone.
-    If none is dropped the sum is evaluated as given, and the result is
-    exact when A and B are.  Otherwise the result is reduced to the target,
-    and when v(A), v(B) >= 0 (as on a normalized model) the powers are taken
+    If none is dropped the sum is evaluated as given: the result is exact
+    when A and B are and (r-1)/2 <= _EXACT_MULTINOMIAL_CAP, and bounded past
+    that cap, where each multinomial carries only the digits its term needs
+    for the target.  Otherwise the result is reduced to the target, and
+    when v(A), v(B) >= 0 (as on a normalized model) the powers are taken
     of A and B reduced to target + e*v_p(r) + e pi-digits (p-digits when
     e = 1).  That is sound: the multinomials are integral and only v_p(r) is
     divided out, so every term still carries e digits beyond the target.
@@ -162,7 +165,9 @@ def yasuda_coefficient(A, B, r: int, target_pi_digits: int):
     terms = []
     for m, n in pairs:
         parts = (m + 2 * n, m, n)
-        v_term = multinomial_valuation(N, parts, p) + m * vA + n * vB - vr
+        # A factor to the power 0 is 1, even when it is exactly zero (0 * inf).
+        v_power = (m * vA if m else 0) + (n * vB if n else 0)
+        v_term = multinomial_valuation(N, parts, p) + v_power - vr
         if v_term >= target_abs:
             dropped = True
         else:

@@ -191,6 +191,22 @@ def multinomial_padic(n: int, parts, p: int, digits: int) -> "PadicScalar":
     return PadicScalar(p, unit, v, v + digits)
 
 
+def power_by_squaring(base, exponent: int, one):
+    """base**exponent for exponent >= 0: square-and-multiply from the low bit.
+
+    `one` is the identity the product starts from; the last squaring, whose
+    result would go unused, is skipped.
+    """
+    out = one
+    while exponent:
+        if exponent & 1:
+            out = out * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return out
+
+
 class PadicScalar:
     """An element of Q_p carried to finite absolute precision."""
 
@@ -329,18 +345,13 @@ class PadicScalar:
         base = min(self.valuation_floor(), other.valuation_floor())
         if base == INFINITY or base >= N:
             return PadicScalar.zero_to_precision(p, N)
-        if N == INFINITY:
-            # Both terms exact and nonzero: stay exact.
-            return PadicScalar.from_rational(
-                self.lift_fraction() + other.lift_fraction(), p, INFINITY
-            )
         base = int(base)
         total = 0
         for term in (self, other):
             if term.unit:
                 total += term.unit * p ** int(term.valuation - base)
-        window = int(N) - base
-        total %= p**window
+        if N != INFINITY:
+            total %= p ** (int(N) - base)
         if total == 0:
             return PadicScalar.zero_to_precision(p, N)
         return PadicScalar(p, total, base, N)
@@ -440,15 +451,7 @@ class PadicScalar:
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** -exponent
-        out = PadicScalar(self.prime, 1, 0, INFINITY)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
+        return power_by_squaring(self, exponent, PadicScalar(self.prime, 1, 0, INFINITY))
 
     def shift(self, k: int) -> "PadicScalar":
         """Multiply by p**k exactly."""

@@ -138,29 +138,28 @@ def v_alpha_table(e: int, v_min_discriminant: int, v_j, v_j_minus_1728) -> int:
 
 
 def has_canonical_subgroup(e: int, v_j, v_j_minus_1728) -> bool:
-    """True when the curve is too close to the supersingular boundary."""
-    if e in (3, 6):
-        return v_j in (1, 2)
-    if e == 4:
-        return v_j_minus_1728 == 1
-    raise ValueError(f"canonical-subgroup test needs e in {{3,4,6}}, got {e}")
+    """True when 0 < v(beta) + 1/e < 1: too close to the supersingular boundary.
+
+    v(beta) is `v_beta_closed_form`, so e must be in {3, 4, 6} (ValueError
+    otherwise); the CM cases (v(beta) = INFINITY) have no canonical subgroup.
+    """
+    return 0 < v_beta_closed_form(e, v_j, v_j_minus_1728) + Fraction(1, e) < 1
 
 
 def stabilization_level(e: int, v_j, v_j_minus_1728) -> int:
-    """Level n0 past which the image stops growing; twist-invariant."""
+    """Level n0 = floor(v(beta) + 1/e) past which the image stops growing.
+
+    Twist-invariant.  Raises CanonicalSubgroupError when the curve has a
+    canonical subgroup, and ValueError for potential CM (v(beta) = INFINITY).
+    """
     if has_canonical_subgroup(e, v_j, v_j_minus_1728):
         raise CanonicalSubgroupError(
             "curve has a canonical subgroup; no stabilization level"
         )
-    if e in (3, 6):
-        if v_j == INFINITY:
-            raise ValueError("n0 undefined for potential CM (all levels stabilize)")
-        return v_j // 3
-    if e == 4:
-        if v_j_minus_1728 == INFINITY:
-            raise ValueError("n0 undefined for potential CM (all levels stabilize)")
-        return v_j_minus_1728 // 2
-    raise ValueError(f"stabilization level needs e in {{3,4,6}}, got {e}")
+    v_beta = v_beta_closed_form(e, v_j, v_j_minus_1728)
+    if v_beta == INFINITY:
+        raise ValueError("n0 undefined for potential CM (all levels stabilize)")
+    return math.floor(v_beta + Fraction(1, e))
 
 
 def beta_from_logarithm(model, k: int = 1, precision: int | None = None) -> EisensteinElement:
@@ -267,7 +266,7 @@ def hodge_parameters(
             raise PadicCartanError(
                 f"log route gives beta = 0 but closed form v(beta) = {v_closed}"
             )
-        alpha = ALPHA_INFINITY if epsilon == 1 else PadicScalar.exact_zero(p)
+        alpha = alpha_from_beta(beta, epsilon)
         v_alpha = NEG_INFINITY if epsilon == 1 else INFINITY
     elif beta.is_zero_to_precision():
         if v_closed < Fraction(certificate, e):

@@ -132,6 +132,20 @@ def test_beta_rejects_unsupported_defect(capsys):
         assert err.strip() and len(err.strip().splitlines()) == 1, (bad, err)
 
 
+def test_cm_lifts_at_a_forced_level(capsys):
+    rc, out, err = run(capsys, "classify", "--p", "23", "--a", "0", "--b", "1058",
+                       "--k", "2", "--json")
+    assert rc == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["image_label"] == "full_Cns_plus_all_levels"
+    assert payload["hodge"]["beta"]["coordinates"] == ["0", "0", "0"]
+    assert payload["hodge"]["beta"]["coordinate_precisions"] == ["inf", "inf", "inf"]
+    for argv in (["--p", "11", "--a", "0", "--b", "242", "--k", "3"],
+                 ["--p", "23", "--a", "23", "--b", "0", "--k", "2"]):
+        rc, out, err = run(capsys, "beta", *argv)
+        assert rc == 0 and "beta: 0\n" in out, (argv, err)
+
+
 def test_logcoeffs_text_and_methods_agree(capsys):
     rc, out, _ = run(capsys, "logcoeffs", "--a", "1", "--b", "2", "--r-max", "11")
     assert rc == 0
@@ -156,6 +170,18 @@ def test_logcoeffs_json_and_caps(capsys):
     assert rc == 2
     rc, _, err = run(capsys, "logcoeffs", "--a", "0", "--b", "0", "--r-max", "5")
     assert rc == 2 and "discriminant vanishes" in err
+
+
+def test_logcoeffs_refuses_past_the_exact_cap_even_with_force(capsys, monkeypatch):
+    # The refusal must come before any coefficient: computing them would take hours.
+    def no_work(*args):
+        raise AssertionError("a coefficient was computed before the refusal")
+
+    monkeypatch.setattr("padic_cartan.cli.yasuda_coefficient_exact", no_work)
+    rc, out, err = run(capsys, "logcoeffs", "--a", "1", "--b", "1",
+                       "--r-max", "20003", "--force")
+    assert rc == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "20001" in err
 
 
 def test_divpoly_text_table_and_partition(capsys):

@@ -11,7 +11,6 @@ from padic_cartan.curve import (
     WeierstrassCurve,
     good_model_over_L,
     hasse_residue,
-    invariants,
     minimal_model,
     quadratic_twist,
     semistability_defect,
@@ -42,11 +41,10 @@ def test_rejects_singular_models():
 
 def test_invariant_identities():
     c = WeierstrassCurve(11, Fraction(5, 7), 9)
-    inv = invariants(c)
-    assert inv.discriminant == -16 * (4 * c.a**3 + 27 * c.b**2)
+    assert c.discriminant == -16 * (4 * c.a**3 + 27 * c.b**2)
     # j and j - 1728 share the discriminant denominator identity.
-    assert inv.j_invariant - inv.j_minus_1728 == 1728
-    assert inv.j_minus_1728 == Fraction(1728 * 432) * c.b**2 / inv.discriminant
+    assert c.j_invariant - c.j_minus_1728 == 1728
+    assert c.j_minus_1728 == Fraction(1728 * 432) * c.b**2 / c.discriminant
 
 
 def test_invariant_valuations_deep_ramification_example():

@@ -160,6 +160,20 @@ def test_cm_coefficients_vanish_on_both_routes():
     assert yasuda_coefficient(zero, one, 5, 12).is_exact_zero
 
 
+def test_cm_lift_past_the_exact_multinomial_cap():
+    # A = 0 leaves the single term (m, n) = (0, N/3); A**0 = 1 must not take
+    # v(A) = inf into the term's valuation.
+    p, r = 23, 23**4
+    model = good_model_over_L(WeierstrassCurve(p, 0, 2 * p**2), 3)
+    assert model.a.is_exact_zero and model.b.as_padic_scalar().lift_fraction() == 2
+    got = yasuda_coefficient(model.a, model.b, r, 4)
+    N = (r - 1) // 2
+    n = N // 3
+    want = Fraction(math.comb(N, n) * 2**n, r)  # C(N; 2n, 0, n) = C(N, n)
+    assert got.is_congruent(EisensteinElement.from_rational(want, p, 3, INFINITY), 4)
+    assert not got.is_congruent(0, 4)
+
+
 def test_first_log_coefficient_of_normalized_L_model():
     model = good_model_over_L(WeierstrassCurve(11, 11**3, 11**2), 3)
     d_p = yasuda_coefficient(model.a, model.b, 11, 12)

@@ -158,6 +158,23 @@ def test_addition_of_exact_values_stays_exact():
     assert s.lift_fraction() == 22
     d = x - x
     assert d.is_exact_zero
+    # Negative, mixed and cancelling valuations, against Fraction arithmetic.
+    pairs = [
+        (Fraction(3, 121), Fraction(5, 11)),
+        (Fraction(-7, 1331), 242),
+        (Fraction(1, 11), Fraction(-1, 11) + 11**3),
+        (Fraction(-5, 11**4), Fraction(5, 11**4)),
+    ]
+    for u, w in pairs:
+        a = PadicScalar.from_rational(u, p, INFINITY)
+        b = PadicScalar.from_rational(w, p, INFINITY)
+        for got, want in (
+            (a + b, a.lift_fraction() + b.lift_fraction()),
+            (a - b, a.lift_fraction() - b.lift_fraction()),
+        ):
+            assert got.abs_precision == INFINITY, (u, w)
+            assert got.lift_fraction() == want, (u, w)
+            assert got.is_exact_zero == (want == 0), (u, w)
 
 
 def test_multiplication_and_shift():

@@ -70,6 +70,20 @@ def test_v_alpha_table_rejections():
         v_alpha_table(3, 5, 5, 0)
 
 
+# (e, v(j), v(j - 1728)): e in {3, 6} read v(j), e = 4 reads v(j - 1728),
+# each over 0..12, plus the CM cases.
+_GATE_GRID = (
+    [(e, v, 0) for e in (3, 6) for v in range(13)]
+    + [(4, 0, v) for v in range(13)]
+    + [(3, INFINITY, 0), (6, INFINITY, 0), (4, 0, INFINITY)]
+)
+
+
+def _canonical_by_j(e, v_j, v_jm):
+    """The j-invariant form of the gate, written out independently."""
+    return v_j in (1, 2) if e in (3, 6) else v_jm == 1
+
+
 def test_has_canonical_subgroup():
     assert has_canonical_subgroup(3, 1, 0)
     assert has_canonical_subgroup(3, 2, 0)
@@ -78,6 +92,9 @@ def test_has_canonical_subgroup():
     assert not has_canonical_subgroup(4, 0, 2)
     with pytest.raises(ValueError):
         has_canonical_subgroup(5, 1, 1)
+    for e, v_j, v_jm in _GATE_GRID:
+        assert has_canonical_subgroup(e, v_j, v_jm) == _canonical_by_j(e, v_j, v_jm), (
+            e, v_j, v_jm)
 
 
 def test_stabilization_level():
@@ -89,6 +106,17 @@ def test_stabilization_level():
         stabilization_level(3, 2, 0)
     with pytest.raises(ValueError):
         stabilization_level(3, INFINITY, 0)
+    for e, v_j, v_jm in _GATE_GRID:
+        v = v_j if e in (3, 6) else v_jm
+        if _canonical_by_j(e, v_j, v_jm):
+            with pytest.raises(CanonicalSubgroupError):
+                stabilization_level(e, v_j, v_jm)
+        elif v == INFINITY:
+            with pytest.raises(ValueError):
+                stabilization_level(e, v_j, v_jm)
+        else:
+            want = v_j // 3 if e in (3, 6) else v_jm // 2
+            assert stabilization_level(e, v_j, v_jm) == want, (e, v_j, v_jm)
 
 
 def _example1_model():

@@ -10,14 +10,14 @@ Two independent routes are provided and cross-checked in the test suite:
   dropped once m*v(A) + n*v(B) alone pushes it past the target precision
   (multinomial valuations are >= 0), and the survivors are filtered with
   their exact Legendre valuations.  One extra admissible index is kept as a
-  guard.  The surviving pairs are listed from valuations before any
-  arithmetic.  If none was dropped the sum is evaluated as given, so exact A
-  and B give an exact d_r up to index 2*10**4 + 1 (past it the multinomials
-  are taken mod a power of p); otherwise A and B are first reduced to
-  target + e*v_p(r) + e pi-digits (what the truncated result can use, plus
-  a guard of e) before they are raised to powers, as in Caruso-Roe-Vaccon,
-  "Tracking p-adic precision" (2014).  This is what makes coefficients of
-  index p**7 ~ 10**9 affordable.
+  guard.  The pairs are listed, and a sum over a fixed work budget refused,
+  before any arithmetic.  If none was dropped, exact A and B give an exact d_r
+  up to index 2*10**4 + 1; otherwise each multinomial is taken mod the power
+  of p its term needs, and A and B are reduced to target + e*v_p(r) + e
+  pi-digits (what the truncated result can use, plus a guard of e) before
+  they are raised to powers, as in Caruso-Roe-Vaccon, "Tracking p-adic
+  precision" (2014).  This is what makes coefficients of index p**7 ~ 10**9
+  affordable.
 
 * `series_inversion_logarithm` computes the same prefix by inverting the
   Weierstrass parametrization (t = -x/y, w = -1/y = t**3 z) one coefficient
@@ -48,8 +48,10 @@ from .padic import (
 
 # Largest (r-1)/2 for which the untruncated sum is evaluated term by term.
 _GENERIC_CAP = 3000
-# Size threshold below which multinomials go through exact big integers.
+# Largest (r-1)/2 at which a sum that drops no term takes exact multinomials.
 _EXACT_MULTINOMIAL_CAP = 10**4
+# Largest up-front work estimate of one Yasuda sum that is run; past it, refuse.
+_WORK_BUDGET = 10**8
 _SERIES_DEFAULT_CAP = 500
 
 
@@ -140,15 +142,16 @@ def yasuda_coefficient(A, B, r: int, target_pi_digits: int):
     or both EisensteinElement over the same field.  r must be odd: even
     indices of the odd series vanish identically.
 
-    The terms that can reach the target are listed from valuations alone.
-    If none is dropped the sum is evaluated as given: the result is exact
-    when A and B are and (r-1)/2 <= _EXACT_MULTINOMIAL_CAP, and bounded past
-    that cap, where each multinomial carries only the digits its term needs
-    for the target.  Otherwise the result is reduced to the target, and
-    when v(A), v(B) >= 0 (as on a normalized model) the powers are taken
-    of A and B reduced to target + e*v_p(r) + e pi-digits (p-digits when
-    e = 1).  That is sound: the multinomials are integral and only v_p(r) is
-    divided out, so every term still carries e digits beyond the target.
+    The terms that can reach the target are listed from valuations alone;
+    past _WORK_BUDGET their estimated work raises PrecisionError there.  If
+    none is dropped and (r-1)/2 <= _EXACT_MULTINOMIAL_CAP the sum takes exact
+    multinomials, so it is exact when A and B are; every other sum takes each
+    multinomial mod the power of p its term needs for the target.  When terms
+    are dropped the result is reduced to the target, and when v(A), v(B) >= 0
+    (as on a normalized model) the powers are taken of A and B reduced to
+    target + e*v_p(r) + e pi-digits (p-digits when e = 1).  That is sound:
+    the multinomials are integral and only v_p(r) is divided out, so every
+    term still carries e digits beyond the target.
     """
     if r < 1 or r % 2 == 0:
         raise ValueError(f"coefficient index must be odd and positive, got {r}")
@@ -162,6 +165,13 @@ def yasuda_coefficient(A, B, r: int, target_pi_digits: int):
     # >= target/e + v(r), because v(C) >= 0.
     target_abs = Fraction(target_pi_digits, e)
     pairs, dropped = _admissible_pairs(N, vA, vB, target_abs + vr)
+    working = target_pi_digits + e * vr + e
+    # Per pair: factorial units over log_p N digits of up to p blocks, and powers.
+    cost = len(pairs) * (-(-working // e)) ** 2 * p * math.log(N + 1, p)
+    if cost > _WORK_BUDGET:
+        raise PrecisionError(
+            f"d_r at r ~ {p}^{math.log(r, p):.0f} to pi^{target_pi_digits} needs "
+            f"~{cost:.2g} digit operations, over the budget {_WORK_BUDGET:.0e}")
     terms = []
     for m, n in pairs:
         parts = (m + 2 * n, m, n)
@@ -173,11 +183,10 @@ def yasuda_coefficient(A, B, r: int, target_pi_digits: int):
         else:
             terms.append((m, n, parts, v_term))
     if dropped and vA >= 0 and vB >= 0:
-        working = target_pi_digits + e * vr + e
         A, B = _reduce_for_powers(A, working), _reduce_for_powers(B, working)
     total = _zero_like(A)
     for m, n, parts, v_term in terms:
-        if N <= _EXACT_MULTINOMIAL_CAP:
+        if not dropped and N <= _EXACT_MULTINOMIAL_CAP:
             coeff = multinomial_exact(N, parts)
         else:
             digits = max(1, math.ceil(target_abs - v_term))

@@ -8,22 +8,20 @@ distinct from a precision zero ``O(p**N)``, whose valuation is only known to be
 
 The combinatorial helpers (`val_factorial`, `multinomial_padic`, ...) never
 build the underlying factorials when the arguments are large: valuations come
-from Legendre's formula and unit parts from cached period-product tables, so a
-multinomial with top index around 10**9 costs O(log n) word operations.
+from Legendre's formula and unit parts mod p**d from the base-p digits and O(d)
+cached block polynomials, so a multinomial with top index around 10**9 costs
+O(p * d * log_p n) word operations.
 """
 
 from __future__ import annotations
 
-from array import array
+import math
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import PrecisionError, UnsupportedPrimeError
 
 INFINITY = float("inf")
-
-# Largest factorial-unit table we are willing to materialize (entries).
-_MAX_TABLE = 1 << 26
 
 
 @lru_cache(maxsize=None)
@@ -101,93 +99,84 @@ def multinomial_valuation(n: int, parts: tuple[int, ...] | list[int], p: int) ->
 
 
 def multinomial_exact(n: int, parts) -> int:
-    """Exact big-integer multinomial coefficient (the test oracle path)."""
+    """Exact big-integer multinomial: exact Yasuda sums, and the p-adic oracle."""
     if min(parts, default=0) < 0 or sum(parts) != n:
         raise ValueError(f"parts {parts} do not partition {n}")
-    import math
-
     out = math.factorial(n)
     for a in parts:
         out //= math.factorial(a)
     return out
 
 
-class _FactorialUnitTable:
-    """Period products of p-free integers mod p**digits.
+@lru_cache(maxsize=256)
+def _block_polynomials(p: int, digits: int) -> tuple:
+    """F_j(x) = prod_{i <= p**j, p ∤ i} (x + i) mod p**digits, for 1 <= j < digits.
 
-    table[r] = prod of 1 <= i <= r with p ∤ i, mod P = p**digits.  Over a full
-    period the product of the units of Z/P is -1 (p odd), which turns the
-    p-free part of n! into O(log_p n) table lookups.
+    F_j is cut to degree < ceil(digits / j), exact at any x divisible by p**j;
+    F_(j+1)(x) = prod_{t < p} F_j(x + t*p**j).  O(p * digits**2) word operations.
     """
-
-    def __init__(self, p: int, digits: int):
-        P = p**digits
-        if P > _MAX_TABLE:
-            raise PrecisionError(
-                f"factorial unit table p**{digits} = {P} exceeds the size cap"
-            )
-        self.p = p
-        self.digits = digits
-        self.modulus = P
-        tab = array("q", bytes(8 * P)) if P > 4096 else array("q", [0] * P)
-        acc = 1
-        tab[0] = 1
-        for i in range(1, P):
-            if i % p:
-                acc = acc * i % P
-            tab[i] = acc
-        self.table = tab
-
-    def pfree_prefix(self, m: int) -> int:
-        """prod of p-free integers in [1, m], mod p**digits."""
-        q, r = divmod(m, self.modulus)
-        value = self.table[r]
-        if q % 2:
-            value = self.modulus - value
-        return value % self.modulus
-
-    def factorial_unit(self, n: int) -> int:
-        """Unit part n! / p**v_p(n!) mod p**digits."""
-        out = 1
-        while n:
-            out = out * self.pfree_prefix(n) % self.modulus
-            n //= self.p
-        return out
-
-
-_unit_tables: dict[int, _FactorialUnitTable] = {}
-
-
-def _unit_table(p: int, digits: int) -> _FactorialUnitTable:
-    tab = _unit_tables.get(p)
-    if tab is None or tab.digits < digits:
-        tab = _FactorialUnitTable(p, digits)
-        _unit_tables[p] = tab
-    return tab
+    P = p**digits
+    poly = [1] + [0] * (digits - 1)
+    for i in range(1, p):  # F_1, one factor (x + i) at a time
+        poly = [(i * c + (poly[k - 1] if k else 0)) % P for k, c in enumerate(poly)]
+    blocks = [()]
+    while len(blocks) < digits:
+        blocks.append(tuple(poly))
+        product = [1] + [0] * (-(-digits // len(blocks)) - 1)
+        for t in range(p):
+            shift, shifted = t * p ** (len(blocks) - 1), list(poly)
+            for lo in range(len(shifted) - 1):  # F_j(x + shift), synthetic division
+                for k in range(len(shifted) - 2, lo - 1, -1):
+                    shifted[k] = (shifted[k] + shift * shifted[k + 1]) % P
+            product = [sum(product[i] * shifted[k - i] for i in range(k + 1)) % P
+                       for k in range(len(product))]
+        poly = product
+    return tuple(blocks)
 
 
 def factorial_unit(n: int, p: int, digits: int) -> int:
-    """Unit part of n! modulo p**digits, in O(log_p n) after table setup."""
+    """Unit part n! / p**v_p(n!) modulo P = p**digits, from the digits of n.
+
+    n! = U(n) * p**(n//p) * (n//p)! with U(m) the product of the p-free i <= m,
+    U(m) = (-1)**(m // P) * U(m mod P), and base-p digit a_j of m mod P adds
+    a_j blocks F_j (Granville, "Binomial coefficients modulo prime powers").
+    """
     check_odd_prime(p)
+    if n < 0:
+        raise ValueError(f"factorial of negative {n}")
     if digits < 1:
         raise ValueError("need at least one digit")
-    return _unit_table(p, digits).factorial_unit(n) % p**digits
+    P = p**digits
+    blocks = _block_polynomials(p, digits)
+    out = 1
+    while n:
+        q, m = divmod(n, P)
+        out, x, step = (-out if q % 2 else out), 0, P
+        for poly in reversed(blocks[1:]):
+            step //= p
+            count, m = divmod(m, step)
+            for _ in range(count):
+                value = 0
+                for c in reversed(poly):
+                    value = (value * x + c) % P
+                out, x = out * value % P, x + step
+        for i in range(x + 1, x + m + 1):
+            out = out * i % P
+        n //= p
+    return out % P
 
 
 def multinomial_padic(n: int, parts, p: int, digits: int) -> "PadicScalar":
     """Multinomial coefficient as a PadicScalar with `digits` unit digits.
 
-    Exact valuation via Legendre; unit part modulo p**digits via the period
-    tables, so n may be far beyond big-integer reach.
+    Exact valuation via Legendre; unit part modulo p**digits via
+    `factorial_unit`, so n may be far beyond big-integer reach.
     """
     parts = tuple(parts)
     v = multinomial_valuation(n, parts, p)
     P = p**digits
-    num = factorial_unit(n, p, digits)
-    den = 1
-    for a in parts:
-        den = den * _unit_table(p, digits).factorial_unit(a) % P
-    unit = num * pow(den, -1, P) % P
+    den = math.prod(factorial_unit(a, p, digits) for a in parts)
+    unit = factorial_unit(n, p, digits) * pow(den, -1, P) % P
     return PadicScalar(p, unit, v, v + digits)
 
 

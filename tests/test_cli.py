@@ -146,6 +146,36 @@ def test_cm_lifts_at_a_forced_level(capsys):
         assert rc == 0 and "beta: 0\n" in out, (argv, err)
 
 
+@pytest.mark.parametrize("argv", [
+    [*EXAMPLE1, "--k", "7"],
+    [*EXAMPLE1, "--precision", "40"],
+    ["--p", "23", "--a", "12167", "--b", "529", "--k", "4"],
+])
+def test_beta_deep_levels_are_answered(capsys, argv):
+    # Each needs factorial units mod p**d with p**d past 2**26.
+    rc, out, err = run(capsys, "beta", *argv, "--json")
+    assert rc == 0 and err == "", err
+    assert json.loads(out)["defect"] == 3
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("beta", ["--precision", "200"]),
+    ("classify", ["--k", "60"]),
+])
+def test_over_budget_requests_exit_2_before_any_arithmetic(capsys, monkeypatch,
+                                                            command, extra):
+    def no_work(*args, **kwargs):
+        raise AssertionError("arithmetic ran before the refusal")
+
+    monkeypatch.setattr("padic_cartan.formal_log.multinomial_exact", no_work)
+    monkeypatch.setattr("padic_cartan.formal_log.multinomial_padic", no_work)
+    monkeypatch.setattr("padic_cartan.eisenstein.EisensteinElement.__pow__", no_work)
+    monkeypatch.setattr("padic_cartan.eisenstein.EisensteinElement.__mul__", no_work)
+    rc, out, err = run(capsys, command, *EXAMPLE1, *extra)
+    assert rc == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "budget" in err
+
+
 def test_logcoeffs_text_and_methods_agree(capsys):
     rc, out, _ = run(capsys, "logcoeffs", "--a", "1", "--b", "2", "--r-max", "11")
     assert rc == 0

@@ -120,6 +120,21 @@ def test_unit_coefficients_hit_generic_cap():
         yasuda_coefficient(a, b, 6003, 8)
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("forbidden arithmetic ran")
+
+
+def test_work_budget_refuses_before_any_arithmetic(monkeypatch):
+    # Example 1 at k = 67 (beta to pi^200): d_{p^135} at ~410 pi-digits.
+    a_l, b_l = good_model_over_L(WeierstrassCurve(11, 11**3, 11**2), 3)
+    monkeypatch.setattr("padic_cartan.formal_log.multinomial_exact", _no_work)
+    monkeypatch.setattr("padic_cartan.formal_log.multinomial_padic", _no_work)
+    monkeypatch.setattr(EisensteinElement, "__pow__", _no_work)
+    monkeypatch.setattr(EisensteinElement, "__mul__", _no_work)
+    with pytest.raises(PrecisionError, match="budget"):
+        yasuda_coefficient(a_l, b_l, 11**135, 2)
+
+
 def test_precision_zero_coefficient_rejected():
     a = PadicScalar.zero_to_precision(5, 3)
     b = PadicScalar.from_rational(1, 5, 8)
@@ -243,6 +258,16 @@ def _oracle_sum(A, B, j, target):
         total = total + _multinomial(N, m, n) * (A**m) * (B**n) / r
     supported = total.pi_precision()
     return total, (min(supported, target) if left_out else supported)
+
+
+def test_truncated_sums_take_no_exact_multinomial(monkeypatch):
+    # d at r = 11**3 (N = 665, under the exact cap) drops terms, so each
+    # multinomial is needed only to a few digits.
+    model = good_model_over_L(WeierstrassCurve(11, 11**3, 11**2), 3)
+    monkeypatch.setattr("padic_cartan.formal_log.multinomial_exact", _no_work)
+    got = yasuda_coefficient(model.a, model.b, 11**3, 4)
+    want, supported = _oracle_sum(model.a, model.b, 3, 4)
+    assert supported == got.pi_precision() == 4 and got.is_congruent(want, 4)
 
 
 @pytest.mark.parametrize(

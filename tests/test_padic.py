@@ -62,19 +62,30 @@ def test_val_binomial_prime_power_rejects_out_of_range():
         val_binomial_prime_power(-1, 1, 5)
 
 
+def _unit_oracle(n, p, digits):
+    f = math.factorial(n)
+    return f // p ** vp(f, p) % p**digits
+
+
 def test_factorial_unit_matches_math_factorial():
-    for p, digits in ((5, 4), (11, 3)):
-        P = p**digits
-        for n in (0, 1, p - 1, p, p + 1, 2 * p, 97, 541):
-            f = math.factorial(n)
-            unit = f // p ** vp(f, p)
-            assert factorial_unit(n, p, digits) == unit % P
+    # (11, 8), (5, 12) and (23, 6) are past 2**26, beyond any p**digits-entry
+    # table; n stays small enough for math.factorial.
+    rng = random.Random(11)
+    for p, digits in ((5, 4), (11, 3), (3, 10), (11, 8), (5, 12), (23, 6)):
+        ns = [*range(100), 541, *(rng.randrange(3000) for _ in range(40))]
+        ns += [p**j + d for j in range(1, 5) for d in (-1, 0, 1) if p**j + d <= 3000]
+        for n in ns:
+            assert factorial_unit(n, p, digits) == _unit_oracle(n, p, digits), (n, p)
 
 
-def test_factorial_unit_table_size_cap():
-    # 11**8 entries would blow the table cap; must refuse, not thrash.
-    with pytest.raises(PrecisionError):
-        factorial_unit(100, 11, 8)
+def test_factorial_unit_past_the_old_table_cap():
+    # A p**digits-entry table refused this request (11**8 > 2**26 entries).
+    assert factorial_unit(100, 11, 8) == _unit_oracle(100, 11, 8)
+
+
+def test_factorial_unit_rejects_negative_n():
+    with pytest.raises(ValueError):
+        factorial_unit(-1, 5, 2)
 
 
 def test_multinomial_padic_matches_exact():
@@ -90,6 +101,20 @@ def test_multinomial_padic_matches_exact():
         assert got.valuation == v
         assert multinomial_valuation(n, parts, p) == v
         assert got.unit == (exact // p**v) % p**4
+
+
+def test_multinomial_padic_matches_exact_at_twelve_digits():
+    rng = random.Random(12)
+    for _ in range(30):
+        p = rng.choice((5, 11, 23))
+        n = rng.randrange(1, 3000)
+        cut = sorted(rng.randrange(0, n + 1) for _ in range(2))
+        parts = (cut[0], cut[1] - cut[0], n - cut[1])
+        exact = multinomial_exact(n, parts)
+        got = multinomial_padic(n, parts, p, 12)
+        v = vp(exact, p)
+        assert (got.valuation, got.abs_precision) == (v, v + 12)
+        assert got.unit == (exact // p**v) % p**12
 
 
 def test_multinomial_rejects_bad_partitions():

@@ -73,11 +73,7 @@ def _resolve_precision(flag_value, e: int) -> int:
     Accepts a plain digit count ("12") or an e-multiplier ("4e").  The
     default is 4e digits, enough to report the k<=3 certificates in full.
     """
-    text = flag_value
-    if text is None:
-        text = os.environ.get(_ENV_PRECISION)
-    if text is None:
-        text = "4e"
+    text = os.environ.get(_ENV_PRECISION, "4e") if flag_value is None else flag_value
     text = str(text).strip().lower()
     try:
         if text.endswith("e"):
@@ -188,16 +184,9 @@ def _classify_batch(args) -> int:
         if args.json:
             print(json.dumps(payload, separators=(",", ":")))
         else:
-            print(
-                "p={p} a={a} b={b} label={label} n0={n0} index={index}".format(
-                    p=p,
-                    a=fields[1],
-                    b=fields[2],
-                    label=payload["image_label"],
-                    n0=_fmt_leaf(payload["n0"]),
-                    index=_fmt_leaf(payload["index_at_level"]),
-                )
-            )
+            print(f"p={p} a={fields[1]} b={fields[2]} label={payload['image_label']} "
+                  f"n0={_fmt_leaf(payload['n0'])} "
+                  f"index={_fmt_leaf(payload['index_at_level'])}")
     return 0
 
 
@@ -207,15 +196,12 @@ def _classify_batch(args) -> int:
 def _cmd_beta(args) -> int:
     curve = _build_curve(args.p, args.a, args.b)
     e = curve.reduction.defect
-    precision = None
-    if args.precision is not None:
-        precision = _resolve_precision(args.precision, e)
+    precision = None if args.precision is None else _resolve_precision(args.precision, e)
     try:
         hodge = hodge_parameters(curve, k=args.k, precision=precision)
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
-    payload = {"prime": curve.prime, "defect": e}
-    payload.update(_hodge_dict(hodge))
+    payload = {"prime": curve.prime, "defect": e, **_hodge_dict(hodge)}
     if args.json:
         print(json.dumps(payload, indent=2))
     else:
@@ -232,10 +218,11 @@ def _cmd_logcoeffs(args) -> int:
     r_max = args.r_max
     if r_max < 1:
         raise _InputError("r-max must be >= 1")
-    if args.method == "multinomial" and (r_max - 1) // 2 > _EXACT_MULTINOMIAL_CAP:
+    # Both exact routes are refused here, before any work, even with --force.
+    if (r_max - 1) // 2 > _EXACT_MULTINOMIAL_CAP:
         raise _InputError(
             f"r-max {r_max} > {2 * _EXACT_MULTINOMIAL_CAP + 1} is beyond the exact "
-            "multinomial route, even with --force"
+            f"{args.method} route, even with --force"
         )
     if r_max > _LOGCOEFF_CAP and not args.force:
         raise _InputError(

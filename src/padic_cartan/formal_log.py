@@ -20,13 +20,16 @@ Two independent routes are provided and cross-checked in the test suite:
   affordable.
 
 * `series_inversion_logarithm` computes the same prefix by inverting the
-  Weierstrass parametrization (t = -x/y, w = -1/y = t**3 z) one coefficient
-  at a time, z_k = [k = 0] + A (z**2)_(k-4) + B (z**3)_(k-6), and
-  integrating the invariant differential dx/(2y) = (1 + t z'/(2z)) dt.
+  Weierstrass parametrization (t = -x/y, w = -1/y = t**3 z, z a series in
+  t**2) one coefficient of t**(2s) at a time, z_s = [s = 0] +
+  A (z**2)_(s-2) + B (z**3)_(s-3), and integrating dx/(2y) = (1 + t z'/(2z)) dt.
   O(n**2) ring operations; oracle use only, capped by default.
 
 Both routes work over Q_p (PadicScalar or exact Fraction coefficients) and
-over L = Q_p(pi_e) (EisensteinElement coefficients).
+over L = Q_p(pi_e) (EisensteinElement coefficients).  Over Q both run on
+integers: t -> lam*t maps (A, B) to (lam**4 A, lam**6 B), integral for any
+lam with den A | lam**4 and den B | lam**6, and d_r to lam**(r-1) d_r.  Each
+route takes lam = lcm(den A, den B) itself and divides once per d_r.
 """
 
 from __future__ import annotations
@@ -208,22 +211,23 @@ def yasuda_coefficient_exact(A, B, r: int) -> Fraction:
     N = (r - 1) // 2
     if N > _EXACT_MULTINOMIAL_CAP:
         raise ValueError(f"index {r} too large for the exact path")
-    total = Fraction(0)
+    # Each term has 4m + 6n = r - 1: sum over integers a, b, divide by lam**(r-1).
+    lam = math.lcm(A.denominator, B.denominator)
+    a, b = int(A * lam**4), int(B * lam**6)
+    total = 0
     for m in range((2 * N) % 3, N // 2 + 1, 3):
         n = (N - 2 * m) // 3
-        if (m and A == 0) or (n and B == 0):
-            continue  # A**m or B**n is exactly 0: skip the factorial-sized multinomial
-        total += multinomial_exact(N, (m + 2 * n, m, n)) * A**m * B**n
-    return total / r
+        if (m and a == 0) or (n and b == 0):
+            continue  # a**m or b**n is exactly 0: skip the factorial-sized multinomial
+        total += multinomial_exact(N, (m + 2 * n, m, n)) * a**m * b**n
+    return Fraction(total, r * lam ** (r - 1))
 
 
 # -- series-inversion oracle -------------------------------------------------
 
 
 def _is_ring_zero(x) -> bool:
-    if isinstance(x, (int, Fraction)):
-        return x == 0
-    return x.is_exact_zero
+    return x == 0 if isinstance(x, int) else x.is_exact_zero
 
 
 def _product_coefficient(f, g, k: int, start: int, zero):
@@ -239,16 +243,19 @@ def _product_coefficient(f, g, k: int, start: int, zero):
 def series_inversion_logarithm(A, B, n_terms: int, force: bool = False) -> FormalLogPrefix:
     """Formal-log prefix d_0..d_{n_terms} via parameter inversion.
 
-    With w = -1/y = t**3 * z, the series z solves z = 1 + A t^4 z^2 + B t^6 z^3,
-    so its coefficients follow z_k = [k = 0] + A (z^2)_(k-4) + B (z^3)_(k-6).
-    From x = t^-2 / z and y = -t^-3 / z the invariant differential is
-    dx / (2y) = (1 + q) dt with q = t z' / (2z); solving z q = t z' / 2 gives
-    q_k = (k/2) z_k - sum_{i=1..k} z_i q_(k-i), and d_r = (1 + q)_(r-1) / r.
+    With w = -1/y = t**3 * z, z = 1 + A t^4 z^2 + B t^6 z^3 is a series in
+    t^2; indexed by s for t^(2s), z_s = [s = 0] + A (z^2)_(s-2) + B (z^3)_(s-3).
+    From x = t^-2 / z and y = -t^-3 / z, dx / (2y) = (1 + q) dt with
+    q = t z' / (2z); solving z q = t z' / 2 gives
+    q_s = s z_s - sum_{i=1..s} z_i q_(s-i), and d_(2s+1) = (1 + q)_s / (2s+1).
 
-    Exact over Q (int/Fraction inputs); bounded precision over Q_p or L.
-    Independent of the multinomial route, hence usable as an oracle against
-    it.  Cost is O(n_terms**2) ring multiplications, so the index is capped
-    at 500 unless force=True.
+    Exact over Q (int/Fraction inputs): the loop runs on the integral model
+    (lam**4 A, lam**6 B), lam = lcm(den A, den B).  t -> lam*t scales z_s and
+    q_s by lam**(2s), and any lam with den A | lam**4 and den B | lam**6 makes
+    them integers (z_0 = 1, integer recurrences), so d_(2s+1) is one division
+    by (2s+1) lam**(2s).  Bounded precision over Q_p or L, on A and B as they
+    are.  Independent of the multinomial route, hence an oracle for it.
+    O(n_terms**2) ring multiplications: capped at 500 unless force=True.
     """
     if n_terms < 1:
         raise ValueError("need at least one coefficient")
@@ -257,9 +264,11 @@ def series_inversion_logarithm(A, B, n_terms: int, force: bool = False) -> Forma
             f"n_terms={n_terms} beyond the oracle cap {_SERIES_DEFAULT_CAP}; "
             "pass force=True if you mean it"
         )
+    lam = 1
     if isinstance(A, (int, Fraction)) or isinstance(B, (int, Fraction)):
         A, B = Fraction(A), Fraction(B)
-        zero, one = Fraction(0), Fraction(1)
+        lam = math.lcm(A.denominator, B.denominator)
+        A, B, zero, one = int(A * lam**4), int(B * lam**6), 0, 1
     elif isinstance(A, EisensteinElement):
         zero = EisensteinElement.zero(A.prime, A.ram_index)
         one = EisensteinElement.from_rational(1, A.prime, A.ram_index, INFINITY)
@@ -267,20 +276,23 @@ def series_inversion_logarithm(A, B, n_terms: int, force: bool = False) -> Forma
         zero = PadicScalar.exact_zero(A.prime)
         one = PadicScalar.from_rational(1, A.prime, INFINITY)
 
-    # Step k appends z_k, (z^2)_k, (z^3)_k and q_k in turn; each reads only
+    # Step s appends z_s, (z^2)_s, (z^3)_s and q_s in turn; each reads only
     # entries already appended.
     z, z2, z3, q = [], [], [], []
-    for k in range(n_terms):
-        z_k = one if k == 0 else zero
-        if k >= 4 and not _is_ring_zero(z2[k - 4]):
-            z_k = z_k + A * z2[k - 4]
-        if k >= 6 and not _is_ring_zero(z3[k - 6]):
-            z_k = z_k + B * z3[k - 6]
-        z.append(z_k)
-        z2.append(_product_coefficient(z, z, k, 0, zero))
-        z3.append(_product_coefficient(z, z2, k, 0, zero))
-        q.append(z_k * Fraction(k, 2) - _product_coefficient(z, q, k, 1, zero))
-    return FormalLogPrefix((zero, one, *(q[r - 1] / r for r in range(2, n_terms + 1))))
+    for s in range((n_terms + 1) // 2):
+        z_s = one if s == 0 else zero
+        if s >= 2 and not _is_ring_zero(z2[s - 2]):
+            z_s = z_s + A * z2[s - 2]
+        if s >= 3 and not _is_ring_zero(z3[s - 3]):
+            z_s = z_s + B * z3[s - 3]
+        z.append(z_s)
+        z2.append(_product_coefficient(z, z, s, 0, zero))
+        z3.append(_product_coefficient(z, z2, s, 0, zero))
+        q.append(z_s * s - _product_coefficient(z, q, s, 1, zero))
+    if isinstance(one, int):  # over Q: from the integral model back to Fractions
+        q, zero, one = [Fraction(q_s) for q_s in q], Fraction(0), Fraction(1)
+    d = [one] + [q[s] / ((2 * s + 1) * lam ** (2 * s)) for s in range(1, len(q))]
+    return FormalLogPrefix(tuple(d[r // 2] if r % 2 else zero for r in range(n_terms + 1)))
 
 
 def hasse_invariant(A, B, p: int | None = None):
@@ -292,19 +304,16 @@ def hasse_invariant(A, B, p: int | None = None):
     if p is None:
         p = A.prime
     M = (p - 1) // 2
-    rational = isinstance(A, (int, Fraction))
-    if rational:
-        A, B = Fraction(A), Fraction(B)
-        total = Fraction(0)
+    if isinstance(A, (int, Fraction)):
+        A, B, total = Fraction(A), Fraction(B), Fraction(0)
+    elif A.prime != p:
+        raise ValueError("p does not match the coefficient field")
     else:
-        if getattr(A, "prime") != p:
-            raise ValueError("p does not match the coefficient field")
         total = _zero_like(A)
+    # 3i <= p - 1 and 2i >= M, so both exponents below are >= 0.
     for i in range((p + 2) // 4, (p - 1) // 3 + 1):
         j = p - 1 - 3 * i
         k = 2 * i - M
-        if j < 0 or k < 0:
-            continue
         coeff = math.comb(M, i) * math.comb(M - i, j)
         total = total + coeff * (A**j) * (B**k)
     return total

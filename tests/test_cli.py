@@ -204,14 +204,16 @@ def test_logcoeffs_json_and_caps(capsys):
 
 def test_logcoeffs_refuses_past_the_exact_cap_even_with_force(capsys, monkeypatch):
     # The refusal must come before any coefficient: computing them would take hours.
-    def no_work(*args):
+    def no_work(*args, **kwargs):
         raise AssertionError("a coefficient was computed before the refusal")
 
     monkeypatch.setattr("padic_cartan.cli.yasuda_coefficient_exact", no_work)
-    rc, out, err = run(capsys, "logcoeffs", "--a", "1", "--b", "1",
-                       "--r-max", "20003", "--force")
-    assert rc == 2 and out == ""
-    assert len(err.strip().splitlines()) == 1 and "20001" in err
+    monkeypatch.setattr("padic_cartan.cli.series_inversion_logarithm", no_work)
+    for method in ((), ("--method", "series")):
+        rc, out, err = run(capsys, "logcoeffs", "--a", "1", "--b", "1",
+                           "--r-max", "20003", "--force", *method)
+        assert rc == 2 and out == ""
+        assert len(err.strip().splitlines()) == 1 and "20001" in err
 
 
 def test_divpoly_text_table_and_partition(capsys):

@@ -58,17 +58,52 @@ def test_even_or_nonpositive_indices_rejected():
 
 def test_series_route_matches_exact_route():
     rng = random.Random(7)
-    for _ in range(5):
-        a = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
-        b = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
-        if -16 * (4 * a**3 + 27 * b**2) == 0:
+    curves = [
+        (Fraction(rng.randint(-20, 20), rng.randint(1, 9)),
+         Fraction(rng.randint(-20, 20), rng.randint(1, 9)))
+        for _ in range(5)
+    ]
+    curves += [
+        (Fraction(3, 4), Fraction(-5, 8)),  # denominators sharing factors
+        (Fraction(-7, 4), Fraction(1, 8)),
+        (Fraction(3, 11**4), Fraction(-5, 11**6)),  # p-power denominators
+        (Fraction(-2, 11**3), Fraction(7, 11)),
+        (0, Fraction(-89, 29)),  # a = 0
+        (Fraction(73, 31), 0),  # b = 0
+        (5, -17),  # plain ints
+        (-1331, -121),
+    ]
+    for a, b in curves:
+        if 4 * Fraction(a) ** 3 + 27 * Fraction(b) ** 2 == 0:
             continue
-        prefix = series_inversion_logarithm(a, b, 31)
-        assert len(prefix) == 32
-        for r in range(1, 32, 2):
-            assert prefix.d(r) == yasuda_coefficient_exact(a, b, r)
-        for r in range(2, 32, 2):
-            assert prefix.d(r) == 0
+        prefix = series_inversion_logarithm(a, b, 121)
+        assert len(prefix) == 122
+        for r in range(1, 122, 2):
+            got = prefix.d(r)
+            assert type(got) is Fraction and got == yasuda_coefficient_exact(a, b, r), (a, b, r)
+        for r in range(0, 122, 2):
+            assert type(prefix.d(r)) is Fraction and prefix.d(r) == 0, (a, b, r)
+
+
+@pytest.mark.parametrize(
+    "a, b, lam",
+    [
+        (Fraction(2, 7), Fraction(-3, 5), 3),  # integer lam
+        (Fraction(2, 7), Fraction(-3, 5), Fraction(2, 3)),
+        (Fraction(3), Fraction(-5), Fraction(1, 11)),  # (3/11^4, -5/11^6)
+        (Fraction(0), Fraction(7, 2), Fraction(-5, 4)),
+    ],
+)
+def test_weighted_homogeneity_over_Q(a, b, lam):
+    # t -> lam*t maps (a, b) to (lam^4 a, lam^6 b) and d_r to lam^(r-1) d_r.
+    scaled_a, scaled_b = lam**4 * a, lam**6 * b
+    prefix = series_inversion_logarithm(a, b, 61)
+    scaled = series_inversion_logarithm(scaled_a, scaled_b, 61)
+    for r in range(1, 62, 2):
+        assert scaled.d(r) == lam ** (r - 1) * prefix.d(r), r
+        want = lam ** (r - 1) * yasuda_coefficient_exact(a, b, r)
+        assert yasuda_coefficient_exact(scaled_a, scaled_b, r) == want, r
+    assert any(prefix.d(r) != 0 for r in range(3, 62, 2))
 
 
 def test_series_route_matches_bounded_route_over_Qp():

@@ -72,9 +72,11 @@ def _resolve_precision(flag_value, e: int) -> int:
 
     Accepts a plain digit count ("12") or an e-multiplier ("4e").  The
     default is 4e digits, enough to report the k<=3 certificates in full.
+    An empty or blank environment value counts as unset.
     """
-    text = os.environ.get(_ENV_PRECISION, "4e") if flag_value is None else flag_value
-    text = str(text).strip().lower()
+    if flag_value is None:
+        flag_value = os.environ.get(_ENV_PRECISION, "").strip() or "4e"
+    text = str(flag_value).strip().lower()
     try:
         if text.endswith("e"):
             return int(text[:-1] or 1) * e

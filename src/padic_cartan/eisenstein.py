@@ -7,6 +7,16 @@ min(v(c[i]) + i/e) whenever it is visible at the carried precision.
 
 Precision is tracked per coordinate through :class:`~.padic.PadicScalar`;
 ``pi_precision`` converts that to an absolute precision in pi_e-digits.
+
+A product runs on plain integers.  Coordinates a_i and b_j that are not
+exactly 0, with floor f (the valuation, or N for a zero known to p**N) and
+absolute precision N, give the term a_i.unit * b_j.unit * p**(f_a + f_b),
+known modulo p**min(N_a + f_b, N_b + f_a), at index i + j; from index e on it
+folds through pi**e = -p (unit negated, floor and precision raised by 1).
+Each result coordinate is then one `normalized_sum` of its terms modulo the
+least of their precisions.  That equals adding the terms one at a time as
+PadicScalars: every partial sum is exact modulo a precision no smaller than
+that least one, and the normal form depends only on the value modulo p**N.
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import CosetViolationError, PrecisionError
-from .padic import INFINITY, PadicScalar, power_by_squaring
+from .padic import INFINITY, PadicScalar, normalized_sum, power_by_squaring
 
 _ALLOWED_E = (3, 4, 6)
 
@@ -48,9 +58,8 @@ class EisensteinElement:
 
     @classmethod
     def from_scalar(cls, scalar: PadicScalar, e: int) -> "EisensteinElement":
-        coords = [PadicScalar.exact_zero(scalar.prime)] * e
-        coords[0] = scalar
-        return cls(scalar.prime, e, coords)
+        zero = PadicScalar.exact_zero(scalar.prime)
+        return cls(scalar.prime, e, [scalar] + [zero] * (e - 1))
 
     @classmethod
     def from_rational(cls, value, p: int, e: int, prec_p) -> "EisensteinElement":
@@ -66,41 +75,35 @@ class EisensteinElement:
     def pi_precision(self):
         """Absolute precision in pi_e-digits: min over i of e*N_i + i."""
         e = self.ram_index
-        out = INFINITY
-        for i, c in enumerate(self.coords):
-            if c.abs_precision != INFINITY:
-                out = min(out, e * c.abs_precision + i)
-        return out
+        return min(e * c.abs_precision + i for i, c in enumerate(self.coords))
 
     def valuation(self) -> Fraction:
         """Exact valuation in (1/e)Z; raises if not visible at this precision."""
         e = self.ram_index
-        best = INFINITY
-        floor = INFINITY
+        best = floor = INFINITY  # in pi_e-digits, e*v(c[i]) + i
         for i, c in enumerate(self.coords):
             if c.unit:
-                best = min(best, c.valuation + Fraction(i, e))
+                best = min(best, e * c.valuation + i)
             else:
-                floor = min(floor, c.valuation_floor() + Fraction(i, e))
+                floor = min(floor, e * c.abs_precision + i)
         if best == INFINITY:
             if floor == INFINITY:
                 return INFINITY
             raise PrecisionError(
-                f"element is zero to precision; valuation only known >= {floor}"
+                f"element is zero to precision; valuation only known >= {Fraction(floor, e)}"
             )
         if floor < best:
             raise PrecisionError(
-                f"valuation ambiguous: visible term at {best}, precision floor {floor}"
+                f"valuation ambiguous: visible term at {Fraction(best, e)}, "
+                f"precision floor {Fraction(floor, e)}"
             )
-        return best
+        return Fraction(best, e)
 
     def valuation_floor(self):
         """Provable lower bound on the valuation (never raises)."""
         e = self.ram_index
-        out = INFINITY
-        for i, c in enumerate(self.coords):
-            out = min(out, c.valuation_floor() + Fraction(i, e))
-        return out
+        out = min(e * c.valuation_floor() + i for i, c in enumerate(self.coords))
+        return INFINITY if out == INFINITY else Fraction(out, e)
 
     def is_zero_to_precision(self) -> bool:
         return all(c.unit == 0 for c in self.coords)
@@ -121,11 +124,9 @@ class EisensteinElement:
     def truncate_pi(self, pi_digits: int) -> "EisensteinElement":
         """Reduce to absolute precision pi_e**pi_digits."""
         e = self.ram_index
-        coords = []
-        for i, c in enumerate(self.coords):
-            # Coordinate i carries pi-precision e*N + i; invert that.
-            need = -((i - pi_digits) // e)
-            coords.append(c.reduce_abs_precision(need))
+        # Coordinate i carries pi-precision e*N + i; invert that.
+        need = (-((i - pi_digits) // e) for i in range(e))
+        coords = [c.reduce_abs_precision(n) for c, n in zip(self.coords, need)]
         return EisensteinElement(self.prime, e, coords)
 
     # -- arithmetic ----------------------------------------------------------
@@ -135,10 +136,10 @@ class EisensteinElement:
             raise ValueError("mixed fields")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, PadicScalar)):
-            other = _embed(other, self)
         if not isinstance(other, EisensteinElement):
-            return NotImplemented
+            if not isinstance(other, (int, PadicScalar, Fraction)):
+                return NotImplemented
+            other = _embed(other, self)
         self._check(other)
         return EisensteinElement(
             self.prime,
@@ -152,9 +153,7 @@ class EisensteinElement:
         return EisensteinElement(self.prime, self.ram_index, [-c for c in self.coords])
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, PadicScalar)):
-            other = _embed(other, self)
-        if not isinstance(other, EisensteinElement):
+        if not isinstance(other, (EisensteinElement, int, PadicScalar, Fraction)):
             return NotImplemented
         return self + (-other)
 
@@ -162,39 +161,42 @@ class EisensteinElement:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, PadicScalar)):
+        if not isinstance(other, EisensteinElement):
+            if not isinstance(other, (int, PadicScalar, Fraction)):
+                return NotImplemented
             return EisensteinElement(
                 self.prime, self.ram_index, [c * other for c in self.coords]
             )
-        if not isinstance(other, EisensteinElement):
-            return NotImplemented
         self._check(other)
-        e = self.ram_index
-        p = self.prime
-        acc = [PadicScalar.exact_zero(p) for _ in range(e)]
-        for i, a in enumerate(self.coords):
-            if a.is_exact_zero:
-                continue
-            for j, b in enumerate(other.coords):
-                if b.is_exact_zero:
-                    continue
-                k = i + j
-                term = a * b
-                if k >= e:
-                    k -= e
-                    term = (-term).shift(1)  # pi**e = -p
-                acc[k] = acc[k] + term
-        return EisensteinElement(p, e, acc)
+        e, p = self.ram_index, self.prime
+        right = _terms(other.coords)
+        terms = [[] for _ in range(e)]
+        precision = [INFINITY] * e
+        for i, ua, fa, ra in _terms(self.coords):
+            for j, ub, fb, rb in right:
+                k, f = i + j, fa + fb
+                N = f + (ra if ra < rb else rb)  # min(N_a + f_b, N_b + f_a)
+                if k < e:
+                    terms[k].append((ua * ub, f))
+                else:  # pi**e = -p
+                    k, f, N = k - e, f + 1, N + 1
+                    terms[k].append((-ua * ub, f))
+                if N < precision[k]:
+                    precision[k] = N
+        zero = PadicScalar.exact_zero(p)  # for the indices no term reaches
+        return EisensteinElement(
+            p, e, [normalized_sum(p, t, N) if t else zero for t, N in zip(terms, precision)]
+        )
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, PadicScalar)):
+        if not isinstance(other, EisensteinElement):
+            if not isinstance(other, (int, PadicScalar, Fraction)):
+                return NotImplemented
             return EisensteinElement(
                 self.prime, self.ram_index, [c / other for c in self.coords]
             )
-        if not isinstance(other, EisensteinElement):
-            return NotImplemented
         if self.is_exact_zero:
             if other.is_exact_zero:
                 raise ZeroDivisionError("0/0")
@@ -215,10 +217,8 @@ class EisensteinElement:
             if c.is_exact_zero:
                 continue
             shift, index = divmod(i + power, e)
-            moved = c.shift(shift)
-            if shift % 2:
-                moved = -moved
-            coords[index] = moved  # distinct i land on distinct indices
+            # Distinct i land on distinct indices; pi**e = -p flips the sign.
+            coords[index] = (-c if shift % 2 else c).shift(shift)
         return EisensteinElement(p, e, coords)
 
     def inverse(self) -> "EisensteinElement":
@@ -231,28 +231,23 @@ class EisensteinElement:
         if v == INFINITY:
             raise ZeroDivisionError("inverting zero")
         e = self.ram_index
-        lead_i = None
-        for i, c in enumerate(self.coords):
-            if c.unit and c.valuation + Fraction(i, e) == v:
-                lead_i = i
-                break
+        lead_i = (e * v).numerator % e  # v(c[i]) + i/e == v picks i = e*v mod e
         lead = self.coords[lead_i]
-        # self = lead * pi**lead_i * (1 + z), v(z) > 0
+        # self = lead * pi**lead_i * (1 - w), v(w) > 0
         inv_lead = EisensteinElement.pi_monomial(lead.inverse(), -lead_i, e)
-        z = self * inv_lead - 1
-        prec = z.pi_precision()
+        w = 1 - self * inv_lead
+        prec = w.pi_precision()
         if prec == INFINITY:
-            if z.valuation() == INFINITY:
+            if w.valuation() == INFINITY:
                 return inv_lead  # exact monomial: no tail to sum
             raise PrecisionError("cannot invert an exact non-monomial")
-        out = EisensteinElement.from_rational(1, self.prime, e, INFINITY)
-        term = EisensteinElement.from_rational(1, self.prime, e, INFINITY)
-        floor = z.valuation_floor()
+        floor = w.valuation_floor()
         if floor <= 0:
             raise PrecisionError("tail not contracting; precision too low")
         steps = int(prec / (e * floor)) + 1
-        for _ in range(steps):
-            term = term * (-z)
+        term, out = w, EisensteinElement.from_rational(1, self.prime, e, INFINITY) + w
+        for _ in range(steps - 1):  # out = 1 + w + ... + w**steps
+            term = term * w
             out = out + term
         return out * inv_lead
 
@@ -284,6 +279,17 @@ class EisensteinElement:
         if not bits:
             return "0" if self.is_exact_zero else f"O(pi^{self.pi_precision()})"
         return " + ".join(bits)
+
+
+def _terms(coords):
+    """(i, unit, floor f, relative precision N - f) of each coordinate not exactly 0."""
+    out = []
+    for i, c in enumerate(coords):
+        if c.unit:
+            out.append((i, c.unit, c.valuation, c.abs_precision - c.valuation))
+        elif c.abs_precision != INFINITY:
+            out.append((i, 0, c.abs_precision, 0))
+    return out
 
 
 def _embed(value, like: EisensteinElement) -> EisensteinElement:

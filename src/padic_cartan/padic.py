@@ -11,6 +11,10 @@ build the underlying factorials when the arguments are large: valuations come
 from Legendre's formula and unit parts mod p**d from the base-p digits and O(d)
 cached block polynomials, so a multinomial with top index around 10**9 costs
 O(p * d * log_p n) word operations.
+
+The prime is checked where a scalar is built from caller data: the
+constructor, which the classmethods use (Miller-Rabin runs once per prime).
+Arithmetic builds its results through `_scalar`, from checked operands.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ def vp(value: int | Fraction, p: int):
     """Exact p-adic valuation of a rational; INFINITY for 0."""
     if value == 0:
         return INFINITY
-    if isinstance(value, Fraction):
+    if type(value) is not int and isinstance(value, Fraction):
         return vp(value.numerator, p) - vp(value.denominator, p)
     n, v = abs(value), 0
     while n % p == 0:
@@ -183,17 +187,17 @@ def multinomial_padic(n: int, parts, p: int, digits: int) -> "PadicScalar":
 def power_by_squaring(base, exponent: int, one):
     """base**exponent for exponent >= 0: square-and-multiply from the low bit.
 
-    `one` is the identity the product starts from; the last squaring, whose
-    result would go unused, is skipped.
+    `one` is returned for exponent 0 and never multiplied in; the last
+    squaring, whose result would go unused, is skipped.
     """
-    out = one
+    out = None
     while exponent:
         if exponent & 1:
-            out = out * base
+            out = base if out is None else out * base
         exponent >>= 1
         if exponent:
             base = base * base
-    return out
+    return one if out is None else out
 
 
 class PadicScalar:
@@ -204,29 +208,11 @@ class PadicScalar:
     def __init__(self, prime: int, unit: int, valuation, abs_precision):
         # Normalizing constructor; accepts unnormalized unit/valuation.
         check_odd_prime(prime)
-        if abs_precision != INFINITY and abs_precision != int(abs_precision):
-            raise ValueError("abs_precision must be an integer or +inf")
-        object.__setattr__(self, "prime", prime)
-        if unit == 0:
-            object.__setattr__(self, "valuation", INFINITY)
-            object.__setattr__(self, "unit", 0)
-            object.__setattr__(self, "abs_precision", abs_precision)
-            return
-        shift = vp(unit, prime)
-        valuation += shift
-        unit //= prime**shift
-        rel = abs_precision - valuation
-        if rel <= 0:
-            # Indistinguishable from zero at this precision.
-            object.__setattr__(self, "valuation", INFINITY)
-            object.__setattr__(self, "unit", 0)
-            object.__setattr__(self, "abs_precision", abs_precision)
-            return
-        if rel != INFINITY:
-            unit %= prime ** int(rel)
-        object.__setattr__(self, "valuation", valuation)
-        object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "abs_precision", abs_precision)
+        if abs_precision != INFINITY:
+            if abs_precision != int(abs_precision):
+                raise ValueError("abs_precision must be an integer or +inf")
+            abs_precision = int(abs_precision)
+        _scalar(prime, unit, valuation, abs_precision, self)
 
     def __setattr__(self, name, value):
         raise AttributeError("PadicScalar is immutable")
@@ -278,15 +264,11 @@ class PadicScalar:
 
     def valuation_floor(self):
         """Exact valuation, or the provable lower bound for a precision zero."""
-        if self.is_precision_zero:
-            return self.abs_precision
-        return self.valuation
+        return self.valuation if self.unit else self.abs_precision
 
     @property
     def rel_precision(self):
-        if self.unit == 0:
-            return 0
-        return self.abs_precision - self.valuation
+        return self.abs_precision - self.valuation if self.unit else 0
 
     def residue(self) -> int:
         """Leading digit: unit mod p (0 for zeros)."""
@@ -296,10 +278,7 @@ class PadicScalar:
         """The canonical rational representative unit * p**valuation."""
         if self.unit == 0:
             return Fraction(0)
-        v = int(self.valuation)
-        if v >= 0:
-            return Fraction(self.unit * self.prime**v)
-        return Fraction(self.unit, self.prime**-v)
+        return self.unit * Fraction(self.prime) ** int(self.valuation)
 
     def reduce_abs_precision(self, abs_precision) -> "PadicScalar":
         if abs_precision >= self.abs_precision:
@@ -321,36 +300,22 @@ class PadicScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, PadicScalar):
             if other == 0:
                 return self
             other = PadicScalar.from_rational(other, self.prime, self.abs_precision)
-        if self.is_exact_zero:
-            return other
-        if other.is_exact_zero:
-            return self
-        p = self.prime
-        N = min(self.abs_precision, other.abs_precision)
-        base = min(self.valuation_floor(), other.valuation_floor())
-        if base == INFINITY or base >= N:
-            return PadicScalar.zero_to_precision(p, N)
-        base = int(base)
-        total = 0
-        for term in (self, other):
-            if term.unit:
-                total += term.unit * p ** int(term.valuation - base)
-        if N != INFINITY:
-            total %= p ** (int(N) - base)
-        if total == 0:
-            return PadicScalar.zero_to_precision(p, N)
-        return PadicScalar(p, total, base, N)
+        if self.is_exact_zero or other.is_exact_zero:
+            return other if self.is_exact_zero else self
+        return normalized_sum(
+            self.prime,
+            [(self.unit, self.valuation_floor()), (other.unit, other.valuation_floor())],
+            min(self.abs_precision, other.abs_precision),
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.unit == 0:
-            return self
-        return PadicScalar(self.prime, -self.unit, self.valuation, self.abs_precision)
+        return _scalar(self.prime, -self.unit, self.valuation, self.abs_precision)
 
     def __sub__(self, other):
         coerced = self._coerce(other)
@@ -365,18 +330,13 @@ class PadicScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if isinstance(other, (int, Fraction)):
-            # Exact scaling: relative precision is preserved.
-            if other == 0:
-                return PadicScalar.exact_zero(self.prime)
-            if self.is_exact_zero:
-                return self
-            q = Fraction(other)
-            v = vp(q, self.prime)
-            if self.is_precision_zero:
-                return PadicScalar.zero_to_precision(self.prime, self.abs_precision + v)
-            num = q.numerator // self.prime ** vp(q.numerator, self.prime)
-            den = q.denominator // self.prime ** vp(q.denominator, self.prime)
+        if not isinstance(other, PadicScalar):
+            # Exact scaling by an int or Fraction: relative precision is preserved.
+            if other == 0 or self.is_exact_zero:
+                return _scalar(self.prime, 0, INFINITY, INFINITY)
+            p, q = self.prime, Fraction(other)
+            vn, vd = vp(q.numerator, p), vp(q.denominator, p)
+            num, den, v = q.numerator // p**vn, q.denominator // p**vd, vn - vd
             rel = self.rel_precision
             if rel == INFINITY:
                 # Exact iff the p-free denominator divides the unit.
@@ -386,24 +346,14 @@ class PadicScalar:
                     )
                 unit = self.unit // den * num
             else:
-                P = self.prime ** int(rel)
+                P = p ** int(rel)
                 unit = self.unit * num * pow(den, -1, P) % P
-            return PadicScalar(
-                self.prime, unit, self.valuation + v, self.abs_precision + v
-            )
+            return _scalar(p, unit, self.valuation + v, self.abs_precision + v)
         if self.is_exact_zero or other.is_exact_zero:
-            return PadicScalar.exact_zero(self.prime)
-        if self.unit == 0 or other.unit == 0:
-            N = self.valuation_floor() + other.valuation_floor()
-            return PadicScalar.zero_to_precision(self.prime, N)
-        rel = min(self.rel_precision, other.rel_precision)
-        v = self.valuation + other.valuation
-        if rel == INFINITY:
-            N, unit = INFINITY, self.unit * other.unit
-        else:
-            N = v + rel
-            unit = self.unit * other.unit % self.prime ** int(rel)
-        return PadicScalar(self.prime, unit, v, N)
+            return self if self.is_exact_zero else other
+        fa, fb = self.valuation_floor(), other.valuation_floor()
+        N = fa + fb + min(self.abs_precision - fa, other.abs_precision - fb)
+        return normalized_sum(self.prime, [(self.unit * other.unit, fa + fb)], N)
 
     __rmul__ = __mul__
 
@@ -411,11 +361,10 @@ class PadicScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, PadicScalar):
             if other == 0:
                 raise ZeroDivisionError("division by zero")
-            q = Fraction(other)
-            return self * Fraction(q.denominator, q.numerator)
+            return self if self.is_exact_zero else self * (1 / Fraction(other))
         return self * other.inverse()
 
     def __rtruediv__(self, other):
@@ -433,24 +382,18 @@ class PadicScalar:
         rel = int(rel)
         unit = pow(self.unit, -1, self.prime**rel)
         v = -self.valuation
-        return PadicScalar(self.prime, unit, v, v + rel)
+        return _scalar(self.prime, unit, v, v + rel)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** -exponent
-        return power_by_squaring(self, exponent, PadicScalar(self.prime, 1, 0, INFINITY))
+        return power_by_squaring(self, exponent, _scalar(self.prime, 1, 0, INFINITY))
 
     def shift(self, k: int) -> "PadicScalar":
         """Multiply by p**k exactly."""
-        if self.is_exact_zero:
-            return self
-        if self.unit == 0:
-            return PadicScalar.zero_to_precision(self.prime, self.abs_precision + k)
-        return PadicScalar(
-            self.prime, self.unit, self.valuation + k, self.abs_precision + k
-        )
+        return _scalar(self.prime, self.unit, self.valuation + k, self.abs_precision + k)
 
     # -- comparison ---------------------------------------------------------
 
@@ -480,6 +423,48 @@ class PadicScalar:
         if self.abs_precision == INFINITY:
             return body
         return f"{body} + O({p}^{int(self.abs_precision)})"
+
+
+def _scalar(p: int, unit: int, valuation, abs_precision, x=None) -> PadicScalar:
+    """unit * p**valuation + O(p**abs_precision), normalized, in x or a new scalar."""
+    if x is None:
+        x = object.__new__(PadicScalar)
+    if unit:
+        while unit % p == 0:
+            unit //= p
+            valuation += 1
+        rel = abs_precision - valuation
+        if rel <= 0:
+            unit = 0  # indistinguishable from zero at this precision
+        elif rel != INFINITY:
+            unit %= p ** int(rel)
+    if not unit:
+        valuation = INFINITY
+    _set = object.__setattr__
+    _set(x, "prime", p)
+    _set(x, "valuation", valuation)
+    _set(x, "unit", unit)
+    _set(x, "abs_precision", abs_precision)
+    return x
+
+
+def normalized_sum(p: int, terms, abs_precision) -> PadicScalar:
+    """sum(u * p**f for u, f in terms) + O(p**abs_precision), normalized once.
+
+    A term with u = 0 is a zero known only down to p**f: it adds nothing, but
+    no valuation below f can be certified.  abs_precision is at most every
+    term's own, so the one reduction below is exact for each term.
+    """
+    base = min([f for _, f in terms], default=INFINITY)
+    if base >= abs_precision:
+        return _scalar(p, 0, INFINITY, abs_precision)
+    total = 0
+    for u, f in terms:
+        if u:
+            total += u if f == base else u * p ** (f - base)
+    if abs_precision != INFINITY:
+        total %= p ** (abs_precision - base)
+    return _scalar(p, total, base, abs_precision)
 
 
 def newton_polygon(points):

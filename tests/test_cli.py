@@ -67,6 +67,17 @@ def test_classify_precision_env_and_flag(capsys, monkeypatch):
     assert json.loads(out)["hodge"]["certificate_pi_digits"] == 7
 
 
+@pytest.mark.parametrize("blank", ["", "  "])
+def test_blank_precision_env_is_unset(capsys, monkeypatch, blank):
+    monkeypatch.delenv("PADIC_CARTAN_PRECISION", raising=False)
+    _, default, _ = run(capsys, "classify", *EXAMPLE1, "--json")
+    monkeypatch.setenv("PADIC_CARTAN_PRECISION", blank)
+    rc, out, err = run(capsys, "classify", *EXAMPLE1, "--json")
+    assert rc == 0 and err == ""
+    assert out == default
+    assert json.loads(out)["hodge"]["certificate_pi_digits"] == 7  # the 4e default
+
+
 def test_classify_default_k_max_is_two(capsys):
     # v(beta) = 7/3 wants k = 3; the CLI caps the adaptive level at 2.
     rc, out, _ = run(

@@ -1,5 +1,6 @@
 """Tests for arithmetic in L = Q_p(pi_e) with pi_e**e = -p."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -245,3 +246,126 @@ def test_embedding_matches_target_precision():
     assert t.coords[0].abs_precision == INFINITY
     u = EisensteinElement.zero(11, 3) + PadicScalar.from_rational(3, 11, 4)
     assert u.coords[0].abs_precision == 4
+
+
+# -- differential oracle for the product kernel -------------------------------
+
+
+def _schoolbook_product(a, b):
+    """a * b one coordinate pair at a time: PadicScalar *, (-t).shift(1) for
+    pi**e = -p, and sequential +.  Shares no code with EisensteinElement.__mul__."""
+    e, p = a.ram_index, a.prime
+    acc = [PadicScalar.exact_zero(p)] * e
+    for i, x in enumerate(a.coords):
+        for j, y in enumerate(b.coords):
+            if x.is_exact_zero or y.is_exact_zero:
+                continue
+            k, term = i + j, x * y
+            if k >= e:
+                k, term = k - e, (-term).shift(1)
+            acc[k] = acc[k] + term
+    return acc
+
+
+def _random_coordinate(rng, p):
+    kind = rng.random()
+    if kind < 0.15:
+        return PadicScalar.exact_zero(p)
+    if kind < 0.3:
+        return PadicScalar.zero_to_precision(p, rng.randrange(-3, 8))
+    v = rng.randrange(-3, 5)
+    if kind < 0.5:
+        return PadicScalar(p, rng.choice([1, -1]) * rng.randrange(1, p**4), v, INFINITY)
+    return PadicScalar(p, rng.randrange(1, p**8), v, v + rng.randrange(1, 9))
+
+
+def _random_pairs(count, seed=2024):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        p, e = rng.choice((5, 11)), rng.choice((3, 4, 6))
+        a, b = (
+            EisensteinElement(p, e, [_random_coordinate(rng, p) for _ in range(e)])
+            for _ in range(2)
+        )
+        out.append((a, b))
+    return out
+
+
+def _key(c):
+    return (c.unit, c.valuation, c.abs_precision)
+
+
+def _vp(q, p):
+    """p-adic valuation of a nonzero Fraction."""
+    n, d, v = q.numerator, q.denominator, 0
+    while n % p == 0:
+        n, v = n // p, v + 1
+    while d % p == 0:
+        d, v = d // p, v - 1
+    return v
+
+
+def _exact_product(x, y, p):
+    """Product of two rational coordinate lists in Q(pi), pi**e = -p."""
+    e = len(x)
+    out = [Fraction(0)] * e
+    for i in range(e):
+        for j in range(e):
+            k = i + j
+            out[k % e] += x[i] * y[j] * (-p if k >= e else 1)
+    return out
+
+
+def _lifts(x):
+    return [c.lift_fraction() for c in x.coords]
+
+
+def _agrees_to_precision(got, exact, p):
+    """Each coordinate's lift equals the exact value modulo its certified precision."""
+    for c, q in zip(got.coords, exact):
+        diff = c.lift_fraction() - q
+        if c.abs_precision == INFINITY:
+            assert diff == 0, (c, q)
+        elif diff:
+            assert _vp(diff, p) >= c.abs_precision, (c, q)
+
+
+def test_product_kernel_matches_schoolbook_product():
+    pairs = _random_pairs(400)
+    coords = [c for a, b in pairs for c in a.coords + b.coords]
+    # The set covers every coordinate shape the kernel distinguishes.
+    assert any(c.is_exact_zero for c in coords)
+    assert any(c.is_precision_zero for c in coords)
+    assert any(c.unit and c.valuation < 0 for c in coords)
+    assert any(c.unit and c.abs_precision == INFINITY for c in coords)
+    assert any(c.unit and c.abs_precision != INFINITY for c in coords)
+    for a, b in pairs:
+        got = a * b
+        want = _schoolbook_product(a, b)
+        assert [_key(c) for c in got.coords] == [_key(c) for c in want], (a, b)
+        _agrees_to_precision(got, _exact_product(_lifts(a), _lifts(b), a.prime), a.prime)
+
+
+def test_inverse_and_powers_match_fraction_arithmetic():
+    inverted = 0
+    for a, _ in _random_pairs(150, seed=7):
+        p, e = a.prime, a.ram_index
+        exact = [Fraction(1)] + [Fraction(0)] * (e - 1)
+        for n in range(5):
+            _agrees_to_precision(a**n, exact, p)
+            exact = _exact_product(exact, _lifts(a), p)
+        try:
+            inv = a.inverse()
+        except (PrecisionError, ZeroDivisionError):
+            continue
+        inverted += 1
+        # lift(a) lies in a's ball, so lift(a)**-1 is within pi**P of inv and
+        # v(lift(a) * lift(inv) - 1) >= v(a) + P/e, P = inv.pi_precision().
+        residual = _exact_product(_lifts(a), _lifts(inv), p)
+        residual[0] -= 1
+        P = inv.pi_precision()
+        bound = INFINITY if P == INFINITY else a.valuation() + Fraction(P, e)
+        for k, q in enumerate(residual):
+            assert q == 0 or _vp(q, p) + Fraction(k, e) >= bound, (a, inv)
+    assert inverted >= 40

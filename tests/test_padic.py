@@ -145,6 +145,17 @@ def test_from_rational_exact_requires_p_free_unit_denominator():
         PadicScalar.from_rational(Fraction(1, 3), 5, INFINITY)
 
 
+def test_public_constructors_still_validate():
+    # Arithmetic skips the prime check; the public entry points keep it.
+    for bad in (4, 9):
+        with pytest.raises(UnsupportedPrimeError):
+            PadicScalar(bad, 1, 0, 3)
+    with pytest.raises(UnsupportedPrimeError):
+        PadicScalar.from_rational(1, 15, 3)
+    with pytest.raises(ValueError):
+        PadicScalar(5, 1, 0, 2.5)
+
+
 def test_constructor_normalizes_unit_and_precision():
     x = PadicScalar(5, 50, 0, 4)
     assert (x.valuation, x.unit) == (2, 2)

@@ -58,8 +58,9 @@ class EisensteinElement:
 
     @classmethod
     def from_scalar(cls, scalar: PadicScalar, e: int) -> "EisensteinElement":
-        zero = PadicScalar.exact_zero(scalar.prime)
-        return cls(scalar.prime, e, [scalar] + [zero] * (e - 1))
+        coords = [PadicScalar.exact_zero(scalar.prime)] * e
+        coords[0] = scalar
+        return cls(scalar.prime, e, coords)
 
     @classmethod
     def from_rational(cls, value, p: int, e: int, prec_p) -> "EisensteinElement":
@@ -75,7 +76,11 @@ class EisensteinElement:
     def pi_precision(self):
         """Absolute precision in pi_e-digits: min over i of e*N_i + i."""
         e = self.ram_index
-        return min(e * c.abs_precision + i for i, c in enumerate(self.coords))
+        out = INFINITY
+        for i, c in enumerate(self.coords):
+            if c.abs_precision != INFINITY:
+                out = min(out, e * c.abs_precision + i)
+        return out
 
     def valuation(self) -> Fraction:
         """Exact valuation in (1/e)Z; raises if not visible at this precision."""
@@ -124,9 +129,11 @@ class EisensteinElement:
     def truncate_pi(self, pi_digits: int) -> "EisensteinElement":
         """Reduce to absolute precision pi_e**pi_digits."""
         e = self.ram_index
-        # Coordinate i carries pi-precision e*N + i; invert that.
-        need = (-((i - pi_digits) // e) for i in range(e))
-        coords = [c.reduce_abs_precision(n) for c, n in zip(self.coords, need)]
+        coords = []
+        for i, c in enumerate(self.coords):
+            # Coordinate i carries pi-precision e*N + i; invert that.
+            need = -((i - pi_digits) // e)
+            coords.append(c.reduce_abs_precision(need))
         return EisensteinElement(self.prime, e, coords)
 
     # -- arithmetic ----------------------------------------------------------
@@ -217,8 +224,10 @@ class EisensteinElement:
             if c.is_exact_zero:
                 continue
             shift, index = divmod(i + power, e)
-            # Distinct i land on distinct indices; pi**e = -p flips the sign.
-            coords[index] = (-c if shift % 2 else c).shift(shift)
+            moved = c.shift(shift)
+            if shift % 2:
+                moved = -moved
+            coords[index] = moved  # distinct i land on distinct indices
         return EisensteinElement(p, e, coords)
 
     def inverse(self) -> "EisensteinElement":

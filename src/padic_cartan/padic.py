@@ -264,11 +264,15 @@ class PadicScalar:
 
     def valuation_floor(self):
         """Exact valuation, or the provable lower bound for a precision zero."""
-        return self.valuation if self.unit else self.abs_precision
+        if self.is_precision_zero:
+            return self.abs_precision
+        return self.valuation
 
     @property
     def rel_precision(self):
-        return self.abs_precision - self.valuation if self.unit else 0
+        if self.unit == 0:
+            return 0
+        return self.abs_precision - self.valuation
 
     def residue(self) -> int:
         """Leading digit: unit mod p (0 for zeros)."""
@@ -278,7 +282,10 @@ class PadicScalar:
         """The canonical rational representative unit * p**valuation."""
         if self.unit == 0:
             return Fraction(0)
-        return self.unit * Fraction(self.prime) ** int(self.valuation)
+        v = int(self.valuation)
+        if v >= 0:
+            return Fraction(self.unit * self.prime**v)
+        return Fraction(self.unit, self.prime**-v)
 
     def reduce_abs_precision(self, abs_precision) -> "PadicScalar":
         if abs_precision >= self.abs_precision:
@@ -304,8 +311,10 @@ class PadicScalar:
             if other == 0:
                 return self
             other = PadicScalar.from_rational(other, self.prime, self.abs_precision)
-        if self.is_exact_zero or other.is_exact_zero:
-            return other if self.is_exact_zero else self
+        if self.is_exact_zero:
+            return other
+        if other.is_exact_zero:
+            return self
         return normalized_sum(
             self.prime,
             [(self.unit, self.valuation_floor()), (other.unit, other.valuation_floor())],
@@ -364,7 +373,8 @@ class PadicScalar:
         if not isinstance(other, PadicScalar):
             if other == 0:
                 raise ZeroDivisionError("division by zero")
-            return self if self.is_exact_zero else self * (1 / Fraction(other))
+            q = Fraction(other)
+            return self * Fraction(q.denominator, q.numerator)
         return self * other.inverse()
 
     def __rtruediv__(self, other):

@@ -1,6 +1,6 @@
 """Micro-layer timings for the L and Q_p arithmetic, stdlib only.
 
-    python3 tools/microbench.py [--src DIR] [--repeats 15]
+    python3 tools/microbench.py [--src DIR]
 
 Prints one JSON object of median microseconds per operation:
 
@@ -9,7 +9,7 @@ Prints one JSON object of median microseconds per operation:
   padic.mul.dD, padic.add.dD                 D = 4, 32, 256 digits; p = 11,
       random D-digit units at valuation 0
 
-Each figure is the median over --repeats timed loops (time.perf_counter) of
+Each figure is the median over REPEATS = 15 timed loops (time.perf_counter) of
 the same 200 seeded operand pairs; inverse() runs on the first 20 of them.
 --src selects the package source, so one checkout can time another
 (default: the src/ beside this script).
@@ -23,14 +23,13 @@ import statistics
 import sys
 import time
 
-PRIME, PAIRS, INVERSES = 11, 200, 20
+PRIME, PAIRS, INVERSES, REPEATS = 11, 200, 20, 15
 
 
 def main(argv=None):
     here = os.path.dirname(os.path.abspath(__file__))
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=os.path.join(os.path.dirname(here), "src"))
-    parser.add_argument("--repeats", type=int, default=15)
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
     from padic_cartan.eisenstein import EisensteinElement
@@ -49,7 +48,7 @@ def main(argv=None):
 
     def median_us(fn, operands):
         runs = []
-        for _ in range(args.repeats):
+        for _ in range(REPEATS):
             start = time.perf_counter()
             for ops in operands:
                 fn(*ops)

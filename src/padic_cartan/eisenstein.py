@@ -269,6 +269,8 @@ class EisensteinElement:
         return diff.valuation_floor() >= Fraction(pi_digits, self.ram_index)
 
     def __eq__(self, other):
+        if not isinstance(other, (EisensteinElement, int, PadicScalar, Fraction)):
+            return NotImplemented
         try:
             return self.is_congruent(other)
         except (ValueError, PrecisionError):
@@ -304,6 +306,8 @@ def _terms(coords):
 def _embed(value, like: EisensteinElement) -> EisensteinElement:
     if isinstance(value, PadicScalar):
         return EisensteinElement.from_scalar(value, like.ram_index)
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"cannot embed {type(value).__name__} in L")
     target = INFINITY
     for c in like.coords:
         target = min(target, c.abs_precision)

@@ -21,8 +21,10 @@ Two independent routes are provided and cross-checked in the test suite:
 
 * `series_inversion_logarithm` computes the same prefix by inverting the
   Weierstrass parametrization (t = -x/y, w = -1/y = t**3 z, z a series in
-  t**2) one coefficient of t**(2s) at a time, z_s = [s = 0] +
-  A (z**2)_(s-2) + B (z**3)_(s-3), and integrating dx/(2y) = (1 + t z'/(2z)) dt.
+  u = t**2): z_s = [s = 0] + A (z**2)_(s-2) + B (z**3)_(s-3), and as
+  1/z = 1 - A u**2 z - B u**3 z**2, log' = 1 + u z'/z (z' = dz/du) has the
+  u**s coefficient c_s = (3A(s+2) (z**2)_(s-2) + 2B(2s+3) (z**3)_(s-3)) / 6
+  = (2s+1) d_(2s+1) for s >= 1.  Half a convolution plus one per step,
   O(n**2) ring operations; oracle use only, capped by default.
 
 Both routes work over Q_p (PadicScalar or exact Fraction coefficients) and
@@ -37,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .eisenstein import EisensteinElement
 from .errors import NormalizationError, PrecisionError
@@ -204,7 +207,15 @@ def yasuda_coefficient(A, B, r: int, target_pi_digits: int):
 
 
 def yasuda_coefficient_exact(A, B, r: int) -> Fraction:
-    """Exact rational d_r for a model over Q; oracle path, no truncation."""
+    """Exact rational d_r for a model over Q; oracle path, no truncation.
+
+    Sums on integers a = lam**4 A, b = lam**6 B, walking the pairs of
+    2m + 3n = N by increasing m: one multinomial gives the first term, and
+    C(N; m+2n-1, m+3, n-2) = C(N; m+2n, m, n) (m+2n) n(n-1) / ((m+1)(m+2)(m+3))
+    the next, as term * (m+2n) n(n-1) a**3 // ((m+1)(m+2)(m+3) b**2): exact,
+    as the quotient is the next term, an integer.  a = 0 or b = 0 leaves one
+    pair, (0, N/3) or (N/2, 0), taken before the walk.
+    """
     if r < 1 or r % 2 == 0:
         raise ValueError(f"coefficient index must be odd and positive, got {r}")
     A, B = Fraction(A), Fraction(B)
@@ -214,48 +225,45 @@ def yasuda_coefficient_exact(A, B, r: int) -> Fraction:
     # Each term has 4m + 6n = r - 1: sum over integers a, b, divide by lam**(r-1).
     lam = math.lcm(A.denominator, B.denominator)
     a, b = int(A * lam**4), int(B * lam**6)
-    total = 0
-    for m in range((2 * N) % 3, N // 2 + 1, 3):
-        n = (N - 2 * m) // 3
-        if (m and a == 0) or (n and b == 0):
-            continue  # a**m or b**n is exactly 0: skip the factorial-sized multinomial
-        total += multinomial_exact(N, (m + 2 * n, m, n)) * a**m * b**n
+    # The first pair by increasing m; b = 0 leaves only n = 0, a = 0 only m = 0.
+    m = N // 2 if b == 0 else (2 * N) % 3 if a else 0
+    n = (N - 2 * m) // 3
+    if n < 0 or 2 * m + 3 * n != N:
+        return Fraction(0)
+    total = term = multinomial_exact(N, (m + 2 * n, m, n)) * a**m * b**n
+    a3, b2 = a**3, b**2
+    while a and n >= 2:
+        term = term * ((m + 2 * n) * n * (n - 1)) * a3 // ((m + 1) * (m + 2) * (m + 3) * b2)
+        m, n = m + 3, n - 2
+        total += term
     return Fraction(total, r * lam ** (r - 1))
 
 
 # -- series-inversion oracle -------------------------------------------------
 
 
-def _is_ring_zero(x) -> bool:
-    return x == 0 if isinstance(x, int) else x.is_exact_zero
-
-
-def _product_coefficient(f, g, k: int, start: int, zero):
-    """Sum of f_i * g_(k-i) over start <= i <= k, skipping exact-zero factors."""
-    acc = zero
-    for i in range(start, k + 1):
-        if _is_ring_zero(f[i]) or _is_ring_zero(g[k - i]):
-            continue
-        acc = acc + f[i] * g[k - i]
-    return acc
-
-
 def series_inversion_logarithm(A, B, n_terms: int, force: bool = False) -> FormalLogPrefix:
     """Formal-log prefix d_0..d_{n_terms} via parameter inversion.
 
-    With w = -1/y = t**3 * z, z = 1 + A t^4 z^2 + B t^6 z^3 is a series in
-    t^2; indexed by s for t^(2s), z_s = [s = 0] + A (z^2)_(s-2) + B (z^3)_(s-3).
-    From x = t^-2 / z and y = -t^-3 / z, dx / (2y) = (1 + q) dt with
-    q = t z' / (2z); solving z q = t z' / 2 gives
-    q_s = s z_s - sum_{i=1..s} z_i q_(s-i), and d_(2s+1) = (1 + q)_s / (2s+1).
+    With w = -1/y = t**3 * z and u = t^2, z = 1 + A u^2 z^2 + B u^3 z^3, so
+    z_s = [s = 0] + A (z^2)_(s-2) + B (z^3)_(s-3).  From x = t^-2 / z and
+    y = -t^-3 / z, dx / (2y) = (1 + u z'/z) dt with z' = dz/du.  Dividing by z,
+    1/z = 1 - A u^2 z - B u^3 z^2; as z z' = (z^2)'/2 and z^2 z' = (z^3)'/3,
+    u z'/z = u z' - (A/2) u^3 (z^2)' - (B/3) u^4 (z^3)'.  With z_s put in, its
+    u^s coefficient (s >= 1) is c_s = (2s+1) d_(2s+1) =
+    (3A(s+2) (z^2)_(s-2) + 2B(2s+3) (z^3)_(s-3)) / 6: no convolution is left
+    for the log, and a step costs half a convolution for (z^2)_s (by symmetry)
+    plus one for (z^3)_s.  The loop keeps 6 c_s and divides once per d_r; 6
+    is a unit for p >= 5, and for p = 3 PadicScalar division lowers the
+    absolute precision by the lost digit.
 
     Exact over Q (int/Fraction inputs): the loop runs on the integral model
     (lam**4 A, lam**6 B), lam = lcm(den A, den B).  t -> lam*t scales z_s and
-    q_s by lam**(2s), and any lam with den A | lam**4 and den B | lam**6 makes
-    them integers (z_0 = 1, integer recurrences), so d_(2s+1) is one division
-    by (2s+1) lam**(2s).  Bounded precision over Q_p or L, on A and B as they
-    are.  Independent of the multinomial route, hence an oracle for it.
-    O(n_terms**2) ring multiplications: capped at 500 unless force=True.
+    c_s by lam**(2s), which makes z_s and 6 c_s integers (z_0 = 1, integer
+    recurrences), so d_(2s+1) is one division by 6 (2s+1) lam**(2s).  Bounded
+    precision over Q_p or L, on A and B as they are.  Independent of the
+    multinomial route, hence an oracle for it.  O(n_terms**2) ring
+    multiplications: capped at 500 unless force=True.
     """
     if n_terms < 1:
         raise ValueError("need at least one coefficient")
@@ -276,22 +284,21 @@ def series_inversion_logarithm(A, B, n_terms: int, force: bool = False) -> Forma
         zero = PadicScalar.exact_zero(A.prime)
         one = PadicScalar.from_rational(1, A.prime, INFINITY)
 
-    # Step s appends z_s, (z^2)_s, (z^3)_s and q_s in turn; each reads only
+    # Step s appends z_s, 6 c_s, (z^2)_s and (z^3)_s in turn; each reads only
     # entries already appended.
-    z, z2, z3, q = [], [], [], []
+    z, c6, z2, z3 = [], [], [], []
     for s in range((n_terms + 1) // 2):
-        z_s = one if s == 0 else zero
-        if s >= 2 and not _is_ring_zero(z2[s - 2]):
-            z_s = z_s + A * z2[s - 2]
-        if s >= 3 and not _is_ring_zero(z3[s - 3]):
-            z_s = z_s + B * z3[s - 3]
-        z.append(z_s)
-        z2.append(_product_coefficient(z, z, s, 0, zero))
-        z3.append(_product_coefficient(z, z2, s, 0, zero))
-        q.append(z_s * s - _product_coefficient(z, q, s, 1, zero))
+        a_s = A * z2[s - 2] if s >= 2 else zero
+        b_s = B * z3[s - 3] if s >= 3 else zero
+        z.append(a_s + b_s if s else one)
+        c6.append(3 * (s + 2) * a_s + 2 * (2 * s + 3) * b_s)
+        h = s // 2
+        half = sum(map(mul, z[h + 1:], reversed(z[:s - h])), zero)  # i > s/2
+        z2.append(2 * half + (zero if s % 2 else z[h] * z[h]))
+        z3.append(sum(map(mul, z, reversed(z2)), zero))
     if isinstance(one, int):  # over Q: from the integral model back to Fractions
-        q, zero, one = [Fraction(q_s) for q_s in q], Fraction(0), Fraction(1)
-    d = [one] + [q[s] / ((2 * s + 1) * lam ** (2 * s)) for s in range(1, len(q))]
+        c6, zero, one = [Fraction(c) for c in c6], Fraction(0), Fraction(1)
+    d = [one] + [c6[s] / (6 * (2 * s + 1) * lam ** (2 * s)) for s in range(1, len(c6))]
     return FormalLogPrefix(tuple(d[r // 2] if r % 2 else zero for r in range(n_terms + 1)))
 
 

@@ -415,6 +415,9 @@ class PadicScalar:
         return diff.valuation_floor() >= abs_precision
 
     def __eq__(self, other):
+        # An EisensteinElement answers through its reflected __eq__.
+        if not isinstance(other, (int, Fraction, PadicScalar)):
+            return NotImplemented
         try:
             return self.is_congruent(other)
         except (ValueError, PrecisionError):

@@ -222,6 +222,19 @@ def test_equality_is_congruence():
     assert x != 6
 
 
+@pytest.mark.parametrize("other", ["5", None, 5.0, [5]])
+def test_equality_with_foreign_operands_is_false(other):
+    l_five = EisensteinElement.from_rational(5, 11, 3, 2)
+    qp_five = PadicScalar.from_rational(5, 11, 2)
+    for x in (l_five, qp_five):
+        assert not x == other and x != other
+        assert not other == x and other != x
+        assert x == 5 and x == Fraction(5 + 2 * 11**2) and x != 6 and x != Fraction(5, 2)
+    assert l_five == qp_five and qp_five == l_five
+    with pytest.raises(TypeError):
+        l_five.is_congruent(other)
+
+
 def test_repr_forms():
     assert repr(EisensteinElement.zero(11, 3)) == "0"
     assert repr(EisensteinElement.pi_monomial(exact(20), 2, 3)) == "20*pi^2"

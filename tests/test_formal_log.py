@@ -43,6 +43,35 @@ def test_exact_route_with_a_zero_coefficient(r):
     assert yasuda_coefficient_exact(A, 0, r) == want_b0
 
 
+def _per_term_sum(A, B, r):
+    """d_r as the plain multinomial sum over Fractions, no integral model."""
+    N = (r - 1) // 2
+    total = Fraction(0)
+    for m in range(N // 2 + 1):
+        n, rest = divmod(N - 2 * m, 3)
+        if rest == 0:
+            total += math.comb(N, m) * math.comb(N - m, n) * A**m * B**n
+    return total / r
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (Fraction(-17, 23), Fraction(5, 37)),  # the benchmark's denominators
+        (Fraction(11, 29), Fraction(-7, 31)),
+        (Fraction(-4, 31), Fraction(-9, 23)),
+        (Fraction(3, 11**4), Fraction(-5, 11**6)),  # p-power denominators
+        (0, Fraction(-89, 29)),  # a = 0
+        (Fraction(73, 37), 0),  # b = 0
+        (-3, -7),
+    ],
+)
+def test_exact_route_matches_per_term_sum(a, b):
+    # Every odd r <= 301, with the indices that admit no pair or one pair.
+    for r in range(1, 302, 2):
+        assert yasuda_coefficient_exact(a, b, r) == _per_term_sum(Fraction(a), Fraction(b), r), r
+
+
 def test_even_or_nonpositive_indices_rejected():
     for bad in (0, -1, 2, 6):
         with pytest.raises(ValueError):
@@ -83,6 +112,11 @@ def test_series_route_matches_exact_route():
             assert type(got) is Fraction and got == yasuda_coefficient_exact(a, b, r), (a, b, r)
         for r in range(0, 122, 2):
             assert type(prefix.d(r)) is Fraction and prefix.d(r) == 0, (a, b, r)
+    # One curve at r = 501, past the default cap, with the benchmark's denominators.
+    a, b = Fraction(-17, 23), Fraction(5, 37)
+    prefix = series_inversion_logarithm(a, b, 501, force=True)
+    for r in range(1, 502, 2):
+        assert prefix.d(r) == yasuda_coefficient_exact(a, b, r), r
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""Micro-layer timings for the L and Q_p arithmetic, stdlib only.
+"""Micro-layer timings for the L and Q_p arithmetic and the exact log routes, stdlib only.
 
     python3 tools/microbench.py [--src DIR]
 
@@ -8,9 +8,14 @@ Prints one JSON object of median microseconds per operation:
       coordinate a random 12-digit unit at valuation 0 (abs_precision 12)
   padic.mul.dD, padic.add.dD                 D = 4, 32, 256 digits; p = 11,
       random D-digit units at valuation 0
+  formal_log.series.r501, formal_log.exact.r501
+      d_1..d_501 of one seeded rational curve (denominators 23 and 37) by
+      series_inversion_logarithm and by yasuda_coefficient_exact per odd r;
+      one op is the whole prefix
 
 Each figure is the median over REPEATS = 15 timed loops (time.perf_counter) of
-the same 200 seeded operand pairs; inverse() runs on the first 20 of them.
+the same 200 seeded operand pairs (one curve for formal_log.*); inverse()
+runs on the first 20 of them.
 --src selects the package source, so one checkout can time another
 (default: the src/ beside this script).
 """
@@ -22,6 +27,7 @@ import random
 import statistics
 import sys
 import time
+from fractions import Fraction
 
 PRIME, PAIRS, INVERSES, REPEATS = 11, 200, 20, 15
 
@@ -33,6 +39,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
     from padic_cartan.eisenstein import EisensteinElement
+    from padic_cartan.formal_log import series_inversion_logarithm, yasuda_coefficient_exact
     from padic_cartan.padic import PadicScalar
 
     rng = random.Random(8)
@@ -65,6 +72,12 @@ def main(argv=None):
         pairs = [(scalar(digits), scalar(digits)) for _ in range(PAIRS)]
         out[f"padic.mul.d{digits}"] = median_us(lambda a, b: a * b, pairs)
         out[f"padic.add.d{digits}"] = median_us(lambda a, b: a + b, pairs)
+    curve = [(Fraction(rng.choice((-1, 1)) * rng.randint(1, 99), 23),
+              Fraction(rng.choice((-1, 1)) * rng.randint(1, 99), 37))]
+    out["formal_log.series.r501"] = median_us(
+        lambda a, b: series_inversion_logarithm(a, b, 501, force=True), curve)
+    out["formal_log.exact.r501"] = median_us(
+        lambda a, b: [yasuda_coefficient_exact(a, b, r) for r in range(1, 502, 2)], curve)
     print(json.dumps(out))
     return 0
 

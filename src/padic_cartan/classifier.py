@@ -44,8 +44,8 @@ REASON_CANONICAL = "canonical_subgroup"
 REASON_SMALL_PRIME = "p_not_greater_than_7"
 REASON_LEVEL_VS_PRIME = "p_not_greater_than_sqrt_n0_plus_1"
 
-# Default cap on the refinement level when none is requested: k=3 already
-# certifies beta mod pi**(3e+1) and keeps the factorial tables small.
+# Default cap on the refinement level when none is requested: acceptance
+# criterion 2 pins k=3 (the README says why the CLI keeps 2).
 _DEFAULT_K_CAP = 3
 
 # The one j-invariant the per-prime index table must not be applied to.

@@ -41,8 +41,9 @@ def test_classify_text_covers_same_fields(capsys):
 
 
 def test_classify_input_errors(capsys):
-    rc, _, err = run(capsys, "classify", "--p", "9", "--a", "1", "--b", "1")
-    assert rc == 2 and err.strip() == "p must be an odd prime > 3"
+    for p in ("9", "3"):  # p = 3 raises its own UnsupportedPrimeError message
+        rc, out, err = run(capsys, "classify", "--p", p, "--a", "1", "--b", "1")
+        assert rc == 2 and out == "" and err == "p must be an odd prime > 3\n"
     rc, _, err = run(capsys, "classify", "--p", "11", "--a", "0", "--b", "0")
     assert rc == 2 and "discriminant vanishes" in err
     rc, _, err = run(capsys, "classify", "--p", "11", "--a", "x", "--b", "1")
@@ -120,6 +121,12 @@ def test_classify_batch_errors_carry_line_numbers(capsys, tmp_path):
     assert rc == 2 and "expected 'p a b'" in err
     rc, _, err = run(capsys, "classify", "--batch", str(tmp_path / "missing.txt"))
     assert rc == 2 and "cannot read batch file" in err
+    batch.write_bytes(b"11 1331 121\n\xff 1 1\n")
+    rc, out, err = run(capsys, "classify", "--batch", str(batch))
+    assert rc == 2 and out == "" and err.startswith("cannot read batch file: 'utf-8'")
+    batch.write_text("3 1 1\n")
+    rc, out, err = run(capsys, "classify", "--batch", str(batch))
+    assert rc == 2 and out == "" and err == f"{batch}:1: p must be an odd prime > 3\n"
 
 
 def test_beta_request_precision_raises_k(capsys):
@@ -137,6 +144,8 @@ def test_beta_request_precision_raises_k(capsys):
 def test_beta_rejects_unsupported_defect(capsys):
     rc, _, err = run(capsys, "beta", "--p", "11", "--a", "1", "--b", "1")
     assert rc == 2 and "e in {3,4,6}" in err
+    rc, out, err = run(capsys, "beta", "--p", "4", "--a", "1", "--b", "1")
+    assert rc == 2 and out == "" and err == "p must be an odd prime > 3\n"
     for bad in (["--precision", "0"], ["--precision", "-3"], ["--k", "-1"]):
         rc, out, err = run(capsys, "beta", *EXAMPLE1, *bad)
         assert rc == 2 and out == "", bad
@@ -211,6 +220,9 @@ def test_logcoeffs_json_and_caps(capsys):
     assert rc == 2
     rc, _, err = run(capsys, "logcoeffs", "--a", "0", "--b", "0", "--r-max", "5")
     assert rc == 2 and "discriminant vanishes" in err
+    rc, out, err = run(capsys, "logcoeffs", "--a", "1/0", "--b", "2", "--r-max", "5")
+    assert rc == 2 and out == ""
+    assert err == "a must be a rational like 7 or -7/4, got '1/0'\n"
 
 
 def test_logcoeffs_refuses_past_the_exact_cap_even_with_force(capsys, monkeypatch):
@@ -296,6 +308,10 @@ def test_adelic_bound_errors(capsys):
         "--index-p", "5", "--index-n", "1", "--j", str(2**4 * 3**2 * 5**7 * 23**3),
     )
     assert rc == 2 and "excluded" in err
+    rc, out, err = run(
+        capsys, "adelic-bound", "--h-j", "0", "--index-p", "9", "--index-n", "1"
+    )
+    assert rc == 2 and out == "" and err == "p must be an odd prime > 3\n"
     # 1e100 overflows inside the power, 1e95 in the product; inf is no height.
     for h_j in ("1e100", "1e95", "inf"):
         rc, out, err = run(capsys, "adelic-bound", "--h-j", h_j, "--json")
@@ -312,3 +328,21 @@ def test_examples_list_and_run(capsys):
     payload = json.loads(out)
     assert payload["all_pass"] is True
     assert all(r["pass"] for r in payload["results"])
+
+
+@pytest.mark.parametrize("target, raises", [
+    ("padic_cartan.volkov.v_alpha_table", True),  # hodge_parameters raises in checks
+    ("padic_cartan.cli.v_alpha_table", False),  # only the check's own table is off
+])
+def test_examples_report_a_disagreeing_alpha_route(capsys, monkeypatch, target, raises):
+    from padic_cartan.volkov import v_alpha_table
+
+    _, listed, _ = run(capsys, "examples", "--list")
+    monkeypatch.setattr(target, lambda *args: v_alpha_table(*args) + 1)
+    rc, out, err = run(capsys, "examples")
+    assert rc == 1
+    assert ("Traceback" in err) == raises
+    lines = out.splitlines()
+    # Every check still reports, in order, after one has failed or raised.
+    assert [line.split()[1].rstrip(":") for line in lines] == listed.splitlines()
+    assert lines[-1].startswith("FAIL valpha_table_vs_alpha: ")

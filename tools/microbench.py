@@ -2,7 +2,8 @@
 
     python3 tools/microbench.py [--src DIR]
 
-Prints one JSON object of median microseconds per operation:
+Prints one JSON object of median microseconds per operation, each key
+followed by `<key>.iqr`, the interquartile range of the same timed loops:
 
   eisenstein.mul.eE, eisenstein.inverse.eE   e = 3, 4, 6; p = 11, every
       coordinate a random 12-digit unit at valuation 0 (abs_precision 12)
@@ -13,8 +14,8 @@ Prints one JSON object of median microseconds per operation:
       series_inversion_logarithm and by yasuda_coefficient_exact per odd r;
       one op is the whole prefix
 
-Each figure is the median over REPEATS = 15 timed loops (time.perf_counter) of
-the same 200 seeded operand pairs (one curve for formal_log.*); inverse()
+Each median and IQR is taken over REPEATS = 15 timed loops (time.perf_counter)
+of the same 200 seeded operand pairs (one curve for formal_log.*); inverse()
 runs on the first 20 of them.
 --src selects the package source, so one checkout can time another
 (default: the src/ beside this script).
@@ -53,31 +54,34 @@ def main(argv=None):
     def element(e):
         return EisensteinElement(PRIME, e, [scalar(12) for _ in range(e)])
 
-    def median_us(fn, operands):
+    out = {}
+
+    def time_us(name, fn, operands):
         runs = []
         for _ in range(REPEATS):
             start = time.perf_counter()
             for ops in operands:
                 fn(*ops)
             runs.append((time.perf_counter() - start) / len(operands) * 1e6)
-        return round(statistics.median(runs), 3)
+        q1, _, q3 = statistics.quantiles(runs, n=4)
+        out[name] = round(statistics.median(runs), 3)
+        out[f"{name}.iqr"] = round(q3 - q1, 3)
 
-    out = {}
     for e in (3, 4, 6):
         pairs = [(element(e), element(e)) for _ in range(PAIRS)]
-        out[f"eisenstein.mul.e{e}"] = median_us(lambda a, b: a * b, pairs)
+        time_us(f"eisenstein.mul.e{e}", lambda a, b: a * b, pairs)
         singles = [(a,) for a, _ in pairs[:INVERSES]]
-        out[f"eisenstein.inverse.e{e}"] = median_us(lambda a: a.inverse(), singles)
+        time_us(f"eisenstein.inverse.e{e}", lambda a: a.inverse(), singles)
     for digits in (4, 32, 256):
         pairs = [(scalar(digits), scalar(digits)) for _ in range(PAIRS)]
-        out[f"padic.mul.d{digits}"] = median_us(lambda a, b: a * b, pairs)
-        out[f"padic.add.d{digits}"] = median_us(lambda a, b: a + b, pairs)
+        time_us(f"padic.mul.d{digits}", lambda a, b: a * b, pairs)
+        time_us(f"padic.add.d{digits}", lambda a, b: a + b, pairs)
     curve = [(Fraction(rng.choice((-1, 1)) * rng.randint(1, 99), 23),
               Fraction(rng.choice((-1, 1)) * rng.randint(1, 99), 37))]
-    out["formal_log.series.r501"] = median_us(
-        lambda a, b: series_inversion_logarithm(a, b, 501, force=True), curve)
-    out["formal_log.exact.r501"] = median_us(
-        lambda a, b: [yasuda_coefficient_exact(a, b, r) for r in range(1, 502, 2)], curve)
+    time_us("formal_log.series.r501",
+            lambda a, b: series_inversion_logarithm(a, b, 501, force=True), curve)
+    time_us("formal_log.exact.r501",
+            lambda a, b: [yasuda_coefficient_exact(a, b, r) for r in range(1, 502, 2)], curve)
     print(json.dumps(out))
     return 0
 

@@ -8,23 +8,27 @@ min(v(c[i]) + i/e) whenever it is visible at the carried precision.
 Precision is tracked per coordinate through :class:`~.padic.PadicScalar`;
 ``pi_precision`` converts that to an absolute precision in pi_e-digits.
 
-A product runs on plain integers.  Coordinates a_i and b_j that are not
-exactly 0, with floor f (the valuation, or N for a zero known to p**N) and
-absolute precision N, give the term a_i.unit * b_j.unit * p**(f_a + f_b),
-known modulo p**min(N_a + f_b, N_b + f_a), at index i + j; from index e on it
-folds through pi**e = -p (unit negated, floor and precision raised by 1).
-Each result coordinate is then one `normalized_sum` of its terms modulo the
-least of their precisions.  That equals adding the terms one at a time as
-PadicScalars: every partial sum is exact modulo a precision no smaller than
-that least one, and the normal form depends only on the value modulo p**N.
+Products run on one integer form: (i, unit, floor f, relative precision) for
+each coordinate not exactly 0, f the valuation, or N for a zero known to p**N.
+`__mul__`, `__pow__` and `inverse` share the kernel `_product` on it and build
+PadicScalars only at their end.  Coordinates a_i and b_j give the term
+a_i.unit * b_j.unit * p**(f_a + f_b), known modulo p**min(N_a + f_b, N_b + f_a),
+at index i + j; from index e on it folds through pi**e = -p (unit negated,
+floor and precision raised by 1).  Each result coordinate sums its terms as
+one integer over p**base, base the least floor a term can have, normalized
+once modulo the least of their precisions.  That equals adding the terms one
+at a time as PadicScalars: every partial sum is exact modulo a precision no
+smaller than that least one, and the normal form depends only on the value
+modulo p**N.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 from .errors import CosetViolationError, PrecisionError
-from .padic import INFINITY, PadicScalar, normalized_sum, power_by_squaring
+from .padic import INFINITY, PadicScalar, _normal, _scalar, power_by_squaring
 
 _ALLOWED_E = (3, 4, 6)
 
@@ -175,25 +179,8 @@ class EisensteinElement:
                 self.prime, self.ram_index, [c * other for c in self.coords]
             )
         self._check(other)
-        e, p = self.ram_index, self.prime
-        right = _terms(other.coords)
-        terms = [[] for _ in range(e)]
-        precision = [INFINITY] * e
-        for i, ua, fa, ra in _terms(self.coords):
-            for j, ub, fb, rb in right:
-                k, f = i + j, fa + fb
-                N = f + (ra if ra < rb else rb)  # min(N_a + f_b, N_b + f_a)
-                if k < e:
-                    terms[k].append((ua * ub, f))
-                else:  # pi**e = -p
-                    k, f, N = k - e, f + 1, N + 1
-                    terms[k].append((-ua * ub, f))
-                if N < precision[k]:
-                    precision[k] = N
-        zero = PadicScalar.exact_zero(p)  # for the indices no term reaches
-        return EisensteinElement(
-            p, e, [normalized_sum(p, t, N) if t else zero for t, N in zip(terms, precision)]
-        )
+        p, e = self.prime, self.ram_index
+        return _element(p, e, _product(p, e, _terms(self), _terms(other)))
 
     __rmul__ = __mul__
 
@@ -213,8 +200,9 @@ class EisensteinElement:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
-        one = EisensteinElement.from_rational(1, self.prime, self.ram_index, INFINITY)
-        return power_by_squaring(self, exponent, one)
+        p, e = self.prime, self.ram_index
+        one, mul = [(0, 1, 0, INFINITY)], partial(_product, p, e)
+        return _element(p, e, power_by_squaring(_terms(self), exponent, one, mul))
 
     def mul_pi_power(self, power: int) -> "EisensteinElement":
         """Multiply by pi_e**power exactly (any sign)."""
@@ -233,16 +221,19 @@ class EisensteinElement:
     def inverse(self) -> "EisensteinElement":
         """Inverse via the leading monomial and a geometric tail.
 
-        Requires the valuation to be visible at the carried precision; the
-        relative precision of the result matches the input.
+        self = lead * pi**lead_i * (1 - w), v(w) > 0.  The tail sum(w**j) is
+        the doubling product (1 + w)(1 + w**2)(1 + w**4)... on the integer
+        form, until the powers left out reach P = w.pi_precision(); it is
+        truncated to pi**P, all that w is known to, before it is multiplied
+        by 1/(lead * pi**lead_i).  Requires the valuation to be visible at
+        the carried precision.
         """
         v = self.valuation()  # raises PrecisionError when ambiguous
         if v == INFINITY:
             raise ZeroDivisionError("inverting zero")
-        e = self.ram_index
+        p, e = self.prime, self.ram_index
         lead_i = (e * v).numerator % e  # v(c[i]) + i/e == v picks i = e*v mod e
         lead = self.coords[lead_i]
-        # self = lead * pi**lead_i * (1 - w), v(w) > 0
         inv_lead = EisensteinElement.pi_monomial(lead.inverse(), -lead_i, e)
         w = 1 - self * inv_lead
         prec = w.pi_precision()
@@ -253,12 +244,14 @@ class EisensteinElement:
         floor = w.valuation_floor()
         if floor <= 0:
             raise PrecisionError("tail not contracting; precision too low")
-        steps = int(prec / (e * floor)) + 1
-        term, out = w, EisensteinElement.from_rational(1, self.prime, e, INFINITY) + w
-        for _ in range(steps - 1):  # out = 1 + w + ... + w**steps
-            term = term * w
-            out = out + term
-        return out * inv_lead
+        # (1 + w)(1 + w**2)...: `one + square` is 1 + square, not yet normalized.
+        one, square = [(0, 1, 0, INFINITY)], _terms(w)
+        tail, left_out = _product(p, e, one, one + square), 2 * int(e * floor)
+        while left_out < prec:  # left_out: pi-digit floor of the first power left out
+            square = _product(p, e, square, square)
+            tail = _product(p, e, tail, one + square)
+            left_out *= 2
+        return _element(p, e, tail).truncate_pi(prec) * inv_lead
 
     # -- comparison ----------------------------------------------------------
 
@@ -292,15 +285,51 @@ class EisensteinElement:
         return " + ".join(bits)
 
 
-def _terms(coords):
-    """(i, unit, floor f, relative precision N - f) of each coordinate not exactly 0."""
+def _terms(x: EisensteinElement):
+    """The integer form of x: (i, unit, floor f, relative precision N - f) of
+    each coordinate not exactly 0, f = N for a zero known to p**N."""
     out = []
-    for i, c in enumerate(coords):
+    for i, c in enumerate(x.coords):
         if c.unit:
             out.append((i, c.unit, c.valuation, c.abs_precision - c.valuation))
         elif c.abs_precision != INFINITY:
             out.append((i, 0, c.abs_precision, 0))
     return out
+
+
+def _product(p: int, e: int, x, y):
+    """The integer form of x * y; an index listed twice in x or y is a sum."""
+    if not x or not y:
+        return []
+    base = min(f for _, _, f, _ in x) + min(f for _, _, f, _ in y)
+    total, precision = [0] * e, [INFINITY] * e
+    for i, ua, fa, ra in x:
+        for j, ub, fb, rb in y:
+            k, f, t = i + j, fa + fb, ua * ub
+            N = f + (ra if ra < rb else rb)  # min(N_a + f_b, N_b + f_a)
+            if t and f != base:
+                t *= p ** (f - base)
+            if k >= e:  # pi**e = -p
+                k, t, N = k - e, -p * t, N + 1
+            total[k] += t
+            if N < precision[k]:
+                precision[k] = N
+    out = []
+    for k, N in enumerate(precision):
+        u, f = _normal(p, total[k], base, N)
+        if u:
+            out.append((k, u, f, N - f))
+        elif N != INFINITY:
+            out.append((k, 0, N, 0))
+    return out
+
+
+def _element(p: int, e: int, form) -> EisensteinElement:
+    """The EisensteinElement of an integer form; absent indices are exact zeros."""
+    coords = [_scalar(p, 0, INFINITY, INFINITY)] * e
+    for i, u, f, r in form:
+        coords[i] = _scalar(p, u, f if u else INFINITY, f + r)
+    return EisensteinElement(p, e, coords)
 
 
 def _embed(value, like: EisensteinElement) -> EisensteinElement:

@@ -17,7 +17,9 @@ Two independent routes are provided and cross-checked in the test suite:
   pi-digits (what the truncated result can use, plus a guard of e) before
   they are raised to powers, as in Caruso-Roe-Vaccon, "Tracking p-adic
   precision" (2014).  This is what makes coefficients of index p**7 ~ 10**9
-  affordable.
+  affordable.  Valuations are kept as integer pi-digits (e*v), and the kept
+  terms are summed before one division by r: a shift by v_p(r) and a unit
+  inverse per coordinate.
 
 * `series_inversion_logarithm` computes the same prefix by inverting the
   Weierstrass parametrization (t = -x/y, w = -1/y = t**3 z, z a series in
@@ -74,9 +76,11 @@ class FormalLogPrefix:
         return len(self.coefficients)
 
 
-def _element_valuation(x):
+def _pi_valuation(x):
+    """v(x) in pi-digits, e*v(x): an int, or INFINITY."""
     if isinstance(x, EisensteinElement):
-        return x.valuation()
+        v = x.valuation()
+        return v if v == INFINITY else x.ram_index * v.numerator // v.denominator
     if isinstance(x, PadicScalar):
         if x.is_precision_zero:
             raise PrecisionError("coefficient is only known to be O(p^N)")
@@ -93,9 +97,10 @@ def _zero_like(x):
 def _admissible_pairs(N: int, vA, vB, threshold):
     """The (m, n) with 2m + 3n = N whose term may survive, and a dropped flag.
 
-    Iterates in whichever direction makes m*vA + n*vB non-decreasing, so
-    stopping one index past the threshold (the guard) cannot skip a term
-    that survives.  The flag is True when any admissible pair is left out.
+    vA, vB and the threshold are integers (pi-digits) or INFINITY.  Iterates
+    in whichever direction makes m*vA + n*vB non-decreasing, so stopping one
+    index past the threshold (the guard) cannot skip a term that survives.
+    The flag is True when any admissible pair is left out.
     """
     if vA == INFINITY and vB == INFINITY:
         return [], False  # both coefficients exactly zero: empty sum
@@ -163,14 +168,12 @@ def yasuda_coefficient(A, B, r: int, target_pi_digits: int):
         raise ValueError(f"coefficient index must be odd and positive, got {r}")
     e = A.ram_index if isinstance(A, EisensteinElement) else 1
     p = A.prime
-    vA = _element_valuation(A)
-    vB = _element_valuation(B)
+    wA, wB = _pi_valuation(A), _pi_valuation(B)
     N = (r - 1) // 2
     vr = vp(r, p)
-    # A term C * A^m * B^n / r dies past the target once m*v(A) + n*v(B)
-    # >= target/e + v(r), because v(C) >= 0.
-    target_abs = Fraction(target_pi_digits, e)
-    pairs, dropped = _admissible_pairs(N, vA, vB, target_abs + vr)
+    # In pi-digits, a term C * A^m * B^n / r dies past the target once
+    # m*wA + n*wB >= target + e*v_p(r), because v(C) >= 0.
+    pairs, dropped = _admissible_pairs(N, wA, wB, target_pi_digits + e * vr)
     working = target_pi_digits + e * vr + e
     # Per pair: factorial units over log_p N digits of up to p blocks, and powers.
     cost = len(pairs) * (-(-working // e)) ** 2 * p * math.log(N + 1, p)
@@ -182,22 +185,23 @@ def yasuda_coefficient(A, B, r: int, target_pi_digits: int):
     for m, n in pairs:
         parts = (m + 2 * n, m, n)
         # A factor to the power 0 is 1, even when it is exactly zero (0 * inf).
-        v_power = (m * vA if m else 0) + (n * vB if n else 0)
-        v_term = multinomial_valuation(N, parts, p) + v_power - vr
-        if v_term >= target_abs:
+        w_power = (m * wA if m else 0) + (n * wB if n else 0)
+        w_term = e * (multinomial_valuation(N, parts, p) - vr) + w_power
+        if w_term >= target_pi_digits:
             dropped = True
         else:
-            terms.append((m, n, parts, v_term))
-    if dropped and vA >= 0 and vB >= 0:
+            terms.append((m, n, parts, w_term))
+    if dropped and wA >= 0 and wB >= 0:
         A, B = _reduce_for_powers(A, working), _reduce_for_powers(B, working)
     total = _zero_like(A)
-    for m, n, parts, v_term in terms:
+    for m, n, parts, w_term in terms:
         if not dropped and N <= _EXACT_MULTINOMIAL_CAP:
             coeff = multinomial_exact(N, parts)
         else:
-            digits = max(1, math.ceil(target_abs - v_term))
-            coeff = multinomial_padic(N, parts, p, digits)
-        total = total + coeff * (A**m) * (B**n) / r
+            # The p-digits a kept term needs, ceil((target - w_term) / e) >= 1.
+            coeff = multinomial_padic(N, parts, p, -((w_term - target_pi_digits) // e))
+        total = total + coeff * (A**m) * (B**n)
+    total = total / r
     if dropped:
         if isinstance(total, EisensteinElement):
             total = total.truncate_pi(target_pi_digits)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .errors import PrecisionError, UnsupportedPrimeError
 
@@ -184,19 +185,20 @@ def multinomial_padic(n: int, parts, p: int, digits: int) -> "PadicScalar":
     return PadicScalar(p, unit, v, v + digits)
 
 
-def power_by_squaring(base, exponent: int, one):
+def power_by_squaring(base, exponent: int, one, mul):
     """base**exponent for exponent >= 0: square-and-multiply from the low bit.
 
+    `mul` is the product: PadicScalar's, or the L kernel's on integer forms.
     `one` is returned for exponent 0 and never multiplied in; the last
     squaring, whose result would go unused, is skipped.
     """
     out = None
     while exponent:
         if exponent & 1:
-            out = base if out is None else out * base
+            out = base if out is None else mul(out, base)
         exponent >>= 1
         if exponent:
-            base = base * base
+            base = mul(base, base)
     return one if out is None else out
 
 
@@ -315,11 +317,11 @@ class PadicScalar:
             return other
         if other.is_exact_zero:
             return self
-        return normalized_sum(
-            self.prime,
-            [(self.unit, self.valuation_floor()), (other.unit, other.valuation_floor())],
-            min(self.abs_precision, other.abs_precision),
-        )
+        # A precision zero adds nothing, but no valuation below its floor is certified.
+        p, fa, fb = self.prime, self.valuation_floor(), other.valuation_floor()
+        base = fa if fa < fb else fb
+        total = self.unit * p ** (fa - base) + other.unit * p ** (fb - base)
+        return _scalar(p, total, base, min(self.abs_precision, other.abs_precision))
 
     __radd__ = __add__
 
@@ -339,30 +341,13 @@ class PadicScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not isinstance(other, PadicScalar):
-            # Exact scaling by an int or Fraction: relative precision is preserved.
-            if other == 0 or self.is_exact_zero:
-                return _scalar(self.prime, 0, INFINITY, INFINITY)
-            p, q = self.prime, Fraction(other)
-            vn, vd = vp(q.numerator, p), vp(q.denominator, p)
-            num, den, v = q.numerator // p**vn, q.denominator // p**vd, vn - vd
-            rel = self.rel_precision
-            if rel == INFINITY:
-                # Exact iff the p-free denominator divides the unit.
-                if self.unit % den:
-                    raise PrecisionError(
-                        f"1/{den} has no exact finite expansion; reduce precision first"
-                    )
-                unit = self.unit // den * num
-            else:
-                P = p ** int(rel)
-                unit = self.unit * num * pow(den, -1, P) % P
-            return _scalar(p, unit, self.valuation + v, self.abs_precision + v)
+        if not isinstance(other, PadicScalar):  # an int or Fraction: exact scaling
+            return self._scaled(other.numerator, other.denominator)
         if self.is_exact_zero or other.is_exact_zero:
             return self if self.is_exact_zero else other
         fa, fb = self.valuation_floor(), other.valuation_floor()
         N = fa + fb + min(self.abs_precision - fa, other.abs_precision - fb)
-        return normalized_sum(self.prime, [(self.unit * other.unit, fa + fb)], N)
+        return _scalar(self.prime, self.unit * other.unit, fa + fb, N)
 
     __rmul__ = __mul__
 
@@ -373,9 +358,30 @@ class PadicScalar:
         if not isinstance(other, PadicScalar):
             if other == 0:
                 raise ZeroDivisionError("division by zero")
-            q = Fraction(other)
-            return self * Fraction(q.denominator, q.numerator)
+            sign = 1 if other > 0 else -1
+            return self._scaled(sign * other.denominator, sign * other.numerator)
         return self * other.inverse()
+
+    def _scaled(self, num: int, den: int) -> "PadicScalar":
+        """self * num / den for ints num and den > 0: a shift by their p-parts,
+        and the unit times num's p-free part and the inverse of den's mod p**rel."""
+        p = self.prime
+        if num == 0 or self.is_exact_zero:
+            return _scalar(p, 0, INFINITY, INFINITY)
+        vn, vd = vp(num, p), vp(den, p)
+        num, den, v = num // p**vn, den // p**vd, vn - vd
+        rel = self.rel_precision
+        if rel == INFINITY:
+            # Exact iff the p-free denominator divides the unit.
+            if self.unit % den:
+                raise PrecisionError(
+                    f"1/{den} has no exact finite expansion; reduce precision first"
+                )
+            unit = self.unit // den * num
+        else:
+            P = p ** int(rel)
+            unit = self.unit * num * pow(den, -1, P) % P
+        return _scalar(p, unit, self.valuation + v, self.abs_precision + v)
 
     def __rtruediv__(self, other):
         return self.inverse() * other
@@ -383,23 +389,17 @@ class PadicScalar:
     def inverse(self) -> "PadicScalar":
         if self.unit == 0:
             raise ZeroDivisionError("inverting a (precision) zero")
-        rel = self.rel_precision
-        if rel == INFINITY:
-            # Exact nonzero value: the inverse is again an exact rational.
-            return PadicScalar.from_rational(
-                1 / self.lift_fraction(), self.prime, INFINITY
-            )
-        rel = int(rel)
-        unit = pow(self.unit, -1, self.prime**rel)
-        v = -self.valuation
-        return _scalar(self.prime, unit, v, v + rel)
+        # 1 / (unit * p**v) = p**-v / unit, to the same relative precision.
+        sign = 1 if self.unit > 0 else -1
+        one = _scalar(self.prime, sign, -self.valuation, self.abs_precision - 2 * self.valuation)
+        return one._scaled(1, sign * self.unit)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** -exponent
-        return power_by_squaring(self, exponent, _scalar(self.prime, 1, 0, INFINITY))
+        return power_by_squaring(self, exponent, _scalar(self.prime, 1, 0, INFINITY), mul)
 
     def shift(self, k: int) -> "PadicScalar":
         """Multiply by p**k exactly."""
@@ -442,17 +442,7 @@ def _scalar(p: int, unit: int, valuation, abs_precision, x=None) -> PadicScalar:
     """unit * p**valuation + O(p**abs_precision), normalized, in x or a new scalar."""
     if x is None:
         x = object.__new__(PadicScalar)
-    if unit:
-        while unit % p == 0:
-            unit //= p
-            valuation += 1
-        rel = abs_precision - valuation
-        if rel <= 0:
-            unit = 0  # indistinguishable from zero at this precision
-        elif rel != INFINITY:
-            unit %= p ** int(rel)
-    if not unit:
-        valuation = INFINITY
+    unit, valuation = _normal(p, unit, valuation, abs_precision)
     _set = object.__setattr__
     _set(x, "prime", p)
     _set(x, "valuation", valuation)
@@ -461,23 +451,18 @@ def _scalar(p: int, unit: int, valuation, abs_precision, x=None) -> PadicScalar:
     return x
 
 
-def normalized_sum(p: int, terms, abs_precision) -> PadicScalar:
-    """sum(u * p**f for u, f in terms) + O(p**abs_precision), normalized once.
-
-    A term with u = 0 is a zero known only down to p**f: it adds nothing, but
-    no valuation below f can be certified.  abs_precision is at most every
-    term's own, so the one reduction below is exact for each term.
-    """
-    base = min([f for _, f in terms], default=INFINITY)
-    if base >= abs_precision:
-        return _scalar(p, 0, INFINITY, abs_precision)
-    total = 0
-    for u, f in terms:
-        if u:
-            total += u if f == base else u * p ** (f - base)
+def _normal(p: int, unit: int, valuation, abs_precision):
+    """(unit, valuation) of unit * p**valuation + O(p**abs_precision) in normal
+    form: p does not divide the unit, reduced mod p**(abs_precision - valuation),
+    and a zero, exact or to precision, is (0, INFINITY)."""
+    if valuation >= abs_precision:
+        return 0, INFINITY  # indistinguishable from zero at this precision
     if abs_precision != INFINITY:
-        total %= p ** (abs_precision - base)
-    return _scalar(p, total, base, abs_precision)
+        unit %= p ** int(abs_precision - valuation)
+    while unit and unit % p == 0:  # stays below p**(abs_precision - valuation)
+        unit //= p
+        valuation += 1
+    return (unit, valuation) if unit else (0, INFINITY)
 
 
 def newton_polygon(points):

@@ -382,3 +382,94 @@ def test_inverse_and_powers_match_fraction_arithmetic():
         for k, q in enumerate(residual):
             assert q == 0 or _vp(q, p) + Fraction(k, e) >= bound, (a, inv)
     assert inverted >= 40
+
+
+def _exact_inverse(x, p):
+    """The inverse of a nonzero coordinate list in Q(pi), pi**e = -p.
+
+    Solves lift * y = 1 by Gauss-Jordan elimination over Fractions on the
+    matrix whose column j is x * pi**j.
+    """
+    e = len(x)
+    columns = [_exact_product(x, [Fraction(int(i == j)) for i in range(e)], p) for j in range(e)]
+    rows = [[columns[j][i] for j in range(e)] + [Fraction(int(i == 0))] for i in range(e)]
+    for c in range(e):
+        pivot = next(r for r in range(c, e) if rows[r][c])
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        for r in range(e):
+            if r != c and rows[r][c]:
+                f = rows[r][c] / rows[c][c]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+    return [rows[i][e] / rows[i][i] for i in range(e)]
+
+
+def test_inverse_is_certified_per_coordinate():
+    # Every coordinate of a.inverse() equals the exact inverse of lift(a)
+    # modulo the precision it claims: lift(a) lies in a's ball.
+    inverted = 0
+    for seed in range(5):
+        for a, _ in _random_pairs(150, seed=seed):
+            try:
+                inv = a.inverse()
+            except (PrecisionError, ZeroDivisionError):
+                continue
+            inverted += 1
+            _agrees_to_precision(inv, _exact_inverse(_lifts(a), a.prime), a.prime)
+    assert inverted >= 300
+
+
+def test_powers_match_repeated_schoolbook_products():
+    for a, _ in _random_pairs(100, seed=11):
+        p, e = a.prime, a.ram_index
+        want = [PadicScalar.from_rational(1, p, INFINITY)] + [PadicScalar.exact_zero(p)] * (e - 1)
+        for n in range(13):
+            assert [_key(c) for c in (a**n).coords] == [_key(c) for c in want], (a, n)
+            want = _schoolbook_product(EisensteinElement(p, e, want), a)
+
+
+def test_large_powers_match_object_level_squaring():
+    # Square-and-multiply on EisensteinElement objects, one object per step.
+    rng = random.Random(5)
+    for e in (3, 4, 6):
+        a = EisensteinElement(11, e, [PadicScalar(11, rng.randrange(1, 11**7), rng.randrange(0, 2), 7)
+                                      for _ in range(e)])
+        for n in (11**5 // 6 - 1, 11**5 // 6, 11**5 // 6 + 2):
+            out, base, k = None, a, n
+            while k:
+                if k & 1:
+                    out = base if out is None else out * base
+                k >>= 1
+                base = base * base
+            assert [_key(c) for c in (a**n).coords] == [_key(c) for c in out.coords], (e, n)
+
+
+def _geometric_inverse(a):
+    """The inverse by the term-by-term tail 1 + w + ... + w**steps, steps the
+    least with steps * v(w) beyond w's precision, truncated to that precision."""
+    e = a.ram_index
+    v = a.valuation()
+    lead_i = int(e * v) % e
+    inv_lead = EisensteinElement.pi_monomial(a.coords[lead_i].inverse(), -lead_i, e)
+    w = 1 - a * inv_lead
+    prec = w.pi_precision()
+    if prec == INFINITY:
+        return inv_lead
+    steps = int(prec / (e * w.valuation_floor())) + 1
+    term = w
+    out = EisensteinElement.from_rational(1, a.prime, e, INFINITY) + w
+    for _ in range(steps - 1):
+        term = term * w
+        out = out + term
+    return out.truncate_pi(prec) * inv_lead
+
+
+def test_doubling_inverse_matches_truncated_geometric_sum():
+    compared = 0
+    for a, _ in _random_pairs(150, seed=3):
+        try:
+            got = a.inverse()
+        except (PrecisionError, ZeroDivisionError):
+            continue
+        compared += 1
+        assert [_key(c) for c in got.coords] == [_key(c) for c in _geometric_inverse(a).coords], a
+    assert compared >= 60

@@ -11,13 +11,14 @@ from padic_cartan.curve import WeierstrassCurve, good_model_over_L
 from padic_cartan.eisenstein import EisensteinElement
 from padic_cartan.errors import NormalizationError, PrecisionError
 from padic_cartan.formal_log import (
+    _admissible_pairs,
     hasse_invariant,
     odd_coefficient_valuation,
     series_inversion_logarithm,
     yasuda_coefficient,
     yasuda_coefficient_exact,
 )
-from padic_cartan.padic import INFINITY, PadicScalar
+from padic_cartan.padic import INFINITY, PadicScalar, multinomial_exact, multinomial_padic
 
 
 A, B = Fraction(2, 7), Fraction(-3, 5)
@@ -372,3 +373,95 @@ def test_bounded_sum_matches_exact_powers(a, b, e):
                 bounded += 1
     if exact_inputs:
         assert bounded  # the reduced-precision path was exercised
+
+
+# -- pi-digit bookkeeping against Fraction valuations ------------------------
+
+
+def _pairs_by_fractions(N, vA, vB, threshold):
+    """_admissible_pairs on Fraction valuations (v = pi-digits / e)."""
+    if vA == INFINITY and vB == INFINITY:
+        return [], False
+    if vA == INFINITY:
+        return ([(0, N // 3)] if N % 3 == 0 else []), False
+    if vB == INFINITY:
+        return ([(N // 2, 0)] if N % 2 == 0 else []), False
+    all_pairs = [(m, (N - 2 * m) // 3) for m in range(N // 2 + 1) if (N - 2 * m) % 3 == 0]
+    if vA == 0 and vB == 0:
+        return all_pairs, False
+    if 3 * vA < 2 * vB:
+        all_pairs.reverse()  # increasing m*vA + n*vB
+    out, over = [], 0
+    for m, n in all_pairs:
+        if m * vA + n * vB > threshold:
+            over += 1
+            if over == 2:
+                return out, True
+        out.append((m, n))
+    return out, False
+
+
+def _v(n, p):
+    v = 0
+    while n % p == 0:
+        n, v = n // p, v + 1
+    return v
+
+
+def _grid(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        e = rng.choice((1, 3, 4, 6))
+        wA, wB = (rng.choice([INFINITY] + list(range(3 * e))) for _ in range(2))
+        yield e, rng.randrange(1, 400), wA, wB, rng.randrange(1, 3 * e + 3), rng.randrange(3)
+
+
+def test_admissible_pairs_in_pi_digits_match_fractions():
+    for e, N, wA, wB, target, vr in _grid(13, 400):
+        vA, vB = (w if w == INFINITY else Fraction(w, e) for w in (wA, wB))
+        want = _pairs_by_fractions(N, vA, vB, Fraction(target, e) + vr)
+        assert _admissible_pairs(N, wA, wB, target + e * vr) == want, (e, N, wA, wB, target, vr)
+
+
+def test_kept_terms_and_digits_match_fractions(monkeypatch):
+    # Which multinomials a sum takes, and to how many p-digits, against the
+    # same bookkeeping in Fractions: v(term) = v(C) + m v(A) + n v(B) - v(r),
+    # kept below target / e, to ceil(target / e - v(term)) digits.
+    calls = []
+
+    def padic(N, parts, p, digits):
+        calls.append((parts, digits))
+        return multinomial_padic(N, parts, p, digits)
+
+    def exact(N, parts):
+        calls.append((parts, None))
+        return multinomial_exact(N, parts)
+
+    monkeypatch.setattr("padic_cartan.formal_log.multinomial_padic", padic)
+    monkeypatch.setattr("padic_cartan.formal_log.multinomial_exact", exact)
+    p, rng, truncated = 5, random.Random(17), 0
+    for e, N, wA, wB, target, vr in _grid(19, 400):
+        if wA == INFINITY or wB == INFINITY or wA == wB == 0:
+            continue
+        r = 2 * N + 1
+        A, B = (
+            PadicScalar(p, rng.randrange(1, p), w, INFINITY) if e == 1
+            else EisensteinElement.pi_monomial(PadicScalar(p, rng.randrange(1, p), 0, INFINITY), w, e)
+            for w in (wA, wB)
+        )
+        pairs, dropped = _pairs_by_fractions(N, Fraction(wA, e), Fraction(wB, e),
+                                             Fraction(target, e) + _v(r, p))
+        kept = []
+        for m, n in pairs:
+            v_term = (_v(_multinomial(N, m, n), p) + Fraction(m * wA + n * wB, e) - _v(r, p))
+            if v_term >= Fraction(target, e):
+                dropped = True
+            else:
+                kept.append(((m + 2 * n, m, n), max(1, math.ceil(Fraction(target, e) - v_term))))
+        if not dropped:
+            kept = [(parts, None) for parts, _ in kept]
+        calls.clear()
+        yasuda_coefficient(A, B, r, target)
+        assert calls == kept, (e, N, wA, wB, target)
+        truncated += dropped and bool(kept)
+    assert truncated >= 20

@@ -336,3 +336,55 @@ def test_newton_polygon_two_segments():
     np = newton_polygon([(0, 2), (1, 0), (3, 0)])
     assert np.segments == ((Fraction(-2), 1), (Fraction(0), 2))
     assert np.root_valuations() == [(Fraction(2), 1), (Fraction(0), 2)]
+
+
+def _key(x):
+    return (x.unit, x.valuation, x.abs_precision)
+
+
+def _scaled_by_fractions(x, q):
+    """x * q through Fraction arithmetic on the lift: the oracle for int scaling."""
+    p = x.prime
+    if x.is_exact_zero:
+        return PadicScalar.exact_zero(p)
+    if x.is_precision_zero:
+        return PadicScalar.zero_to_precision(p, x.abs_precision + vp(q, p))
+    N = x.abs_precision + vp(q, p) if x.abs_precision != INFINITY else INFINITY
+    return PadicScalar.from_rational(x.lift_fraction() * q, p, N)  # raises if not exact
+
+
+@pytest.mark.parametrize("p", [5, 11])
+def test_int_scaling_matches_fraction_arithmetic(p):
+    xs = [
+        PadicScalar.from_rational(-2 * 3 * p**2, p, INFINITY),
+        PadicScalar.from_rational(Fraction(1, p), p, INFINITY),
+        PadicScalar(p, 1234567, -2, 6),
+        PadicScalar(p, 98, 3, 5),
+        PadicScalar.exact_zero(p),
+        PadicScalar.zero_to_precision(p, 4),
+    ]
+    rs = [sign * u * p**j for sign in (1, -1) for u in (1, 2, 3, 6) for j in (0, 1, 3)]
+    checked = refused = 0
+    for x in xs:
+        for r in rs:
+            assert _key(x * r) == _key(_scaled_by_fractions(x, r)), (x, r)
+            try:
+                want = _scaled_by_fractions(x, Fraction(1, r))
+            except PrecisionError:
+                # Exact unit over a p-free part that does not divide it.
+                with pytest.raises(PrecisionError):
+                    x / r
+                refused += 1
+                continue
+            assert _key(x / r) == _key(want), (x, r)
+            checked += 1
+    assert checked and refused
+
+
+def test_exact_division_by_non_dividing_unit_raises():
+    x = PadicScalar.from_rational(5 * 7**3, 7, INFINITY)
+    with pytest.raises(PrecisionError):
+        x / 3
+    with pytest.raises(PrecisionError):
+        x / (-3 * 7**2)
+    assert _key(x / (-5 * 7)) == (-1, 2, INFINITY)

@@ -19,13 +19,16 @@ one integer over p**base, base the least floor a term can have, normalized
 once modulo the least of their precisions.  That equals adding the terms one
 at a time as PadicScalars: every partial sum is exact modulo a precision no
 smaller than that least one, and the normal form depends only on the value
-modulo p**N.
+modulo p**N.  `__pow__` of a monomial (i, u, f, N - f), n >= 1, is closed:
+with folds = i*n // e, ((-1)**folds * u**n mod p**(N - f)) pi**(i*n mod e)
+p**(n*f + folds), same relative precision; square-and-multiply gives the same.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from operator import add
 
 from .errors import CosetViolationError, PrecisionError
 from .padic import INFINITY, PadicScalar, _normal, _scalar, power_by_squaring
@@ -47,9 +50,7 @@ class EisensteinElement:
         for c in coords:
             if not isinstance(c, PadicScalar) or c.prime != prime:
                 raise ValueError("coordinates must be PadicScalars over the same p")
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "ram_index", ram_index)
-        object.__setattr__(self, "coords", coords)
+        _from_coords(prime, ram_index, coords, self)
 
     def __setattr__(self, name, value):
         raise AttributeError("EisensteinElement is immutable")
@@ -132,13 +133,13 @@ class EisensteinElement:
 
     def truncate_pi(self, pi_digits: int) -> "EisensteinElement":
         """Reduce to absolute precision pi_e**pi_digits."""
-        e = self.ram_index
+        p, e = self.prime, self.ram_index
         coords = []
         for i, c in enumerate(self.coords):
             # Coordinate i carries pi-precision e*N + i; invert that.
             need = -((i - pi_digits) // e)
-            coords.append(c.reduce_abs_precision(need))
-        return EisensteinElement(self.prime, e, coords)
+            coords.append(c if need >= c.abs_precision else _scalar(p, c.unit, c.valuation, need))
+        return _from_coords(p, e, tuple(coords))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -152,16 +153,12 @@ class EisensteinElement:
                 return NotImplemented
             other = _embed(other, self)
         self._check(other)
-        return EisensteinElement(
-            self.prime,
-            self.ram_index,
-            [a + b for a, b in zip(self.coords, other.coords)],
-        )
+        return _from_coords(self.prime, self.ram_index, tuple(map(add, self.coords, other.coords)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return EisensteinElement(self.prime, self.ram_index, [-c for c in self.coords])
+        return _from_coords(self.prime, self.ram_index, tuple(-c for c in self.coords))
 
     def __sub__(self, other):
         if not isinstance(other, (EisensteinElement, int, PadicScalar, Fraction)):
@@ -175,9 +172,7 @@ class EisensteinElement:
         if not isinstance(other, EisensteinElement):
             if not isinstance(other, (int, PadicScalar, Fraction)):
                 return NotImplemented
-            return EisensteinElement(
-                self.prime, self.ram_index, [c * other for c in self.coords]
-            )
+            return _from_coords(self.prime, self.ram_index, tuple(c * other for c in self.coords))
         self._check(other)
         p, e = self.prime, self.ram_index
         return _element(p, e, _product(p, e, _terms(self), _terms(other)))
@@ -188,9 +183,7 @@ class EisensteinElement:
         if not isinstance(other, EisensteinElement):
             if not isinstance(other, (int, PadicScalar, Fraction)):
                 return NotImplemented
-            return EisensteinElement(
-                self.prime, self.ram_index, [c / other for c in self.coords]
-            )
+            return _from_coords(self.prime, self.ram_index, tuple(c / other for c in self.coords))
         if self.is_exact_zero:
             if other.is_exact_zero:
                 raise ZeroDivisionError("0/0")
@@ -201,22 +194,22 @@ class EisensteinElement:
         if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
         p, e = self.prime, self.ram_index
+        form = _terms(self)
+        if exponent and len(form) == 1:  # a monomial: the closed form
+            (i, u, f, r), = form
+            folds, index = divmod(i * exponent, e)
+            u = pow(u, exponent) if r == INFINITY else pow(u, exponent, p**r)
+            return _element(p, e, [(index, -u if folds % 2 else u, exponent * f + folds, r)])
         one, mul = [(0, 1, 0, INFINITY)], partial(_product, p, e)
-        return _element(p, e, power_by_squaring(_terms(self), exponent, one, mul))
+        return _element(p, e, power_by_squaring(form, exponent, one, mul))
 
     def mul_pi_power(self, power: int) -> "EisensteinElement":
         """Multiply by pi_e**power exactly (any sign)."""
-        e, p = self.ram_index, self.prime
-        coords = [PadicScalar.exact_zero(p)] * e
-        for i, c in enumerate(self.coords):
-            if c.is_exact_zero:
-                continue
+        e, form = self.ram_index, []
+        for i, u, f, r in _terms(self):  # distinct i land on distinct indices
             shift, index = divmod(i + power, e)
-            moved = c.shift(shift)
-            if shift % 2:
-                moved = -moved
-            coords[index] = moved  # distinct i land on distinct indices
-        return EisensteinElement(p, e, coords)
+            form.append((index, -u if shift % 2 else u, f + shift, r))
+        return _element(self.prime, e, form)
 
     def inverse(self) -> "EisensteinElement":
         """Inverse via the leading monomial and a geometric tail.
@@ -329,7 +322,17 @@ def _element(p: int, e: int, form) -> EisensteinElement:
     coords = [_scalar(p, 0, INFINITY, INFINITY)] * e
     for i, u, f, r in form:
         coords[i] = _scalar(p, u, f if u else INFINITY, f + r)
-    return EisensteinElement(p, e, coords)
+    return _from_coords(p, e, tuple(coords))
+
+
+def _from_coords(p: int, e: int, coords: tuple, x=None) -> EisensteinElement:
+    """The element of a tuple of e PadicScalars over p, in x or a new element,
+    unchecked: results of arithmetic on checked operands come through here."""
+    x = object.__new__(EisensteinElement) if x is None else x
+    object.__setattr__(x, "prime", p)
+    object.__setattr__(x, "ram_index", e)
+    object.__setattr__(x, "coords", coords)
+    return x
 
 
 def _embed(value, like: EisensteinElement) -> EisensteinElement:

@@ -19,7 +19,9 @@ Two independent routes are provided and cross-checked in the test suite:
   precision" (2014).  This is what makes coefficients of index p**7 ~ 10**9
   affordable.  Valuations are kept as integer pi-digits (e*v), and the kept
   terms are summed before one division by r: a shift by v_p(r) and a unit
-  inverse per coordinate.
+  inverse per coordinate.  Everything but the powers of A and B is read off
+  (p, e, (r-1)/2, v_p(r), v(A), v(B), target): that plan is cached on this key
+  (128 plans), so curves that share valuations share it; no result changes.
 
 * `series_inversion_logarithm` computes the same prefix by inverting the
   Weierstrass parametrization (t = -x/y, w = -1/y = t**3 z, z a series in
@@ -41,9 +43,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 
-from .eisenstein import EisensteinElement
+from .eisenstein import EisensteinElement, _from_coords
 from .errors import NormalizationError, PrecisionError
 from .padic import (
     INFINITY,
@@ -133,17 +136,50 @@ def _admissible_pairs(N: int, vA, vB, threshold):
 def _reduce_for_powers(x, pi_digits):
     """x to absolute precision pi**pi_digits, exact-zero coordinates kept exact.
 
-    Those are known to any precision, and EisensteinElement.__mul__ skips
-    them, so a pi-monomial keeps costing one coordinate product per step.
+    Those are known to any precision, so a pi-monomial stays a monomial and
+    its powers take the closed form of EisensteinElement.__pow__.
     """
     if not isinstance(x, EisensteinElement):
         return x.reduce_abs_precision(pi_digits)
     cut = x.truncate_pi(pi_digits).coords
-    return EisensteinElement(
-        x.prime,
-        x.ram_index,
-        [c if c.is_exact_zero else d for c, d in zip(x.coords, cut)],
-    )
+    coords = tuple(c if c.is_exact_zero else d for c, d in zip(x.coords, cut))
+    return _from_coords(x.prime, x.ram_index, coords)
+
+
+@lru_cache(maxsize=128)  # <= ~40 MB: a plan of exact unit-coefficient multinomials is ~300 KB
+def _sum_plan(p: int, e: int, N: int, vr: int, wA, wB, target: int):
+    """((m, n, multinomial) per kept term, dropped flag) of the sum at r = 2N+1.
+
+    wA, wB are v(A), v(B) in pi-digits, vr = v_p(r).  An over-budget key
+    raises PrecisionError before any arithmetic, and a raise is not cached.
+    """
+    # In pi-digits, a term C * A^m * B^n / r dies past the target once
+    # m*wA + n*wB >= target + e*v_p(r), because v(C) >= 0.
+    pairs, dropped = _admissible_pairs(N, wA, wB, target + e * vr)
+    working = target + e * vr + e
+    # Per pair: factorial units over log_p N digits of up to p blocks, and powers.
+    cost = len(pairs) * (-(-working // e)) ** 2 * p * math.log(N + 1, p)
+    if cost > _WORK_BUDGET:
+        raise PrecisionError(
+            f"d_r at r ~ {p}^{math.log(2 * N + 1, p):.0f} to pi^{target} needs "
+            f"~{cost:.2g} digit operations, over the budget {_WORK_BUDGET:.0e}")
+    kept = []
+    for m, n in pairs:
+        parts = (m + 2 * n, m, n)
+        # A factor to the power 0 is 1, even when it is exactly zero (0 * inf).
+        w_power = (m * wA if m else 0) + (n * wB if n else 0)
+        w_term = e * (multinomial_valuation(N, parts, p) - vr) + w_power
+        if w_term >= target:
+            dropped = True
+        else:
+            kept.append((m, n, parts, w_term))
+    exact = not dropped and N <= _EXACT_MULTINOMIAL_CAP
+    # The p-digits a kept term needs, ceil((target - w_term) / e) >= 1.
+    return tuple(
+        (m, n, multinomial_exact(N, parts) if exact
+         else multinomial_padic(N, parts, p, -((w_term - target) // e)))
+        for m, n, parts, w_term in kept
+    ), dropped
 
 
 def yasuda_coefficient(A, B, r: int, target_pi_digits: int):
@@ -157,49 +193,27 @@ def yasuda_coefficient(A, B, r: int, target_pi_digits: int):
     past _WORK_BUDGET their estimated work raises PrecisionError there.  If
     none is dropped and (r-1)/2 <= _EXACT_MULTINOMIAL_CAP the sum takes exact
     multinomials, so it is exact when A and B are; every other sum takes each
-    multinomial mod the power of p its term needs for the target.  When terms
-    are dropped the result is reduced to the target, and when v(A), v(B) >= 0
-    (as on a normalized model) the powers are taken of A and B reduced to
-    target + e*v_p(r) + e pi-digits (p-digits when e = 1).  That is sound:
-    the multinomials are integral and only v_p(r) is divided out, so every
-    term still carries e digits beyond the target.
+    multinomial mod the power of p its term needs for the target.  That plan
+    reads only (p, e, (r-1)/2, v_p(r), v(A), v(B), target), the key on which
+    `_sum_plan` caches it (up to 128 plans).  When terms are dropped the
+    result is reduced to the target, and when v(A), v(B) >= 0 (as on a
+    normalized model) the powers are taken of A and B reduced to target +
+    e*v_p(r) + e pi-digits (p-digits when e = 1).  That is sound: the
+    multinomials are integral and only v_p(r) is divided out, so every term
+    still carries e digits beyond the target.
     """
     if r < 1 or r % 2 == 0:
         raise ValueError(f"coefficient index must be odd and positive, got {r}")
     e = A.ram_index if isinstance(A, EisensteinElement) else 1
     p = A.prime
     wA, wB = _pi_valuation(A), _pi_valuation(B)
-    N = (r - 1) // 2
     vr = vp(r, p)
-    # In pi-digits, a term C * A^m * B^n / r dies past the target once
-    # m*wA + n*wB >= target + e*v_p(r), because v(C) >= 0.
-    pairs, dropped = _admissible_pairs(N, wA, wB, target_pi_digits + e * vr)
-    working = target_pi_digits + e * vr + e
-    # Per pair: factorial units over log_p N digits of up to p blocks, and powers.
-    cost = len(pairs) * (-(-working // e)) ** 2 * p * math.log(N + 1, p)
-    if cost > _WORK_BUDGET:
-        raise PrecisionError(
-            f"d_r at r ~ {p}^{math.log(r, p):.0f} to pi^{target_pi_digits} needs "
-            f"~{cost:.2g} digit operations, over the budget {_WORK_BUDGET:.0e}")
-    terms = []
-    for m, n in pairs:
-        parts = (m + 2 * n, m, n)
-        # A factor to the power 0 is 1, even when it is exactly zero (0 * inf).
-        w_power = (m * wA if m else 0) + (n * wB if n else 0)
-        w_term = e * (multinomial_valuation(N, parts, p) - vr) + w_power
-        if w_term >= target_pi_digits:
-            dropped = True
-        else:
-            terms.append((m, n, parts, w_term))
+    terms, dropped = _sum_plan(p, e, (r - 1) // 2, vr, wA, wB, target_pi_digits)
     if dropped and wA >= 0 and wB >= 0:
+        working = target_pi_digits + e * vr + e
         A, B = _reduce_for_powers(A, working), _reduce_for_powers(B, working)
     total = _zero_like(A)
-    for m, n, parts, w_term in terms:
-        if not dropped and N <= _EXACT_MULTINOMIAL_CAP:
-            coeff = multinomial_exact(N, parts)
-        else:
-            # The p-digits a kept term needs, ceil((target - w_term) / e) >= 1.
-            coeff = multinomial_padic(N, parts, p, -((w_term - target_pi_digits) // e))
+    for m, n, coeff in terms:
         total = total + coeff * (A**m) * (B**n)
     total = total / r
     if dropped:

@@ -2,12 +2,13 @@
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from padic_cartan.eisenstein import EisensteinElement
+from padic_cartan.eisenstein import EisensteinElement, _element, _product, _terms
 from padic_cartan.errors import CosetViolationError, PrecisionError
-from padic_cartan.padic import INFINITY, PadicScalar
+from padic_cartan.padic import INFINITY, PadicScalar, power_by_squaring
 
 
 def exact(value, p=11):
@@ -473,3 +474,35 @@ def test_doubling_inverse_matches_truncated_geometric_sum():
         compared += 1
         assert [_key(c) for c in got.coords] == [_key(c) for c in _geometric_inverse(a).coords], a
     assert compared >= 60
+
+
+def _monomial_coordinates(rng, p):
+    """Exact units of either sign, finite-precision units and precision zeros."""
+    v = rng.randrange(-3, 5)
+    unit = rng.randrange(1, p**2)
+    unit += unit % p == 0
+    return [
+        PadicScalar(p, unit, v, INFINITY),
+        PadicScalar(p, -unit, v, INFINITY),
+        PadicScalar(p, unit, v, v + rng.randrange(1, 9)),
+        PadicScalar.zero_to_precision(p, rng.randrange(-3, 8)),
+    ]
+
+
+def test_monomial_powers_match_square_and_multiply():
+    rng, p = random.Random(14), 11
+    exponents = list(range(41)) + [p**5 // 6 - 1, p**5 // 6, p**5 // 6 + 1]
+    negative_after_odd_folds = 0
+    for e in (3, 4, 6):
+        one, mul = [(0, 1, 0, INFINITY)], partial(_product, p, e)
+        for i in range(e):
+            for c in _monomial_coordinates(rng, p):
+                a = EisensteinElement.pi_monomial(c, i, e)
+                assert len(_terms(a)) == 1
+                for n in exponents:
+                    want = _element(p, e, power_by_squaring(_terms(a), n, one, mul))
+                    got = a**n
+                    assert [_key(x) for x in got.coords] == [_key(x) for x in want.coords], (a, n)
+                    if c.unit < 0 and (i * n // e) % 2:
+                        negative_after_odd_folds += 1
+    assert negative_after_odd_folds >= 100

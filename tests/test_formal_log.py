@@ -12,6 +12,7 @@ from padic_cartan.eisenstein import EisensteinElement
 from padic_cartan.errors import NormalizationError, PrecisionError
 from padic_cartan.formal_log import (
     _admissible_pairs,
+    _sum_plan,
     hasse_invariant,
     odd_coefficient_valuation,
     series_inversion_logarithm,
@@ -439,6 +440,7 @@ def test_kept_terms_and_digits_match_fractions(monkeypatch):
 
     monkeypatch.setattr("padic_cartan.formal_log.multinomial_padic", padic)
     monkeypatch.setattr("padic_cartan.formal_log.multinomial_exact", exact)
+    _sum_plan.cache_clear()  # a cached plan takes no multinomial
     p, rng, truncated = 5, random.Random(17), 0
     for e, N, wA, wB, target, vr in _grid(19, 400):
         if wA == INFINITY or wB == INFINITY or wA == wB == 0:
@@ -465,3 +467,62 @@ def test_kept_terms_and_digits_match_fractions(monkeypatch):
         assert calls == kept, (e, N, wA, wB, target)
         truncated += dropped and bool(kept)
     assert truncated >= 20
+
+
+# -- the cached sum plan -------------------------------------------------------
+
+
+def _shared_shape_models(seed):
+    """Good models over L in groups that share (p, e, v(A_L), v(B_L)) and
+    differ in their units.  4 does not divide 17 + 1, so p = 17 has no e = 4."""
+    rng = random.Random(seed)
+    # (e, v(a), v(b)): v(disc) = 4, 3 and 2 give the defects 3, 4 and 6.
+    shapes = [(3, 3, 2), (3, 2, 2), (4, 1, 2), (4, 1, 3), (6, 1, 1), (6, 3, 1)]
+    for p in (11, 17):
+        for e, va, vb in shapes:
+            if (p + 1) % e:
+                continue
+            for _ in range(2):
+                a = rng.choice((-1, 1)) * rng.randrange(1, p) * p**va
+                b = rng.choice((-1, 1)) * rng.randrange(1, p) * p**vb
+                yield p, e, good_model_over_L(WeierstrassCurve(p, a, b), e)
+
+
+def _digits(x):
+    return [(c.unit, c.valuation, c.abs_precision) for c in x.coords]
+
+
+def test_cached_plans_give_the_cold_result_and_the_oracle_sum():
+    cases = [(p, e, model, j, target)
+             for p, e, model in _shared_shape_models(14)
+             for j in range(2, 6) for target in (2, e + 1)]
+    cold = []
+    for p, e, model, j, target in cases:
+        _sum_plan.cache_clear()
+        cold.append(_digits(yasuda_coefficient(model.a, model.b, p**j, target)))
+    _sum_plan.cache_clear()
+    for p, e, model, j, target in cases:  # fill the cache
+        yasuda_coefficient(model.a, model.b, p**j, target)
+    before = _sum_plan.cache_info()
+    for (p, e, model, j, target), want in zip(cases, cold):
+        got = yasuda_coefficient(model.a, model.b, p**j, target)
+        assert _digits(got) == want, (p, e, model, j, target)
+    after = _sum_plan.cache_info()
+    assert after.hits - before.hits == len(cases) and after.misses == before.misses
+    assert after.currsize < len(cases)  # models of one shape share their plans
+    for (p, e, model, j, target), digits in zip(cases, cold):
+        if p**j > 10**6:  # the oracle's exact multinomials at 17**5 take ~3 s each
+            continue
+        got = EisensteinElement(p, e, [PadicScalar(p, u, v, N) for u, v, N in digits])
+        want, supported = _oracle_sum(model.a, model.b, j, target)
+        assert got.pi_precision() == min(supported, target), (p, e, model, j, target)
+        assert got.is_congruent(want, got.pi_precision())
+
+
+def test_over_budget_key_is_refused_every_time_and_never_cached():
+    a_l, b_l = good_model_over_L(WeierstrassCurve(11, 11**3, 11**2), 3)
+    size = _sum_plan.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(PrecisionError, match="budget"):
+            yasuda_coefficient(a_l, b_l, 11**135, 2)
+        assert _sum_plan.cache_info().currsize == size

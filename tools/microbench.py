@@ -9,8 +9,13 @@ followed by `<key>.iqr`, the interquartile range of the same timed loops:
       coordinate a random 12-digit unit at valuation 0 (abs_precision 12)
   eisenstein.pow.eE                          the same shape with 7-digit units,
       raised to 11**5 // 6, an exponent the p = 11, k = 2 Yasuda sums reach
+  eisenstein.pow.monomial.eE                 a 7-digit unit times pi**i, i < e,
+      raised to 11**5 // 6: the shape of A_L and B_L on every good model
   padic.mul.dD, padic.add.dD                 D = 4, 32, 256 digits; p = 11,
       random D-digit units at valuation 0
+  padic.factorial_unit.nK, padic.multinomial_padic.nK
+      K = 7, 80: n! and C(N; m+2n, m, n), 2m + 3n = N, to 4 digits, p = 11,
+      n and N random in [11**K, 2 * 11**K)
   formal_log.series.r501, formal_log.exact.r501
       d_1..d_501 of one seeded rational curve (denominators 23 and 37) by
       series_inversion_logarithm and by yasuda_coefficient_exact per odd r;
@@ -18,12 +23,16 @@ followed by `<key>.iqr`, the interquartile range of the same timed loops:
   formal_log.yasuda.p4, formal_log.yasuda.p5
       the two sums of a deep-batch level-2 beta: d_r at r = 17**4 to pi**4 and
       r = 17**5 to pi**2 on the good model over L (e = 3) of seeded p = 17
-      curves a = u * 17**3, b = u' * 17**2
+      curves a = u * 17**3, b = u' * 17**2; the sum plans are cached after
+      the first loop
+  formal_log.yasuda.p5.cold
+      formal_log.yasuda.p5 with the plan cache cleared before each sum: the
+      cost of a single curve (a --src without the cache times the plain sum)
 
 Each median and IQR is taken over REPEATS = 15 timed loops (time.perf_counter)
 of the same 200 seeded operand pairs (one curve for formal_log.series and
 .exact, CURVES curves for formal_log.yasuda); inverse() and pow run on the
-first 20 of them.
+first 20 of them, and so do factorial_unit and multinomial_padic.
 --src selects the package source, so one checkout can time another
 (default: the src/ beside this script).
 """
@@ -48,18 +57,20 @@ def main(argv=None):
     sys.path.insert(0, args.src)
     from padic_cartan.curve import WeierstrassCurve, good_model_over_L
     from padic_cartan.eisenstein import EisensteinElement
+    from padic_cartan import formal_log
     from padic_cartan.formal_log import (
         series_inversion_logarithm,
         yasuda_coefficient,
         yasuda_coefficient_exact,
     )
-    from padic_cartan.padic import PadicScalar
+    from padic_cartan.padic import PadicScalar, factorial_unit, multinomial_padic
 
     rng = random.Random(8)
+    extra = random.Random(14)  # the later layers' draws leave rng's sequence as it was
 
-    def scalar(digits):
+    def scalar(digits, source=rng):
         while True:
-            unit = rng.randrange(1, PRIME**digits)
+            unit = source.randrange(1, PRIME**digits)
             if unit % PRIME:
                 return PadicScalar(PRIME, unit, 0, digits)
 
@@ -86,10 +97,23 @@ def main(argv=None):
         time_us(f"eisenstein.inverse.e{e}", lambda a: a.inverse(), singles)
         units = [(element(e, 7),) for _ in range(INVERSES)]
         time_us(f"eisenstein.pow.e{e}", lambda a: a ** (PRIME**5 // 6), units)
+        monomials = [(EisensteinElement.pi_monomial(scalar(7, extra), extra.randrange(e), e),)
+                     for _ in range(INVERSES)]
+        time_us(f"eisenstein.pow.monomial.e{e}", lambda a: a ** (PRIME**5 // 6), monomials)
     for digits in (4, 32, 256):
         pairs = [(scalar(digits), scalar(digits)) for _ in range(PAIRS)]
         time_us(f"padic.mul.d{digits}", lambda a, b: a * b, pairs)
         time_us(f"padic.add.d{digits}", lambda a, b: a + b, pairs)
+    for k in (7, 80):
+        ns = [(extra.randrange(PRIME**k, 2 * PRIME**k),) for _ in range(INVERSES)]
+        time_us(f"padic.factorial_unit.n{k}", lambda n: factorial_unit(n, PRIME, 4), ns)
+        shapes = []
+        for (N,) in ns:
+            n = extra.randrange(N // 3)
+            m = (N - 3 * n) // 2
+            shapes.append((2 * m + 3 * n, (m + 2 * n, m, n)))
+        time_us(f"padic.multinomial_padic.n{k}",
+                lambda N, parts: multinomial_padic(N, parts, PRIME, 4), shapes)
     curve = [(Fraction(rng.choice((-1, 1)) * rng.randint(1, 99), 23),
               Fraction(rng.choice((-1, 1)) * rng.randint(1, 99), 37))]
     time_us("formal_log.series.r501",
@@ -103,6 +127,14 @@ def main(argv=None):
             models.append(tuple(good_model_over_L(WeierstrassCurve(17, a, b), 3)))
     time_us("formal_log.yasuda.p4", lambda a, b: yasuda_coefficient(a, b, 17**4, 4), models)
     time_us("formal_log.yasuda.p5", lambda a, b: yasuda_coefficient(a, b, 17**5, 2), models)
+    plan = getattr(formal_log, "_sum_plan", None)
+    clear = plan.cache_clear if plan else lambda: None
+
+    def cold(a, b):
+        clear()
+        return yasuda_coefficient(a, b, 17**5, 2)
+
+    time_us("formal_log.yasuda.p5.cold", cold, models)
     print(json.dumps(out))
     return 0
 

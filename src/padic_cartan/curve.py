@@ -1,9 +1,8 @@
 """Short Weierstrass models over Q_p: invariants, reduction, normalization.
 
-Everything here is exact rational arithmetic; only `good_model_over_L` emits
-bounded-precision Eisenstein coordinates.  p = 2, 3 are rejected outright, so
-y**2 = x**3 + A*x + B models and the scaling (A, B) -> (u**-4 A, u**-6 B)
-cover all isomorphisms that matter.
+Everything here is exact, the Eisenstein coordinates of `good_model_over_L`
+included.  p = 2, 3 are rejected outright, so y**2 = x**3 + A*x + B models and
+the scaling (A, B) -> (u**-4 A, u**-6 B) cover all isomorphisms that matter.
 """
 
 from __future__ import annotations
@@ -11,16 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .eisenstein import EisensteinElement
-from .errors import (
-    NormalizationError,
-    PrecisionError,
-    SingularCurveError,
-    UnsupportedPrimeError,
-)
-from .padic import INFINITY, PadicScalar, check_odd_prime, vp
+from .errors import NormalizationError, SingularCurveError, UnsupportedPrimeError
+from .padic import INFINITY, check_odd_prime, vp
 
 GOOD_ORDINARY = "good_ordinary"
 GOOD_SUPERSINGULAR = "good_supersingular"
@@ -167,8 +162,6 @@ def semistability_defect(curve: WeierstrassCurve) -> ReductionData:
         multiplicative_now = vp(cmin.a, p) == 0
         defect = 1 if multiplicative_now else 2
         return ReductionData(cmin, defect, vdisc, MULTIPLICATIVE, False)
-    from math import gcd
-
     defect = 12 // gcd(12, vdisc)
     if defect in (3, 4, 6):
         ss = (p + 1) % defect == 0
@@ -188,30 +181,47 @@ class GoodModelL(NamedTuple):
     b: EisensteinElement
 
 
-def _pi_monomial_from_rational(q, p, e, power, prec_pi) -> EisensteinElement:
-    try:
-        scalar = PadicScalar.from_rational(q, p, INFINITY)
-    except PrecisionError:
-        # Denominator with a unit factor: no exact expansion, embed truncated.
-        shift, index = divmod(power, e)
-        coord_prec = -((index - prec_pi) // e)  # ceil((prec_pi - index)/e)
-        scalar = PadicScalar.from_rational(q, p, coord_prec - shift)
-    return EisensteinElement.pi_monomial(scalar, power, e)
+def normalized_shape(e: int) -> tuple[int, int]:
+    """(i, d): the shape of a good model over L = Q_p(pi_e), e in {3, 4, 6}.
+
+    (A_L, B_L)[i] deforms and the other coefficient is a unit.  The invariant
+    (j, j - 1728)[i] measures it, with valuation d times its own: A_L deforms
+    for e in {3, 6}, where v(j) = 3 v(A_L), and B_L for e = 4, where
+    v(j - 1728) = 2 v(B_L).
+    """
+    if e in (3, 6):
+        return 0, 3
+    if e == 4:
+        return 1, 2
+    raise NormalizationError(f"no Eisenstein normalization for e={e}")
 
 
-def good_model_over_L(
-    curve: WeierstrassCurve, e: int, prec_pi: int = 24
-) -> GoodModelL:
-    """Scale the minimal model to good reduction over L = Q_p(pi_e).
+def deforming_coefficient(model) -> EisensteinElement:
+    """The coefficient of a normalized good model over L that deforms.
 
-    Uses u = pi_e**s with s = e * v(disc_min)/12, which lands the normalized
-    shape: v(B_L) = 0 for e in {3, 6} and v(A_L) = 0 for e = 4.  Raises
-    NormalizationError when the curve is not a potential e-lift (wrong defect,
-    or e does not divide p + 1 so the reduction is not supersingular).
+    `model` is an (A_L, B_L) pair; raises NormalizationError unless the other
+    coefficient is a unit.
+    """
+    i, _ = normalized_shape(model[0].ram_index)
+    unit = model[1 - i]
+    if unit.is_exact_zero or unit.valuation() != 0:
+        raise NormalizationError(f"model not normalized: v({'AB'[1 - i]}_L) must be 0")
+    return model[i]
+
+
+def good_model_over_L(curve: WeierstrassCurve, e: int) -> GoodModelL:
+    """Scale the minimal model to good reduction over L = Q_p(pi_e), exactly.
+
+    The minimal model is p-integral, so lam = lcm(den a, den b) is a p-adic
+    unit and (lam**4 a, lam**6 b) is an isomorphic model with integer
+    coefficients; beta moves by lam**((p-1) p**(2k)) = 1 mod p**(2k+1), far
+    past its certificate.  Then u = pi_e**s with s = e * v(disc_min)/12 lands
+    the `normalized_shape` with exact coordinates.  Raises NormalizationError
+    when the curve is not a potential e-lift (wrong defect, or e does not
+    divide p + 1 so the reduction is not supersingular).
     """
     p = curve.prime
-    if e not in (3, 4, 6):
-        raise NormalizationError(f"no Eisenstein normalization for e={e}")
+    normalized_shape(e)  # raises for e outside {3, 4, 6}
     data = curve.reduction
     if data.potential_type == MULTIPLICATIVE:
         raise NormalizationError("potentially multiplicative curve has no good L-model")
@@ -224,13 +234,11 @@ def good_model_over_L(
             f"e={e} does not divide p+1={p + 1}; reduction is not supersingular"
         )
     s = e * data.v_min_discriminant // 12
-    if 12 * s != e * data.v_min_discriminant:
-        raise NormalizationError("v(disc_min) incompatible with e")  # unreachable
     cmin = data.minimal
-    a_l = _pi_monomial_from_rational(cmin.a, p, e, -4 * s, prec_pi)
-    b_l = _pi_monomial_from_rational(cmin.b, p, e, -6 * s, prec_pi)
-    # Good reduction sanity: the normalized coordinate must be a unit.
-    anchor = a_l if e == 4 else b_l
-    if anchor.is_exact_zero or anchor.valuation() != 0:
-        raise NormalizationError("scaled model is not a unit-discriminant model")
-    return GoodModelL(a_l, b_l)
+    lam = lcm(cmin.a.denominator, cmin.b.denominator)
+    model = GoodModelL(
+        EisensteinElement.from_rational(lam**4 * cmin.a, p, e, INFINITY).mul_pi_power(-4 * s),
+        EisensteinElement.from_rational(lam**6 * cmin.b, p, e, INFINITY).mul_pi_power(-6 * s),
+    )
+    deforming_coefficient(model)  # good reduction: the other coefficient is a unit
+    return model

@@ -46,8 +46,9 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
+from .curve import deforming_coefficient
 from .eisenstein import EisensteinElement, _from_coords
-from .errors import NormalizationError, PrecisionError
+from .errors import PrecisionError
 from .padic import (
     INFINITY,
     PadicScalar,
@@ -148,10 +149,11 @@ def _reduce_for_powers(x, pi_digits):
 
 @lru_cache(maxsize=128)  # <= ~40 MB: a plan of exact unit-coefficient multinomials is ~300 KB
 def _sum_plan(p: int, e: int, N: int, vr: int, wA, wB, target: int):
-    """((m, n, multinomial) per kept term, dropped flag) of the sum at r = 2N+1.
+    """((m, n, multinomial) per kept term, dropped, exact) of the sum at r = 2N+1.
 
     wA, wB are v(A), v(B) in pi-digits, vr = v_p(r).  An over-budget key
     raises PrecisionError before any arithmetic, and a raise is not cached.
+    `exact` tells exact multinomials from ones taken mod a power of p.
     """
     # In pi-digits, a term C * A^m * B^n / r dies past the target once
     # m*wA + n*wB >= target + e*v_p(r), because v(C) >= 0.
@@ -179,7 +181,7 @@ def _sum_plan(p: int, e: int, N: int, vr: int, wA, wB, target: int):
         (m, n, multinomial_exact(N, parts) if exact
          else multinomial_padic(N, parts, p, -((w_term - target) // e)))
         for m, n, parts, w_term in kept
-    ), dropped
+    ), dropped, exact
 
 
 def yasuda_coefficient(A, B, r: int, target_pi_digits: int):
@@ -196,9 +198,10 @@ def yasuda_coefficient(A, B, r: int, target_pi_digits: int):
     multinomial mod the power of p its term needs for the target.  That plan
     reads only (p, e, (r-1)/2, v_p(r), v(A), v(B), target), the key on which
     `_sum_plan` caches it (up to 128 plans).  When terms are dropped the
-    result is reduced to the target, and when v(A), v(B) >= 0 (as on a
-    normalized model) the powers are taken of A and B reduced to target +
-    e*v_p(r) + e pi-digits (p-digits when e = 1).  That is sound: the
+    result is reduced to the target.  When the multinomials are not exact and
+    v(A), v(B) >= 0 (as on a normalized model) the powers are taken of A and
+    B reduced to target + e*v_p(r) + e pi-digits (p-digits when e = 1), so an
+    exact unit is never raised to a power near r.  That is sound: the
     multinomials are integral and only v_p(r) is divided out, so every term
     still carries e digits beyond the target.
     """
@@ -208,8 +211,8 @@ def yasuda_coefficient(A, B, r: int, target_pi_digits: int):
     p = A.prime
     wA, wB = _pi_valuation(A), _pi_valuation(B)
     vr = vp(r, p)
-    terms, dropped = _sum_plan(p, e, (r - 1) // 2, vr, wA, wB, target_pi_digits)
-    if dropped and wA >= 0 and wB >= 0:
+    terms, dropped, exact = _sum_plan(p, e, (r - 1) // 2, vr, wA, wB, target_pi_digits)
+    if not exact and wA >= 0 and wB >= 0:
         working = target_pi_digits + e * vr + e
         A, B = _reduce_for_powers(A, working), _reduce_for_powers(B, working)
     total = _zero_like(A)
@@ -347,22 +350,12 @@ def hasse_invariant(A, B, p: int | None = None):
 def odd_coefficient_valuation(a_l: EisensteinElement, b_l: EisensteinElement, k: int):
     """Predicted v(d_{p^(2k+1)}) for a normalized good model over L.
 
-    -(k+1) + v(A_L) for e in {3, 6}; -(k+1) + v(B_L) for e = 4; INFINITY in
-    the CM cases (the coefficient vanishes identically).
+    -(k+1) + v of its `deforming_coefficient` (A_L for e in {3, 6}, B_L for
+    e = 4); INFINITY in the CM cases (the coefficient vanishes identically).
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    e = a_l.ram_index
-    if e in (3, 6):
-        if b_l.is_exact_zero or b_l.valuation() != 0:
-            raise NormalizationError("model not normalized: v(B_L) must be 0")
-        v = a_l.valuation()
-    elif e == 4:
-        if a_l.is_exact_zero or a_l.valuation() != 0:
-            raise NormalizationError("model not normalized: v(A_L) must be 0")
-        v = b_l.valuation()
-    else:
-        raise ValueError(f"unsupported ramification index {e}")
+    v = deforming_coefficient((a_l, b_l)).valuation()
     if v == INFINITY:
         return INFINITY
     return Fraction(-(k + 1)) + v

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curve import WeierstrassCurve, good_model_over_L
+from .curve import WeierstrassCurve, good_model_over_L, normalized_shape
 from .eisenstein import EisensteinElement
 from .errors import (
     CanonicalSubgroupError,
@@ -33,6 +33,9 @@ NEG_INFINITY = -INFINITY
 # v(Delta_min) classes of potential e-lifts, keyed by sign of epsilon.
 _EPSILON_PLUS = (2, 3, 4)
 _EPSILON_MINUS = (8, 9, 10)
+# v(alpha) = (c + sign*v)/d with (c, sign) by v(Delta_min): e = 6, 4, 3 with
+# epsilon = +1, then e = 3, 4, 6 with epsilon = -1.
+_V_ALPHA_TABLE = {2: (4, -1), 3: (3, -1), 4: (5, -1), 8: (2, 1), 9: (1, 1), 10: (1, 1)}
 
 
 class _AlphaInfinity:
@@ -83,16 +86,16 @@ def epsilon_sign(v_min_discriminant: int) -> int:
 
 
 def v_beta_closed_form(e: int, v_j, v_j_minus_1728):
-    """v(beta) from the j-invariant alone; INFINITY in the CM cases."""
-    if e in (3, 6):
-        if v_j == INFINITY:
-            return INFINITY
-        return Fraction(v_j, 3) - Fraction(1, e)
-    if e == 4:
-        if v_j_minus_1728 == INFINITY:
-            return INFINITY
-        return Fraction(v_j_minus_1728, 2) - Fraction(1, 4)
-    raise ValueError(f"no beta for defect e={e}")
+    """v(beta) from the j-invariant alone; INFINITY in the CM cases.
+
+    v(beta) = v(deforming coefficient) - 1/e, read off the invariant that
+    measures that coefficient (`normalized_shape`).
+    """
+    i, d = normalized_shape(e)
+    v = (v_j, v_j_minus_1728)[i]
+    if v == INFINITY:
+        return INFINITY
+    return Fraction(v, d) - Fraction(1, e)
 
 
 def adaptive_level(e: int, v_beta) -> int:
@@ -106,29 +109,22 @@ def adaptive_level(e: int, v_beta) -> int:
 
 
 def v_alpha_table(e: int, v_min_discriminant: int, v_j, v_j_minus_1728) -> int:
-    """The six-entry table for v(alpha) on potential e-lifts (j not CM)."""
-    if v_min_discriminant in _EPSILON_PLUS:
-        low = True
-    elif v_min_discriminant in _EPSILON_MINUS:
-        low = False
-    else:
+    """The six-entry table for v(alpha) on potential e-lifts (j not CM).
+
+    v(alpha) = (c + sign*v)/d with (c, sign) by v(Delta_min), where v and d
+    are the valuation of the invariant that measures the deforming
+    coefficient and the power it carries (`normalized_shape`).
+    """
+    if v_min_discriminant not in _V_ALPHA_TABLE:
         raise ValueError(f"v(Delta_min)={v_min_discriminant} out of range")
     if e != 12 // math.gcd(12, v_min_discriminant):
         raise ValueError(f"e={e} inconsistent with v(Delta_min)={v_min_discriminant}")
-    if e == 4:
-        if v_j_minus_1728 == INFINITY:
-            raise ValueError("v(alpha) table needs j != 1728")
-        num = (3 - v_j_minus_1728) if low else (1 + v_j_minus_1728)
-        den = 2
-    else:
-        if v_j == INFINITY:
-            raise ValueError("v(alpha) table needs j != 0")
-        if e == 3:
-            num = (5 - v_j) if low else (2 + v_j)
-        else:
-            num = (4 - v_j) if low else (1 + v_j)
-        den = 3
-    q, r = divmod(num, den)
+    i, d = normalized_shape(e)
+    v = (v_j, v_j_minus_1728)[i]
+    if v == INFINITY:
+        raise ValueError(f"v(alpha) table needs {('j != 0', 'j != 1728')[i]}")
+    c, sign = _V_ALPHA_TABLE[v_min_discriminant]
+    q, r = divmod(c + sign * v, d)
     if r:
         raise ValueError(
             f"valuations v(j)={v_j}, v(j-1728)={v_j_minus_1728} violate the "

@@ -160,8 +160,13 @@ def test_cm_lifts_at_a_forced_level(capsys):
     assert payload["image_label"] == "full_Cns_plus_all_levels"
     assert payload["hodge"]["beta"]["coordinates"] == ["0", "0", "0"]
     assert payload["hodge"]["beta"]["coordinate_precisions"] == ["inf", "inf", "inf"]
+    # At --precision 31 (k = 10) the CM sums drop no term but pass the exact
+    # multinomial cap: they must raise A and B reduced, as the exact unit to
+    # a power near r/6 would not finish.
     for argv in (["--p", "11", "--a", "0", "--b", "242", "--k", "3"],
-                 ["--p", "23", "--a", "23", "--b", "0", "--k", "2"]):
+                 ["--p", "23", "--a", "23", "--b", "0", "--k", "2"],
+                 ["--p", "11", "--a", "0", "--b", "242", "--precision", "31"],
+                 ["--p", "11", "--a", "0", "--b", "242/5", "--precision", "31"]):
         rc, out, err = run(capsys, "beta", *argv)
         assert rc == 0 and "beta: 0\n" in out, (argv, err)
 
@@ -170,6 +175,7 @@ def test_cm_lifts_at_a_forced_level(capsys):
     [*EXAMPLE1, "--k", "7"],
     [*EXAMPLE1, "--precision", "40"],
     ["--p", "23", "--a", "12167", "--b", "529", "--k", "4"],
+    ["--p", "11", "--a", "1331/5", "--b", "121", "--precision", "31"],
 ])
 def test_beta_deep_levels_are_answered(capsys, argv):
     # Each needs factorial units mod p**d with p**d past 2**26.

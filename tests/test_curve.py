@@ -15,12 +15,13 @@ from padic_cartan.curve import (
     quadratic_twist,
     semistability_defect,
 )
+from padic_cartan.eisenstein import EisensteinElement
 from padic_cartan.errors import (
     NormalizationError,
     SingularCurveError,
     UnsupportedPrimeError,
 )
-from padic_cartan.padic import INFINITY, vp
+from padic_cartan.padic import INFINITY, PadicScalar, vp
 
 
 def test_rejects_bad_primes():
@@ -164,13 +165,21 @@ def test_good_model_over_L_e4():
     assert model.b.valuation() == Fraction(2, 4)
 
 
-def test_good_model_truncates_unit_denominators():
+def test_good_model_scales_unit_denominators_exactly():
     c = WeierstrassCurve(11, Fraction(11**3, 5), 11**2)
     assert c.v_discriminant == 4
-    model = good_model_over_L(c, 3, prec_pi=24)
+    model = good_model_over_L(c, 3)
+    assert model.a.pi_precision() == model.b.pi_precision() == INFINITY
     assert model.a.valuation() == Fraction(5, 3)
-    assert model.a.pi_precision() >= 24
-    assert model.a.pi_precision() != INFINITY
+    # lam = 5 and u = pi_3: the pi-monomials of (5**4 a, 5**6 b) over u**4, u**6.
+    want = [
+        EisensteinElement.pi_monomial(PadicScalar.from_rational(q, 11, INFINITY), power, 3)
+        for q, power in ((5**4 * c.a, -4), (5**6 * c.b, -6))
+    ]
+    assert list(model) == want
+    # pi**3 = -11: A_L = 5**3 * 11 * pi**2 and B_L = 5**6.
+    assert model.a.coords[2].lift_fraction() == 5**3 * 11
+    assert model.b.as_padic_scalar().lift_fraction() == 5**6
 
 
 def test_good_model_rejections():

@@ -354,14 +354,24 @@ def test_truncated_sums_take_no_exact_multinomial(monkeypatch):
     ],
 )
 def test_bounded_sum_matches_exact_powers(a, b, e):
-    p = 11
-    model = good_model_over_L(WeierstrassCurve(p, a, b), e)
-    exact_inputs = model.a.pi_precision() == model.b.pi_precision() == INFINITY
+    _check_bounded_sums(good_model_over_L(WeierstrassCurve(11, a, b), e))
+
+
+def test_bounded_sum_matches_exact_powers_on_inexact_inputs():
+    # Good models are exact; cut one to 24 pi-digits for the inexact-A_L path.
+    model = good_model_over_L(WeierstrassCurve(11, Fraction(11**3, 7), Fraction(11**2, 5)), 3)
+    _check_bounded_sums([x.truncate_pi(24) for x in model])
+
+
+def _check_bounded_sums(model):
+    A, B = model
+    p, e = A.prime, A.ram_index
+    exact_inputs = A.pi_precision() == B.pi_precision() == INFINITY
     bounded = 0
     for target in (2, e + 1, 12):
         for j in range(2, 6):
-            got = yasuda_coefficient(model.a, model.b, p**j, target)
-            want, supported = _oracle_sum(model.a, model.b, j, target)
+            got = yasuda_coefficient(A, B, p**j, target)
+            want, supported = _oracle_sum(A, B, j, target)
             prec = got.pi_precision()
             # Never claims more than the exact sum supports, never less than
             # the target allows.

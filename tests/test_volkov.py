@@ -1,5 +1,6 @@
 """Tests for the deformation parameters: closed forms and the log route."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -262,3 +263,65 @@ def test_beta_becomes_visible_at_level_three():
     assert hodge.k_used == 3
     assert hodge.beta.valuation() == Fraction(7, 3)
     assert hodge.alpha.valuation == -1
+
+
+@pytest.mark.parametrize("precision", [31, 40])
+@pytest.mark.parametrize("a, b", [
+    (Fraction(1331, 5), 121),
+    (1331, Fraction(121, 5)),
+    (Fraction(11, 7), Fraction(121, 3)),  # e = 4
+    (Fraction(605, 7), Fraction(11, 3)),  # e = 6
+])
+def test_unit_denominator_certificates_hold_every_digit(a, b, precision):
+    curve = WeierstrassCurve(11, a, b)
+    hodge = hodge_parameters(curve, precision=precision)
+    assert hodge.beta.pi_precision() >= hodge.certificate_pi_digits == precision
+    # Oracle: the minimal model embedded to 120 p-digits, far past every
+    # certificate, then scaled by u = pi**s as in the good model.
+    red = curve.reduction
+    e, s = red.defect, red.defect * red.v_min_discriminant // 12
+    model = [
+        EisensteinElement.pi_monomial(PadicScalar.from_rational(q, 11, 120), -w * s, e)
+        for q, w in ((red.minimal.a, 4), (red.minimal.b, 6))
+    ]
+    oracle = beta_from_logarithm(model, hodge.k_used, precision)
+    assert oracle.pi_precision() == precision
+    assert hodge.beta.is_congruent(oracle, precision)
+
+
+def _seeded_lifts(seed):
+    """Potential e-lifts (p, e, a, b) at p = 11, 17: integral, with p-free
+    denominators, and CM lifts with one coefficient exactly 0."""
+    rng = random.Random(seed)
+    # (e, v(a), v(b)), None for an exact 0: v(disc) = min(3 v(a), 2 v(b)).
+    shapes = [
+        (3, 3, 2), (3, 2, 2), (3, 4, 4), (3, None, 2), (3, None, 4),
+        (4, 1, 2), (4, 1, 3), (4, 3, 5), (4, 1, None), (4, 3, None),
+        (6, 1, 1), (6, 2, 1), (6, 4, 5), (6, None, 1), (6, None, 5),
+    ]
+    for p in (11, 17):
+        for e, va, vb in shapes:
+            if (p + 1) % e:
+                continue
+            for den in (1, rng.choice((2, 3, 5, 7))):
+                a, b = (
+                    0 if v is None else Fraction(rng.choice((-1, 1)) * rng.randrange(1, p) * p**v, den)
+                    for v in (va, vb)
+                )
+                yield p, e, a, b
+
+
+def test_closed_form_v_beta_matches_the_deforming_coefficient():
+    deforming = {3: "a", 4: "b", 6: "a"}
+    unit = {"a": "b", "b": "a"}
+    cases = 0
+    for p, e, a, b in _seeded_lifts(15):
+        curve = WeierstrassCurve(p, a, b)
+        assert curve.reduction.defect == e, (p, a, b)
+        model = good_model_over_L(curve, e)
+        v_deforming = getattr(model, deforming[e]).valuation()
+        assert getattr(model, unit[deforming[e]]).valuation() == 0, (p, a, b)
+        want = INFINITY if v_deforming == INFINITY else v_deforming - Fraction(1, e)
+        assert v_beta_closed_form(e, curve.v_j, curve.v_j_minus_1728) == want, (p, a, b)
+        cases += 1
+    assert cases == 2 * (15 + 10)

@@ -28,11 +28,18 @@ followed by `<key>.iqr`, the interquartile range of the same timed loops:
   formal_log.yasuda.p5.cold
       formal_log.yasuda.p5 with the plan cache cleared before each sum: the
       cost of a single curve (a --src without the cache times the plain sum)
+  volkov.hodge_parameters.lift, volkov.hodge_parameters.unit_den
+      hodge_parameters(WeierstrassCurve(11, a, b)) at the default level (k = 2)
+      on seeded e = 3 lifts a = u * 11**3, b = u' * 11**2 with 3-digit units,
+      integral and with both coefficients divided by integers in [2, 100)
+      prime to 11; curve built per op, sum plans cached after the first loop
 
 Each median and IQR is taken over REPEATS = 15 timed loops (time.perf_counter)
 of the same 200 seeded operand pairs (one curve for formal_log.series and
-.exact, CURVES curves for formal_log.yasuda); inverse() and pow run on the
-first 20 of them, and so do factorial_unit and multinomial_padic.
+.exact, CURVES curves for formal_log.yasuda and volkov.hodge_parameters);
+inverse() and pow run on the first 20 of them, and so do factorial_unit and
+multinomial_padic.  volkov.hodge_parameters draws its operands last, so the
+other layers time the operands they had before it was added.
 --src selects the package source, so one checkout can time another
 (default: the src/ beside this script).
 """
@@ -64,6 +71,7 @@ def main(argv=None):
         yasuda_coefficient_exact,
     )
     from padic_cartan.padic import PadicScalar, factorial_unit, multinomial_padic
+    from padic_cartan.volkov import hodge_parameters
 
     rng = random.Random(8)
     extra = random.Random(14)  # the later layers' draws leave rng's sequence as it was
@@ -135,6 +143,20 @@ def main(argv=None):
         return yasuda_coefficient(a, b, 17**5, 2)
 
     time_us("formal_log.yasuda.p5.cold", cold, models)
+
+    def prime_to_p(low, high):
+        while True:
+            n = extra.randrange(low, high)
+            if n % PRIME:
+                return n
+
+    lifts = [(prime_to_p(1, PRIME**3) * PRIME**3, prime_to_p(1, PRIME**3) * PRIME**2)
+             for _ in range(CURVES)]
+    unit_dens = [(Fraction(a, prime_to_p(2, 100)), Fraction(b, prime_to_p(2, 100)))
+                 for a, b in lifts]
+    for name, curves in (("lift", lifts), ("unit_den", unit_dens)):
+        time_us(f"volkov.hodge_parameters.{name}",
+                lambda a, b: hodge_parameters(WeierstrassCurve(PRIME, a, b)), curves)
     print(json.dumps(out))
     return 0
 

@@ -134,12 +134,11 @@ def hasse_residue(a: Fraction, b: Fraction, p: int) -> int:
     for i in range(1, M + 1):
         fact[i] = fact[i - 1] * i % p
     total = 0
-    # x**(3i) * (a x)**j * b**k with i+j+k = M and 3i + j = p - 1.
+    # x**(3i) * (a x)**j * b**k with i+j+k = M and 3i + j = p - 1; the bounds
+    # on i keep j and k >= 0.
     for i in range((p - 1 + 3) // 4, (p - 1) // 3 + 1):
         j = p - 1 - 3 * i
         k = 2 * i - M
-        if j < 0 or k < 0:
-            continue
         coeff = fact[M] * pow(fact[i] * fact[j] % p * fact[k] % p, -1, p) % p
         total = (total + coeff * pow(am, j, p) * pow(bm, k, p)) % p
     return total

@@ -6,22 +6,22 @@ Two independent routes are provided and cross-checked in the test suite:
 
       log(t) = sum C(2m+3n; m+2n, m, n) A**m B**n t**(4m+6n+1) / (4m+6n+1)
 
-  directly.  When v(A) > 0 or v(B) > 0 the sum is truncated: a term can be
-  dropped once m*v(A) + n*v(B) alone pushes it past the target precision
-  (multinomial valuations are >= 0), and the survivors are filtered with
-  their exact Legendre valuations.  One extra admissible index is kept as a
-  guard.  The pairs are listed, and a sum over a fixed work budget refused,
-  before any arithmetic.  If none was dropped, exact A and B give an exact d_r
-  up to index 2*10**4 + 1; otherwise each multinomial is taken mod the power
-  of p its term needs, and A and B are reduced to target + e*v_p(r) + e
-  pi-digits (what the truncated result can use, plus a guard of e) before
-  they are raised to powers, as in Caruso-Roe-Vaccon, "Tracking p-adic
-  precision" (2014).  This is what makes coefficients of index p**7 ~ 10**9
-  affordable.  Valuations are kept as integer pi-digits (e*v), and the kept
-  terms are summed before one division by r: a shift by v_p(r) and a unit
-  inverse per coordinate.  Everything but the powers of A and B is read off
-  (p, e, (r-1)/2, v_p(r), v(A), v(B), target): that plan is cached on this key
-  (128 plans), so curves that share valuations share it; no result changes.
+  directly.  When v(A) > 0 or v(B) > 0 the sum is truncated: one walk over
+  the pairs stops once m*v(A) + n*v(B) alone pushes a term past the target
+  precision (multinomial valuations are >= 0), and keeps the terms before it
+  by their exact Legendre valuations.  The work of the kept terms is priced,
+  and a sum over a fixed budget refused, before any arithmetic.  If none was
+  dropped, exact A and B give an exact d_r up to index 2*10**4 + 1;
+  otherwise each multinomial is taken mod the power of p its term needs, and
+  A and B are reduced to target + e*v_p(r) + e pi-digits (what the truncated
+  result can use, plus a guard of e) before they are raised to powers, as in
+  Caruso-Roe-Vaccon, "Tracking p-adic precision" (2014).  This is what makes
+  coefficients of index p**7 ~ 10**9 affordable.  Valuations are kept as
+  integer pi-digits (e*v), and the kept terms are summed before one division
+  by r: a shift by v_p(r) and a unit inverse per coordinate.  Everything but
+  the powers of A and B is read off (p, e, (r-1)/2, v_p(r), v(A), v(B),
+  target): that plan is cached on this key (128 plans), so curves that share
+  valuations share it; no result changes.
 
 * `series_inversion_logarithm` computes the same prefix by inverting the
   Weierstrass parametrization (t = -x/y, w = -1/y = t**3 z, z a series in
@@ -63,7 +63,7 @@ _GENERIC_CAP = 3000
 # Largest (r-1)/2 at which a sum that drops no term takes exact multinomials.
 _EXACT_MULTINOMIAL_CAP = 10**4
 # Largest up-front work estimate of one Yasuda sum that is run; past it, refuse.
-_WORK_BUDGET = 10**8
+_WORK_BUDGET = 6 * 10**7
 _SERIES_DEFAULT_CAP = 500
 
 
@@ -98,42 +98,6 @@ def _zero_like(x):
     return PadicScalar.exact_zero(x.prime)
 
 
-def _admissible_pairs(N: int, vA, vB, threshold):
-    """The (m, n) with 2m + 3n = N whose term may survive, and a dropped flag.
-
-    vA, vB and the threshold are integers (pi-digits) or INFINITY.  Iterates
-    in whichever direction makes m*vA + n*vB non-decreasing, so stopping one
-    index past the threshold (the guard) cannot skip a term that survives.
-    The flag is True when any admissible pair is left out.
-    """
-    if vA == INFINITY and vB == INFINITY:
-        return [], False  # both coefficients exactly zero: empty sum
-    if vA == INFINITY:
-        return ([(0, N // 3)] if N % 3 == 0 else []), False
-    if vB == INFINITY:
-        return ([(N // 2, 0)] if N % 2 == 0 else []), False
-    if vA == 0 and vB == 0:
-        # Unit coefficients: nothing can be dropped.
-        if N > _GENERIC_CAP:
-            raise PrecisionError(
-                f"index {2 * N + 1} needs the full sum over units; cap is {_GENERIC_CAP}"
-            )
-        return [(m, (N - 2 * m) // 3) for m in range((2 * N) % 3, N // 2 + 1, 3)], False
-    if 3 * vA >= 2 * vB:
-        pairs = (((m, (N - 2 * m) // 3)) for m in range((2 * N) % 3, N // 2 + 1, 3))
-    else:
-        pairs = ((((N - 3 * n) // 2, n)) for n in range(N % 2, N // 3 + 1, 2))
-    out = []
-    guard_left = 1
-    for m, n in pairs:
-        if m * vA + n * vB > threshold:
-            if not guard_left:
-                return out, True
-            guard_left -= 1
-        out.append((m, n))
-    return out, False
-
-
 def _reduce_for_powers(x, pi_digits):
     """x to absolute precision pi**pi_digits, exact-zero coordinates kept exact.
 
@@ -151,36 +115,52 @@ def _reduce_for_powers(x, pi_digits):
 def _sum_plan(p: int, e: int, N: int, vr: int, wA, wB, target: int):
     """((m, n, multinomial) per kept term, dropped, exact) of the sum at r = 2N+1.
 
-    wA, wB are v(A), v(B) in pi-digits, vr = v_p(r).  An over-budget key
-    raises PrecisionError before any arithmetic, and a raise is not cached.
-    `exact` tells exact multinomials from ones taken mod a power of p.
+    wA, wB are v(A), v(B) in pi-digits (ints or INFINITY), vr = v_p(r).  One
+    walk over the pairs of 2m + 3n = N, in the direction in which m*wA + n*wB
+    does not decrease, keeps each term below the target by its exact
+    valuation.  It stops at the first exactly-zero pair (a positive power of
+    a zero coefficient; all later ones are zero too), or at the first whose
+    power alone reaches target + e*v_p(r), past which every term is dropped
+    (v(C) >= 0).  Each kept term adds its work to an estimate that raises
+    PrecisionError past _WORK_BUDGET before any arithmetic; a raise is not
+    cached.  `exact` tells exact multinomials from ones taken mod a power of p.
     """
-    # In pi-digits, a term C * A^m * B^n / r dies past the target once
-    # m*wA + n*wB >= target + e*v_p(r), because v(C) >= 0.
-    pairs, dropped = _admissible_pairs(N, wA, wB, target + e * vr)
-    working = target + e * vr + e
-    # Per pair: factorial units over log_p N digits of up to p blocks, and powers.
-    cost = len(pairs) * (-(-working // e)) ** 2 * p * math.log(N + 1, p)
-    if cost > _WORK_BUDGET:
+    if wA == wB == 0 and N > _GENERIC_CAP:  # unit coefficients: nothing is dropped
         raise PrecisionError(
-            f"d_r at r ~ {p}^{math.log(2 * N + 1, p):.0f} to pi^{target} needs "
-            f"~{cost:.2g} digit operations, over the budget {_WORK_BUDGET:.0e}")
-    kept = []
+            f"index {2 * N + 1} needs the full sum over units; cap is {_GENERIC_CAP}")
+    threshold = target + e * vr
+    working = -(-(threshold + e) // e)  # p-digits of A and B reduced for their powers
+    if 3 * wA >= 2 * wB:
+        pairs = ((m, (N - 2 * m) // 3) for m in range((2 * N) % 3, N // 2 + 1, 3))
+    else:
+        pairs = (((N - 3 * n) // 2, n) for n in range(N % 2, N // 3 + 1, 2))
+    kept, dropped, cost = [], False, 0
     for m, n in pairs:
-        parts = (m + 2 * n, m, n)
+        if (m and wA == INFINITY) or (n and wB == INFINITY):
+            break
         # A factor to the power 0 is 1, even when it is exactly zero (0 * inf).
         w_power = (m * wA if m else 0) + (n * wB if n else 0)
+        if w_power >= threshold:
+            dropped = True
+            break
+        parts = (m + 2 * n, m, n)
         w_term = e * (multinomial_valuation(N, parts, p) - vr) + w_power
         if w_term >= target:
             dropped = True
-        else:
-            kept.append((m, n, parts, w_term))
+            continue
+        digits = -((w_term - target) // e)  # ceil((target - w_term) / e) >= 1
+        # Factorial units over log_p N digits of up to p blocks, and powers.
+        cost += max(digits, working) ** 2 * p * math.log(N + 1, p)
+        if cost > _WORK_BUDGET:
+            raise PrecisionError(
+                f"d_r at r ~ {p}^{math.log(2 * N + 1, p):.0f} to pi^{target} needs "
+                f"more than ~{cost:.2g} digit operations, over the budget {_WORK_BUDGET:.0e}")
+        kept.append((m, n, parts, digits))
     exact = not dropped and N <= _EXACT_MULTINOMIAL_CAP
-    # The p-digits a kept term needs, ceil((target - w_term) / e) >= 1.
     return tuple(
         (m, n, multinomial_exact(N, parts) if exact
-         else multinomial_padic(N, parts, p, -((w_term - target) // e)))
-        for m, n, parts, w_term in kept
+         else multinomial_padic(N, parts, p, digits))
+        for m, n, parts, digits in kept
     ), dropped, exact
 
 
@@ -191,8 +171,8 @@ def yasuda_coefficient(A, B, r: int, target_pi_digits: int):
     or both EisensteinElement over the same field.  r must be odd: even
     indices of the odd series vanish identically.
 
-    The terms that can reach the target are listed from valuations alone;
-    past _WORK_BUDGET their estimated work raises PrecisionError there.  If
+    The terms that reach the target are picked, and their work estimated,
+    from valuations alone; past _WORK_BUDGET that raises PrecisionError.  If
     none is dropped and (r-1)/2 <= _EXACT_MULTINOMIAL_CAP the sum takes exact
     multinomials, so it is exact when A and B are; every other sum takes each
     multinomial mod the power of p its term needs for the target.  That plan

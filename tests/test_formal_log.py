@@ -1,5 +1,6 @@
 """Tests for the two formal-group-logarithm routes and their agreement."""
 
+import collections
 import functools
 import math
 import random
@@ -11,7 +12,6 @@ from padic_cartan.curve import WeierstrassCurve, good_model_over_L
 from padic_cartan.eisenstein import EisensteinElement
 from padic_cartan.errors import NormalizationError, PrecisionError
 from padic_cartan.formal_log import (
-    _admissible_pairs,
     _sum_plan,
     hasse_invariant,
     odd_coefficient_valuation,
@@ -206,6 +206,24 @@ def test_work_budget_refuses_before_any_arithmetic(monkeypatch):
         yasuda_coefficient(a_l, b_l, 11**135, 2)
 
 
+@pytest.mark.parametrize("j", [5, 6, 7])
+@pytest.mark.parametrize("e", [1, 3])
+def test_work_budget_prices_the_digits_of_non_integral_sums(monkeypatch, e, j):
+    # v(A) = -1/e: the first kept terms of d_(11**j) need ~N/(2e) p-digits,
+    # so the estimate refuses before any arithmetic; priced at the working
+    # precision, the sum ran for minutes.
+    unit = PadicScalar(11, 1, 0, 10)
+    A = unit.shift(-1) if e == 1 else EisensteinElement.pi_monomial(unit, -1, e)
+    B = unit if e == 1 else EisensteinElement.from_scalar(unit, e)
+    monkeypatch.setattr("padic_cartan.formal_log.multinomial_exact", _no_work)
+    monkeypatch.setattr("padic_cartan.formal_log.multinomial_padic", _no_work)
+    for cls in (EisensteinElement, PadicScalar):
+        monkeypatch.setattr(cls, "__pow__", _no_work)
+        monkeypatch.setattr(cls, "__mul__", _no_work)
+    with pytest.raises(PrecisionError, match="budget"):
+        yasuda_coefficient(A, B, 11**j, 2)
+
+
 def test_precision_zero_coefficient_rejected():
     a = PadicScalar.zero_to_precision(5, 3)
     b = PadicScalar.from_rational(1, 5, 8)
@@ -244,6 +262,9 @@ def test_cm_coefficients_vanish_on_both_routes():
     zero = EisensteinElement.zero(11, 3)
     one = EisensteinElement.from_rational(1, 11, 3, INFINITY)
     assert yasuda_coefficient(zero, one, 5, 12).is_exact_zero
+    # A = B = 0 leaves only d_1 = 1, the pair (0, 0) with A**0 * B**0 = 1.
+    assert yasuda_coefficient(zero, zero, 1, 12) == 1
+    assert yasuda_coefficient(zero, zero, 7, 12).is_exact_zero
 
 
 def test_cm_lift_past_the_exact_multinomial_cap():
@@ -386,30 +407,7 @@ def _check_bounded_sums(model):
         assert bounded  # the reduced-precision path was exercised
 
 
-# -- pi-digit bookkeeping against Fraction valuations ------------------------
-
-
-def _pairs_by_fractions(N, vA, vB, threshold):
-    """_admissible_pairs on Fraction valuations (v = pi-digits / e)."""
-    if vA == INFINITY and vB == INFINITY:
-        return [], False
-    if vA == INFINITY:
-        return ([(0, N // 3)] if N % 3 == 0 else []), False
-    if vB == INFINITY:
-        return ([(N // 2, 0)] if N % 2 == 0 else []), False
-    all_pairs = [(m, (N - 2 * m) // 3) for m in range(N // 2 + 1) if (N - 2 * m) % 3 == 0]
-    if vA == 0 and vB == 0:
-        return all_pairs, False
-    if 3 * vA < 2 * vB:
-        all_pairs.reverse()  # increasing m*vA + n*vB
-    out, over = [], 0
-    for m, n in all_pairs:
-        if m * vA + n * vB > threshold:
-            over += 1
-            if over == 2:
-                return out, True
-        out.append((m, n))
-    return out, False
+# -- the sum plan against Fraction valuations --------------------------------
 
 
 def _v(n, p):
@@ -423,21 +421,46 @@ def _grid(seed, count):
     rng = random.Random(seed)
     for _ in range(count):
         e = rng.choice((1, 3, 4, 6))
-        wA, wB = (rng.choice([INFINITY] + list(range(3 * e))) for _ in range(2))
-        yield e, rng.randrange(1, 400), wA, wB, rng.randrange(1, 3 * e + 3), rng.randrange(3)
+        # INFINITY: an exactly zero coefficient; 0: a unit; < 0: not integral.
+        wA, wB = (rng.choice([INFINITY, 0] + list(range(-e, 3 * e))) for _ in range(2))
+        yield e, rng.randrange(1, 400), wA, wB, rng.randrange(1, 3 * e + 3)
 
 
-def test_admissible_pairs_in_pi_digits_match_fractions():
-    for e, N, wA, wB, target, vr in _grid(13, 400):
-        vA, vB = (w if w == INFINITY else Fraction(w, e) for w in (wA, wB))
-        want = _pairs_by_fractions(N, vA, vB, Fraction(target, e) + vr)
-        assert _admissible_pairs(N, wA, wB, target + e * vr) == want, (e, N, wA, wB, target, vr)
+def _coefficient(p, e, w, rng):
+    """A random unit to 40 p-digits times pi**w, v = w / e (exactly 0 at INFINITY)."""
+    if w == INFINITY:
+        return PadicScalar.exact_zero(p) if e == 1 else EisensteinElement.zero(p, e)
+    unit = PadicScalar(p, rng.randrange(1, p), 0, 40)
+    return unit.shift(w) if e == 1 else EisensteinElement.pi_monomial(unit, w, e)
+
+
+def _plan_by_fractions(p, e, N, vr, wA, wB, target):
+    """The sum's kept ((m + 2n, m, n), p-digits), dropped flag and work estimate,
+    over every pair, in Fraction valuations (v = pi-digits / e)."""
+    vA, vB = (w if w == INFINITY else Fraction(w, e) for w in (wA, wB))
+    goal = Fraction(target, e)
+    working = math.ceil(goal + vr + 1)  # p-digits of A and B reduced for powers
+    kept, dropped, cost = [], False, 0
+    for m in range(N // 2 + 1):
+        n, rest = divmod(N - 2 * m, 3)
+        if rest or (m and vA == INFINITY) or (n and vB == INFINITY):
+            continue  # no pair, or an exactly zero term
+        v_term = _v(_multinomial(N, m, n), p) + (m and m * vA) + (n and n * vB) - vr
+        if v_term >= goal:
+            dropped = True
+        else:
+            digits = math.ceil(goal - v_term)
+            kept.append(((m + 2 * n, m, n), digits))
+            cost += max(digits, working) ** 2 * p * math.log(N + 1, p)
+    return kept, dropped, cost
 
 
 def test_kept_terms_and_digits_match_fractions(monkeypatch):
-    # Which multinomials a sum takes, and to how many p-digits, against the
-    # same bookkeeping in Fractions: v(term) = v(C) + m v(A) + n v(B) - v(r),
-    # kept below target / e, to ceil(target / e - v(term)) digits.
+    # Which multinomials a sum takes, to how many p-digits, whether it drops a
+    # term and whether the budget refuses it, against the same bookkeeping in
+    # Fractions: v(term) = v(C) + m v(A) + n v(B) - v(r), kept below target / e,
+    # to ceil(target / e - v(term)) digits.  Exactly zero, unit and non-integral
+    # coefficients included.
     calls = []
 
     def padic(N, parts, p, digits):
@@ -450,33 +473,34 @@ def test_kept_terms_and_digits_match_fractions(monkeypatch):
 
     monkeypatch.setattr("padic_cartan.formal_log.multinomial_padic", padic)
     monkeypatch.setattr("padic_cartan.formal_log.multinomial_exact", exact)
-    _sum_plan.cache_clear()  # a cached plan takes no multinomial
-    p, rng, truncated = 5, random.Random(17), 0
-    for e, N, wA, wB, target, vr in _grid(19, 400):
-        if wA == INFINITY or wB == INFINITY or wA == wB == 0:
-            continue
+    budget = 10**6  # about a tenth of the grid's sums cost more
+    monkeypatch.setattr("padic_cartan.formal_log._WORK_BUDGET", budget)
+    p, rng, seen = 5, random.Random(17), collections.Counter()
+    for e, N, wA, wB, target in _grid(19, 400):
         r = 2 * N + 1
-        A, B = (
-            PadicScalar(p, rng.randrange(1, p), w, INFINITY) if e == 1
-            else EisensteinElement.pi_monomial(PadicScalar(p, rng.randrange(1, p), 0, INFINITY), w, e)
-            for w in (wA, wB)
-        )
-        pairs, dropped = _pairs_by_fractions(N, Fraction(wA, e), Fraction(wB, e),
-                                             Fraction(target, e) + _v(r, p))
-        kept = []
-        for m, n in pairs:
-            v_term = (_v(_multinomial(N, m, n), p) + Fraction(m * wA + n * wB, e) - _v(r, p))
-            if v_term >= Fraction(target, e):
-                dropped = True
-            else:
-                kept.append(((m + 2 * n, m, n), max(1, math.ceil(Fraction(target, e) - v_term))))
+        key = (p, e, N, _v(r, p), wA, wB, target)
+        A, B = (_coefficient(p, e, w, rng) for w in (wA, wB))
+        kept, dropped, cost = _plan_by_fractions(*key)
         if not dropped:
-            kept = [(parts, None) for parts, _ in kept]
+            kept = [(parts, None) for parts, _ in kept]  # exact multinomials
+        _sum_plan.cache_clear()  # a cached plan takes no multinomial
         calls.clear()
+        if cost > budget:
+            with pytest.raises(PrecisionError, match="budget"):
+                yasuda_coefficient(A, B, r, target)
+            assert calls == [], key
+            seen["refused"] += 1
+            continue
         yasuda_coefficient(A, B, r, target)
-        assert calls == kept, (e, N, wA, wB, target)
-        truncated += dropped and bool(kept)
-    assert truncated >= 20
+        assert sorted(calls) == sorted(kept), key
+        terms, got_dropped, _ = _sum_plan(*key)  # the plan just cached
+        assert sorted((m, n) for m, n, _ in terms) == sorted((m, n) for (_, m, n), _ in kept)
+        assert got_dropped == dropped, key
+        seen["truncated"] += dropped and bool(kept)
+        seen["zero"] += INFINITY in (wA, wB)
+        seen["unit"] += wA == wB == 0
+        seen["negative"] += min(wA, wB) < 0
+    assert seen["truncated"] >= 20 and seen["refused"] >= 20 and min(seen.values()) >= 5, seen
 
 
 # -- the cached sum plan -------------------------------------------------------

@@ -289,8 +289,8 @@ def test_unit_denominator_certificates_hold_every_digit(a, b, precision):
     assert hodge.beta.is_congruent(oracle, precision)
 
 
-def _seeded_lifts(seed):
-    """Potential e-lifts (p, e, a, b) at p = 11, 17: integral, with p-free
+def _seeded_lifts(seed, primes=(11, 17)):
+    """Potential e-lifts (p, e, a, b), e | p + 1: integral, with p-free
     denominators, and CM lifts with one coefficient exactly 0."""
     rng = random.Random(seed)
     # (e, v(a), v(b)), None for an exact 0: v(disc) = min(3 v(a), 2 v(b)).
@@ -299,7 +299,7 @@ def _seeded_lifts(seed):
         (4, 1, 2), (4, 1, 3), (4, 3, 5), (4, 1, None), (4, 3, None),
         (6, 1, 1), (6, 2, 1), (6, 4, 5), (6, None, 1), (6, None, 5),
     ]
-    for p in (11, 17):
+    for p in primes:
         for e, va, vb in shapes:
             if (p + 1) % e:
                 continue
@@ -325,3 +325,23 @@ def test_closed_form_v_beta_matches_the_deforming_coefficient():
         assert v_beta_closed_form(e, curve.v_j, curve.v_j_minus_1728) == want, (p, a, b)
         cases += 1
     assert cases == 2 * (15 + 10)
+
+
+def test_certified_digits_agree_with_the_next_level():
+    # Every certified digit of beta, at the default level and at a requested
+    # precision up to 40, against beta one level deeper, which carries e more
+    # (Caruso-Roe-Vaccon: a precision claim is checked by a computation that
+    # carries more digits).  is_congruent also fails a beta that carries fewer
+    # digits than its certificate.
+    rng = random.Random(16)
+    checked = 0
+    for p, e, a, b in _seeded_lifts(16, primes=(11, 17, 23)):
+        curve = WeierstrassCurve(p, a, b)
+        model = good_model_over_L(curve, e)
+        for precision in (None, rng.randrange(1, 41)):
+            hodge = hodge_parameters(curve, precision=precision)
+            deeper = beta_from_logarithm(model, hodge.k_used + 1)
+            assert hodge.beta.is_congruent(deeper, hodge.certificate_pi_digits), (
+                p, a, b, precision, hodge.k_used)
+            checked += 1
+    assert checked == 2 * 2 * (15 + 10 + 15)

@@ -33,10 +33,15 @@ followed by `<key>.iqr`, the interquartile range of the same timed loops:
       on seeded e = 3 lifts a = u * 11**3, b = u' * 11**2 with 3-digit units,
       integral and with both coefficients divided by integers in [2, 100)
       prime to 11; curve built per op, sum plans cached after the first loop
+  volkov.hodge_parameters.P70.cold, volkov.hodge_parameters.P100.cold
+      hodge_parameters(WeierstrassCurve(11, 11**3, 11**2), precision=P), levels
+      k = 23 and 33: deep certificates, which no perfbench workload reaches;
+      curve built and the plan cache cleared per op
 
 Each median and IQR is taken over REPEATS = 15 timed loops (time.perf_counter)
-of the same 200 seeded operand pairs (one curve for formal_log.series and
-.exact, CURVES curves for formal_log.yasuda and volkov.hodge_parameters);
+of the same 200 seeded operand pairs (one curve for formal_log.series, .exact
+and the P keys, CURVES curves for formal_log.yasuda and the other
+volkov.hodge_parameters keys);
 inverse() and pow run on the first 20 of them, and so do factorial_unit and
 multinomial_padic.  volkov.hodge_parameters draws its operands last, so the
 other layers time the operands they had before it was added.
@@ -157,6 +162,13 @@ def main(argv=None):
     for name, curves in (("lift", lifts), ("unit_den", unit_dens)):
         time_us(f"volkov.hodge_parameters.{name}",
                 lambda a, b: hodge_parameters(WeierstrassCurve(PRIME, a, b)), curves)
+
+    def deep_cold(precision):
+        clear()
+        return hodge_parameters(WeierstrassCurve(PRIME, PRIME**3, PRIME**2), precision=precision)
+
+    for precision in (70, 100):
+        time_us(f"volkov.hodge_parameters.P{precision}.cold", deep_cold, [(precision,)])
     print(json.dumps(out))
     return 0
 

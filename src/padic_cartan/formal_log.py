@@ -33,9 +33,9 @@ Two independent routes are provided and cross-checked in the test suite:
 
 Both routes work over Q_p (PadicScalar or exact Fraction coefficients) and
 over L = Q_p(pi_e) (EisensteinElement coefficients).  Over Q both run on
-integers: t -> lam*t maps (A, B) to (lam**4 A, lam**6 B), integral for any
-lam with den A | lam**4 and den B | lam**6, and d_r to lam**(r-1) d_r.  Each
-route takes lam = lcm(den A, den B) itself and divides once per d_r.
+integers: u = t**2 -> lam*u maps (A, B) to (lam**2 A, lam**3 B) and d_r, whose
+terms all have weight 2m + 3n = (r-1)/2, to lam**((r-1)/2) d_r.  Each route
+takes lam = lcm(den A, den B), so both are integers, and divides once per d_r.
 """
 
 from __future__ import annotations
@@ -210,7 +210,7 @@ def yasuda_coefficient(A, B, r: int, target_pi_digits: int):
 def yasuda_coefficient_exact(A, B, r: int) -> Fraction:
     """Exact rational d_r for a model over Q; oracle path, no truncation.
 
-    Sums on integers a = lam**4 A, b = lam**6 B, walking the pairs of
+    Sums on integers a = lam**2 A, b = lam**3 B, walking the pairs of
     2m + 3n = N by increasing m: one multinomial gives the first term, and
     C(N; m+2n-1, m+3, n-2) = C(N; m+2n, m, n) (m+2n) n(n-1) / ((m+1)(m+2)(m+3))
     the next, as term * (m+2n) n(n-1) a**3 // ((m+1)(m+2)(m+3) b**2): exact,
@@ -223,9 +223,9 @@ def yasuda_coefficient_exact(A, B, r: int) -> Fraction:
     N = (r - 1) // 2
     if N > _EXACT_MULTINOMIAL_CAP:
         raise ValueError(f"index {r} too large for the exact path")
-    # Each term has 4m + 6n = r - 1: sum over integers a, b, divide by lam**(r-1).
+    # Each term has 2m + 3n = N: sum over integers a, b, divide by lam**N.
     lam = math.lcm(A.denominator, B.denominator)
-    a, b = int(A * lam**4), int(B * lam**6)
+    a, b = int(A * lam**2), int(B * lam**3)
     # The first pair by increasing m; b = 0 leaves only n = 0, a = 0 only m = 0.
     m = N // 2 if b == 0 else (2 * N) % 3 if a else 0
     n = (N - 2 * m) // 3
@@ -237,7 +237,7 @@ def yasuda_coefficient_exact(A, B, r: int) -> Fraction:
         term = term * ((m + 2 * n) * n * (n - 1)) * a3 // ((m + 1) * (m + 2) * (m + 3) * b2)
         m, n = m + 3, n - 2
         total += term
-    return Fraction(total, r * lam ** (r - 1))
+    return Fraction(total, r * lam**N)
 
 
 # -- series-inversion oracle -------------------------------------------------
@@ -259,9 +259,9 @@ def series_inversion_logarithm(A, B, n_terms: int, force: bool = False) -> Forma
     absolute precision by the lost digit.
 
     Exact over Q (int/Fraction inputs): the loop runs on the integral model
-    (lam**4 A, lam**6 B), lam = lcm(den A, den B).  t -> lam*t scales z_s and
-    c_s by lam**(2s), which makes z_s and 6 c_s integers (z_0 = 1, integer
-    recurrences), so d_(2s+1) is one division by 6 (2s+1) lam**(2s).  Bounded
+    (lam**2 A, lam**3 B), lam = lcm(den A, den B).  u -> lam*u scales z_s and
+    c_s by lam**s, which makes z_s and 6 c_s integers (z_0 = 1, integer
+    recurrences), so d_(2s+1) is one division by 6 (2s+1) lam**s.  Bounded
     precision over Q_p or L, on A and B as they are.  Independent of the
     multinomial route, hence an oracle for it.  O(n_terms**2) ring
     multiplications: capped at 500 unless force=True.
@@ -277,7 +277,7 @@ def series_inversion_logarithm(A, B, n_terms: int, force: bool = False) -> Forma
     if isinstance(A, (int, Fraction)) or isinstance(B, (int, Fraction)):
         A, B = Fraction(A), Fraction(B)
         lam = math.lcm(A.denominator, B.denominator)
-        A, B, zero, one = int(A * lam**4), int(B * lam**6), 0, 1
+        A, B, zero, one = int(A * lam**2), int(B * lam**3), 0, 1
     elif isinstance(A, EisensteinElement):
         zero = EisensteinElement.zero(A.prime, A.ram_index)
         one = EisensteinElement.from_rational(1, A.prime, A.ram_index, INFINITY)
@@ -299,7 +299,7 @@ def series_inversion_logarithm(A, B, n_terms: int, force: bool = False) -> Forma
         z3.append(sum(map(mul, z, reversed(z2)), zero))
     if isinstance(one, int):  # over Q: from the integral model back to Fractions
         c6, zero, one = [Fraction(c) for c in c6], Fraction(0), Fraction(1)
-    d = [one] + [c6[s] / (6 * (2 * s + 1) * lam ** (2 * s)) for s in range(1, len(c6))]
+    d = [one] + [c6[s] / (6 * (2 * s + 1) * lam**s) for s in range(1, len(c6))]
     return FormalLogPrefix(tuple(d[r // 2] if r % 2 else zero for r in range(n_terms + 1)))
 
 

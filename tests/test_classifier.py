@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -275,3 +276,54 @@ def test_delta_correction_values():
     assert delta_correction(0.0) == pytest.approx(0.6575, abs=1e-3)
     assert delta_correction(1.2e7) == pytest.approx(0.4404, abs=1e-3)
     assert delta_correction(1e9) < delta_correction(1e6)
+
+
+def _seeded_curves(seed, count):
+    """(p, a, b) across the classify gates: multiplicative, ordinary, good
+    supersingular, e = 3, 4, 6 lifts, CM lifts (a or b exactly 0) and p-free
+    denominators, at p = 5, 7, 11, 13, 17, 23."""
+    rng = random.Random(seed)
+
+    def unit(p):
+        return rng.choice((-1, 1)) * (rng.randrange(1, p) + p * rng.randrange(0, p * p))
+
+    curves = []
+    while len(curves) < count:
+        p = rng.choice((5, 7, 11, 13, 17, 23))
+        if rng.random() < 0.1:  # multiplicative: v(c4) = 0, v(disc) > 0
+            u = unit(p)
+            a, b = Fraction(-3 * u * u), Fraction(2 * u**3 + p ** rng.randrange(1, 4) * unit(p))
+        else:
+            a, b = (
+                Fraction(0) if v is None else Fraction(unit(p) * p**v)
+                for v in (rng.choice((None, 0, 1, 2, 3, 4)), rng.choice((None, 0, 1, 2, 3, 5)))
+            )
+            if rng.random() < 0.3:
+                a /= rng.choice((2, 3, 19, 29))
+                b /= rng.choice((2, 3, 19, 29))
+        if 4 * a**3 + 27 * b**2 != 0 and (a, b) != (0, 0):
+            curves.append((p, a, b))
+    return curves
+
+
+def test_classify_is_invariant_under_weighted_scaling():
+    # (u^4 a, u^6 b) is the same curve over Q_p (x -> u^2 x, y -> u^3 y).
+    # u = p leaves the minimal model, hence the whole report, unchanged; a
+    # unit u keeps every label and valuation, though beta's digits may move.
+    kept = ("image_label", "n0", "index_at_level", "defect", "reduction_type")
+    kept_hodge = ("v_beta", "epsilon", "v_alpha")
+    rng = random.Random(3)
+    gates = set()
+    for p, a, b in _seeded_curves(3, 64):
+        want = classify(p, a, b).to_dict()
+        gates.add(want["image_label"])
+        assert classify(p, p**4 * a, p**6 * b).to_dict() == want, (p, a, b)
+        u = rng.choice((2, -3, Fraction(2, 3), Fraction(-29, 31)))  # units at every p
+        got = classify(p, u**4 * a, u**6 * b).to_dict()
+        assert {f: got[f] for f in kept} == {f: want[f] for f in kept}, (p, a, b, u)
+        if want["hodge"] is None:
+            assert got["hodge"] is None, (p, a, b, u)
+        else:
+            assert {f: got["hodge"][f] for f in kept_hodge} == {
+                f: want["hodge"][f] for f in kept_hodge}, (p, a, b, u)
+    assert len(gates) >= 4, gates

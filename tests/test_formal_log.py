@@ -66,6 +66,10 @@ def _per_term_sum(A, B, r):
         (0, Fraction(-89, 29)),  # a = 0
         (Fraction(73, 37), 0),  # b = 0
         (-3, -7),
+        # lcm(den a, den b) < den a * den b: shared primes and prime powers
+        (Fraction(5, 12), Fraction(-7, 18)),
+        (Fraction(1, 8), Fraction(1, 27)),
+        (Fraction(2, 49), Fraction(-3, 343)),
     ],
 )
 def test_exact_route_matches_per_term_sum(a, b):
@@ -97,6 +101,9 @@ def test_series_route_matches_exact_route():
     curves += [
         (Fraction(3, 4), Fraction(-5, 8)),  # denominators sharing factors
         (Fraction(-7, 4), Fraction(1, 8)),
+        (Fraction(5, 12), Fraction(-7, 18)),
+        (Fraction(1, 8), Fraction(1, 27)),
+        (Fraction(2, 49), Fraction(-3, 343)),
         (Fraction(3, 11**4), Fraction(-5, 11**6)),  # p-power denominators
         (Fraction(-2, 11**3), Fraction(7, 11)),
         (0, Fraction(-89, 29)),  # a = 0
@@ -124,22 +131,33 @@ def test_series_route_matches_exact_route():
 @pytest.mark.parametrize(
     "a, b, lam",
     [
-        (Fraction(2, 7), Fraction(-3, 5), 3),  # integer lam
-        (Fraction(2, 7), Fraction(-3, 5), Fraction(2, 3)),
-        (Fraction(3), Fraction(-5), Fraction(1, 11)),  # (3/11^4, -5/11^6)
-        (Fraction(0), Fraction(7, 2), Fraction(-5, 4)),
+        (Fraction(2, 7), Fraction(-3, 5), 3),  # lam not a square, as the last four
+        # lam = s^2 is t -> s*t: (s^4 a, s^6 b), d_r -> s^(r-1) d_r
+        (Fraction(2, 7), Fraction(-3, 5), Fraction(4, 9)),
+        (Fraction(3), Fraction(-5), Fraction(1, 121)),  # (3/11^4, -5/11^6)
+        (Fraction(0), Fraction(7, 2), Fraction(25, 16)),
+        (Fraction(2, 7), Fraction(-3, 5), 9),
+        # lam not a square: no t -> s*t gives these
+        (Fraction(2, 7), Fraction(-3, 5), 2),
+        (Fraction(11, 29), Fraction(-7, 31), Fraction(5, 7)),
+        (Fraction(5, 12), Fraction(-7, 18), -1),  # the twist (a, -b)
+        (Fraction(0), Fraction(-89, 29), -1),
     ],
 )
 def test_weighted_homogeneity_over_Q(a, b, lam):
-    # t -> lam*t maps (a, b) to (lam^4 a, lam^6 b) and d_r to lam^(r-1) d_r.
-    scaled_a, scaled_b = lam**4 * a, lam**6 * b
+    # u = t^2 -> lam*u maps (a, b) to (lam^2 a, lam^3 b) and d_r to
+    # lam^((r-1)/2) d_r, as every term has weight 2m + 3n = (r-1)/2; both
+    # exact routes rest on this with lam = lcm(den a, den b).
+    scaled_a, scaled_b = lam**2 * a, lam**3 * b
     prefix = series_inversion_logarithm(a, b, 61)
     scaled = series_inversion_logarithm(scaled_a, scaled_b, 61)
     for r in range(1, 62, 2):
-        assert scaled.d(r) == lam ** (r - 1) * prefix.d(r), r
-        want = lam ** (r - 1) * yasuda_coefficient_exact(a, b, r)
+        assert scaled.d(r) == lam ** (r // 2) * prefix.d(r), r
+        want = lam ** (r // 2) * yasuda_coefficient_exact(a, b, r)
         assert yasuda_coefficient_exact(scaled_a, scaled_b, r) == want, r
     assert any(prefix.d(r) != 0 for r in range(3, 62, 2))
+    if lam == -1:  # the sign (-1)^((r-1)/2) shows on some nonzero d_r
+        assert any(scaled.d(r) == -prefix.d(r) != 0 for r in range(3, 62, 2))
 
 
 def test_series_route_matches_bounded_route_over_Qp():

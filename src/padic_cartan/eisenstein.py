@@ -9,18 +9,23 @@ Precision is tracked per coordinate through :class:`~.padic.PadicScalar`;
 ``pi_precision`` converts that to an absolute precision in pi_e-digits.
 
 Products run on one integer form: (i, unit, floor f, relative precision) for
-each coordinate not exactly 0, f the valuation, or N for a zero known to p**N.
-`__mul__`, `__pow__` and `inverse` share the kernel `_product` on it and build
-PadicScalars only at their end.  Coordinates a_i and b_j give the term
-a_i.unit * b_j.unit * p**(f_a + f_b), known modulo p**min(N_a + f_b, N_b + f_a),
-at index i + j; from index e on it folds through pi**e = -p (unit negated,
-floor and precision raised by 1).  Each result coordinate sums its terms as
-one integer over p**base, base the least floor a term can have, normalized
-once modulo the least of their precisions.  That equals adding the terms one
-at a time as PadicScalars: every partial sum is exact modulo a precision no
-smaller than that least one, and the normal form depends only on the value
-modulo p**N.  `__pow__` of a monomial (i, u, f, N - f), n >= 1, is closed:
-with folds = i*n // e, ((-1)**folds * u**n mod p**(N - f)) pi**(i*n mod e)
+each coordinate not exactly 0, f the valuation, or N for a zero known to p**N;
+a PadicScalar is the form of e = 1.  `__mul__`, `__pow__` (through `_power`),
+`inverse` and the Yasuda sums of `formal_log` share the kernel `_product` on
+it and build PadicScalars only at their end.  `inverse` reads its lead entry
+off the form's integer pi-digits (`_pi_digits`, which `valuation()` also
+reads) and forms 1 - w, the doubling tail and its cut (`_truncate`) on it.
+Coordinates a_i and b_j give the term a_i.unit * b_j.unit * p**(f_a + f_b),
+known modulo p**min(N_a + f_b, N_b + f_a), at index i + j; from index e on it
+folds through pi**e = -p (unit negated, floor and precision raised by 1).
+Each result coordinate sums its terms as one integer over p**base, base the
+least floor a term can have, normalized once modulo the least of their
+precisions.  That equals adding the terms one at a time as PadicScalars:
+every partial sum is exact modulo a precision no smaller than that least one,
+and the normal form depends only on the value modulo p**N.  So a form that
+lists an index twice is a sum, and its product with the exact 1 normalizes
+it.  `_power` of a monomial (i, u, f, N - f), n >= 1, is closed: with
+folds = i*n // e, ((-1)**folds * u**n mod p**(N - f)) pi**(i*n mod e)
 p**(n*f + folds), same relative precision; square-and-multiply gives the same.
 """
 
@@ -89,25 +94,8 @@ class EisensteinElement:
 
     def valuation(self) -> Fraction:
         """Exact valuation in (1/e)Z; raises if not visible at this precision."""
-        e = self.ram_index
-        best = floor = INFINITY  # in pi_e-digits, e*v(c[i]) + i
-        for i, c in enumerate(self.coords):
-            if c.unit:
-                best = min(best, e * c.valuation + i)
-            else:
-                floor = min(floor, e * c.abs_precision + i)
-        if best == INFINITY:
-            if floor == INFINITY:
-                return INFINITY
-            raise PrecisionError(
-                f"element is zero to precision; valuation only known >= {Fraction(floor, e)}"
-            )
-        if floor < best:
-            raise PrecisionError(
-                f"valuation ambiguous: visible term at {Fraction(best, e)}, "
-                f"precision floor {Fraction(floor, e)}"
-            )
-        return Fraction(best, e)
+        v = _pi_digits(_terms(self), self.ram_index)
+        return v if v == INFINITY else Fraction(v, self.ram_index)
 
     def valuation_floor(self):
         """Provable lower bound on the valuation (never raises)."""
@@ -134,12 +122,7 @@ class EisensteinElement:
     def truncate_pi(self, pi_digits: int) -> "EisensteinElement":
         """Reduce to absolute precision pi_e**pi_digits."""
         p, e = self.prime, self.ram_index
-        coords = []
-        for i, c in enumerate(self.coords):
-            # Coordinate i carries pi-precision e*N + i; invert that.
-            need = -((i - pi_digits) // e)
-            coords.append(c if need >= c.abs_precision else _scalar(p, c.unit, c.valuation, need))
-        return _from_coords(p, e, tuple(coords))
+        return _element(p, e, _truncate(p, e, _terms(self), pi_digits))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -194,14 +177,7 @@ class EisensteinElement:
         if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
         p, e = self.prime, self.ram_index
-        form = _terms(self)
-        if exponent and len(form) == 1:  # a monomial: the closed form
-            (i, u, f, r), = form
-            folds, index = divmod(i * exponent, e)
-            u = pow(u, exponent) if r == INFINITY else pow(u, exponent, p**r)
-            return _element(p, e, [(index, -u if folds % 2 else u, exponent * f + folds, r)])
-        one, mul = [(0, 1, 0, INFINITY)], partial(_product, p, e)
-        return _element(p, e, power_by_squaring(form, exponent, one, mul))
+        return _element(p, e, _power(p, e, _terms(self), exponent))
 
     def mul_pi_power(self, power: int) -> "EisensteinElement":
         """Multiply by pi_e**power exactly (any sign)."""
@@ -221,30 +197,39 @@ class EisensteinElement:
         by 1/(lead * pi**lead_i).  Requires the valuation to be visible at
         the carried precision.
         """
-        v = self.valuation()  # raises PrecisionError when ambiguous
+        p, e = self.prime, self.ram_index
+        form = _terms(self)
+        v = _pi_digits(form, e)  # raises PrecisionError when ambiguous
         if v == INFINITY:
             raise ZeroDivisionError("inverting zero")
-        p, e = self.prime, self.ram_index
-        lead_i = (e * v).numerator % e  # v(c[i]) + i/e == v picks i = e*v mod e
-        lead = self.coords[lead_i]
-        inv_lead = EisensteinElement.pi_monomial(lead.inverse(), -lead_i, e)
-        w = 1 - self * inv_lead
-        prec = w.pi_precision()
+        lead_i = v % e  # v(c[i]) + i/e == v/e picks i = v mod e
+        _, u, f, r = next(t for t in form if t[0] == lead_i)
+        if r == INFINITY and abs(u) != 1:  # as PadicScalar.inverse
+            raise PrecisionError(
+                f"1/{abs(u)} has no exact finite expansion; reduce precision first")
+        # 1/(u * p**f * pi**lead_i) = u**-1 * p**-f * pi**-lead_i, one fold when lead_i > 0.
+        u = u if r == INFINITY else pow(u, -1, p**r)
+        inv_lead = [(-lead_i % e, -u if lead_i else u, -f - (lead_i > 0), r)]
+        x = _product(p, e, form, inv_lead)
+        # w = 1 - x, the 1 known to x's least coordinate precision, as `1 - x` embeds it.
+        N = min((f + r for _, _, f, r in x), default=INFINITY)
+        embedded, one = (0, 1, 0, N) if N > 0 else (0, 0, N, 0), [(0, 1, 0, INFINITY)]
+        w = _product(p, e, one, [embedded] + [(i, -u, f, r) for i, u, f, r in x])
+        prec = min((e * (f + r) + i for i, _, f, r in w if r != INFINITY), default=INFINITY)
         if prec == INFINITY:
-            if w.valuation() == INFINITY:
-                return inv_lead  # exact monomial: no tail to sum
+            if not w:
+                return _element(p, e, inv_lead)  # exact monomial: no tail to sum
             raise PrecisionError("cannot invert an exact non-monomial")
-        floor = w.valuation_floor()
+        floor = min(e * f + i for i, _, f, _ in w)
         if floor <= 0:
             raise PrecisionError("tail not contracting; precision too low")
         # (1 + w)(1 + w**2)...: `one + square` is 1 + square, not yet normalized.
-        one, square = [(0, 1, 0, INFINITY)], _terms(w)
-        tail, left_out = _product(p, e, one, one + square), 2 * int(e * floor)
+        tail, square, left_out = _product(p, e, one, one + w), w, 2 * floor
         while left_out < prec:  # left_out: pi-digit floor of the first power left out
             square = _product(p, e, square, square)
             tail = _product(p, e, tail, one + square)
             left_out *= 2
-        return _element(p, e, tail).truncate_pi(prec) * inv_lead
+        return _element(p, e, _product(p, e, _truncate(p, e, tail, prec), inv_lead))
 
     # -- comparison ----------------------------------------------------------
 
@@ -278,16 +263,59 @@ class EisensteinElement:
         return " + ".join(bits)
 
 
-def _terms(x: EisensteinElement):
+def _terms(x):
     """The integer form of x: (i, unit, floor f, relative precision N - f) of
-    each coordinate not exactly 0, f = N for a zero known to p**N."""
+    each coordinate not exactly 0, f = N for a zero known to p**N.  A
+    PadicScalar is the form of its one coordinate (e = 1)."""
     out = []
-    for i, c in enumerate(x.coords):
+    for i, c in enumerate(x.coords if isinstance(x, EisensteinElement) else (x,)):
         if c.unit:
             out.append((i, c.unit, c.valuation, c.abs_precision - c.valuation))
         elif c.abs_precision != INFINITY:
             out.append((i, 0, c.abs_precision, 0))
     return out
+
+
+def _pi_digits(form, e: int):
+    """e * v of an integer form in pi-digits, INFINITY for exactly 0; raises
+    PrecisionError when the valuation is not visible at the carried precision."""
+    best = min((e * f + i for i, u, f, _ in form if u), default=INFINITY)
+    floor = min((e * f + i for i, u, f, _ in form if not u), default=INFINITY)
+    if best == INFINITY != floor:
+        raise PrecisionError(
+            f"element is zero to precision; valuation only known >= {Fraction(floor, e)}")
+    if floor < best:
+        raise PrecisionError(f"valuation ambiguous: visible term at {Fraction(best, e)}, "
+                             f"precision floor {Fraction(floor, e)}")
+    return best
+
+
+def _truncate(p: int, e: int, form, pi_digits: int, fill: bool = True):
+    """The integer form cut to absolute precision pi**pi_digits: coordinate i,
+    which carries pi-precision e*N + i, to p**ceil((pi_digits - i) / e).
+    Indices absent from the form (exact zeros) become zeros known to that
+    precision, or stay exact when not `fill`."""
+    out = []
+    for i, u, f, r in form:
+        need = -((i - pi_digits) // e)
+        if need < f + r:
+            u, f, r = (u % p ** (need - f), f, need - f) if u and f < need else (0, need, 0)
+        out.append((i, u, f, r))
+    if fill:
+        present = {t[0] for t in form}
+        out += [(i, 0, -((i - pi_digits) // e), 0) for i in range(e) if i not in present]
+    return out
+
+
+def _power(p: int, e: int, form, exponent: int):
+    """The integer form of x**exponent, exponent >= 0: a monomial's power in
+    closed form, any other by square-and-multiply on `_product`."""
+    if exponent and len(form) == 1:
+        (i, u, f, r), = form
+        folds, index = divmod(i * exponent, e)
+        u = pow(u, exponent) if r == INFINITY else pow(u, exponent, p**r)
+        return [(index, -u if folds % 2 else u, exponent * f + folds, r)]
+    return power_by_squaring(form, exponent, [(0, 1, 0, INFINITY)], partial(_product, p, e))
 
 
 def _product(p: int, e: int, x, y):
@@ -308,8 +336,8 @@ def _product(p: int, e: int, x, y):
             if N < precision[k]:
                 precision[k] = N
     out = []
-    for k, N in enumerate(precision):
-        u, f = _normal(p, total[k], base, N)
+    for k, N in enumerate(precision):  # an exact 0 needs no normal form
+        u, f = _normal(p, total[k], base, N) if total[k] or N != INFINITY else (0, N)
         if u:
             out.append((k, u, f, N - f))
         elif N != INFINITY:

@@ -17,11 +17,15 @@ Two independent routes are provided and cross-checked in the test suite:
   result can use, plus a guard of e) before they are raised to powers, as in
   Caruso-Roe-Vaccon, "Tracking p-adic precision" (2014).  This is what makes
   coefficients of index p**7 ~ 10**9 affordable.  Valuations are kept as
-  integer pi-digits (e*v), and the kept terms are summed before one division
-  by r: a shift by v_p(r) and a unit inverse per coordinate.  Everything but
-  the powers of A and B is read off (p, e, (r-1)/2, v_p(r), v(A), v(B),
-  target): that plan is cached on this key (128 plans), so curves that share
-  valuations share it; no result changes.
+  integer pi-digits (e*v), and the sum runs on the integer form of
+  `eisenstein` (a PadicScalar is its e = 1 case): each multinomial is a
+  one-entry form, the terms are concatenated and normalized by one
+  `_product`, and r = p**j r' divides once: floors shift by -j and units
+  take 1/r'.  An exact entry that r' does not divide is first reduced to the
+  target; one that r' divides stays exact.  One element (or scalar) is built,
+  at the end.  Everything but the powers of A and B is read off (p, e,
+  (r-1)/2, v_p(r), v(A), v(B), target): that plan is cached on this key (128
+  plans), so curves that share valuations share it; no result changes.
 
 * `series_inversion_logarithm` computes the same prefix by inverting the
   Weierstrass parametrization (t = -x/y, w = -1/y = t**3 z, z a series in
@@ -47,11 +51,13 @@ from functools import lru_cache
 from operator import mul
 
 from .curve import deforming_coefficient
-from .eisenstein import EisensteinElement, _from_coords
+from .eisenstein import (
+    EisensteinElement, _element, _pi_digits, _power, _product, _terms, _truncate)
 from .errors import PrecisionError
 from .padic import (
     INFINITY,
     PadicScalar,
+    _scalar,
     multinomial_exact,
     multinomial_padic,
     multinomial_valuation,
@@ -81,34 +87,15 @@ class FormalLogPrefix:
 
 
 def _pi_valuation(x):
-    """v(x) in pi-digits, e*v(x): an int, or INFINITY."""
+    """(integer form of x, v(x) in pi-digits e*v(x): an int, or INFINITY)."""
     if isinstance(x, EisensteinElement):
-        v = x.valuation()
-        return v if v == INFINITY else x.ram_index * v.numerator // v.denominator
+        form = _terms(x)
+        return form, _pi_digits(form, x.ram_index)
     if isinstance(x, PadicScalar):
         if x.is_precision_zero:
             raise PrecisionError("coefficient is only known to be O(p^N)")
-        return x.valuation
+        return _terms(x), x.valuation
     raise TypeError(f"unsupported coefficient type {type(x).__name__}")
-
-
-def _zero_like(x):
-    if isinstance(x, EisensteinElement):
-        return EisensteinElement.zero(x.prime, x.ram_index)
-    return PadicScalar.exact_zero(x.prime)
-
-
-def _reduce_for_powers(x, pi_digits):
-    """x to absolute precision pi**pi_digits, exact-zero coordinates kept exact.
-
-    Those are known to any precision, so a pi-monomial stays a monomial and
-    its powers take the closed form of EisensteinElement.__pow__.
-    """
-    if not isinstance(x, EisensteinElement):
-        return x.reduce_abs_precision(pi_digits)
-    cut = x.truncate_pi(pi_digits).coords
-    coords = tuple(c if c.is_exact_zero else d for c, d in zip(x.coords, cut))
-    return _from_coords(x.prime, x.ram_index, coords)
 
 
 @lru_cache(maxsize=128)  # <= ~40 MB: a plan of exact unit-coefficient multinomials is ~300 KB
@@ -183,28 +170,41 @@ def yasuda_coefficient(A, B, r: int, target_pi_digits: int):
     B reduced to target + e*v_p(r) + e pi-digits (p-digits when e = 1), so an
     exact unit is never raised to a power near r.  That is sound: the
     multinomials are integral and only v_p(r) is divided out, so every term
-    still carries e digits beyond the target.
+    still carries e digits beyond the target.  Exact A and B at an r with a
+    p-free part r' give d_r mod pi**target in each coordinate whose exact
+    value r' does not divide, and the exact value in every other.
     """
     if r < 1 or r % 2 == 0:
         raise ValueError(f"coefficient index must be odd and positive, got {r}")
     e = A.ram_index if isinstance(A, EisensteinElement) else 1
     p = A.prime
-    wA, wB = _pi_valuation(A), _pi_valuation(B)
+    (a, wA), (b, wB) = _pi_valuation(A), _pi_valuation(B)
     vr = vp(r, p)
     terms, dropped, exact = _sum_plan(p, e, (r - 1) // 2, vr, wA, wB, target_pi_digits)
     if not exact and wA >= 0 and wB >= 0:
         working = target_pi_digits + e * vr + e
-        A, B = _reduce_for_powers(A, working), _reduce_for_powers(B, working)
-    total = _zero_like(A)
+        a, b = _truncate(p, e, a, working, fill=False), _truncate(p, e, b, working, fill=False)
+    total = []
     for m, n, coeff in terms:
-        total = total + coeff * (A**m) * (B**n)
-    total = total / r
-    if dropped:
-        if isinstance(total, EisensteinElement):
-            total = total.truncate_pi(target_pi_digits)
-        else:
-            total = total.reduce_abs_precision(target_pi_digits)
-    return total
+        v = None if isinstance(coeff, PadicScalar) else vp(coeff, p)  # an exact multinomial
+        term = _terms(coeff) if v is None else [(0, coeff // p**v, v, INFINITY)]
+        if m:
+            term = _product(p, e, term, _power(p, e, a, m))
+        if n:
+            term = _product(p, e, term, _power(p, e, b, n))
+        total += term
+    # Sum, then divide by r = p**vr * r1: floors shift by -vr, units take 1/r1.
+    r1, out = r // p**vr, []
+    for i, u, f, N in _product(p, e, [(0, 1, 0, INFINITY)], total):
+        if N == INFINITY and u % r1:  # exact, but 1/r1 is not: first reduce to pi**target
+            N = -((i - target_pi_digits) // e) + vr - f
+            u, f, N = (u % p**N, f, N) if N > 0 else (0, f + N, 0)
+        out.append((i, u // r1 if N == INFINITY else u * pow(r1, -1, p**N) % p**N, f - vr, N))
+    out = _truncate(p, e, out, target_pi_digits) if dropped else out
+    if e > 1:
+        return _element(p, e, out)
+    (_, u, f, N), = out or [(0, 0, INFINITY, 0)]  # e = 1: the PadicScalar d_r
+    return _scalar(p, u, f if u else INFINITY, f + N)
 
 
 def yasuda_coefficient_exact(A, B, r: int) -> Fraction:
@@ -317,7 +317,7 @@ def hasse_invariant(A, B, p: int | None = None):
     elif A.prime != p:
         raise ValueError("p does not match the coefficient field")
     else:
-        total = _zero_like(A)
+        total = 0 * A  # an exact zero of A's type
     # 3i <= p - 1 and 2i >= M, so both exponents below are >= 0.
     for i in range((p + 2) // 4, (p - 1) // 3 + 1):
         j = p - 1 - 3 * i

@@ -4,6 +4,7 @@ import collections
 import functools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -174,8 +175,9 @@ def test_series_route_matches_bounded_route_over_Qp():
     [(5 * 11**3 + 11**4, 3 * 11**2, 3), (11, 2 * 11**3, 4), (2 * 11**4, 3 * 11, 6)],
 )
 def test_series_route_matches_bounded_route_over_L(a, b, e):
-    # Exact L coordinates cannot be divided by a p-free r, so the good model
-    # is truncated first; 30 pi-digits leave both routes above the target.
+    # The series route divides exact L coordinates by 6(2s+1), which has no
+    # exact expansion, so the good model is truncated first; 30 pi-digits
+    # leave both routes above the target.
     model = good_model_over_L(WeierstrassCurve(11, a, b), e)
     A, B = model.a.truncate_pi(30), model.b.truncate_pi(30)
     prefix = series_inversion_logarithm(A, B, 119)
@@ -186,6 +188,52 @@ def test_series_route_matches_bounded_route_over_L(a, b, e):
         assert got.is_congruent(want, 12), (r, got, want)
         nonzero += not want.is_congruent(0, 12)
     assert nonzero > 10
+
+
+def _embed(q, p, e, prec):
+    if e == 1:
+        return PadicScalar.from_rational(q, p, prec)
+    return EisensteinElement.from_rational(q, p, e, prec)
+
+
+@pytest.mark.parametrize("e", [1, 3, 4, 6])
+def test_exact_inputs_at_a_p_free_index(e):
+    # 1/r' has no exact expansion for the p-free part r' of r, so exact inputs
+    # give d_r mod pi**target; where r' divides the exact sum, d_r stays exact.
+    p, rng, seen = 11, random.Random(e), collections.Counter()
+    curves = [(1, 2), (0, 3), (5, 0), (-4, 7)] + [
+        (rng.randrange(-99, 99), rng.randrange(-99, 99)) for _ in range(4)]
+    for a, b in curves:
+        A, B = _embed(a, p, e, INFINITY), _embed(b, p, e, INFINITY)
+        for r in (3, 5, 7, 13, 33, 35, 55, 77, 99, 363):
+            for target in (1, e + 1, 3 * e):
+                got = yasuda_coefficient(A, B, r, target)
+                want = yasuda_coefficient_exact(a, b, r)
+                prec = got.abs_precision if e == 1 else got.pi_precision()
+                if prec == INFINITY:  # no term dropped, and r' divides the sum
+                    assert (got - _embed(want, p, e, INFINITY)).is_exact_zero, (a, b, r)
+                    seen["exact"] += 1
+                    continue
+                assert got.is_congruent(_embed(want, p, e, target), target), (a, b, r, target)
+                assert target <= prec < target + e, (a, b, r, target, got)
+                seen["p-free"] += want.denominator // p**_v(want.denominator, p) > 1
+    assert yasuda_coefficient(_embed(1, p, e, INFINITY), _embed(2, p, e, INFINITY), 33, 4) == 87750
+    assert seen["exact"] >= 20 and seen["p-free"] >= 50, seen
+
+
+@pytest.mark.parametrize(
+    "a, b, e",
+    [(5 * 11**3 + 11**4, 3 * 11**2, 3), (11, 2 * 11**3, 4), (2 * 11**4, 3 * 11, 6)],
+)
+def test_exact_good_model_at_a_p_free_index_matches_the_truncated_model(a, b, e):
+    # The truncated model is the series route's (test above); the exact one
+    # now gives the same d_r mod pi**target at every p-free r as well.
+    model = good_model_over_L(WeierstrassCurve(11, a, b), e)
+    cut = [x.truncate_pi(30) for x in model]
+    for r in range(1, 120, 2):
+        got = yasuda_coefficient(model.a, model.b, r, 12)
+        assert got.pi_precision() >= 12, r
+        assert got.is_congruent(yasuda_coefficient(*cut, r, 12), 12), r
 
 
 def test_series_caps():
@@ -578,3 +626,91 @@ def test_over_budget_key_is_refused_every_time_and_never_cached():
         with pytest.raises(PrecisionError, match="budget"):
             yasuda_coefficient(a_l, b_l, 11**135, 2)
         assert _sum_plan.cache_info().currsize == size
+
+
+# -- the integer-form sum against the element-level loop ----------------------
+
+
+def _element_level_sum(A, B, r, target):
+    """(d_r, dropped) by the element-level loop that the integer form replaced:
+    the same plan; A and B cut coordinate by coordinate (exact zeros kept
+    exact) before their powers; sum(coeff * A**m * B**n) / r with the public
+    operators; then cut to the target when a term was dropped."""
+    e = A.ram_index if isinstance(A, EisensteinElement) else 1
+    p = A.prime
+
+    def cut(x, pi_digits, keep_exact_zeros):
+        coords = [c if keep_exact_zeros and c.is_exact_zero
+                  else c.reduce_abs_precision(-((i - pi_digits) // e))
+                  for i, c in enumerate(x.coords if e > 1 else (x,))]
+        return EisensteinElement(p, e, coords) if e > 1 else coords[0]
+
+    wA, wB = (v if v == INFINITY else int(e * v)
+              for v in (x.valuation() if e > 1 else x.valuation for x in (A, B)))
+    vr = _v(r, p)
+    terms, dropped, exact = _sum_plan(p, e, (r - 1) // 2, vr, wA, wB, target)
+    if not exact and wA >= 0 and wB >= 0:
+        working = target + e * vr + e
+        A, B = cut(A, working, True), cut(B, working, True)
+    total = 0 * A
+    for m, n, coeff in terms:
+        total = total + coeff * (A**m) * (B**n)
+    total = total / r
+    return (cut(total, target, False) if dropped else total), dropped
+
+
+def _oracle_case(rng):
+    """(A, B, r, target, kinds): seeded coefficients over Q_p or L, exact or
+    to finite precision, pi-monomials or general elements, v in pi-digits
+    from -1 (or exactly 0) up; r a power of p, or with a p-free part when the
+    coefficients are inexact (exact ones give d_r mod pi**target there)."""
+    p, e, exact = rng.choice((5, 7, 11)), rng.choice((1, 3, 4, 6)), rng.random() < 0.4
+
+    def scalar(v):
+        unit = rng.randrange(1, p**6)
+        unit = rng.choice((1, -1)) * (unit + (unit % p == 0))
+        return PadicScalar(p, unit, v, INFINITY if exact else v + rng.randrange(1, 10))
+
+    def coefficient(kind):
+        if kind == "zero":
+            return PadicScalar.exact_zero(p) if e == 1 else EisensteinElement.zero(p, e)
+        w = rng.randrange(-1, 3 * e)
+        if e == 1:
+            return scalar(w)
+        if kind == "monomial":
+            return EisensteinElement.pi_monomial(scalar(0), w, e)
+        coords = [PadicScalar.exact_zero(p) if rng.random() < 0.25
+                  else scalar(-((i - w) // e) + rng.randrange(2)) for i in range(e)]
+        coords[w % e] = scalar(w // e)  # the lead, at pi-digit w
+        return EisensteinElement(p, e, coords)
+
+    kinds = [rng.choice(("zero", "monomial", "general", "general")) for _ in range(2)]
+    j = rng.randrange(4)
+    r = p**j if exact else rng.choice((p**j, 3 * p**j, 2 * rng.randrange(100) + 1))
+    target = rng.randrange(1, 3 * e + 3)
+    return (*(coefficient(k) for k in kinds), r, target,
+            {"exact" if exact else "finite", f"e={e}", *kinds,
+             "p-power" if r == p**_v(r, p) else "p-free"})
+
+
+def _coords(x):
+    return [(c.unit, c.valuation, c.abs_precision)
+            for c in (x.coords if isinstance(x, EisensteinElement) else (x,))]
+
+
+def test_integer_form_sum_matches_the_element_level_loop():
+    # Every coordinate's (unit, valuation, abs_precision), or the refusal, of
+    # yasuda_coefficient against _element_level_sum on seeded inputs.
+    rng, seen = random.Random(18), collections.Counter()
+    for _ in range(300):
+        A, B, r, target, kinds = _oracle_case(rng)
+        try:
+            want, dropped = _element_level_sum(A, B, r, target)
+        except PrecisionError as exc:  # a budget or cap refusal, raised by the plan
+            with pytest.raises(PrecisionError, match=re.escape(str(exc))):
+                yasuda_coefficient(A, B, r, target)
+            continue
+        got = yasuda_coefficient(A, B, r, target)
+        assert type(got) is type(want) and _coords(got) == _coords(want), (A, B, r, target)
+        seen.update(kinds | {"dropped" if dropped else "kept all"})
+    assert len(seen) == 13 and min(seen.values()) >= 50, seen

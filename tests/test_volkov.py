@@ -12,6 +12,7 @@ from padic_cartan.errors import (
     NormalizationError,
     PrecisionError,
 )
+from padic_cartan.formal_log import yasuda_coefficient
 from padic_cartan.padic import INFINITY, PadicScalar
 from padic_cartan.volkov import (
     ALPHA_INFINITY,
@@ -345,3 +346,25 @@ def test_certified_digits_agree_with_the_next_level():
                 p, a, b, precision, hodge.k_used)
             checked += 1
     assert checked == 2 * 2 * (15 + 10 + 15)
+
+
+def test_truncated_model_gives_the_sums_of_the_exact_model():
+    # The truncated-model half of the certificate gate: each Yasuda sum of
+    # beta_from_logarithm at levels 0, 1, 2 (targets t = 2 at r = p**(2k+1)
+    # and 1 + e at p**(2k), guard e included), on the good model truncated to
+    # t + e*v_p(r) + e pi-digits, agrees with the sum on the exact model mod
+    # pi**t, and on every digit both claim.  A coefficient that the cut would
+    # leave zero to precision (an exact 0 among them) stays exact, as such
+    # inputs are refused by design.
+    compared = 0
+    for p, e, a, b in _seeded_lifts(16, primes=(11, 17, 23)):
+        model = good_model_over_L(WeierstrassCurve(p, a, b), e)
+        for k in range(3):
+            for j, t in ((2 * k + 1, 2), (2 * k, 1 + e)):
+                cut = [x.truncate_pi(t + e * j + e) for x in model]
+                cut = [x if c.is_zero_to_precision() else c for x, c in zip(model, cut)]
+                got, want = (yasuda_coefficient(*x, p**j, t) for x in (cut, model))
+                assert min(got.pi_precision(), want.pi_precision()) >= t, (p, a, b, k, j)
+                assert got.is_congruent(want), (p, a, b, k, j)
+                compared += 1
+    assert compared == 2 * (15 + 10 + 15) * 3 * 2

@@ -37,14 +37,22 @@ followed by `<key>.iqr`, the interquartile range of the same timed loops:
       hodge_parameters(WeierstrassCurve(11, 11**3, 11**2), precision=P), levels
       k = 23 and 33: deep certificates, which no perfbench workload reaches;
       curve built and the plan cache cleared per op
+  padic.inverse.dD                           D = 4, 32, 256 digits; p = 11,
+      PadicScalar.inverse() of random D-digit units at valuation 0
+  volkov.hodge_parameters.cm
+      hodge_parameters(WeierstrassCurve(11, a, b)) at the default level on
+      seeded CM lifts, one coefficient exactly 0 (v(a), v(b)) = (-, 2),
+      (-, 1), (1, -), (3, -), 3-digit units: beta = 0, the path of the
+      shallow-batch median op; curve built per op, plans cached
 
 Each median and IQR is taken over REPEATS = 15 timed loops (time.perf_counter)
 of the same 200 seeded operand pairs (one curve for formal_log.series, .exact
 and the P keys, CURVES curves for formal_log.yasuda and the other
-volkov.hodge_parameters keys);
-inverse() and pow run on the first 20 of them, and so do factorial_unit and
-multinomial_padic.  volkov.hodge_parameters draws its operands last, so the
-other layers time the operands they had before it was added.
+volkov.hodge_parameters keys); EisensteinElement inverse() and pow run on the
+first 20 of them, and so do factorial_unit and multinomial_padic.
+volkov.hodge_parameters draws its operands after the other layers, and
+padic.inverse and volkov.hodge_parameters.cm after it, so each layer times
+the operands it had before the later ones were added.
 --src selects the package source, so one checkout can time another
 (default: the src/ beside this script).
 """
@@ -169,6 +177,14 @@ def main(argv=None):
 
     for precision in (70, 100):
         time_us(f"volkov.hodge_parameters.P{precision}.cold", deep_cold, [(precision,)])
+    for digits in (4, 32, 256):
+        singles = [(scalar(digits, extra),) for _ in range(PAIRS)]
+        time_us(f"padic.inverse.d{digits}", lambda a: a.inverse(), singles)
+    shapes = [(None, 2), (None, 1), (1, None), (3, None)]  # shallow-batch's CM lifts
+    cm = [tuple(0 if v is None else prime_to_p(1, PRIME**3) * PRIME**v for v in shape)
+          for shape in (shapes * CURVES)[:CURVES]]
+    time_us("volkov.hodge_parameters.cm",
+            lambda a, b: hodge_parameters(WeierstrassCurve(PRIME, a, b)), cm)
     print(json.dumps(out))
     return 0
 

@@ -140,11 +140,10 @@ def _scalar_json(scalar) -> dict:
 
 def _eisenstein_json(element) -> dict:
     """An element of L as a pi-coordinate vector with explicit precisions."""
+    coords = element.coords
     return {
-        "coordinates": [str(c.lift_fraction()) for c in element.coords],
-        "coordinate_precisions": [
-            _encode_exact(c.abs_precision) for c in element.coords
-        ],
+        "coordinates": [str(c.lift_fraction()) for c in coords],
+        "coordinate_precisions": [_encode_exact(c.abs_precision) for c in coords],
         "pi_precision": _encode_exact(element.pi_precision()),
         "repr": repr(element),
     }

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -44,7 +45,7 @@ from .formal_log import (
     yasuda_coefficient,
     yasuda_coefficient_exact,
 )
-from .padic import INFINITY, PadicScalar
+from .padic import INFINITY, PadicScalar, check_odd_prime
 from .volkov import beta_from_logarithm, hodge_parameters, v_alpha_table
 
 _PRIME_MESSAGE = "p must be an odd prime > 3"
@@ -264,6 +265,11 @@ def _cmd_divpoly(args) -> int:
         v = args.v_alpha_inv
         if v < 0:
             raise ValueError("v-alpha-inv must be >= 0 (twist-normalize first)")
+        # The largest JSON lift is p**(v + k); 0 is no limit, and the call is new in 3.10.7.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if args.json and limit and (v + k) * math.log10(check_odd_prime(p)) >= limit:
+            raise ValueError(f"--v-alpha-inv {v} puts {p}**{v + k} in the JSON, over Python's "
+                             f"{limit}-digit limit for int to str conversion")
         alpha_inv = p**v
         v_label = v
     poly = build_gk(p, e, alpha_inv, k)

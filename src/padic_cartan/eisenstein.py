@@ -1,20 +1,20 @@
 """Arithmetic in the Eisenstein extension L = Q_p(pi_e), pi_e**e = -p.
 
-Elements are stored as e coordinates over Q_p: x = sum(c[i] * pi_e**i).
-Because v(c[i]) is an integer and v(pi_e**i) = i/e, the coordinate valuations
-sit in distinct classes mod 1, so the valuation of x is exactly
-min(v(c[i]) + i/e) whenever it is visible at the carried precision.
+x = sum(c[i] * pi_e**i) is stored as one integer form: the tuple `form` has an
+entry (i, unit, floor f, relative precision r) for each coordinate c[i] not
+exactly 0, c[i] = unit * p**f + O(p**(f + r)); a PadicScalar is the form of
+e = 1.  Invariants: each index appears at most once; p divides no nonzero
+unit; a zero known to p**N is (i, 0, N, 0) and an exact zero is absent; a
+finite unit is defined only mod p**r (`-` and `mul_pi_power` leave -u).
+`coords` is a view that builds the e normalized PadicScalars on demand, for
+the JSON writer, `repr`, `as_padic_scalar` and scalar `*` and `/`.  As
+v(c[i]) is an integer and v(pi_e**i) = i/e, v(x) = min(v(c[i]) + i/e)
+whenever it is visible at the carried precision; it, its provable floor and
+`pi_precision` (min of e*(f + r) + i) are read off the form in pi-digits.
 
-Precision is tracked per coordinate through :class:`~.padic.PadicScalar`;
-``pi_precision`` converts that to an absolute precision in pi_e-digits.
-
-Products run on one integer form: (i, unit, floor f, relative precision) for
-each coordinate not exactly 0, f the valuation, or N for a zero known to p**N;
-a PadicScalar is the form of e = 1.  `__mul__`, `__pow__` (through `_power`),
-`inverse` and the Yasuda sums of `formal_log` share the kernel `_product` on
-it and build PadicScalars only at their end.  `inverse` reads its lead entry
-off the form's integer pi-digits (`_pi_digits`, which `valuation()` also
-reads) and forms 1 - w, the doubling tail and its cut (`_truncate`) on it.
+`+`, `-`, `*`, `**` (`_power`), `inverse` and the Yasuda sums of `formal_log`
+share the kernel `_product`; `inverse` takes its lead entry from the form's
+pi-digits and forms 1 - w, the doubling tail and its cut (`_truncate`) on it.
 Coordinates a_i and b_j give the term a_i.unit * b_j.unit * p**(f_a + f_b),
 known modulo p**min(N_a + f_b, N_b + f_a), at index i + j; from index e on it
 folds through pi**e = -p (unit negated, floor and precision raised by 1).
@@ -24,8 +24,8 @@ precisions.  That equals adding the terms one at a time as PadicScalars:
 every partial sum is exact modulo a precision no smaller than that least one,
 and the normal form depends only on the value modulo p**N.  So a form that
 lists an index twice is a sum, and its product with the exact 1 normalizes
-it.  `_power` of a monomial (i, u, f, N - f), n >= 1, is closed: with
-folds = i*n // e, ((-1)**folds * u**n mod p**(N - f)) pi**(i*n mod e)
+it: that is `+`.  `_power` of a monomial (i, u, f, N - f), n >= 1, is closed:
+with folds = i*n // e, ((-1)**folds * u**n mod p**(N - f)) pi**(i*n mod e)
 p**(n*f + folds), same relative precision; square-and-multiply gives the same.
 """
 
@@ -33,18 +33,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from operator import add
 
 from .errors import CosetViolationError, PrecisionError
 from .padic import INFINITY, PadicScalar, _normal, _scalar, power_by_squaring
 
 _ALLOWED_E = (3, 4, 6)
+_ONE = ((0, 1, 0, INFINITY),)  # the form of the exact 1
 
 
 class EisensteinElement:
     """An element of L = Q_p(pi_e) with bounded-precision coordinates."""
 
-    __slots__ = ("prime", "ram_index", "coords")
+    __slots__ = ("prime", "ram_index", "form")
 
     def __init__(self, prime: int, ram_index: int, coords):
         if ram_index not in _ALLOWED_E:
@@ -52,10 +52,12 @@ class EisensteinElement:
         coords = tuple(coords)
         if len(coords) != ram_index:
             raise ValueError(f"need {ram_index} coordinates, got {len(coords)}")
-        for c in coords:
+        form = []
+        for i, c in enumerate(coords):
             if not isinstance(c, PadicScalar) or c.prime != prime:
                 raise ValueError("coordinates must be PadicScalars over the same p")
-        _from_coords(prime, ram_index, coords, self)
+            form += _terms(c, i)
+        _element(prime, ram_index, form, self)
 
     def __setattr__(self, name, value):
         raise AttributeError("EisensteinElement is immutable")
@@ -64,13 +66,14 @@ class EisensteinElement:
 
     @classmethod
     def zero(cls, p: int, e: int) -> "EisensteinElement":
-        return cls(p, e, [PadicScalar.exact_zero(p)] * e)
+        return cls.from_scalar(PadicScalar.exact_zero(p), e)
 
     @classmethod
     def from_scalar(cls, scalar: PadicScalar, e: int) -> "EisensteinElement":
-        coords = [PadicScalar.exact_zero(scalar.prime)] * e
-        coords[0] = scalar
-        return cls(scalar.prime, e, coords)
+        p = scalar.prime
+        if e not in _ALLOWED_E or not isinstance(scalar, PadicScalar):
+            return cls(p, e, [scalar] * e)  # raises the constructor's message
+        return _element(p, e, _terms(scalar))
 
     @classmethod
     def from_rational(cls, value, p: int, e: int, prec_p) -> "EisensteinElement":
@@ -83,46 +86,48 @@ class EisensteinElement:
 
     # -- views ---------------------------------------------------------------
 
+    @property
+    def coords(self) -> tuple:
+        """The e coordinates over Q_p as normalized PadicScalars, built from the form."""
+        p = self.prime
+        out = [_scalar(p, 0, INFINITY, INFINITY)] * self.ram_index
+        for i, u, f, r in self.form:
+            out[i] = _scalar(p, u, f if u else INFINITY, f + r)
+        return tuple(out)
+
     def pi_precision(self):
         """Absolute precision in pi_e-digits: min over i of e*N_i + i."""
-        e = self.ram_index
-        out = INFINITY
-        for i, c in enumerate(self.coords):
-            if c.abs_precision != INFINITY:
-                out = min(out, e * c.abs_precision + i)
-        return out
+        return _bounds(self.form, self.ram_index)[1]
 
     def valuation(self) -> Fraction:
         """Exact valuation in (1/e)Z; raises if not visible at this precision."""
-        v = _pi_digits(_terms(self), self.ram_index)
+        v = _pi_digits(self.form, self.ram_index)
         return v if v == INFINITY else Fraction(v, self.ram_index)
 
     def valuation_floor(self):
         """Provable lower bound on the valuation (never raises)."""
-        e = self.ram_index
-        out = min(e * c.valuation_floor() + i for i, c in enumerate(self.coords))
-        return INFINITY if out == INFINITY else Fraction(out, e)
+        v = _bounds(self.form, self.ram_index)[0]
+        return v if v == INFINITY else Fraction(v, self.ram_index)
 
     def is_zero_to_precision(self) -> bool:
-        return all(c.unit == 0 for c in self.coords)
+        return not any(u for _, u, _, _ in self.form)
 
     @property
     def is_exact_zero(self) -> bool:
-        return all(c.is_exact_zero for c in self.coords)
+        return not self.form
 
     def as_padic_scalar(self) -> PadicScalar:
         """Coordinate 0, provided every other coordinate vanishes to precision."""
-        for i, c in enumerate(self.coords[1:], start=1):
+        coords = self.coords
+        for i, c in enumerate(coords[1:], start=1):
             if c.unit:
-                raise CosetViolationError(
-                    f"pi_e**{i} component {c!r} does not cancel"
-                )
-        return self.coords[0]
+                raise CosetViolationError(f"pi_e**{i} component {c!r} does not cancel")
+        return coords[0]
 
     def truncate_pi(self, pi_digits: int) -> "EisensteinElement":
         """Reduce to absolute precision pi_e**pi_digits."""
         p, e = self.prime, self.ram_index
-        return _element(p, e, _truncate(p, e, _terms(self), pi_digits))
+        return _element(p, e, _truncate(p, e, self.form, pi_digits))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -136,12 +141,13 @@ class EisensteinElement:
                 return NotImplemented
             other = _embed(other, self)
         self._check(other)
-        return _from_coords(self.prime, self.ram_index, tuple(map(add, self.coords, other.coords)))
+        p, e = self.prime, self.ram_index
+        return _element(p, e, _product(p, e, _ONE, self.form + other.form))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _from_coords(self.prime, self.ram_index, tuple(-c for c in self.coords))
+        return _element(self.prime, self.ram_index, [(i, -u, f, r) for i, u, f, r in self.form])
 
     def __sub__(self, other):
         if not isinstance(other, (EisensteinElement, int, PadicScalar, Fraction)):
@@ -155,10 +161,10 @@ class EisensteinElement:
         if not isinstance(other, EisensteinElement):
             if not isinstance(other, (int, PadicScalar, Fraction)):
                 return NotImplemented
-            return _from_coords(self.prime, self.ram_index, tuple(c * other for c in self.coords))
+            return EisensteinElement(self.prime, self.ram_index, [c * other for c in self.coords])
         self._check(other)
         p, e = self.prime, self.ram_index
-        return _element(p, e, _product(p, e, _terms(self), _terms(other)))
+        return _element(p, e, _product(p, e, self.form, other.form))
 
     __rmul__ = __mul__
 
@@ -166,7 +172,7 @@ class EisensteinElement:
         if not isinstance(other, EisensteinElement):
             if not isinstance(other, (int, PadicScalar, Fraction)):
                 return NotImplemented
-            return _from_coords(self.prime, self.ram_index, tuple(c / other for c in self.coords))
+            return EisensteinElement(self.prime, self.ram_index, [c / other for c in self.coords])
         if self.is_exact_zero:
             if other.is_exact_zero:
                 raise ZeroDivisionError("0/0")
@@ -177,12 +183,12 @@ class EisensteinElement:
         if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
         p, e = self.prime, self.ram_index
-        return _element(p, e, _power(p, e, _terms(self), exponent))
+        return _element(p, e, _power(p, e, self.form, exponent))
 
     def mul_pi_power(self, power: int) -> "EisensteinElement":
         """Multiply by pi_e**power exactly (any sign)."""
         e, form = self.ram_index, []
-        for i, u, f, r in _terms(self):  # distinct i land on distinct indices
+        for i, u, f, r in self.form:  # distinct i land on distinct indices
             shift, index = divmod(i + power, e)
             form.append((index, -u if shift % 2 else u, f + shift, r))
         return _element(self.prime, e, form)
@@ -198,7 +204,7 @@ class EisensteinElement:
         the carried precision.
         """
         p, e = self.prime, self.ram_index
-        form = _terms(self)
+        form = self.form
         v = _pi_digits(form, e)  # raises PrecisionError when ambiguous
         if v == INFINITY:
             raise ZeroDivisionError("inverting zero")
@@ -213,21 +219,20 @@ class EisensteinElement:
         x = _product(p, e, form, inv_lead)
         # w = 1 - x, the 1 known to x's least coordinate precision, as `1 - x` embeds it.
         N = min((f + r for _, _, f, r in x), default=INFINITY)
-        embedded, one = (0, 1, 0, N) if N > 0 else (0, 0, N, 0), [(0, 1, 0, INFINITY)]
-        w = _product(p, e, one, [embedded] + [(i, -u, f, r) for i, u, f, r in x])
-        prec = min((e * (f + r) + i for i, _, f, r in w if r != INFINITY), default=INFINITY)
+        embedded = (0, 1, 0, N) if N > 0 else (0, 0, N, 0)
+        w = _product(p, e, _ONE, [embedded] + [(i, -u, f, r) for i, u, f, r in x])
+        floor, prec = _bounds(w, e)
         if prec == INFINITY:
             if not w:
                 return _element(p, e, inv_lead)  # exact monomial: no tail to sum
             raise PrecisionError("cannot invert an exact non-monomial")
-        floor = min(e * f + i for i, _, f, _ in w)
         if floor <= 0:
             raise PrecisionError("tail not contracting; precision too low")
-        # (1 + w)(1 + w**2)...: `one + square` is 1 + square, not yet normalized.
-        tail, square, left_out = _product(p, e, one, one + w), w, 2 * floor
+        # (1 + w)(1 + w**2)...: `[*_ONE, *square]` is 1 + square, not yet normalized.
+        tail, square, left_out = _product(p, e, _ONE, [*_ONE, *w]), w, 2 * floor
         while left_out < prec:  # left_out: pi-digit floor of the first power left out
             square = _product(p, e, square, square)
-            tail = _product(p, e, tail, one + square)
+            tail = _product(p, e, tail, [*_ONE, *square])
             left_out *= 2
         return _element(p, e, _product(p, e, _truncate(p, e, tail, prec), inv_lead))
 
@@ -237,7 +242,7 @@ class EisensteinElement:
         diff = self - other if isinstance(other, EisensteinElement) else self - _embed(other, self)
         if pi_digits is None:
             return diff.is_zero_to_precision()
-        return diff.valuation_floor() >= Fraction(pi_digits, self.ram_index)
+        return _bounds(diff.form, self.ram_index)[0] >= pi_digits
 
     def __eq__(self, other):
         if not isinstance(other, (EisensteinElement, int, PadicScalar, Fraction)):
@@ -252,28 +257,23 @@ class EisensteinElement:
     def __repr__(self):
         bits = []
         for i, c in enumerate(self.coords):
-            if c.unit == 0 and not c.is_precision_zero:
+            if c.is_exact_zero:
                 continue
             inner = repr(c)
             if " " in inner:
                 inner = f"({inner})"
             bits.append(inner if i == 0 else f"{inner}*pi^{i}" if i > 1 else f"{inner}*pi")
-        if not bits:
-            return "0" if self.is_exact_zero else f"O(pi^{self.pi_precision()})"
-        return " + ".join(bits)
+        return " + ".join(bits) or "0"  # a precision zero shows its coordinates
 
 
-def _terms(x):
-    """The integer form of x: (i, unit, floor f, relative precision N - f) of
-    each coordinate not exactly 0, f = N for a zero known to p**N.  A
-    PadicScalar is the form of its one coordinate (e = 1)."""
-    out = []
-    for i, c in enumerate(x.coords if isinstance(x, EisensteinElement) else (x,)):
-        if c.unit:
-            out.append((i, c.unit, c.valuation, c.abs_precision - c.valuation))
-        elif c.abs_precision != INFINITY:
-            out.append((i, 0, c.abs_precision, 0))
-    return out
+def _terms(x, i: int = 0):
+    """The integer form of x: an element's `form`; a PadicScalar is one entry,
+    at index i, or none when it is exactly 0."""
+    if isinstance(x, EisensteinElement):
+        return x.form
+    if x.unit:
+        return ((i, x.unit, x.valuation, x.abs_precision - x.valuation),)
+    return () if x.abs_precision == INFINITY else ((i, 0, x.abs_precision, 0),)
 
 
 def _pi_digits(form, e: int):
@@ -288,6 +288,13 @@ def _pi_digits(form, e: int):
         raise PrecisionError(f"valuation ambiguous: visible term at {Fraction(best, e)}, "
                              f"precision floor {Fraction(floor, e)}")
     return best
+
+
+def _bounds(form, e: int):
+    """(floor, precision) of an integer form in pi-digits: e*v >= min of e*f + i,
+    and it is known to pi**(min of e*(f + r) + i); INFINITY when there is none."""
+    return (min((e * f + i for i, _, f, _ in form), default=INFINITY),
+            min((e * (f + r) + i for i, _, f, r in form if r != INFINITY), default=INFINITY))
 
 
 def _truncate(p: int, e: int, form, pi_digits: int, fill: bool = True):
@@ -315,7 +322,7 @@ def _power(p: int, e: int, form, exponent: int):
         folds, index = divmod(i * exponent, e)
         u = pow(u, exponent) if r == INFINITY else pow(u, exponent, p**r)
         return [(index, -u if folds % 2 else u, exponent * f + folds, r)]
-    return power_by_squaring(form, exponent, [(0, 1, 0, INFINITY)], partial(_product, p, e))
+    return power_by_squaring(form, exponent, _ONE, partial(_product, p, e))
 
 
 def _product(p: int, e: int, x, y):
@@ -345,21 +352,13 @@ def _product(p: int, e: int, x, y):
     return out
 
 
-def _element(p: int, e: int, form) -> EisensteinElement:
-    """The EisensteinElement of an integer form; absent indices are exact zeros."""
-    coords = [_scalar(p, 0, INFINITY, INFINITY)] * e
-    for i, u, f, r in form:
-        coords[i] = _scalar(p, u, f if u else INFINITY, f + r)
-    return _from_coords(p, e, tuple(coords))
-
-
-def _from_coords(p: int, e: int, coords: tuple, x=None) -> EisensteinElement:
-    """The element of a tuple of e PadicScalars over p, in x or a new element,
-    unchecked: results of arithmetic on checked operands come through here."""
+def _element(p: int, e: int, form, x=None) -> EisensteinElement:
+    """The element of an integer form that keeps the invariants, in x or a new
+    element, unchecked: results of arithmetic on checked operands come through here."""
     x = object.__new__(EisensteinElement) if x is None else x
     object.__setattr__(x, "prime", p)
     object.__setattr__(x, "ram_index", e)
-    object.__setattr__(x, "coords", coords)
+    object.__setattr__(x, "form", tuple(form))
     return x
 
 
@@ -368,7 +367,5 @@ def _embed(value, like: EisensteinElement) -> EisensteinElement:
         return EisensteinElement.from_scalar(value, like.ram_index)
     if not isinstance(value, (int, Fraction)):
         raise TypeError(f"cannot embed {type(value).__name__} in L")
-    target = INFINITY
-    for c in like.coords:
-        target = min(target, c.abs_precision)
+    target = min((f + r for _, _, f, r in like.form), default=INFINITY)
     return EisensteinElement.from_rational(value, like.prime, like.ram_index, target)

@@ -52,7 +52,7 @@ from operator import mul
 
 from .curve import deforming_coefficient
 from .eisenstein import (
-    EisensteinElement, _element, _pi_digits, _power, _product, _terms, _truncate)
+    _ONE, EisensteinElement, _element, _pi_digits, _power, _product, _terms, _truncate)
 from .errors import PrecisionError
 from .padic import (
     INFINITY,
@@ -89,8 +89,7 @@ class FormalLogPrefix:
 def _pi_valuation(x):
     """(integer form of x, v(x) in pi-digits e*v(x): an int, or INFINITY)."""
     if isinstance(x, EisensteinElement):
-        form = _terms(x)
-        return form, _pi_digits(form, x.ram_index)
+        return x.form, _pi_digits(x.form, x.ram_index)
     if isinstance(x, PadicScalar):
         if x.is_precision_zero:
             raise PrecisionError("coefficient is only known to be O(p^N)")
@@ -195,7 +194,7 @@ def yasuda_coefficient(A, B, r: int, target_pi_digits: int):
         total += term
     # Sum, then divide by r = p**vr * r1: floors shift by -vr, units take 1/r1.
     r1, out = r // p**vr, []
-    for i, u, f, N in _product(p, e, [(0, 1, 0, INFINITY)], total):
+    for i, u, f, N in _product(p, e, _ONE, total):
         if N == INFINITY and u % r1:  # exact, but 1/r1 is not: first reduce to pi**target
             N = -((i - target_pi_digits) // e) + vr - f
             u, f, N = (u % p**N, f, N) if N > 0 else (0, f + N, 0)
@@ -278,12 +277,9 @@ def series_inversion_logarithm(A, B, n_terms: int, force: bool = False) -> Forma
         A, B = Fraction(A), Fraction(B)
         lam = math.lcm(A.denominator, B.denominator)
         A, B, zero, one = int(A * lam**2), int(B * lam**3), 0, 1
-    elif isinstance(A, EisensteinElement):
-        zero = EisensteinElement.zero(A.prime, A.ram_index)
-        one = EisensteinElement.from_rational(1, A.prime, A.ram_index, INFINITY)
-    else:
-        zero = PadicScalar.exact_zero(A.prime)
-        one = PadicScalar.from_rational(1, A.prime, INFINITY)
+    else:  # over Q_p or L: the exact 0 and 1 of A's type
+        zero = 0 * A
+        one = zero + 1
 
     # Step s appends z_s, 6 c_s, (z^2)_s and (z^3)_s in turn; each reads only
     # entries already appended.

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import sys
 
 import pytest
 
@@ -352,3 +353,42 @@ def test_examples_report_a_disagreeing_alpha_route(capsys, monkeypatch, target, 
     # Every check still reports, in order, after one has failed or raised.
     assert [line.split()[1].rstrip(":") for line in lines] == listed.splitlines()
     assert lines[-1].startswith("FAIL valpha_table_vs_alpha: ")
+
+
+def test_divpoly_json_refuses_lifts_past_the_int_str_limit(capsys, monkeypatch):
+    # The JSON lift p**(v + k) is refused by its digit estimate, before build_gk.
+    def build_gk(*args):
+        raise ValueError("build_gk reached")
+
+    monkeypatch.setattr("padic_cartan.cli.build_gk", build_gk)
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+    base = ["divpoly", "--p", "11", "--e", "3", "--k", "1", "--json", "--v-alpha-inv"]
+    # 11**4130 has 4301 digits, 11**4129 has 4300.
+    for v, refused in (("5000", True), ("4129", True), ("4128", False)):
+        rc, out, err = run(capsys, *base, v)
+        assert rc == 2 and out == ""
+        if refused:
+            assert f"--v-alpha-inv {v}" in err and "4300-digit" in err
+        else:
+            assert err.strip() == "build_gk reached"
+    rc, _, err = run(capsys, "divpoly", "--p", "9", "--e", "3", "--k", "1", "--json",
+                     "--v-alpha-inv", "5000")
+    assert rc == 2 and err.strip() == "p must be an odd prime > 3"
+    text = [arg for arg in base if arg != "--json"]
+    assert run(capsys, *text, "5000")[2].strip() == "build_gk reached"  # no lift in text
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)  # 0: no limit
+    assert run(capsys, *base, "5000")[2].strip() == "build_gk reached"
+    monkeypatch.delattr(sys, "get_int_max_str_digits")  # before Python 3.10.7
+    assert run(capsys, *base, "5000")[2].strip() == "build_gk reached"
+
+
+@pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+                    reason="needs an int to str limit below the digits of 11**5001")
+def test_divpoly_json_past_the_int_str_limit_exits_cleanly(capsys):
+    rc, out, err = run(capsys, "divpoly", "--p", "11", "--e", "3", "--k", "1",
+                       "--v-alpha-inv", "5000", "--json")
+    assert rc == 2 and out == ""
+    assert err.startswith("--v-alpha-inv 5000 puts 11**5001 in the JSON")
+    rc, out, _ = run(capsys, "divpoly", "--p", "11", "--e", "3", "--k", "1",
+                     "--v-alpha-inv", "5000")
+    assert rc == 0 and out.splitlines()[-1] == "120 roots of valuation 1/120"

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from functools import partial
+from operator import add, sub
 
 import pytest
 
@@ -506,3 +507,118 @@ def test_monomial_powers_match_square_and_multiply():
                     if c.unit < 0 and (i * n // e) % 2:
                         negative_after_odd_folds += 1
     assert negative_after_odd_folds >= 100
+
+
+# -- the element stores its integer form: oracles for +, - and the invariants ----
+
+
+def _coordinatewise(op, xs, ys):
+    """xs op ys one coordinate at a time with PadicScalar arithmetic, as L added
+    before elements stored their integer form.  Shares no code with `_product`."""
+    return [op(x, y) for x, y in zip(xs, ys)]
+
+
+def _embedded_coords(c, like):
+    """c as coordinates beside `like`: a PadicScalar in coordinate 0, an int or
+    Fraction known to the least coordinate precision of `like`."""
+    p, e = like.prime, like.ram_index
+    if not isinstance(c, PadicScalar):
+        c = PadicScalar.from_rational(c, p, min(x.abs_precision for x in like.coords))
+    return [c] + [PadicScalar.exact_zero(p)] * (e - 1)
+
+
+def _outcome(fn):
+    """(the coordinate keys of fn(), None) or (None, the error's type and message)."""
+    try:
+        result = fn()
+    except (ArithmeticError, ValueError, TypeError) as exc:
+        return None, (type(exc), str(exc))
+    coords = result.coords if isinstance(result, EisensteinElement) else result
+    return [_key(c) for c in coords], None
+
+
+def test_kernel_sum_matches_coordinatewise_padic_addition():
+    shapes, errors = set(), 0
+    for seed in range(20):
+        for a, b in _random_pairs(150, seed=seed):
+            for c in a.coords + b.coords:
+                shapes.add("exact zero" if c.is_exact_zero else "precision zero"
+                           if c.is_precision_zero else "finite" if c.abs_precision != INFINITY
+                           else "exact")
+            for op in (add, sub):
+                assert _outcome(lambda: op(a, b)) == _outcome(
+                    lambda: _coordinatewise(op, a.coords, b.coords)), (a, b, op)
+            assert _outcome(lambda: -a) == _outcome(lambda: [-x for x in a.coords])
+            p = a.prime
+            for c in (3, -p**2, Fraction(2, 7), Fraction(5, p), b.coords[0],
+                      PadicScalar.from_rational(7, p, 3)):
+                want = _outcome(lambda: _coordinatewise(add, a.coords, _embedded_coords(c, a)))
+                assert _outcome(lambda: a + c) == want, (a, c)
+                assert _outcome(lambda: c + a) == want, (a, c)
+                errors += want[1] is not None
+    assert shapes == {"exact zero", "precision zero", "finite", "exact"}
+    assert errors >= 40  # p-free denominators against exact coordinates
+    x = EisensteinElement.from_rational(1, 5, 3, 4)
+    with pytest.raises(ValueError, match="^mixed fields$"):
+        x + EisensteinElement.from_rational(1, 11, 3, 4)
+    with pytest.raises(ValueError, match="^mixed fields$"):
+        x - EisensteinElement.from_rational(1, 5, 4, 4)
+    with pytest.raises(ValueError, match="^mixed fields$"):
+        x + PadicScalar.from_rational(1, 11, 4)
+    with pytest.raises(PrecisionError, match="^1/2 has no exact finite expansion"):
+        EisensteinElement.from_rational(1, 5, 3, INFINITY) + Fraction(1, 2)
+    with pytest.raises(TypeError):
+        x + "1"
+    with pytest.raises(TypeError):
+        x + 1.0
+
+
+def _assert_form_invariants(x):
+    """The stored form keeps the invariants of `eisenstein`, and `coords`
+    round-trips through the constructor."""
+    p, e = x.prime, x.ram_index
+    assert isinstance(x.form, tuple)
+    indices = [t[0] for t in x.form]
+    assert len(set(indices)) == len(indices) and all(0 <= i < e for i in indices), x.form
+    for i, u, f, r in x.form:
+        assert f != INFINITY, x.form  # an exact zero is absent
+        if u:
+            assert u % p and (r == INFINITY or r >= 1), x.form
+        else:
+            assert r == 0, x.form  # a zero known to p**f
+    back = EisensteinElement(p, e, x.coords)
+    assert [_key(c) for c in back.coords] == [_key(c) for c in x.coords]
+    assert back.pi_precision() == x.pi_precision()
+    assert back.is_exact_zero == x.is_exact_zero == (not x.form)
+
+
+def test_every_result_keeps_the_form_invariants():
+    from padic_cartan.formal_log import yasuda_coefficient
+
+    rng, checked = random.Random(20), 0
+
+    def check(fn):
+        nonlocal checked
+        try:
+            x = fn()
+        except (PrecisionError, ZeroDivisionError):
+            return
+        _assert_form_invariants(x)
+        checked += 1
+
+    for a, b in _random_pairs(150, seed=20):
+        p, e = a.prime, a.ram_index
+        for x in (a, b, EisensteinElement.zero(p, e), -a):
+            _assert_form_invariants(x)
+        check(lambda: EisensteinElement.from_rational(Fraction(rng.randrange(-99, 99), 7), p, e,
+                                                      rng.choice((INFINITY, 3))))
+        check(lambda: EisensteinElement.pi_monomial(b.coords[0], rng.randrange(-9, 9), e))
+        for fn in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a / b,
+                   lambda: a ** rng.randrange(6), a.inverse, lambda: a + 3,
+                   lambda: a * Fraction(2, 3), lambda: a / 7,
+                   lambda: a.mul_pi_power(rng.randrange(-9, 9)),
+                   lambda: a.truncate_pi(rng.randrange(-3, 12)),
+                   lambda: yasuda_coefficient(a, b, rng.choice((1, 3, 5, 11, p**2)),
+                                              rng.randrange(1, 9))):
+            check(fn)
+    assert checked >= 1500

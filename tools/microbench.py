@@ -44,6 +44,10 @@ followed by `<key>.iqr`, the interquartile range of the same timed loops:
       seeded CM lifts, one coefficient exactly 0 (v(a), v(b)) = (-, 2),
       (-, 1), (1, -), (3, -), 3-digit units: beta = 0, the path of the
       shallow-batch median op; curve built per op, plans cached
+  eisenstein.add.eE                          e = 3, 4, 6; p = 11, x + y with
+      every coordinate a random 12-digit unit at a random valuation in
+      [0, 12): coordinate floors that lie apart, which the sum normalizes
+      over one base
 
 Each median and IQR is taken over REPEATS = 15 timed loops (time.perf_counter)
 of the same 200 seeded operand pairs (one curve for formal_log.series, .exact
@@ -51,8 +55,9 @@ and the P keys, CURVES curves for formal_log.yasuda and the other
 volkov.hodge_parameters keys); EisensteinElement inverse() and pow run on the
 first 20 of them, and so do factorial_unit and multinomial_padic.
 volkov.hodge_parameters draws its operands after the other layers, and
-padic.inverse and volkov.hodge_parameters.cm after it, so each layer times
-the operands it had before the later ones were added.
+padic.inverse and volkov.hodge_parameters.cm after it, and eisenstein.add
+after all of them, so each layer times the operands it had before the later
+ones were added.
 --src selects the package source, so one checkout can time another
 (default: the src/ beside this script).
 """
@@ -185,6 +190,13 @@ def main(argv=None):
           for shape in (shapes * CURVES)[:CURVES]]
     time_us("volkov.hodge_parameters.cm",
             lambda a, b: hodge_parameters(WeierstrassCurve(PRIME, a, b)), cm)
+
+    def spread(e):
+        return EisensteinElement(PRIME, e, [scalar(12).shift(rng.randrange(12)) for _ in range(e)])
+
+    for e in (3, 4, 6):
+        pairs = [(spread(e), spread(e)) for _ in range(PAIRS)]
+        time_us(f"eisenstein.add.e{e}", lambda a, b: a + b, pairs)
     print(json.dumps(out))
     return 0
 

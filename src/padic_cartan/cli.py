@@ -199,6 +199,30 @@ def _cmd_beta(args) -> int:
 # -- logcoeffs ------------------------------------------------------------------
 
 
+def _logcoeff_digits(a: Fraction, b: Fraction, r_max: int):
+    """For each odd r <= r_max, a bound on the decimal digits of the numerator
+    and of the denominator of d_r over Q.
+
+    The terms C(N; m+2n, m, n) a**m b**n of r*d_r have 2m + 3n = N = (r-1)/2,
+    so the denominator divides D = r * den(a)**(N//2) * den(b)**(N//3), and
+    the numerator is at most D/r times the sum of |terms|: the constant term
+    of (x + |a|/x + |b|/x**2)**N, at most its value at any x > 0, taken near
+    the least one, where x**3 = |a| x + 2|b|."""
+    def log_sum(ys):  # log(sum(exp(y))), past the range of a float
+        top = max(ys)
+        return top + math.log(sum(math.exp(y - top) for y in ys))
+
+    terms = [(math.log(abs(q.numerator)) - math.log(q.denominator), k)  # |q| / x**k
+             for q, k in ((a, 1), (b, 2)) if q]
+    t = 0.0  # log x; x <- (|a| x + 2|b|)**(1/3) contracts by at least 3
+    for _ in range(60):
+        t = log_sum([c + math.log(k) + (2 - k) * t for c, k in terms]) / 3
+    slope = log_sum([t] + [c - k * t for c, k in terms]) / math.log(10)
+    da, db = math.log10(a.denominator), math.log10(b.denominator)
+    return [int(N // 2 * da + N // 3 * db + max(N * slope, math.log10(2 * N + 1)) + 1e-9) + 1
+            for N in range((r_max + 1) // 2)]
+
+
 def _cmd_logcoeffs(args) -> int:
     a = _parse_rational(args.a, "a")
     b = _parse_rational(args.b, "b")
@@ -217,6 +241,11 @@ def _cmd_logcoeffs(args) -> int:
         )
     if 4 * a**3 + 27 * b**2 == 0:
         raise ValueError(f"discriminant vanishes for a={a}, b={b}")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    digits, r = max((d, 2 * N + 1) for N, d in enumerate(_logcoeff_digits(a, b, r_max)))
+    if limit and digits > limit:
+        raise ValueError(f"--r-max {r_max}: d_{r} may need up to {digits} digits, "
+                         f"over Python's {limit}-digit limit for int to str conversion")
     if args.method == "series":
         prefix = series_inversion_logarithm(a, b, r_max, force=True)
         pairs = [(r, prefix.coefficients[r]) for r in range(1, r_max + 1, 2)]

@@ -1,44 +1,25 @@
 """Arithmetic in the Eisenstein extension L = Q_p(pi_e), pi_e**e = -p.
 
-x = sum(c[i] * pi_e**i) is stored as one integer form: the tuple `form` has an
-entry (i, unit, floor f, relative precision r) for each coordinate c[i] not
-exactly 0, c[i] = unit * p**f + O(p**(f + r)); a PadicScalar is the form of
-e = 1.  Invariants: each index appears at most once; p divides no nonzero
-unit; a zero known to p**N is (i, 0, N, 0) and an exact zero is absent; a
-finite unit is defined only mod p**r (`-` and `mul_pi_power` leave -u).
-`coords` is a view that builds the e normalized PadicScalars on demand, for
-the JSON writer, `repr`, `as_padic_scalar` and scalar `*` and `/`.  As
-v(c[i]) is an integer and v(pi_e**i) = i/e, v(x) = min(v(c[i]) + i/e)
-whenever it is visible at the carried precision; it, its provable floor and
-`pi_precision` (min of e*(f + r) + i) are read off the form in pi-digits.
-
-`+`, `-`, `*`, `**` (`_power`), `inverse` and the Yasuda sums of `formal_log`
-share the kernel `_product`; `inverse` takes its lead entry from the form's
-pi-digits and forms 1 - w, the doubling tail and its cut (`_truncate`) on it.
-Coordinates a_i and b_j give the term a_i.unit * b_j.unit * p**(f_a + f_b),
-known modulo p**min(N_a + f_b, N_b + f_a), at index i + j; from index e on it
-folds through pi**e = -p (unit negated, floor and precision raised by 1).
-Each result coordinate sums its terms as one integer over p**base, base the
-least floor a term can have, normalized once modulo the least of their
-precisions.  That equals adding the terms one at a time as PadicScalars:
-every partial sum is exact modulo a precision no smaller than that least one,
-and the normal form depends only on the value modulo p**N.  So a form that
-lists an index twice is a sum, and its product with the exact 1 normalizes
-it: that is `+`.  `_power` of a monomial (i, u, f, N - f), n >= 1, is closed:
-with folds = i*n // e, ((-1)**folds * u**n mod p**(N - f)) pi**(i*n mod e)
-p**(n*f + folds), same relative precision; square-and-multiply gives the same.
+An element stores its integer form `form`; the form, its invariants and the
+kernel that every operation and the Yasuda sums of `formal_log` run on are
+those of `padic`.  `coords` is a view that builds the e normalized
+PadicScalars on demand, for the JSON writer, `repr`, `as_padic_scalar` and
+scalar `*` and `/`.  As v(c[i]) is an integer and v(pi_e**i) = i/e,
+v(x) = min(v(c[i]) + i/e) whenever it is visible at the carried precision;
+it, its provable floor and `pi_precision` (min of e*(f + r) + i) are read
+off the form in pi-digits.  `inverse` takes its lead entry from them and
+forms 1 - w, the doubling tail and its cut (`_truncate`) on the form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 
 from .errors import CosetViolationError, PrecisionError
-from .padic import INFINITY, PadicScalar, _normal, _scalar, power_by_squaring
+from .padic import (
+    _ONE, INFINITY, PadicScalar, _coordinate, _monomial_inverse, _power, _product, _terms)
 
 _ALLOWED_E = (3, 4, 6)
-_ONE = ((0, 1, 0, INFINITY),)  # the form of the exact 1
 
 
 class EisensteinElement:
@@ -89,10 +70,9 @@ class EisensteinElement:
     @property
     def coords(self) -> tuple:
         """The e coordinates over Q_p as normalized PadicScalars, built from the form."""
-        p = self.prime
-        out = [_scalar(p, 0, INFINITY, INFINITY)] * self.ram_index
-        for i, u, f, r in self.form:
-            out[i] = _scalar(p, u, f if u else INFINITY, f + r)
+        p, out = self.prime, [_coordinate(self.prime)] * self.ram_index
+        for entry in self.form:
+            out[entry[0]] = _coordinate(p, entry)
         return tuple(out)
 
     def pi_precision(self):
@@ -208,14 +188,8 @@ class EisensteinElement:
         v = _pi_digits(form, e)  # raises PrecisionError when ambiguous
         if v == INFINITY:
             raise ZeroDivisionError("inverting zero")
-        lead_i = v % e  # v(c[i]) + i/e == v/e picks i = v mod e
-        _, u, f, r = next(t for t in form if t[0] == lead_i)
-        if r == INFINITY and abs(u) != 1:  # as PadicScalar.inverse
-            raise PrecisionError(
-                f"1/{abs(u)} has no exact finite expansion; reduce precision first")
-        # 1/(u * p**f * pi**lead_i) = u**-1 * p**-f * pi**-lead_i, one fold when lead_i > 0.
-        u = u if r == INFINITY else pow(u, -1, p**r)
-        inv_lead = [(-lead_i % e, -u if lead_i else u, -f - (lead_i > 0), r)]
+        # v(c[i]) + i/e == v/e picks i = v mod e for the lead entry.
+        inv_lead = _monomial_inverse(p, e, next(t for t in form if t[0] == v % e))
         x = _product(p, e, form, inv_lead)
         # w = 1 - x, the 1 known to x's least coordinate precision, as `1 - x` embeds it.
         N = min((f + r for _, _, f, r in x), default=INFINITY)
@@ -266,16 +240,6 @@ class EisensteinElement:
         return " + ".join(bits) or "0"  # a precision zero shows its coordinates
 
 
-def _terms(x, i: int = 0):
-    """The integer form of x: an element's `form`; a PadicScalar is one entry,
-    at index i, or none when it is exactly 0."""
-    if isinstance(x, EisensteinElement):
-        return x.form
-    if x.unit:
-        return ((i, x.unit, x.valuation, x.abs_precision - x.valuation),)
-    return () if x.abs_precision == INFINITY else ((i, 0, x.abs_precision, 0),)
-
-
 def _pi_digits(form, e: int):
     """e * v of an integer form in pi-digits, INFINITY for exactly 0; raises
     PrecisionError when the valuation is not visible at the carried precision."""
@@ -311,44 +275,6 @@ def _truncate(p: int, e: int, form, pi_digits: int, fill: bool = True):
     if fill:
         present = {t[0] for t in form}
         out += [(i, 0, -((i - pi_digits) // e), 0) for i in range(e) if i not in present]
-    return out
-
-
-def _power(p: int, e: int, form, exponent: int):
-    """The integer form of x**exponent, exponent >= 0: a monomial's power in
-    closed form, any other by square-and-multiply on `_product`."""
-    if exponent and len(form) == 1:
-        (i, u, f, r), = form
-        folds, index = divmod(i * exponent, e)
-        u = pow(u, exponent) if r == INFINITY else pow(u, exponent, p**r)
-        return [(index, -u if folds % 2 else u, exponent * f + folds, r)]
-    return power_by_squaring(form, exponent, _ONE, partial(_product, p, e))
-
-
-def _product(p: int, e: int, x, y):
-    """The integer form of x * y; an index listed twice in x or y is a sum."""
-    if not x or not y:
-        return []
-    base = min(f for _, _, f, _ in x) + min(f for _, _, f, _ in y)
-    total, precision = [0] * e, [INFINITY] * e
-    for i, ua, fa, ra in x:
-        for j, ub, fb, rb in y:
-            k, f, t = i + j, fa + fb, ua * ub
-            N = f + (ra if ra < rb else rb)  # min(N_a + f_b, N_b + f_a)
-            if t and f != base:
-                t *= p ** (f - base)
-            if k >= e:  # pi**e = -p
-                k, t, N = k - e, -p * t, N + 1
-            total[k] += t
-            if N < precision[k]:
-                precision[k] = N
-    out = []
-    for k, N in enumerate(precision):  # an exact 0 needs no normal form
-        u, f = _normal(p, total[k], base, N) if total[k] or N != INFINITY else (0, N)
-        if u:
-            out.append((k, u, f, N - f))
-        elif N != INFINITY:
-            out.append((k, 0, N, 0))
     return out
 
 

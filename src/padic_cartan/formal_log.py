@@ -17,15 +17,14 @@ Two independent routes are provided and cross-checked in the test suite:
   result can use, plus a guard of e) before they are raised to powers, as in
   Caruso-Roe-Vaccon, "Tracking p-adic precision" (2014).  This is what makes
   coefficients of index p**7 ~ 10**9 affordable.  Valuations are kept as
-  integer pi-digits (e*v), and the sum runs on the integer form of
-  `eisenstein` (a PadicScalar is its e = 1 case): each multinomial is a
-  one-entry form, the terms are concatenated and normalized by one
-  `_product`, and r = p**j r' divides once: floors shift by -j and units
-  take 1/r'.  An exact entry that r' does not divide is first reduced to the
-  target; one that r' divides stays exact.  One element (or scalar) is built,
-  at the end.  Everything but the powers of A and B is read off (p, e,
-  (r-1)/2, v_p(r), v(A), v(B), target): that plan is cached on this key (128
-  plans), so curves that share valuations share it; no result changes.
+  integer pi-digits (e*v), and the sum runs on the integer form of `padic`:
+  each multinomial is a one-entry form, the terms are concatenated and
+  normalized by one `_product`, and 1/r is one `_scale`, after an exact
+  entry that the p-free part of r does not divide is cut to the target.
+  One element (or scalar) is built, at the end.  Everything but the powers
+  of A and B is read off (p, e, (r-1)/2, v_p(r), v(A), v(B), target): that
+  plan is cached on this key (128 plans), so curves that share valuations
+  share it; no result changes.
 
 * `series_inversion_logarithm` computes the same prefix by inverting the
   Weierstrass parametrization (t = -x/y, w = -1/y = t**3 z, z a series in
@@ -51,18 +50,11 @@ from functools import lru_cache
 from operator import mul
 
 from .curve import deforming_coefficient
-from .eisenstein import (
-    _ONE, EisensteinElement, _element, _pi_digits, _power, _product, _terms, _truncate)
+from .eisenstein import EisensteinElement, _element, _pi_digits, _truncate
 from .errors import PrecisionError
 from .padic import (
-    INFINITY,
-    PadicScalar,
-    _scalar,
-    multinomial_exact,
-    multinomial_padic,
-    multinomial_valuation,
-    vp,
-)
+    _ONE, INFINITY, PadicScalar, _coordinate, _power, _product, _scale, _terms, multinomial_exact,
+    multinomial_padic, multinomial_valuation, vp)
 
 # Largest (r-1)/2 for which the untruncated sum is evaluated term by term.
 _GENERIC_CAP = 3000
@@ -192,18 +184,14 @@ def yasuda_coefficient(A, B, r: int, target_pi_digits: int):
         if n:
             term = _product(p, e, term, _power(p, e, b, n))
         total += term
-    # Sum, then divide by r = p**vr * r1: floors shift by -vr, units take 1/r1.
-    r1, out = r // p**vr, []
-    for i, u, f, N in _product(p, e, _ONE, total):
-        if N == INFINITY and u % r1:  # exact, but 1/r1 is not: first reduce to pi**target
-            N = -((i - target_pi_digits) // e) + vr - f
-            u, f, N = (u % p**N, f, N) if N > 0 else (0, f + N, 0)
-        out.append((i, u // r1 if N == INFINITY else u * pow(r1, -1, p**N) % p**N, f - vr, N))
+    # Sum, then divide by r = p**vr * r1.  An exact entry that r1 does not divide
+    # is first cut to pi**target, plus the vr p-digits the division takes back.
+    r1, cut = r // p**vr, target_pi_digits + e * vr
+    total = [_truncate(p, e, [t], cut, fill=False)[0] if t[3] == INFINITY and t[1] % r1 else t
+             for t in _product(p, e, _ONE, total)]
+    out = _scale(p, total, 1, r)
     out = _truncate(p, e, out, target_pi_digits) if dropped else out
-    if e > 1:
-        return _element(p, e, out)
-    (_, u, f, N), = out or [(0, 0, INFINITY, 0)]  # e = 1: the PadicScalar d_r
-    return _scalar(p, u, f if u else INFINITY, f + N)
+    return _element(p, e, out) if e > 1 else _coordinate(p, *out)  # e = 1: a PadicScalar
 
 
 def yasuda_coefficient_exact(A, B, r: int) -> Fraction:

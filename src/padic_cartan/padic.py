@@ -1,10 +1,30 @@
-"""Bounded-precision p-adic scalars and exact p-adic combinatorics.
+"""Bounded-precision p-adic scalars, the arithmetic kernel of Q_p and L, and
+exact p-adic combinatorics.
 
 A :class:`PadicScalar` is ``unit * p**valuation + O(p**abs_precision)`` with the
 unit stored reduced modulo ``p**(abs_precision - valuation)``, i.e. to its full
 relative precision.  Exact zero (valuation ``+inf``, infinite precision) is
 distinct from a precision zero ``O(p**N)``, whose valuation is only known to be
 ``>= N``.
+
+Q_p and L = Q_p(pi_e), pi_e**e = -p, share one integer form and one kernel.
+x = sum(c[i] * pi_e**i) has an entry (i, unit, floor f, relative precision r)
+per coordinate not exactly 0, c[i] = unit * p**f + O(p**(f + r)); a
+PadicScalar is the form of e = 1 (`_terms`).  Each index appears at most
+once; p divides no nonzero unit; a zero known to p**N is (i, 0, N, 0), an
+exact zero is absent; a finite unit is defined only mod p**r (a negation
+leaves -u).  The kernel `_product` keeps the rules of Caruso, Roe and
+Vaccon, "Tracking p-adic precision" (2014): a_i and b_j give the term
+a_i.unit * b_j.unit * p**(f_a + f_b), known mod p**min(N_a + f_b, N_b + f_a),
+at index i + j, folded from index e on through pi**e = -p.  Each coordinate
+sums its terms over p**base, base the least floor a term can have, and is
+normalized once (`_normal`) mod the least of their precisions: as every
+partial sum is exact to that precision, this equals adding them one by one.
+So a form that lists an index twice is a sum, and its product with the exact
+1 normalizes it.  `_power` takes a monomial's power in closed form, `_scale`
+multiplies by an exact num/den, `_monomial_inverse` inverts one entry and
+`_coordinate` reads a coordinate back; PadicScalar's `+ - * / **` and
+`inverse` are these on one-entry forms.
 
 The combinatorial helpers (`val_factorial`, `multinomial_padic`, ...) never
 build the underlying factorials when the arguments are large: valuations come
@@ -21,12 +41,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
-from operator import mul
+from functools import lru_cache, partial
 
 from .errors import PrecisionError, UnsupportedPrimeError
 
 INFINITY = float("inf")
+_ONE = ((0, 1, 0, INFINITY),)  # the form of the exact 1
 
 
 @lru_cache(maxsize=None)
@@ -188,7 +208,8 @@ def multinomial_padic(n: int, parts, p: int, digits: int) -> "PadicScalar":
 def power_by_squaring(base, exponent: int, one, mul):
     """base**exponent for exponent >= 0: square-and-multiply from the low bit.
 
-    `mul` is the product: PadicScalar's, or the L kernel's on integer forms.
+    `mul` is the product; its only one in the package is the kernel's,
+    `_product`, on integer forms (`_power`).
     `one` is returned for exponent 0 and never multiplied in; the last
     squaring, whose result would go unused, is skipped.
     """
@@ -235,21 +256,14 @@ class PadicScalar:
         value = Fraction(value)
         if value == 0:
             return cls.exact_zero(p)
-        v = vp(value, p)
-        num = value.numerator // p ** vp(value.numerator, p)
-        den = value.denominator // p ** vp(value.denominator, p)
-        rel = abs_precision - v
-        if rel == INFINITY:
-            if den != 1 and den != -1:
-                raise PrecisionError(
-                    f"1/{den} has no exact finite expansion; give a finite precision"
-                )
-            return cls(p, num * den, v, INFINITY)
-        if rel <= 0:
+        v, den = vp(value, p), value.denominator // p ** vp(value.denominator, p)
+        if abs_precision == INFINITY and den != 1:
+            raise PrecisionError(f"1/{den} has no exact finite expansion; give a finite precision")
+        if abs_precision <= v:
             return cls.zero_to_precision(p, abs_precision)
-        P = p ** int(rel)
-        unit = num * pow(den, -1, P) % P
-        return cls(p, unit, v, abs_precision)
+        r = abs_precision if abs_precision == INFINITY else int(abs_precision) - v
+        (_, unit, _, _), = _scale(p, ((0, 1, 0, r),), value.numerator, value.denominator)
+        return cls(p, unit, v, abs_precision)  # checks p and the precision
 
     # -- predicates and views ---------------------------------------------
 
@@ -297,31 +311,18 @@ class PadicScalar:
     # -- arithmetic ---------------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, PadicScalar):
-            if other.prime != self.prime:
-                raise ValueError("mixed primes")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return other
-        return NotImplemented
+        if isinstance(other, PadicScalar) and other.prime != self.prime:
+            raise ValueError("mixed primes")
+        return other if isinstance(other, (int, Fraction, PadicScalar)) else NotImplemented
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not isinstance(other, PadicScalar):
-            if other == 0:
-                return self
+        if not isinstance(other, PadicScalar):  # known to self's precision
             other = PadicScalar.from_rational(other, self.prime, self.abs_precision)
-        if self.is_exact_zero:
-            return other
-        if other.is_exact_zero:
-            return self
-        # A precision zero adds nothing, but no valuation below its floor is certified.
-        p, fa, fb = self.prime, self.valuation_floor(), other.valuation_floor()
-        base = fa if fa < fb else fb
-        total = self.unit * p ** (fa - base) + other.unit * p ** (fb - base)
-        return _scalar(p, total, base, min(self.abs_precision, other.abs_precision))
+        p = self.prime
+        return _coordinate(p, *_product(p, 1, _ONE, _terms(self) + _terms(other)))
 
     __radd__ = __add__
 
@@ -341,13 +342,10 @@ class PadicScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not isinstance(other, PadicScalar):  # an int or Fraction: exact scaling
-            return self._scaled(other.numerator, other.denominator)
-        if self.is_exact_zero or other.is_exact_zero:
-            return self if self.is_exact_zero else other
-        fa, fb = self.valuation_floor(), other.valuation_floor()
-        N = fa + fb + min(self.abs_precision - fa, other.abs_precision - fb)
-        return _scalar(self.prime, self.unit * other.unit, fa + fb, N)
+        p = self.prime
+        if isinstance(other, PadicScalar):
+            return _coordinate(p, *_product(p, 1, _terms(self), _terms(other)))
+        return _coordinate(p, *_scale(p, _terms(self), other.numerator, other.denominator))
 
     __rmul__ = __mul__
 
@@ -355,33 +353,9 @@ class PadicScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not isinstance(other, PadicScalar):
-            if other == 0:
-                raise ZeroDivisionError("division by zero")
-            sign = 1 if other > 0 else -1
-            return self._scaled(sign * other.denominator, sign * other.numerator)
-        return self * other.inverse()
-
-    def _scaled(self, num: int, den: int) -> "PadicScalar":
-        """self * num / den for ints num and den > 0: a shift by their p-parts,
-        and the unit times num's p-free part and the inverse of den's mod p**rel."""
-        p = self.prime
-        if num == 0 or self.is_exact_zero:
-            return _scalar(p, 0, INFINITY, INFINITY)
-        vn, vd = vp(num, p), vp(den, p)
-        num, den, v = num // p**vn, den // p**vd, vn - vd
-        rel = self.rel_precision
-        if rel == INFINITY:
-            # Exact iff the p-free denominator divides the unit.
-            if self.unit % den:
-                raise PrecisionError(
-                    f"1/{den} has no exact finite expansion; reduce precision first"
-                )
-            unit = self.unit // den * num
-        else:
-            P = p ** int(rel)
-            unit = self.unit * num * pow(den, -1, P) % P
-        return _scalar(p, unit, self.valuation + v, self.abs_precision + v)
+        if not isinstance(other, PadicScalar) and other == 0:
+            raise ZeroDivisionError("division by zero")
+        return self * (other.inverse() if isinstance(other, PadicScalar) else 1 / Fraction(other))
 
     def __rtruediv__(self, other):
         return self.inverse() * other
@@ -389,17 +363,14 @@ class PadicScalar:
     def inverse(self) -> "PadicScalar":
         if self.unit == 0:
             raise ZeroDivisionError("inverting a (precision) zero")
-        # 1 / (unit * p**v) = p**-v / unit, to the same relative precision.
-        sign = 1 if self.unit > 0 else -1
-        one = _scalar(self.prime, sign, -self.valuation, self.abs_precision - 2 * self.valuation)
-        return one._scaled(1, sign * self.unit)
+        return _coordinate(self.prime, *_monomial_inverse(self.prime, 1, _terms(self)[0]))
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** -exponent
-        return power_by_squaring(self, exponent, _scalar(self.prime, 1, 0, INFINITY), mul)
+        return _coordinate(self.prime, *_power(self.prime, 1, _terms(self), exponent))
 
     def shift(self, k: int) -> "PadicScalar":
         """Multiply by p**k exactly."""
@@ -459,10 +430,95 @@ def _normal(p: int, unit: int, valuation, abs_precision):
         return 0, INFINITY  # indistinguishable from zero at this precision
     if abs_precision != INFINITY:
         unit %= p ** int(abs_precision - valuation)
+    q, k = p, 1  # strip p, p**2, p**4, ... while they divide, from p again when one does not
     while unit and unit % p == 0:  # stays below p**(abs_precision - valuation)
-        unit //= p
-        valuation += 1
+        if unit % q:
+            q, k = p, 1
+        unit, valuation, q, k = unit // q, valuation + k, q * q, 2 * k
     return (unit, valuation) if unit else (0, INFINITY)
+
+
+def _terms(x, i: int = 0):
+    """The integer form of x: an element's `form`; a PadicScalar is one entry,
+    at index i, or none when it is exactly 0."""
+    if not isinstance(x, PadicScalar):
+        return x.form
+    if x.unit:
+        return ((i, x.unit, x.valuation, x.abs_precision - x.valuation),)
+    return () if x.abs_precision == INFINITY else ((i, 0, x.abs_precision, 0),)
+
+
+def _coordinate(p: int, entry=(0, 0, INFINITY, 0)) -> PadicScalar:
+    """One entry of an integer form as a normalized PadicScalar; by default
+    the exact 0.  `_coordinate(p, *form)` reads the scalar off a form of e = 1."""
+    _, u, f, r = entry
+    return _scalar(p, u, f, f + r)
+
+
+def _product(p: int, e: int, x, y):
+    """The integer form of x * y; an index listed twice in x or y is a sum."""
+    if not x or not y:
+        return []
+    base = min(f for _, _, f, _ in x) + min(f for _, _, f, _ in y)
+    total, precision = [0] * e, [INFINITY] * e
+    for i, ua, fa, ra in x:
+        for j, ub, fb, rb in y:
+            k, f, t = i + j, fa + fb, ua * ub
+            N = f + (ra if ra < rb else rb)  # min(N_a + f_b, N_b + f_a)
+            if t and f != base:
+                t *= p ** (f - base)
+            if k >= e:  # pi**e = -p
+                k, t, N = k - e, -p * t, N + 1
+            total[k] += t
+            if N < precision[k]:
+                precision[k] = N
+    out = []
+    for k, N in enumerate(precision):  # an exact 0 needs no normal form
+        u, f = _normal(p, total[k], base, N) if total[k] or N != INFINITY else (0, N)
+        if u:
+            out.append((k, u, f, N - f))
+        elif N != INFINITY:
+            out.append((k, 0, N, 0))
+    return out
+
+
+def _power(p: int, e: int, form, exponent: int):
+    """The integer form of x**exponent, exponent >= 0: a monomial's power in
+    closed form, any other by square-and-multiply on `_product`."""
+    if exponent and len(form) == 1:
+        (i, u, f, r), = form
+        folds, index = divmod(i * exponent, e)
+        u = pow(u, exponent) if r == INFINITY else pow(u, exponent, p**r)
+        return [(index, -u if folds % 2 else u, exponent * f + folds, r)]
+    return power_by_squaring(form, exponent, _ONE, partial(_product, p, e))
+
+
+def _scale(p: int, form, num: int, den: int):
+    """The integer form of x * num / den, ints num and den > 0: their p-parts
+    shift every floor, and each unit takes num's p-free part times the
+    inverse of den's mod p**r.  An exact unit that den's p-free part does not
+    divide raises."""
+    if num == 0:
+        return []
+    vn, vd = vp(num, p), vp(den, p)
+    num, den, v, out = num // p**vn, den // p**vd, vn - vd, []
+    for i, u, f, r in form:
+        if r != INFINITY:
+            u = u * num * pow(den, -1, p**r) % p**r
+        elif u % den:
+            raise PrecisionError(f"1/{den} has no exact finite expansion; reduce precision first")
+        else:
+            u = u // den * num
+        out.append((i, u, f + v, r))
+    return out
+
+
+def _monomial_inverse(p: int, e: int, entry):
+    """The form of 1/(u * p**f * pi**i) for one entry (i, u, f, r), u != 0:
+    u**-1 p**-f pi**-i, one fold when i > 0, to the same relative precision."""
+    i, u, f, r = entry
+    sign = 1 if u > 0 else -1
+    return _scale(p, [(-i % e, -sign if i else sign, -f - (i > 0), r)], 1, sign * u)
 
 
 def newton_polygon(points):

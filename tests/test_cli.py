@@ -1,11 +1,15 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import random
 import sys
+from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
-from padic_cartan.cli import main
+from padic_cartan.cli import _logcoeff_digits, main
+from padic_cartan.formal_log import yasuda_coefficient_exact
 
 EXAMPLE1 = ["--p", "11", "--a", "1331", "--b", "121"]
 
@@ -244,6 +248,58 @@ def test_logcoeffs_refuses_past_the_exact_cap_even_with_force(capsys, monkeypatc
                            "--r-max", "20003", "--force", *method)
         assert rc == 2 and out == ""
         assert len(err.strip().splitlines()) == 1 and "20001" in err
+
+
+def _no_route(monkeypatch):
+    """Both exact routes raise, so a request that reaches them exits 2 with this line."""
+    def route(*args, **kwargs):
+        raise ValueError("route reached")
+
+    monkeypatch.setattr("padic_cartan.cli.yasuda_coefficient_exact", route)
+    monkeypatch.setattr("padic_cartan.cli.series_inversion_logarithm", route)
+
+
+def test_logcoeffs_refuses_past_the_int_str_limit_by_its_estimate(capsys, monkeypatch):
+    # d_8001 of (1/23, 1/37) needs 4811 digits: the estimate refuses it before any route.
+    _no_route(monkeypatch)
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+    base = ["logcoeffs", "--a", "1/23", "--b", "1/37", "--force", "--r-max"]
+    for mode in ((), ("--json",), ("--method", "series")):
+        for r_max, refused in (("8001", True), ("7141", True), ("7140", False)):
+            rc, out, err = run(capsys, *base, r_max, *mode)
+            assert rc == 2 and out == ""
+            if refused:
+                assert err.startswith(f"--r-max {r_max}: d_") and "4300-digit" in err, err
+            else:
+                assert err.strip() == "route reached"
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)  # 0: no limit
+    assert run(capsys, *base, "8001")[2].strip() == "route reached"
+    monkeypatch.delattr(sys, "get_int_max_str_digits")  # before Python 3.10.7
+    assert run(capsys, *base, "8001")[2].strip() == "route reached"
+
+
+def test_logcoeff_digit_estimate_bounds_the_true_digits():
+    # Seeded curves, a = 0, b = 0, and denominators 6 and 10 whose lcm is below
+    # their product; every odd r <= 2001 against the exact d_r.
+    rng = random.Random(23)
+    curves = [(Fraction(1, 23), Fraction(1, 37)), (Fraction(0), Fraction(5, 7)),
+              (Fraction(-3, 4), Fraction(0)), (Fraction(5, 6), Fraction(7, 10)),
+              (Fraction(rng.randrange(-99, 99), 29), Fraction(rng.randrange(1, 99), 31))]
+    for a, b in curves:
+        bounds = _logcoeff_digits(a, b, 2001)
+        for r in range(1, 2002, 2):
+            d = yasuda_coefficient_exact(a, b, r)
+            assert bounds[r // 2] >= max(len(str(abs(d.numerator))), len(str(d.denominator))), r
+
+
+def test_logcoeffs_answers_the_benchmark_shapes_at_the_default_cap(capsys, monkeypatch):
+    # Numerators below 100 over two of 23, 29, 31, 37, one curve with a = 0.
+    _no_route(monkeypatch)
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+    for den_a, den_b in permutations((23, 29, 31, 37), 2):
+        for a in (f"-99/{den_a}", "0"):
+            rc, out, err = run(capsys, "logcoeffs", f"--a={a}", f"--b=99/{den_b}", "--r-max", "501")
+            assert rc == 2 and err.strip() == "route reached", (a, den_b)
 
 
 def test_divpoly_text_table_and_partition(capsys):

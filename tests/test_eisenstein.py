@@ -266,20 +266,114 @@ def test_embedding_matches_target_precision():
 # -- differential oracle for the product kernel -------------------------------
 
 
-def _schoolbook_product(a, b):
-    """a * b one coordinate pair at a time: PadicScalar *, (-t).shift(1) for
-    pi**e = -p, and sequential +.  Shares no code with EisensteinElement.__mul__."""
-    e, p = a.ram_index, a.prime
-    acc = [PadicScalar.exact_zero(p)] * e
-    for i, x in enumerate(a.coords):
-        for j, y in enumerate(b.coords):
-            if x.is_exact_zero or y.is_exact_zero:
-                continue
-            k, term = i + j, x * y
-            if k >= e:
-                k, term = k - e, (-term).shift(1)
-            acc[k] = acc[k] + term
-    return acc
+# The references below restate the precision rules of Caruso, Roe and Vaccon,
+# "Tracking p-adic precision" (2014), on Fractions, and call none of the
+# package's arithmetic.  A coordinate is (lift, N): the rational it stands
+# for, known modulo p**N; an exact zero is (0, INFINITY).
+
+
+def _ref(c):
+    return c.lift_fraction(), c.abs_precision
+
+
+def _floor(p, lift, N):
+    """The least valuation that lift + O(p**N) can have."""
+    return _vp(lift, p) if lift else N
+
+
+def _ref_key(p, lift, N):
+    """(unit, valuation, abs_precision) of lift + O(p**N) in normal form, from vp."""
+    if lift == 0 or _vp(lift, p) >= N:
+        return 0, INFINITY, N
+    v = _vp(lift, p)
+    unit = Fraction(lift) / Fraction(p) ** v
+    if N == INFINITY:
+        assert unit.denominator == 1, lift  # an exact value carries an integer unit
+        return int(unit), v, N
+    P = p ** (N - v)
+    return unit.numerator * pow(unit.denominator, -1, P) % P, v, N
+
+
+def _ref_sum(xs):
+    """A sum is the sum of the lifts, known to the least of the precisions."""
+    return sum(lift for lift, _ in xs), min(N for _, N in xs)
+
+
+def _ref_product(p, x, y):
+    """A product is the product of the lifts, known to min(N_a + f_b, N_b + f_a)."""
+    (la, Na), (lb, Nb) = x, y
+    return la * lb, min(Na + _floor(p, lb, Nb), Nb + _floor(p, la, Na))
+
+
+def _ref_element_product(p, xs, ys):
+    """Coordinates of x * y in Q_p(pi), pi**e = -p: the coordinate products at
+    i + j, folded from e on (times -p, one more digit), summed per index."""
+    e = len(xs)
+    terms = [[] for _ in range(e)]
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            lift, N = _ref_product(p, x, y)
+            terms[(i + j) % e].append((-p * lift, N + 1) if i + j >= e else (lift, N))
+    return [_ref_sum(t) for t in terms]
+
+
+def _ref_scaled(p, x, q):
+    """x * q for an exact int or Fraction q: the lift times q, known to
+    N + v(q); an exact unit that the p-free part of q's denominator does not
+    divide has no exact finite expansion."""
+    (lift, N), q = x, Fraction(q)
+    if q == 0 or (lift == 0 and N == INFINITY):
+        return Fraction(0), INFINITY
+    den = q.denominator // p ** _vp(Fraction(q.denominator), p)
+    if N == INFINITY and (lift / Fraction(p) ** _vp(lift, p)) % den:
+        raise PrecisionError(f"1/{den} has no exact finite expansion; reduce precision first")
+    return lift * q, N + _vp(q, p)
+
+
+def _ref_inverse(p, x):
+    """1/x, to the same relative precision: known to N - 2v."""
+    lift, N = x
+    if lift == 0:
+        raise ZeroDivisionError("inverting a (precision) zero")
+    v = _vp(lift, p)
+    unit = abs(lift / Fraction(p) ** v)
+    if N == INFINITY and unit != 1:
+        raise PrecisionError(f"1/{unit} has no exact finite expansion; reduce precision first")
+    return 1 / lift, N - 2 * v
+
+
+def _ref_embedded(p, c, N):
+    """An int or Fraction as `+` embeds it: known to N, the least precision of
+    the other summand; exact only with a power of p as its denominator."""
+    c = Fraction(c)
+    den = c.denominator // p ** _vp(Fraction(c.denominator), p)
+    if N == INFINITY and den != 1:
+        raise PrecisionError(f"1/{den} has no exact finite expansion; give a finite precision")
+    return c, N
+
+
+def _ref_divided(p, x, q):
+    if q == 0:
+        raise ZeroDivisionError("division by zero")
+    return _ref_scaled(p, x, 1 / Fraction(q))
+
+
+def _ref_power(p, x, n):
+    """x**n as repeated products, from the exact 1; of 1/x when n < 0."""
+    base, out = (x if n >= 0 else _ref_inverse(p, x)), (Fraction(1), INFINITY)
+    for _ in range(abs(n)):
+        out = _ref_product(p, out, base)
+    return out
+
+
+def _ref_outcome(p, fn):
+    """(the keys of the coordinates fn() lists, None) or (None, the error's
+    type and message), as `_outcome` reports the package's result."""
+    try:
+        coords = fn()
+    except (ArithmeticError, ValueError) as exc:
+        return None, (type(exc), str(exc))
+    return [_ref_key(p, *c) for c in coords], None
 
 
 def _random_coordinate(rng, p):
@@ -357,8 +451,9 @@ def test_product_kernel_matches_schoolbook_product():
     assert any(c.unit and c.abs_precision != INFINITY for c in coords)
     for a, b in pairs:
         got = a * b
-        want = _schoolbook_product(a, b)
-        assert [_key(c) for c in got.coords] == [_key(c) for c in want], (a, b)
+        want = _ref_element_product(a.prime, [_ref(c) for c in a.coords],
+                                    [_ref(c) for c in b.coords])
+        assert [_key(c) for c in got.coords] == [_ref_key(a.prime, *c) for c in want], (a, b)
         _agrees_to_precision(got, _exact_product(_lifts(a), _lifts(b), a.prime), a.prime)
 
 
@@ -423,10 +518,10 @@ def test_inverse_is_certified_per_coordinate():
 def test_powers_match_repeated_schoolbook_products():
     for a, _ in _random_pairs(100, seed=11):
         p, e = a.prime, a.ram_index
-        want = [PadicScalar.from_rational(1, p, INFINITY)] + [PadicScalar.exact_zero(p)] * (e - 1)
+        want = [(Fraction(1), INFINITY)] + [(Fraction(0), INFINITY)] * (e - 1)
         for n in range(13):
-            assert [_key(c) for c in (a**n).coords] == [_key(c) for c in want], (a, n)
-            want = _schoolbook_product(EisensteinElement(p, e, want), a)
+            assert [_key(c) for c in (a**n).coords] == [_ref_key(p, *c) for c in want], (a, n)
+            want = _ref_element_product(p, want, [_ref(c) for c in a.coords])
 
 
 def test_large_powers_match_object_level_squaring():
@@ -448,10 +543,11 @@ def test_large_powers_match_object_level_squaring():
 def _geometric_inverse(a):
     """The inverse by the term-by-term tail 1 + w + ... + w**steps, steps the
     least with steps * v(w) beyond w's precision, truncated to that precision."""
-    e = a.ram_index
+    e, p = a.ram_index, a.prime
     v = a.valuation()
     lead_i = int(e * v) % e
-    inv_lead = EisensteinElement.pi_monomial(a.coords[lead_i].inverse(), -lead_i, e)
+    lead = PadicScalar(p, *_ref_key(p, *_ref_inverse(p, _ref(a.coords[lead_i]))))
+    inv_lead = EisensteinElement.pi_monomial(lead, -lead_i, e)
     w = 1 - a * inv_lead
     prec = w.pi_precision()
     if prec == INFINITY:
@@ -512,28 +608,13 @@ def test_monomial_powers_match_square_and_multiply():
 # -- the element stores its integer form: oracles for +, - and the invariants ----
 
 
-def _coordinatewise(op, xs, ys):
-    """xs op ys one coordinate at a time with PadicScalar arithmetic, as L added
-    before elements stored their integer form.  Shares no code with `_product`."""
-    return [op(x, y) for x, y in zip(xs, ys)]
-
-
-def _embedded_coords(c, like):
-    """c as coordinates beside `like`: a PadicScalar in coordinate 0, an int or
-    Fraction known to the least coordinate precision of `like`."""
-    p, e = like.prime, like.ram_index
-    if not isinstance(c, PadicScalar):
-        c = PadicScalar.from_rational(c, p, min(x.abs_precision for x in like.coords))
-    return [c] + [PadicScalar.exact_zero(p)] * (e - 1)
-
-
 def _outcome(fn):
     """(the coordinate keys of fn(), None) or (None, the error's type and message)."""
     try:
         result = fn()
     except (ArithmeticError, ValueError, TypeError) as exc:
         return None, (type(exc), str(exc))
-    coords = result.coords if isinstance(result, EisensteinElement) else result
+    coords = result.coords if isinstance(result, EisensteinElement) else [result]
     return [_key(c) for c in coords], None
 
 
@@ -545,14 +626,19 @@ def test_kernel_sum_matches_coordinatewise_padic_addition():
                 shapes.add("exact zero" if c.is_exact_zero else "precision zero"
                            if c.is_precision_zero else "finite" if c.abs_precision != INFINITY
                            else "exact")
-            for op in (add, sub):
-                assert _outcome(lambda: op(a, b)) == _outcome(
-                    lambda: _coordinatewise(op, a.coords, b.coords)), (a, b, op)
-            assert _outcome(lambda: -a) == _outcome(lambda: [-x for x in a.coords])
-            p = a.prime
+            p, xs, ys = a.prime, [_ref(c) for c in a.coords], [_ref(c) for c in b.coords]
+            for op, sign in ((add, 1), (sub, -1)):
+                want = _ref_outcome(
+                    p, lambda: [_ref_sum([x, (sign * l, N)]) for x, (l, N) in zip(xs, ys)])
+                assert _outcome(lambda: op(a, b)) == want, (a, b, op)
+            assert _outcome(lambda: -a) == _ref_outcome(p, lambda: [(-l, N) for l, N in xs])
+            least = min(N for _, N in xs)
             for c in (3, -p**2, Fraction(2, 7), Fraction(5, p), b.coords[0],
                       PadicScalar.from_rational(7, p, 3)):
-                want = _outcome(lambda: _coordinatewise(add, a.coords, _embedded_coords(c, a)))
+                def summand():  # c in coordinate 0
+                    return _ref(c) if isinstance(c, PadicScalar) else _ref_embedded(p, c, least)
+
+                want = _ref_outcome(p, lambda: [_ref_sum([xs[0], summand()])] + xs[1:])
                 assert _outcome(lambda: a + c) == want, (a, c)
                 assert _outcome(lambda: c + a) == want, (a, c)
                 errors += want[1] is not None
@@ -571,6 +657,40 @@ def test_kernel_sum_matches_coordinatewise_padic_addition():
         x + "1"
     with pytest.raises(TypeError):
         x + 1.0
+
+
+def test_scalar_operators_match_the_fraction_rules():
+    rng, errors = random.Random(21), set()
+    for _ in range(1500):
+        p = rng.choice((5, 11))
+        x, y = _random_coordinate(rng, p), _random_coordinate(rng, p)
+        rx, ry = _ref(x), _ref(y)
+        q = rng.choice((0, 3, -p**2, 7 * p**3, Fraction(2, 7), Fraction(5, p),
+                        Fraction(-3, 4 * p**2)))
+        cases = [
+            (lambda: x + y, lambda: _ref_sum([rx, ry])),
+            (lambda: x - y, lambda: _ref_sum([rx, (-ry[0], ry[1])])),
+            (lambda: -x, lambda: (-rx[0], rx[1])),
+            (lambda: x * y, lambda: _ref_product(p, rx, ry)),
+            (lambda: x / y, lambda: _ref_product(p, rx, _ref_inverse(p, ry))),
+            (x.inverse, lambda: _ref_inverse(p, rx)),
+            (lambda: x + q, lambda: _ref_sum([rx, _ref_embedded(p, q, rx[1])])),
+            (lambda: q - x, lambda: _ref_sum([(-rx[0], rx[1]), _ref_embedded(p, q, rx[1])])),
+            (lambda: x * q, lambda: _ref_scaled(p, rx, q)),
+            (lambda: q * x, lambda: _ref_scaled(p, rx, q)),
+            (lambda: x / q, lambda: _ref_divided(p, rx, q)),
+            (lambda: q / x, lambda: _ref_scaled(p, _ref_inverse(p, rx), q)),
+        ]
+        cases += [(lambda n=n: x**n, lambda n=n: _ref_power(p, rx, n)) for n in range(-3, 7)]
+        for got, want in cases:
+            want = _ref_outcome(p, lambda: [want()])
+            assert _outcome(got) == want, (x, y, q)
+            if want[1]:
+                errors.add(want[1])
+    # Zeros, exact non-units and p-free denominators against exact values all raise.
+    assert {t for t, _ in errors} == {ZeroDivisionError, PrecisionError} and len(errors) >= 10
+    with pytest.raises(ValueError, match="^mixed primes$"):
+        PadicScalar.from_rational(1, 5, 3) * PadicScalar.from_rational(1, 11, 3)
 
 
 def _assert_form_invariants(x):

@@ -8,6 +8,7 @@ from padic_cartan.errors import PrecisionError, UnsupportedPrimeError
 from padic_cartan.padic import (
     INFINITY,
     PadicScalar,
+    _normal,
     check_odd_prime,
     factorial_unit,
     multinomial_exact,
@@ -388,3 +389,26 @@ def test_exact_division_by_non_dividing_unit_raises():
     with pytest.raises(PrecisionError):
         x / (-3 * 7**2)
     assert _key(x / (-5 * 7)) == (-1, 2, INFINITY)
+
+
+def test_normal_form_matches_fraction_valuations():
+    # Units carrying p**0 .. p**1000, of both signs, at random precisions: the
+    # valuation and unit are those of the rational unit * p**valuation.
+    rng, stripped = random.Random(31), 0
+    for p in (5, 11):
+        for k in [*range(40), *(rng.randrange(40, 1000) for _ in range(40)), 1000]:
+            unit = rng.choice((1, -1)) * (rng.randrange(1, p**12) * p + rng.randrange(1, p)) * p**k
+            valuation = rng.randrange(-5, 5)
+            N = rng.choice((INFINITY, valuation + rng.randrange(0, k + 20)))
+            lift = Fraction(unit) * Fraction(p) ** valuation
+            v = vp(lift, p)
+            if v >= N:
+                want = (0, INFINITY)
+            elif N == INFINITY:
+                want = (int(lift / Fraction(p) ** v), v)
+            else:
+                want = (int(lift / Fraction(p) ** v) % p ** (N - v), v)
+            assert _normal(p, unit, valuation, N) == want, (p, k, valuation, N)
+            stripped += want[0] != 0 and k > 0
+    assert stripped >= 50
+    assert _normal(5, 0, 3, INFINITY) == _normal(5, 0, 3, 7) == (0, INFINITY)

@@ -1,6 +1,6 @@
 """Micro-layer timings for the L and Q_p arithmetic and the exact log routes, stdlib only.
 
-    python3 tools/microbench.py [--src DIR]
+    python3 tools/microbench.py [--src DIR [--src DIR]]
 
 Prints one JSON object of median microseconds per operation, each key
 followed by `<key>.iqr`, the interquartile range of the same timed loops:
@@ -48,6 +48,8 @@ followed by `<key>.iqr`, the interquartile range of the same timed loops:
       every coordinate a random 12-digit unit at a random valuation in
       [0, 12): coordinate floors that lie apart, which the sum normalizes
       over one base
+  eisenstein.add.spread.e3                   p = 11, x + y with 12-digit units
+      at coordinate floors 0, 200 and 400: one base far below two of them
 
 Each median and IQR is taken over REPEATS = 15 timed loops (time.perf_counter)
 of the same 200 seeded operand pairs (one curve for formal_log.series, .exact
@@ -56,13 +58,18 @@ volkov.hodge_parameters keys); EisensteinElement inverse() and pow run on the
 first 20 of them, and so do factorial_unit and multinomial_padic.
 volkov.hodge_parameters draws its operands after the other layers, and
 padic.inverse and volkov.hodge_parameters.cm after it, and eisenstein.add
-after all of them, so each layer times the operands it had before the later
-ones were added.
+after all of them, and eisenstein.add.spread after it, so each layer times
+the operands it had before the later ones were added.
 --src selects the package source, so one checkout can time another
-(default: the src/ beside this script).
+(default: the src/ beside this script).  Given twice, both trees are loaded
+side by side and each key is timed on both in alternating rounds (A B B A
+A B ...), so drift in the machine's speed falls on both alike; every key then
+holds [A, B], the medians (and `<key>.iqr` the IQRs) in --src order.
 """
 
 import argparse
+import importlib
+import importlib.util
 import json
 import os
 import random
@@ -74,22 +81,32 @@ from fractions import Fraction
 PRIME, PAIRS, INVERSES, REPEATS, CURVES = 11, 200, 20, 15, 5
 
 
-def main(argv=None):
-    here = os.path.dirname(os.path.abspath(__file__))
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", default=os.path.join(os.path.dirname(here), "src"))
-    args = parser.parse_args(argv)
-    sys.path.insert(0, args.src)
-    from padic_cartan.curve import WeierstrassCurve, good_model_over_L
-    from padic_cartan.eisenstein import EisensteinElement
-    from padic_cartan import formal_log
-    from padic_cartan.formal_log import (
-        series_inversion_logarithm,
-        yasuda_coefficient,
-        yasuda_coefficient_exact,
-    )
-    from padic_cartan.padic import PadicScalar, factorial_unit, multinomial_padic
-    from padic_cartan.volkov import hodge_parameters
+def _load(src, name):
+    """Import the package under src/padic_cartan as the package `name`."""
+    root = os.path.join(src, "padic_cartan")
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(root, "__init__.py"), submodule_search_locations=[root])
+    sys.modules[name] = module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return name
+
+
+def cases(package):
+    """(key, op, operands) for every key, in timing order, on one package tree."""
+    curve, eisenstein, formal_log, padic, volkov = (
+        importlib.import_module(f"{package}.{name}")
+        for name in ("curve", "eisenstein", "formal_log", "padic", "volkov"))
+    WeierstrassCurve, good_model_over_L = curve.WeierstrassCurve, curve.good_model_over_L
+    EisensteinElement, PadicScalar = eisenstein.EisensteinElement, padic.PadicScalar
+    series_inversion_logarithm = formal_log.series_inversion_logarithm
+    yasuda_coefficient = formal_log.yasuda_coefficient
+    yasuda_coefficient_exact = formal_log.yasuda_coefficient_exact
+    factorial_unit, multinomial_padic = padic.factorial_unit, padic.multinomial_padic
+    hodge_parameters = volkov.hodge_parameters
+    out = []
+
+    def add_case(name, fn, operands):
+        out.append((name, fn, operands))
 
     rng = random.Random(8)
     extra = random.Random(14)  # the later layers' draws leave rng's sequence as it was
@@ -103,56 +120,43 @@ def main(argv=None):
     def element(e, digits=12):
         return EisensteinElement(PRIME, e, [scalar(digits) for _ in range(e)])
 
-    out = {}
-
-    def time_us(name, fn, operands):
-        runs = []
-        for _ in range(REPEATS):
-            start = time.perf_counter()
-            for ops in operands:
-                fn(*ops)
-            runs.append((time.perf_counter() - start) / len(operands) * 1e6)
-        q1, _, q3 = statistics.quantiles(runs, n=4)
-        out[name] = round(statistics.median(runs), 3)
-        out[f"{name}.iqr"] = round(q3 - q1, 3)
-
     for e in (3, 4, 6):
         pairs = [(element(e), element(e)) for _ in range(PAIRS)]
-        time_us(f"eisenstein.mul.e{e}", lambda a, b: a * b, pairs)
+        add_case(f"eisenstein.mul.e{e}", lambda a, b: a * b, pairs)
         singles = [(a,) for a, _ in pairs[:INVERSES]]
-        time_us(f"eisenstein.inverse.e{e}", lambda a: a.inverse(), singles)
+        add_case(f"eisenstein.inverse.e{e}", lambda a: a.inverse(), singles)
         units = [(element(e, 7),) for _ in range(INVERSES)]
-        time_us(f"eisenstein.pow.e{e}", lambda a: a ** (PRIME**5 // 6), units)
+        add_case(f"eisenstein.pow.e{e}", lambda a: a ** (PRIME**5 // 6), units)
         monomials = [(EisensteinElement.pi_monomial(scalar(7, extra), extra.randrange(e), e),)
                      for _ in range(INVERSES)]
-        time_us(f"eisenstein.pow.monomial.e{e}", lambda a: a ** (PRIME**5 // 6), monomials)
+        add_case(f"eisenstein.pow.monomial.e{e}", lambda a: a ** (PRIME**5 // 6), monomials)
     for digits in (4, 32, 256):
         pairs = [(scalar(digits), scalar(digits)) for _ in range(PAIRS)]
-        time_us(f"padic.mul.d{digits}", lambda a, b: a * b, pairs)
-        time_us(f"padic.add.d{digits}", lambda a, b: a + b, pairs)
+        add_case(f"padic.mul.d{digits}", lambda a, b: a * b, pairs)
+        add_case(f"padic.add.d{digits}", lambda a, b: a + b, pairs)
     for k in (7, 80):
         ns = [(extra.randrange(PRIME**k, 2 * PRIME**k),) for _ in range(INVERSES)]
-        time_us(f"padic.factorial_unit.n{k}", lambda n: factorial_unit(n, PRIME, 4), ns)
+        add_case(f"padic.factorial_unit.n{k}", lambda n: factorial_unit(n, PRIME, 4), ns)
         shapes = []
         for (N,) in ns:
             n = extra.randrange(N // 3)
             m = (N - 3 * n) // 2
             shapes.append((2 * m + 3 * n, (m + 2 * n, m, n)))
-        time_us(f"padic.multinomial_padic.n{k}",
+        add_case(f"padic.multinomial_padic.n{k}",
                 lambda N, parts: multinomial_padic(N, parts, PRIME, 4), shapes)
     curve = [(Fraction(rng.choice((-1, 1)) * rng.randint(1, 99), 23),
               Fraction(rng.choice((-1, 1)) * rng.randint(1, 99), 37))]
-    time_us("formal_log.series.r501",
+    add_case("formal_log.series.r501",
             lambda a, b: series_inversion_logarithm(a, b, 501, force=True), curve)
-    time_us("formal_log.exact.r501",
+    add_case("formal_log.exact.r501",
             lambda a, b: [yasuda_coefficient_exact(a, b, r) for r in range(1, 502, 2)], curve)
     models = []
     while len(models) < CURVES:
         a, b = rng.randrange(1, 17) * 17**3, rng.randrange(1, 17) * 17**2
         if (4 * a**3 + 27 * b**2) % 17**5:  # v(disc) = 4: e = 3
             models.append(tuple(good_model_over_L(WeierstrassCurve(17, a, b), 3)))
-    time_us("formal_log.yasuda.p4", lambda a, b: yasuda_coefficient(a, b, 17**4, 4), models)
-    time_us("formal_log.yasuda.p5", lambda a, b: yasuda_coefficient(a, b, 17**5, 2), models)
+    add_case("formal_log.yasuda.p4", lambda a, b: yasuda_coefficient(a, b, 17**4, 4), models)
+    add_case("formal_log.yasuda.p5", lambda a, b: yasuda_coefficient(a, b, 17**5, 2), models)
     plan = getattr(formal_log, "_sum_plan", None)
     clear = plan.cache_clear if plan else lambda: None
 
@@ -160,7 +164,7 @@ def main(argv=None):
         clear()
         return yasuda_coefficient(a, b, 17**5, 2)
 
-    time_us("formal_log.yasuda.p5.cold", cold, models)
+    add_case("formal_log.yasuda.p5.cold", cold, models)
 
     def prime_to_p(low, high):
         while True:
@@ -173,7 +177,7 @@ def main(argv=None):
     unit_dens = [(Fraction(a, prime_to_p(2, 100)), Fraction(b, prime_to_p(2, 100)))
                  for a, b in lifts]
     for name, curves in (("lift", lifts), ("unit_den", unit_dens)):
-        time_us(f"volkov.hodge_parameters.{name}",
+        add_case(f"volkov.hodge_parameters.{name}",
                 lambda a, b: hodge_parameters(WeierstrassCurve(PRIME, a, b)), curves)
 
     def deep_cold(precision):
@@ -181,14 +185,14 @@ def main(argv=None):
         return hodge_parameters(WeierstrassCurve(PRIME, PRIME**3, PRIME**2), precision=precision)
 
     for precision in (70, 100):
-        time_us(f"volkov.hodge_parameters.P{precision}.cold", deep_cold, [(precision,)])
+        add_case(f"volkov.hodge_parameters.P{precision}.cold", deep_cold, [(precision,)])
     for digits in (4, 32, 256):
         singles = [(scalar(digits, extra),) for _ in range(PAIRS)]
-        time_us(f"padic.inverse.d{digits}", lambda a: a.inverse(), singles)
+        add_case(f"padic.inverse.d{digits}", lambda a: a.inverse(), singles)
     shapes = [(None, 2), (None, 1), (1, None), (3, None)]  # shallow-batch's CM lifts
     cm = [tuple(0 if v is None else prime_to_p(1, PRIME**3) * PRIME**v for v in shape)
           for shape in (shapes * CURVES)[:CURVES]]
-    time_us("volkov.hodge_parameters.cm",
+    add_case("volkov.hodge_parameters.cm",
             lambda a, b: hodge_parameters(WeierstrassCurve(PRIME, a, b)), cm)
 
     def spread(e):
@@ -196,7 +200,52 @@ def main(argv=None):
 
     for e in (3, 4, 6):
         pairs = [(spread(e), spread(e)) for _ in range(PAIRS)]
-        time_us(f"eisenstein.add.e{e}", lambda a, b: a + b, pairs)
+        add_case(f"eisenstein.add.e{e}", lambda a, b: a + b, pairs)
+
+    def far_apart():
+        return EisensteinElement(PRIME, 3, [scalar(12).shift(f) for f in (0, 200, 400)])
+
+    pairs = [(far_apart(), far_apart()) for _ in range(PAIRS)]
+    add_case("eisenstein.add.spread.e3", lambda a, b: a + b, pairs)
+    return out
+
+
+def _loop_us(fn, operands):
+    start = time.perf_counter()
+    for ops in operands:
+        fn(*ops)
+    return (time.perf_counter() - start) / len(operands) * 1e6
+
+
+def _stats(runs):
+    q1, _, q3 = statistics.quantiles(runs, n=4)
+    return round(statistics.median(runs), 3), round(q3 - q1, 3)
+
+
+def main(argv=None):
+    here = os.path.dirname(os.path.abspath(__file__))
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", action="append",
+                        help="package source tree; twice to interleave two trees")
+    args = parser.parse_args(argv)
+    trees = args.src or [os.path.join(os.path.dirname(here), "src")]
+    if len(trees) > 2:
+        parser.error("--src is given at most twice")
+    suites = [cases(_load(src, f"padic_cartan_{side}")) for side, src in zip("ab", trees)]
+    out = {}
+    for keyed in zip(*suites):
+        runs = [[] for _ in suites]
+        for repeat in range(REPEATS):
+            order = range(len(suites)) if repeat % 4 in (0, 3) else reversed(range(len(suites)))
+            for side in order:
+                _, fn, operands = keyed[side]
+                runs[side].append(_loop_us(fn, operands))
+        stats = [_stats(side_runs) for side_runs in runs]
+        name = keyed[0][0]
+        if len(stats) == 1:
+            out[name], out[f"{name}.iqr"] = stats[0]
+        else:
+            out[name], out[f"{name}.iqr"] = [m for m, _ in stats], [q for _, q in stats]
     print(json.dumps(out))
     return 0
 

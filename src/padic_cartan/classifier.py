@@ -30,10 +30,10 @@ from .padic import INFINITY, check_odd_prime
 from .volkov import (
     ALPHA_INFINITY,
     adaptive_level,
+    beta_pi_digits,
     has_canonical_subgroup,
     hodge_parameters,
     stabilization_level,
-    v_beta_closed_form,
 )
 
 FULL_LABEL = "full_Cns_plus_all_levels"
@@ -217,7 +217,7 @@ def classify(p, a, b, precision=None, k=None, k_cap=_DEFAULT_K_CAP) -> ImageRepo
     # e in {3, 4, 6}: the pi-adic deformation pipeline.
     v_j, v_jm = curve.v_j, curve.v_j_minus_1728
     if k is None:
-        k = max(1, min(k_cap, adaptive_level(e, v_beta_closed_form(e, v_j, v_jm))))
+        k = max(1, min(k_cap, adaptive_level(e, beta_pi_digits(e, v_j, v_jm))))
     if precision is not None:
         # classify() treats precision as a cap on the certificate; it never
         # raises k (use hodge_parameters directly for request semantics).

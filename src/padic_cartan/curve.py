@@ -1,19 +1,22 @@
 """Short Weierstrass models over Q_p: invariants, reduction, normalization.
 
-Everything here is exact, the Eisenstein coordinates of `good_model_over_L`
-included.  p = 2, 3 are rejected outright, so y**2 = x**3 + A*x + B models and
-the scaling (A, B) -> (u**-4 A, u**-6 B) cover all isomorphisms that matter.
+A curve's invariants come from the integer valuations v(a), v(b), v(disc)
+recorded when it is built; `discriminant`, `j_invariant` and `j_minus_1728`
+are lazy `Fraction` properties that nothing else reads.  Everything is exact,
+the Eisenstein coordinates of `good_model_over_L` included.  p = 2, 3 are
+rejected outright, so y**2 = x**3 + A*x + B models and the scaling
+(A, B) -> (u**-4 A, u**-6 B) cover all isomorphisms that matter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .eisenstein import EisensteinElement
+from .eisenstein import EisensteinElement, _pi_digits
 from .errors import NormalizationError, SingularCurveError, UnsupportedPrimeError
 from .padic import INFINITY, check_odd_prime, vp
 
@@ -29,17 +32,26 @@ class WeierstrassCurve:
     prime: int
     a: Fraction
     b: Fraction
+    v_a: object = field(init=False, repr=False, compare=False)  # INFINITY for a = 0
+    v_b: object = field(init=False, repr=False, compare=False)
+    v_discriminant: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        check_odd_prime(self.prime)
-        if self.prime == 3:
+        p = check_odd_prime(self.prime)
+        if p == 3:
             raise UnsupportedPrimeError("p = 3 is not supported")
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        if self.discriminant == 0:
-            raise SingularCurveError(
-                f"discriminant vanishes for a={self.a}, b={self.b}"
-            )
+        a = self.a if type(self.a) is Fraction else Fraction(self.a)
+        b = self.b if type(self.b) is Fraction else Fraction(self.b)
+        va, vb = vp(a, p), vp(b, p)
+        # v(disc) = v(4a**3 + 27b**2); the terms cancel or sum to 0 only if their v tie.
+        vdisc = min(3 * va, 2 * vb)
+        if 3 * va == 2 * vb:
+            n = 4 * a.numerator**3 * b.denominator**2 + 27 * b.numerator**2 * a.denominator**3
+            if n == 0:
+                raise SingularCurveError(f"discriminant vanishes for a={a}, b={b}")
+            vdisc = vp(n, p) - 3 * vp(a.denominator, p) - 2 * vp(b.denominator, p)
+        for name, value in zip(("a", "b", "v_a", "v_b", "v_discriminant"), (a, b, va, vb, vdisc)):
+            object.__setattr__(self, name, value)
 
     @cached_property
     def discriminant(self) -> Fraction:
@@ -54,20 +66,14 @@ class WeierstrassCurve:
         # Identity: j - 1728 = 1728 * 432 * b**2 / discriminant.
         return Fraction(1728 * 432) * self.b**2 / self.discriminant
 
-    def v(self, value):
-        return vp(value, self.prime)
-
-    @property
-    def v_discriminant(self):
-        return self.v(self.discriminant)
-
     @property
     def v_j(self):
-        return self.v(self.j_invariant)
+        # j = -1728 (4a)**3 / disc, and 1728 = 2**6 3**3 is a unit for p > 3.
+        return 3 * self.v_a - self.v_discriminant
 
     @property
     def v_j_minus_1728(self):
-        return self.v(self.j_minus_1728)
+        return 2 * self.v_b - self.v_discriminant
 
     @cached_property
     def reduction(self) -> ReductionData:
@@ -82,17 +88,10 @@ def minimal_model(curve: WeierstrassCurve) -> WeierstrassCurve:
     multiplicative inputs just become minimal-integral.
     """
     p = curve.prime
-    va = vp(curve.a, p)
-    vb = vp(curve.b, p)
-    if va == INFINITY:
-        s = vb // 6
-    elif vb == INFINITY:
-        s = va // 4
-    else:
-        s = min(va // 4, vb // 6)
+    s = min(v // k for v, k in ((curve.v_a, 4), (curve.v_b, 6)) if v != INFINITY)
     if s == 0:
         return curve
-    scale = Fraction(p) ** int(s)
+    scale = Fraction(p) ** s
     return WeierstrassCurve(p, curve.a / scale**4, curve.b / scale**6)
 
 
@@ -115,7 +114,7 @@ class ReductionData:
     supersingular: bool
 
 
-def _mod_p(value: Fraction, p: int) -> int:
+def _mod_p(value, p: int) -> int:
     num, den = value.numerator, value.denominator
     if den % p == 0:
         raise ValueError(f"{value} is not p-integral")
@@ -128,7 +127,7 @@ def hasse_residue(a: Fraction, b: Fraction, p: int) -> int:
     Zero exactly when the reduced curve is supersingular.
     """
     check_odd_prime(p)
-    am, bm = _mod_p(Fraction(a), p), _mod_p(Fraction(b), p)
+    am, bm = _mod_p(a, p), _mod_p(b, p)
     M = (p - 1) // 2
     fact = [1] * (M + 1)
     for i in range(1, M + 1):
@@ -155,12 +154,9 @@ def semistability_defect(curve: WeierstrassCurve) -> ReductionData:
     """
     p = curve.prime
     cmin = minimal_model(curve)
-    vdisc = int(cmin.v_discriminant)
-    vj = cmin.v_j
-    if vj != INFINITY and vj < 0:
-        multiplicative_now = vp(cmin.a, p) == 0
-        defect = 1 if multiplicative_now else 2
-        return ReductionData(cmin, defect, vdisc, MULTIPLICATIVE, False)
+    vdisc = cmin.v_discriminant
+    if cmin.v_j < 0:
+        return ReductionData(cmin, 1 if cmin.v_a == 0 else 2, vdisc, MULTIPLICATIVE, False)
     defect = 12 // gcd(12, vdisc)
     if defect in (3, 4, 6):
         ss = (p + 1) % defect == 0
@@ -203,7 +199,7 @@ def deforming_coefficient(model) -> EisensteinElement:
     """
     i, _ = normalized_shape(model[0].ram_index)
     unit = model[1 - i]
-    if unit.is_exact_zero or unit.valuation() != 0:
+    if unit.is_exact_zero or _pi_digits(unit.form, unit.ram_index) != 0:
         raise NormalizationError(f"model not normalized: v({'AB'[1 - i]}_L) must be 0")
     return model[i]
 
@@ -233,11 +229,11 @@ def good_model_over_L(curve: WeierstrassCurve, e: int) -> GoodModelL:
             f"e={e} does not divide p+1={p + 1}; reduction is not supersingular"
         )
     s = e * data.v_min_discriminant // 12
-    cmin = data.minimal
-    lam = lcm(cmin.a.denominator, cmin.b.denominator)
+    (an, ad), (bn, bd) = data.minimal.a.as_integer_ratio(), data.minimal.b.as_integer_ratio()
+    lam = lcm(ad, bd)
     model = GoodModelL(
-        EisensteinElement.from_rational(lam**4 * cmin.a, p, e, INFINITY).mul_pi_power(-4 * s),
-        EisensteinElement.from_rational(lam**6 * cmin.b, p, e, INFINITY).mul_pi_power(-6 * s),
+        EisensteinElement.from_rational(lam**4 // ad * an, p, e, INFINITY).mul_pi_power(-4 * s),
+        EisensteinElement.from_rational(lam**6 // bd * bn, p, e, INFINITY).mul_pi_power(-6 * s),
     )
     deforming_coefficient(model)  # good reduction: the other coefficient is a unit
     return model

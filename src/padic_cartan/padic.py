@@ -253,7 +253,7 @@ class PadicScalar:
     @classmethod
     def from_rational(cls, value, p: int, abs_precision) -> "PadicScalar":
         """Represent an exact rational to the given absolute precision."""
-        value = Fraction(value)
+        value = value if type(value) is int else Fraction(value)
         if value == 0:
             return cls.exact_zero(p)
         v, den = vp(value, p), value.denominator // p ** vp(value.denominator, p)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .curve import WeierstrassCurve, good_model_over_L, normalized_shape
-from .eisenstein import EisensteinElement
+from .eisenstein import EisensteinElement, _pi_digits
 from .errors import (
     CanonicalSubgroupError,
     NormalizationError,
@@ -85,27 +85,31 @@ def epsilon_sign(v_min_discriminant: int) -> int:
     )
 
 
-def v_beta_closed_form(e: int, v_j, v_j_minus_1728):
-    """v(beta) from the j-invariant alone; INFINITY in the CM cases.
+def beta_pi_digits(e: int, v_j, v_j_minus_1728):
+    """e*v(beta) = (e/d)*v - 1 in pi_e-digits from the j-invariant; INFINITY for CM.
 
-    v(beta) = v(deforming coefficient) - 1/e, read off the invariant that
-    measures that coefficient (`normalized_shape`).
+    v(beta) = v(deforming coefficient) - 1/e, and v = d * v(that coefficient)
+    is the valuation of the invariant that measures it (`normalized_shape`).
     """
     i, d = normalized_shape(e)
     v = (v_j, v_j_minus_1728)[i]
-    if v == INFINITY:
-        return INFINITY
-    return Fraction(v, d) - Fraction(1, e)
+    return v if v == INFINITY else e // d * v - 1
 
 
-def adaptive_level(e: int, v_beta) -> int:
-    """Smallest k >= 1 whose certificate window k*e+1 exceeds e*v(beta).
+def v_beta_closed_form(e: int, v_j, v_j_minus_1728):
+    """v(beta) = `beta_pi_digits` / e as a Fraction; INFINITY in the CM cases."""
+    w = beta_pi_digits(e, v_j, v_j_minus_1728)
+    return w if w == INFINITY else Fraction(w, e)
+
+
+def adaptive_level(e: int, beta_digits) -> int:
+    """Smallest k >= 1 whose certificate window k*e+1 exceeds beta_digits = e*v(beta).
 
     That makes beta visibly nonzero; the CM cases (v(beta) = INFINITY) get 1.
     """
-    if v_beta == INFINITY:
+    if beta_digits == INFINITY:
         return 1
-    return max(1, math.floor(v_beta - Fraction(1, e)) + 1)
+    return max(1, (beta_digits - 1) // e + 1)
 
 
 def v_alpha_table(e: int, v_min_discriminant: int, v_j, v_j_minus_1728) -> int:
@@ -139,7 +143,7 @@ def has_canonical_subgroup(e: int, v_j, v_j_minus_1728) -> bool:
     v(beta) is `v_beta_closed_form`, so e must be in {3, 4, 6} (ValueError
     otherwise); the CM cases (v(beta) = INFINITY) have no canonical subgroup.
     """
-    return 0 < v_beta_closed_form(e, v_j, v_j_minus_1728) + Fraction(1, e) < 1
+    return -1 < beta_pi_digits(e, v_j, v_j_minus_1728) < e - 1
 
 
 def stabilization_level(e: int, v_j, v_j_minus_1728) -> int:
@@ -152,10 +156,10 @@ def stabilization_level(e: int, v_j, v_j_minus_1728) -> int:
         raise CanonicalSubgroupError(
             "curve has a canonical subgroup; no stabilization level"
         )
-    v_beta = v_beta_closed_form(e, v_j, v_j_minus_1728)
-    if v_beta == INFINITY:
+    beta_digits = beta_pi_digits(e, v_j, v_j_minus_1728)
+    if beta_digits == INFINITY:
         raise ValueError("n0 undefined for potential CM (all levels stabilize)")
-    return math.floor(v_beta + Fraction(1, e))
+    return (beta_digits + 1) // e
 
 
 def beta_from_logarithm(model, k: int = 1, precision: int | None = None) -> EisensteinElement:
@@ -247,9 +251,9 @@ def hodge_parameters(
         )
     p = curve.prime
     v_j, v_jm = curve.v_j, curve.v_j_minus_1728
-    v_closed = v_beta_closed_form(e, v_j, v_jm)
+    beta_digits, v_closed = beta_pi_digits(e, v_j, v_jm), v_beta_closed_form(e, v_j, v_jm)
     if k is None:
-        k = adaptive_level(e, v_closed)
+        k = adaptive_level(e, beta_digits)
     if precision is not None:
         k = max(k, -((1 - precision) // e))  # ceil((precision-1)/e)
     model = good_model_over_L(curve, e)
@@ -265,14 +269,14 @@ def hodge_parameters(
         alpha = alpha_from_beta(beta, epsilon)
         v_alpha = NEG_INFINITY if epsilon == 1 else INFINITY
     elif beta.is_zero_to_precision():
-        if v_closed < Fraction(certificate, e):
+        if beta_digits < certificate:
             raise PadicCartanError(
                 f"beta invisible mod pi^{certificate} contradicts "
                 f"closed form v(beta) = {v_closed}"
             )
         alpha, v_alpha = None, v_alpha_table(e, red.v_min_discriminant, v_j, v_jm)
     else:
-        if beta.valuation() != v_closed:
+        if _pi_digits(beta.form, e) != beta_digits:
             raise PadicCartanError(
                 f"log route v(beta) = {beta.valuation()} != closed form {v_closed}"
             )

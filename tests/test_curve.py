@@ -1,6 +1,9 @@
 """Tests for Weierstrass models: invariants, reduction type, L-normalization."""
 
+import random
+import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -196,7 +199,98 @@ def test_good_model_rejections():
 
 
 def test_vp_utility_on_curve():
-    c = WeierstrassCurve(11, 11**3, 11**2)
-    assert c.v(Fraction(11, 5)) == 1
-    assert c.v(0) == INFINITY
+    assert vp(Fraction(11, 5), 11) == 1
+    assert vp(0, 11) == INFINITY
     assert vp(Fraction(5, 11), 11) == -1
+
+
+def _hasse_by_expansion(a, b, p):
+    """x**(p-1) coefficient of (x**3 + a x + b)**((p-1)/2) mod p, by expansion."""
+    poly = [1]
+    for _ in range((p - 1) // 2):
+        out = [0] * (len(poly) + 3)
+        for i, c in enumerate(poly):
+            for j, t in ((0, b), (1, a), (3, 1)):
+                out[i + j] = (out[i + j] + c * t) % p
+        poly = out
+    return poly[p - 1]
+
+
+def _reference_reduction(c):
+    """ReductionData fields restated from vp of the Fraction invariants."""
+    p = c.prime
+    scales = [vp(c.a, p) // 4] if c.a else []
+    scales += [vp(c.b, p) // 6] if c.b else []
+    s = Fraction(p) ** min(scales)
+    a, b = c.a / s**4, c.b / s**6
+    vmin = vp(-16 * (4 * a**3 + 27 * b**2), p)
+    if vp(c.j_invariant, p) < 0:
+        return (a, b), (1 if vp(a, p) == 0 else 2), vmin, MULTIPLICATIVE, False
+    defect = 12 // gcd(12, vmin)
+    if defect in (3, 4, 6):
+        ss = (p + 1) % defect == 0
+    else:
+        good = (a, b) if defect == 1 else _reference_reduction(
+            WeierstrassCurve(p, p**2 * a, p**3 * b))[0]
+        residues = [q.numerator * pow(q.denominator, -1, p) % p for q in good]
+        ss = _hasse_by_expansion(*residues, p) == 0
+    return (a, b), defect, vmin, (GOOD_SUPERSINGULAR if ss else GOOD_ORDINARY), ss
+
+
+def _oracle_draws(rng, p):
+    """Seeded (a, b) over Q_p in the shapes the integer valuations must handle."""
+    def unit():
+        return rng.choice((-1, 1)) * rng.randrange(1, p**3) * rng.choice((1, p + 1))
+
+    def prime_to_p():
+        while True:
+            d = rng.randrange(2, 10**4)
+            if d % p:
+                return d
+
+    draws = []
+    for _ in range(40):
+        va, vb = rng.randrange(-8, 13), rng.randrange(-8, 13)
+        a, b = unit() * Fraction(p) ** va, unit() * Fraction(p) ** vb
+        draws += [(a, b), (a, 0), (0, b)]  # lifts, p-power denominators, a = 0, b = 0
+        draws.append((a / prime_to_p(), b / prime_to_p()))  # unit denominators
+        # 4a**3 + 27b**2 = 27 delta (4 s**3 + delta) for a = -3s**2, b = 2s**3 + delta:
+        # 3v(a) = 2v(b), and v(disc) exceeds their minimum when v(delta) > 3v(s).
+        s = unit() * Fraction(p) ** rng.randrange(-3, 4) / rng.choice((1, prime_to_p()))
+        delta = unit() * Fraction(p) ** (3 * vp(s, p) + rng.randrange(0, 9))
+        draws.append((-3 * s**2, 2 * s**3 + delta))
+        u = rng.randrange(1, p)  # multiplicative: v(j) < 0 with v(a) = 0
+        draws.append((-3 * u**2, 2 * u**3 + p ** rng.randrange(1, 5) * unit()))
+    return draws
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 23])
+def test_integer_invariants_match_the_fraction_definitions(p):
+    rng = random.Random(2200 + p)
+    for a, b in _oracle_draws(rng, p):
+        c = WeierstrassCurve(p, a, b)
+        assert (c.v_a, c.v_b) == (vp(c.a, p), vp(c.b, p))
+        assert c.v_discriminant == vp(c.discriminant, p), (p, a, b)
+        assert c.v_j == vp(c.j_invariant, p), (p, a, b)
+        assert c.v_j_minus_1728 == vp(c.j_minus_1728, p), (p, a, b)
+        (ma, mb), defect, vmin, kind, ss = _reference_reduction(c)
+        m = minimal_model(c)
+        assert (m.a, m.b) == (ma, mb), (p, a, b)
+        assert m.v_discriminant == vp(m.discriminant, p) == vmin
+        data = semistability_defect(c)
+        assert (data.minimal.a, data.minimal.b) == (ma, mb)
+        assert (data.defect, data.v_min_discriminant, data.potential_type, data.supersingular) == (
+            defect, vmin, kind, ss), (p, a, b)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 23])
+def test_singular_scalings_raise_with_the_discriminant_message(p):
+    rng = random.Random(2300 + p)
+    for u in [1, -1, p, Fraction(1, p), Fraction(p**2, 7 if p != 7 else 5)] + [
+        Fraction(rng.randrange(1, 10**6), rng.randrange(1, 10**3)) * p ** rng.randrange(-5, 6)
+        for _ in range(20)
+    ]:
+        a, b = -3 * Fraction(u) ** 2, 2 * Fraction(u) ** 3
+        message = f"discriminant vanishes for a={a}, b={b}"
+        with pytest.raises(SingularCurveError, match=f"^{re.escape(message)}$"):
+            WeierstrassCurve(p, a, b)

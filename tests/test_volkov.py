@@ -1,5 +1,6 @@
 """Tests for the deformation parameters: closed forms and the log route."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -17,9 +18,11 @@ from padic_cartan.padic import INFINITY, PadicScalar
 from padic_cartan.volkov import (
     ALPHA_INFINITY,
     NEG_INFINITY,
+    adaptive_level,
     alpha_from_beta,
     alpha_inverse,
     beta_from_logarithm,
+    beta_pi_digits,
     epsilon_sign,
     has_canonical_subgroup,
     hodge_parameters,
@@ -119,6 +122,33 @@ def test_stabilization_level():
         else:
             want = v_j // 3 if e in (3, 6) else v_jm // 2
             assert stabilization_level(e, v_j, v_jm) == want, (e, v_j, v_jm)
+
+
+def test_closed_forms_in_pi_digits_match_the_fraction_statements():
+    # v(beta) = v/d - 1/e with v = v(j), d = 3 for e in {3, 6} and v = v(j - 1728),
+    # d = 2 for e = 4, restated in Fractions; the code works in e*v(beta).
+    grid = list(range(-3, 16)) + [INFINITY]
+    for e, d in ((3, 3), (4, 2), (6, 3)):
+        for v_j in grid:
+            for v_jm in grid:
+                v = v_jm if e == 4 else v_j
+                v_beta = INFINITY if v == INFINITY else Fraction(v, d) - Fraction(1, e)
+                digits = v_beta if v_beta == INFINITY else int(e * v_beta)
+                assert beta_pi_digits(e, v_j, v_jm) == digits
+                assert v_beta_closed_form(e, v_j, v_jm) == v_beta
+                assert adaptive_level(e, digits) == (
+                    1 if v_beta == INFINITY else max(1, math.floor(v_beta - Fraction(1, e)) + 1))
+                canonical = 0 < v_beta + Fraction(1, e) < 1
+                assert has_canonical_subgroup(e, v_j, v_jm) == canonical, (e, v_j, v_jm)
+                if canonical:
+                    with pytest.raises(CanonicalSubgroupError):
+                        stabilization_level(e, v_j, v_jm)
+                elif v_beta == INFINITY:
+                    with pytest.raises(ValueError):
+                        stabilization_level(e, v_j, v_jm)
+                else:
+                    assert stabilization_level(e, v_j, v_jm) == math.floor(
+                        v_beta + Fraction(1, e)), (e, v_j, v_jm)
 
 
 def _example1_model():

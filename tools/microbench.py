@@ -50,6 +50,15 @@ followed by `<key>.iqr`, the interquartile range of the same timed loops:
       over one base
   eisenstein.add.spread.e3                   p = 11, x + y with 12-digit units
       at coordinate floors 0, 200 and 400: one base far below two of them
+  curve.reduction
+      WeierstrassCurve(p, a, b) built, then .reduction, v_j and v_j_minus_1728
+      read, on one seeded curve of each of the 36 shapes of perfbench's
+      shallow-batch corpus (SHALLOW_SHAPES, drawn the way it draws them)
+  classifier.classify.cm, classifier.classify.ordinary
+      classify(p, a, b) at its defaults on Fraction inputs, as the CLI passes
+      them: the volkov.hodge_parameters.cm curves (beta = 0, one Yasuda pair
+      at k = 1), and seeded p = 13 curves of the shallow-batch ordinary shapes,
+      which leave at the ordinary gate before any L arithmetic
 
 Each median and IQR is taken over REPEATS = 15 timed loops (time.perf_counter)
 of the same 200 seeded operand pairs (one curve for formal_log.series, .exact
@@ -59,7 +68,8 @@ first 20 of them, and so do factorial_unit and multinomial_padic.
 volkov.hodge_parameters draws its operands after the other layers, and
 padic.inverse and volkov.hodge_parameters.cm after it, and eisenstein.add
 after all of them, and eisenstein.add.spread after it, so each layer times
-the operands it had before the later ones were added.
+the operands it had before the later ones were added; curve.reduction and
+the classifier keys draw theirs last.
 --src selects the package source, so one checkout can time another
 (default: the src/ beside this script).  Given twice, both trees are loaded
 side by side and each key is timed on both in alternating rounds (A B B A
@@ -79,6 +89,18 @@ import time
 from fractions import Fraction
 
 PRIME, PAIRS, INVERSES, REPEATS, CURVES = 11, 200, 20, 15, 5
+# (p, v(a), v(b)[, kind]) of perfbench/corpus.py's SHALLOW patterns; None is
+# an exact 0.  The last four groups: e in {1, 2}, multiplicative, rational.
+SHALLOW_SHAPES = (
+    (11, 3, 2), (11, 4, 4), (11, 5, 4), (11, 4, 2), (11, 2, 1), (11, 5, 5), (11, 1, 3), (11, 3, 6),
+    (11, None, 2), (11, None, 1), (11, 1, None), (11, 3, None),
+    (11, 2, 2), (11, 3, 4), (11, 1, 2),
+    (13, 3, 2), (13, 1, 3), (13, None, 0), (13, 0, None),
+    (5, 3, 2), (7, 1, 3), (5, 2, 1), (5, None, 0), (7, 0, None),
+    (11, None, 0), (11, 0, None), (11, None, 3), (11, 2, None), (17, None, 0), (23, 0, None),
+    (11, 0, 1, "multiplicative"), (13, 0, 2, "multiplicative"),
+    (11, 3, 2, "unit_den"), (11, 2, 1, "unit_den"), (11, 1, 3, "p_den"), (11, 5, 4, "p_den"),
+)
 
 
 def _load(src, name):
@@ -93,9 +115,9 @@ def _load(src, name):
 
 def cases(package):
     """(key, op, operands) for every key, in timing order, on one package tree."""
-    curve, eisenstein, formal_log, padic, volkov = (
+    classifier, curve, eisenstein, formal_log, padic, volkov = (
         importlib.import_module(f"{package}.{name}")
-        for name in ("curve", "eisenstein", "formal_log", "padic", "volkov"))
+        for name in ("classifier", "curve", "eisenstein", "formal_log", "padic", "volkov"))
     WeierstrassCurve, good_model_over_L = curve.WeierstrassCurve, curve.good_model_over_L
     EisensteinElement, PadicScalar = eisenstein.EisensteinElement, padic.PadicScalar
     series_inversion_logarithm = formal_log.series_inversion_logarithm
@@ -207,6 +229,35 @@ def cases(package):
 
     pairs = [(far_apart(), far_apart()) for _ in range(PAIRS)]
     add_case("eisenstein.add.spread.e3", lambda a, b: a + b, pairs)
+
+    def shallow_curve(p, va, vb, kind="lift"):
+        """(p, a, b) of one shape, drawn as perfbench/corpus.py draws it."""
+        def unit():
+            return extra.randrange(1, p) + p * extra.randrange(p * p // 2, p * p)
+
+        if kind == "multiplicative":  # v(4a**3 + 27b**2) = vb, so v(j) = -vb
+            u = unit()
+            return p, Fraction(-3 * u * u), Fraction(2 * u**3 + p**vb * unit())
+        a = Fraction(0 if va is None else unit() * p**va)
+        b = Fraction(0 if vb is None else unit() * p**vb)
+        if kind == "unit_den":
+            return p, a / prime_to_p(2, 100), b / prime_to_p(2, 100)
+        if kind == "p_den":
+            return p, a / p**4, b / p**6
+        return p, a, b
+
+    shallow = [shallow_curve(*shape) for shape in SHALLOW_SHAPES]
+
+    def reduction(p, a, b):
+        c = WeierstrassCurve(p, a, b)
+        return c.reduction, c.v_j, c.v_j_minus_1728
+
+    add_case("curve.reduction", reduction, shallow)
+    classify = classifier.classify
+    add_case("classifier.classify.cm", lambda a, b: classify(PRIME, a, b),
+             [(Fraction(a), Fraction(b)) for a, b in cm])
+    ordinary = [shallow_curve(*shape) for shape in (SHALLOW_SHAPES[15:19] * CURVES)[:CURVES]]
+    add_case("classifier.classify.ordinary", classify, ordinary)
     return out
 
 

@@ -122,8 +122,6 @@ def _print_text(payload: dict, indent: int = 0) -> None:
             print(f"{pad}{key}:")
             for condition, holds in value:
                 print(f"{pad}  {condition}: {_fmt_leaf(holds)}")
-        elif isinstance(value, list):
-            print(f"{pad}{key}: {json.dumps(value)}")
         else:
             print(f"{pad}{key}: {_fmt_leaf(value)}")
 

@@ -1,14 +1,16 @@
 """Arithmetic in the Eisenstein extension L = Q_p(pi_e), pi_e**e = -p.
 
-An element stores its integer form `form`; the form, its invariants and the
-kernel that every operation and the Yasuda sums of `formal_log` run on are
-those of `padic`.  `coords` is a view that builds the e normalized
-PadicScalars on demand, for the JSON writer, `repr`, `as_padic_scalar` and
-scalar `*` and `/`.  As v(c[i]) is an integer and v(pi_e**i) = i/e,
-v(x) = min(v(c[i]) + i/e) whenever it is visible at the carried precision;
-it, its provable floor and `pi_precision` (min of e*(f + r) + i) are read
-off the form in pi-digits.  `inverse` takes its lead entry from them and
-forms 1 - w, the doubling tail and its cut (`_truncate`) on the form.
+An element stores its integer form `form`; the form, its invariants, the
+kernel that every operation and the Yasuda sums of `formal_log` run on, and
+the operators shared with PadicScalar (`+`, `-`, `/` by an int, a Fraction
+or a scalar, `==`) are those of `padic`; `*` runs on the form as well.
+`coords` is a view that builds the e normalized PadicScalars on demand, for
+the JSON writer, `repr` and `as_padic_scalar`; no operator reads it.
+As v(c[i]) is an integer and v(pi_e**i) = i/e, v(x) = min(v(c[i]) + i/e)
+whenever it is visible at the carried precision; it, its provable floor and
+`pi_precision` (min of e*(f + r) + i) are read off the form in pi-digits.
+`inverse` takes its lead entry from them and forms 1 - w, the doubling tail
+and its cut (`_truncate`) on the form.
 """
 
 from __future__ import annotations
@@ -17,15 +19,28 @@ from fractions import Fraction
 
 from .errors import CosetViolationError, PrecisionError
 from .padic import (
-    _ONE, INFINITY, PadicScalar, _coordinate, _monomial_inverse, _power, _product, _terms)
+    _ONE, INFINITY, PadicScalar, _coordinate, _monomial_inverse, _Number, _power, _product,
+    _scalar, _scale)
 
 _ALLOWED_E = (3, 4, 6)
 
 
-class EisensteinElement:
+def _element(p: int, e: int, form, x=None) -> EisensteinElement:
+    """The element of an integer form that keeps the invariants, in x or a new
+    element, unchecked: results of arithmetic on checked operands come through here."""
+    x, _set = object.__new__(EisensteinElement) if x is None else x, object.__setattr__
+    _set(x, "prime", p)
+    _set(x, "ram_index", e)
+    _set(x, "form", tuple(form))
+    return x
+
+
+class EisensteinElement(_Number):
     """An element of L = Q_p(pi_e) with bounded-precision coordinates."""
 
     __slots__ = ("prime", "ram_index", "form")
+    _mixed = "mixed fields"
+    _from_form = staticmethod(_element)
 
     def __init__(self, prime: int, ram_index: int, coords):
         if ram_index not in _ALLOWED_E:
@@ -37,11 +52,8 @@ class EisensteinElement:
         for i, c in enumerate(coords):
             if not isinstance(c, PadicScalar) or c.prime != prime:
                 raise ValueError("coordinates must be PadicScalars over the same p")
-            form += _terms(c, i)
+            form += c._entries(i)
         _element(prime, ram_index, form, self)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EisensteinElement is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -54,7 +66,7 @@ class EisensteinElement:
         p = scalar.prime
         if e not in _ALLOWED_E or not isinstance(scalar, PadicScalar):
             return cls(p, e, [scalar] * e)  # raises the constructor's message
-        return _element(p, e, _terms(scalar))
+        return _element(p, e, scalar.form)
 
     @classmethod
     def from_rational(cls, value, p: int, e: int, prec_p) -> "EisensteinElement":
@@ -70,9 +82,9 @@ class EisensteinElement:
     @property
     def coords(self) -> tuple:
         """The e coordinates over Q_p as normalized PadicScalars, built from the form."""
-        p, out = self.prime, [_coordinate(self.prime)] * self.ram_index
-        for entry in self.form:
-            out[entry[0]] = _coordinate(p, entry)
+        p, out = self.prime, [_coordinate(self.prime, 1, ())] * self.ram_index
+        for i, u, f, r in self.form:
+            out[i] = _scalar(p, u, f, f + r)
         return tuple(out)
 
     def pi_precision(self):
@@ -88,9 +100,6 @@ class EisensteinElement:
         """Provable lower bound on the valuation (never raises)."""
         v = _bounds(self.form, self.ram_index)[0]
         return v if v == INFINITY else Fraction(v, self.ram_index)
-
-    def is_zero_to_precision(self) -> bool:
-        return not any(u for _, u, _, _ in self.form)
 
     @property
     def is_exact_zero(self) -> bool:
@@ -109,50 +118,23 @@ class EisensteinElement:
         p, e = self.prime, self.ram_index
         return _element(p, e, _truncate(p, e, self.form, pi_digits))
 
-    # -- arithmetic ----------------------------------------------------------
-
-    def _check(self, other: "EisensteinElement"):
-        if self.prime != other.prime or self.ram_index != other.ram_index:
-            raise ValueError("mixed fields")
-
-    def __add__(self, other):
-        if not isinstance(other, EisensteinElement):
-            if not isinstance(other, (int, PadicScalar, Fraction)):
-                return NotImplemented
-            other = _embed(other, self)
-        self._check(other)
-        p, e = self.prime, self.ram_index
-        return _element(p, e, _product(p, e, _ONE, self.form + other.form))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _element(self.prime, self.ram_index, [(i, -u, f, r) for i, u, f, r in self.form])
-
-    def __sub__(self, other):
-        if not isinstance(other, (EisensteinElement, int, PadicScalar, Fraction)):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
+    # -- arithmetic beyond the shared operators --------------------------------
 
     def __mul__(self, other):
-        if not isinstance(other, EisensteinElement):
-            if not isinstance(other, (int, PadicScalar, Fraction)):
-                return NotImplemented
-            return EisensteinElement(self.prime, self.ram_index, [c * other for c in self.coords])
-        self._check(other)
+        y = self._operand(other, embed=False)
+        if y is NotImplemented:
+            return NotImplemented
         p, e = self.prime, self.ram_index
-        return _element(p, e, _product(p, e, self.form, other.form))
+        if isinstance(other, _Number):
+            return _element(p, e, _product(p, e, self.form, y))
+        return _element(p, e, _scale(p, self.form, other.numerator, other.denominator))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if not isinstance(other, EisensteinElement):
-            if not isinstance(other, (int, PadicScalar, Fraction)):
-                return NotImplemented
-            return EisensteinElement(self.prime, self.ram_index, [c / other for c in self.coords])
+        if type(other) is not EisensteinElement:
+            return super().__truediv__(other)
+        self._operand(other)  # the field is checked before the divisor is inverted
         if self.is_exact_zero:
             if other.is_exact_zero:
                 raise ZeroDivisionError("0/0")
@@ -213,20 +195,10 @@ class EisensteinElement:
     # -- comparison ----------------------------------------------------------
 
     def is_congruent(self, other, pi_digits=None) -> bool:
-        diff = self - other if isinstance(other, EisensteinElement) else self - _embed(other, self)
+        diff = self - other
         if pi_digits is None:
             return diff.is_zero_to_precision()
         return _bounds(diff.form, self.ram_index)[0] >= pi_digits
-
-    def __eq__(self, other):
-        if not isinstance(other, (EisensteinElement, int, PadicScalar, Fraction)):
-            return NotImplemented
-        try:
-            return self.is_congruent(other)
-        except (ValueError, PrecisionError):
-            return NotImplemented
-
-    __hash__ = None
 
     def __repr__(self):
         bits = []
@@ -276,22 +248,3 @@ def _truncate(p: int, e: int, form, pi_digits: int, fill: bool = True):
         present = {t[0] for t in form}
         out += [(i, 0, -((i - pi_digits) // e), 0) for i in range(e) if i not in present]
     return out
-
-
-def _element(p: int, e: int, form, x=None) -> EisensteinElement:
-    """The element of an integer form that keeps the invariants, in x or a new
-    element, unchecked: results of arithmetic on checked operands come through here."""
-    x = object.__new__(EisensteinElement) if x is None else x
-    object.__setattr__(x, "prime", p)
-    object.__setattr__(x, "ram_index", e)
-    object.__setattr__(x, "form", tuple(form))
-    return x
-
-
-def _embed(value, like: EisensteinElement) -> EisensteinElement:
-    if isinstance(value, PadicScalar):
-        return EisensteinElement.from_scalar(value, like.ram_index)
-    if not isinstance(value, (int, Fraction)):
-        raise TypeError(f"cannot embed {type(value).__name__} in L")
-    target = min((f + r for _, _, f, r in like.form), default=INFINITY)
-    return EisensteinElement.from_rational(value, like.prime, like.ram_index, target)

@@ -50,10 +50,10 @@ from functools import lru_cache
 from operator import mul
 
 from .curve import deforming_coefficient
-from .eisenstein import EisensteinElement, _element, _pi_digits, _truncate
+from .eisenstein import EisensteinElement, _pi_digits, _truncate
 from .errors import PrecisionError
 from .padic import (
-    _ONE, INFINITY, PadicScalar, _coordinate, _power, _product, _scale, _terms, multinomial_exact,
+    _ONE, INFINITY, PadicScalar, _Number, _power, _product, _scale, multinomial_exact,
     multinomial_padic, multinomial_valuation, vp)
 
 # Largest (r-1)/2 for which the untruncated sum is evaluated term by term.
@@ -76,17 +76,6 @@ class FormalLogPrefix:
 
     def __len__(self):
         return len(self.coefficients)
-
-
-def _pi_valuation(x):
-    """(integer form of x, v(x) in pi-digits e*v(x): an int, or INFINITY)."""
-    if isinstance(x, EisensteinElement):
-        return x.form, _pi_digits(x.form, x.ram_index)
-    if isinstance(x, PadicScalar):
-        if x.is_precision_zero:
-            raise PrecisionError("coefficient is only known to be O(p^N)")
-        return _terms(x), x.valuation
-    raise TypeError(f"unsupported coefficient type {type(x).__name__}")
 
 
 @lru_cache(maxsize=128)  # <= ~40 MB: a plan of exact unit-coefficient multinomials is ~300 KB
@@ -145,9 +134,10 @@ def _sum_plan(p: int, e: int, N: int, vr: int, wA, wB, target: int):
 def yasuda_coefficient(A, B, r: int, target_pi_digits: int):
     """d_r of the formal logarithm, certified mod pi_e**target_pi_digits.
 
-    A and B are both PadicScalar (then pi = p and the target is in p-digits)
-    or both EisensteinElement over the same field.  r must be odd: even
-    indices of the odd series vanish identically.
+    A and B are both PadicScalar over the same p (then pi = p and the target
+    is in p-digits) or both EisensteinElement over the same field; any other
+    pair raises ValueError("mixed fields").  r must be odd: even indices of
+    the odd series vanish identically.
 
     The terms that reach the target are picked, and their work estimated,
     from valuations alone; past _WORK_BUDGET that raises PrecisionError.  If
@@ -167,9 +157,13 @@ def yasuda_coefficient(A, B, r: int, target_pi_digits: int):
     """
     if r < 1 or r % 2 == 0:
         raise ValueError(f"coefficient index must be odd and positive, got {r}")
-    e = A.ram_index if isinstance(A, EisensteinElement) else 1
-    p = A.prime
-    (a, wA), (b, wB) = _pi_valuation(A), _pi_valuation(B)
+    for x in (A, B):
+        if not isinstance(x, _Number):
+            raise TypeError(f"unsupported coefficient type {type(x).__name__}")
+    if type(A) is not type(B) or A.prime != B.prime or A.ram_index != B.ram_index:
+        raise ValueError("mixed fields")
+    p, e, a, b = A.prime, A.ram_index, A.form, B.form
+    wA, wB = _pi_digits(a, e), _pi_digits(b, e)  # v(A), v(B) in pi-digits, or INFINITY
     vr = vp(r, p)
     terms, dropped, exact = _sum_plan(p, e, (r - 1) // 2, vr, wA, wB, target_pi_digits)
     if not exact and wA >= 0 and wB >= 0:
@@ -178,7 +172,7 @@ def yasuda_coefficient(A, B, r: int, target_pi_digits: int):
     total = []
     for m, n, coeff in terms:
         v = None if isinstance(coeff, PadicScalar) else vp(coeff, p)  # an exact multinomial
-        term = _terms(coeff) if v is None else [(0, coeff // p**v, v, INFINITY)]
+        term = coeff.form if v is None else [(0, coeff // p**v, v, INFINITY)]
         if m:
             term = _product(p, e, term, _power(p, e, a, m))
         if n:
@@ -191,7 +185,7 @@ def yasuda_coefficient(A, B, r: int, target_pi_digits: int):
              for t in _product(p, e, _ONE, total)]
     out = _scale(p, total, 1, r)
     out = _truncate(p, e, out, target_pi_digits) if dropped else out
-    return _element(p, e, out) if e > 1 else _coordinate(p, *out)  # e = 1: a PadicScalar
+    return A._from_form(p, e, out)
 
 
 def yasuda_coefficient_exact(A, B, r: int) -> Fraction:

@@ -10,7 +10,7 @@ distinct from a precision zero ``O(p**N)``, whose valuation is only known to be
 Q_p and L = Q_p(pi_e), pi_e**e = -p, share one integer form and one kernel.
 x = sum(c[i] * pi_e**i) has an entry (i, unit, floor f, relative precision r)
 per coordinate not exactly 0, c[i] = unit * p**f + O(p**(f + r)); a
-PadicScalar is the form of e = 1 (`_terms`).  Each index appears at most
+PadicScalar is the form of e = 1 (its `form` view).  Each index appears at most
 once; p divides no nonzero unit; a zero known to p**N is (i, 0, N, 0), an
 exact zero is absent; a finite unit is defined only mod p**r (a negation
 leaves -u).  The kernel `_product` keeps the rules of Caruso, Roe and
@@ -23,8 +23,15 @@ partial sum is exact to that precision, this equals adding them one by one.
 So a form that lists an index twice is a sum, and its product with the exact
 1 normalizes it.  `_power` takes a monomial's power in closed form, `_scale`
 multiplies by an exact num/den, `_monomial_inverse` inverts one entry and
-`_coordinate` reads a coordinate back; PadicScalar's `+ - * / **` and
-`inverse` are these on one-entry forms.
+`_coordinate` makes a scalar of a one-entry form.
+
+Both number types share one operator set on the form, the base `_Number`:
+`+`, `-`, `/` by an int, a Fraction or a PadicScalar, `==` and immutability.
+Each type supplies `ram_index` (a class attribute of 1 on PadicScalar), its
+`form`, `_from_form` (`_coordinate` here, `eisenstein._element` for L) and its
+message for an operand over another field.  An int or Fraction summand is
+known to the least coordinate precision of the other summand.  `*`, `**` and
+`inverse` stay in each type, as functions of its own.
 
 The combinatorial helpers (`val_factorial`, `multinomial_padic`, ...) never
 build the underlying factorials when the arguments are large: valuations come
@@ -85,13 +92,20 @@ def vp(value: int | Fraction, p: int):
     """Exact p-adic valuation of a rational; INFINITY for 0."""
     if value == 0:
         return INFINITY
-    if type(value) is not int and isinstance(value, Fraction):
-        return vp(value.numerator, p) - vp(value.denominator, p)
-    n, v = abs(value), 0
-    while n % p == 0:
+    n, sign, v = value, 1, 0
+    if type(value) is not int:
+        n, d = value.as_integer_ratio()  # in lowest terms: p divides one of them at most
+        if d % p == 0:
+            n, sign = d, -1
+    while n % p == 0:  # strip p, then p**2, p**4, ... while they divide, and from p again
         n //= p
         v += 1
-    return v
+        q, k = p * p, 2
+        while n % q == 0:
+            n //= q
+            v += k
+            q, k = q * q, 2 * k
+    return sign * v
 
 
 def val_factorial(n: int, p: int) -> int:
@@ -223,192 +237,6 @@ def power_by_squaring(base, exponent: int, one, mul):
     return one if out is None else out
 
 
-class PadicScalar:
-    """An element of Q_p carried to finite absolute precision."""
-
-    __slots__ = ("prime", "valuation", "unit", "abs_precision")
-
-    def __init__(self, prime: int, unit: int, valuation, abs_precision):
-        # Normalizing constructor; accepts unnormalized unit/valuation.
-        check_odd_prime(prime)
-        if abs_precision != INFINITY:
-            if abs_precision != int(abs_precision):
-                raise ValueError("abs_precision must be an integer or +inf")
-            abs_precision = int(abs_precision)
-        _scalar(prime, unit, valuation, abs_precision, self)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PadicScalar is immutable")
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def exact_zero(cls, p: int) -> "PadicScalar":
-        return cls(p, 0, INFINITY, INFINITY)
-
-    @classmethod
-    def zero_to_precision(cls, p: int, abs_precision: int) -> "PadicScalar":
-        return cls(p, 0, INFINITY, abs_precision)
-
-    @classmethod
-    def from_rational(cls, value, p: int, abs_precision) -> "PadicScalar":
-        """Represent an exact rational to the given absolute precision."""
-        value = value if type(value) is int else Fraction(value)
-        if value == 0:
-            return cls.exact_zero(p)
-        v, den = vp(value, p), value.denominator // p ** vp(value.denominator, p)
-        if abs_precision == INFINITY and den != 1:
-            raise PrecisionError(f"1/{den} has no exact finite expansion; give a finite precision")
-        if abs_precision <= v:
-            return cls.zero_to_precision(p, abs_precision)
-        r = abs_precision if abs_precision == INFINITY else int(abs_precision) - v
-        (_, unit, _, _), = _scale(p, ((0, 1, 0, r),), value.numerator, value.denominator)
-        return cls(p, unit, v, abs_precision)  # checks p and the precision
-
-    # -- predicates and views ---------------------------------------------
-
-    @property
-    def is_exact_zero(self) -> bool:
-        return self.unit == 0 and self.abs_precision == INFINITY
-
-    @property
-    def is_precision_zero(self) -> bool:
-        return self.unit == 0 and self.abs_precision != INFINITY
-
-    def is_zero_to_precision(self) -> bool:
-        return self.unit == 0
-
-    def valuation_floor(self):
-        """Exact valuation, or the provable lower bound for a precision zero."""
-        if self.is_precision_zero:
-            return self.abs_precision
-        return self.valuation
-
-    @property
-    def rel_precision(self):
-        if self.unit == 0:
-            return 0
-        return self.abs_precision - self.valuation
-
-    def residue(self) -> int:
-        """Leading digit: unit mod p (0 for zeros)."""
-        return self.unit % self.prime
-
-    def lift_fraction(self) -> Fraction:
-        """The canonical rational representative unit * p**valuation."""
-        if self.unit == 0:
-            return Fraction(0)
-        v = int(self.valuation)
-        if v >= 0:
-            return Fraction(self.unit * self.prime**v)
-        return Fraction(self.unit, self.prime**-v)
-
-    def reduce_abs_precision(self, abs_precision) -> "PadicScalar":
-        if abs_precision >= self.abs_precision:
-            return self
-        return PadicScalar(self.prime, self.unit, self.valuation, abs_precision)
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, PadicScalar) and other.prime != self.prime:
-            raise ValueError("mixed primes")
-        return other if isinstance(other, (int, Fraction, PadicScalar)) else NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not isinstance(other, PadicScalar):  # known to self's precision
-            other = PadicScalar.from_rational(other, self.prime, self.abs_precision)
-        p = self.prime
-        return _coordinate(p, *_product(p, 1, _ONE, _terms(self) + _terms(other)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _scalar(self.prime, -self.unit, self.valuation, self.abs_precision)
-
-    def __sub__(self, other):
-        coerced = self._coerce(other)
-        if coerced is NotImplemented:
-            return NotImplemented
-        return self + (-coerced)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        p = self.prime
-        if isinstance(other, PadicScalar):
-            return _coordinate(p, *_product(p, 1, _terms(self), _terms(other)))
-        return _coordinate(p, *_scale(p, _terms(self), other.numerator, other.denominator))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not isinstance(other, PadicScalar) and other == 0:
-            raise ZeroDivisionError("division by zero")
-        return self * (other.inverse() if isinstance(other, PadicScalar) else 1 / Fraction(other))
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def inverse(self) -> "PadicScalar":
-        if self.unit == 0:
-            raise ZeroDivisionError("inverting a (precision) zero")
-        return _coordinate(self.prime, *_monomial_inverse(self.prime, 1, _terms(self)[0]))
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            return self.inverse() ** -exponent
-        return _coordinate(self.prime, *_power(self.prime, 1, _terms(self), exponent))
-
-    def shift(self, k: int) -> "PadicScalar":
-        """Multiply by p**k exactly."""
-        return _scalar(self.prime, self.unit, self.valuation + k, self.abs_precision + k)
-
-    # -- comparison ---------------------------------------------------------
-
-    def is_congruent(self, other, abs_precision=None) -> bool:
-        """True when self - other is zero to the given (or shared) precision."""
-        diff = self - other
-        if abs_precision is None:
-            return diff.is_zero_to_precision()
-        return diff.valuation_floor() >= abs_precision
-
-    def __eq__(self, other):
-        # An EisensteinElement answers through its reflected __eq__.
-        if not isinstance(other, (int, Fraction, PadicScalar)):
-            return NotImplemented
-        try:
-            return self.is_congruent(other)
-        except (ValueError, PrecisionError):
-            return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self):
-        p = self.prime
-        if self.is_exact_zero:
-            return "0"
-        if self.is_precision_zero:
-            return f"O({p}^{int(self.abs_precision)})"
-        v = int(self.valuation)
-        body = f"{self.unit}" if v == 0 else f"{self.unit}*{p}^{v}"
-        if self.abs_precision == INFINITY:
-            return body
-        return f"{body} + O({p}^{int(self.abs_precision)})"
-
-
 def _scalar(p: int, unit: int, valuation, abs_precision, x=None) -> PadicScalar:
     """unit * p**valuation + O(p**abs_precision), normalized, in x or a new scalar."""
     if x is None:
@@ -438,20 +266,10 @@ def _normal(p: int, unit: int, valuation, abs_precision):
     return (unit, valuation) if unit else (0, INFINITY)
 
 
-def _terms(x, i: int = 0):
-    """The integer form of x: an element's `form`; a PadicScalar is one entry,
-    at index i, or none when it is exactly 0."""
-    if not isinstance(x, PadicScalar):
-        return x.form
-    if x.unit:
-        return ((i, x.unit, x.valuation, x.abs_precision - x.valuation),)
-    return () if x.abs_precision == INFINITY else ((i, 0, x.abs_precision, 0),)
-
-
-def _coordinate(p: int, entry=(0, 0, INFINITY, 0)) -> PadicScalar:
-    """One entry of an integer form as a normalized PadicScalar; by default
-    the exact 0.  `_coordinate(p, *form)` reads the scalar off a form of e = 1."""
-    _, u, f, r = entry
+def _coordinate(p: int, e: int, form) -> PadicScalar:
+    """The normalized PadicScalar of a form of one entry (its index is not read)
+    or none (the exact 0); e is ignored, as the hook shares `_element`'s signature."""
+    (_, u, f, r), = form or ((0, 0, INFINITY, 0),)
     return _scalar(p, u, f, f + r)
 
 
@@ -494,10 +312,10 @@ def _power(p: int, e: int, form, exponent: int):
 
 
 def _scale(p: int, form, num: int, den: int):
-    """The integer form of x * num / den, ints num and den > 0: their p-parts
-    shift every floor, and each unit takes num's p-free part times the
-    inverse of den's mod p**r.  An exact unit that den's p-free part does not
-    divide raises."""
+    """The integer form of x * num / den, ints num (of either sign) and den > 0:
+    their p-parts shift every floor, and each unit takes num's p-free part
+    times the inverse of den's mod p**r.  An exact unit that den's p-free part
+    does not divide raises."""
     if num == 0:
         return []
     vn, vd = vp(num, p), vp(den, p)
@@ -519,6 +337,218 @@ def _monomial_inverse(p: int, e: int, entry):
     i, u, f, r = entry
     sign = 1 if u > 0 else -1
     return _scale(p, [(-i % e, -sign if i else sign, -f - (i > 0), r)], 1, sign * u)
+
+
+class _Number:
+    """The operators that Q_p and L share; see the module docstring."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _operand(self, other, embed=True):
+        """other's form as an operand; a number over another field raises.  An int or
+        a Fraction is embedded at self's least coordinate precision, or kept if not `embed`."""
+        if type(other) is type(self) or isinstance(other, PadicScalar):
+            if other.prime != self.prime or other.ram_index not in (1, self.ram_index):
+                raise ValueError(self._mixed)
+            return other.form
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        if not embed:
+            return other
+        N = min((f + r for _, _, f, r in self.form), default=INFINITY)
+        return PadicScalar.from_rational(other, self.prime, N).form
+
+    def __add__(self, other):
+        y = self._operand(other)
+        if y is NotImplemented:
+            return NotImplemented
+        p, e = self.prime, self.ram_index
+        return self._from_form(p, e, _product(p, e, _ONE, self.form + y))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        p, e = self.prime, self.ram_index
+        return self._from_form(p, e, [(i, -u, f, r) for i, u, f, r in self.form])
+
+    def __sub__(self, other):
+        y = self._operand(other)
+        if y is NotImplemented:
+            return NotImplemented
+        p, e, minus_y = self.prime, self.ram_index, [(i, -u, f, r) for i, u, f, r in y]
+        return self._from_form(p, e, _product(p, e, _ONE, [*self.form, *minus_y]))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __truediv__(self, other):
+        """Division by an int, a Fraction or a PadicScalar (its field checked first)."""
+        y = self._operand(other, embed=False)
+        if y is NotImplemented:
+            return NotImplemented
+        p, e = self.prime, self.ram_index
+        if isinstance(other, _Number):
+            if not other.unit:
+                raise ZeroDivisionError("inverting a (precision) zero")
+            return self._from_form(p, e, _product(p, e, self.form, _monomial_inverse(p, e, y[0])))
+        if other == 0:
+            raise ZeroDivisionError("division by zero")
+        q = 1 / Fraction(other)
+        return self._from_form(p, e, _scale(p, self.form, q.numerator, q.denominator))
+
+    def is_zero_to_precision(self) -> bool:
+        return not any(u for _, u, _, _ in self.form)
+
+    def __eq__(self, other):
+        # A scalar meets an element through the element's reflected __eq__.
+        try:
+            diff = self.__sub__(other)
+        except (ValueError, PrecisionError):
+            return NotImplemented
+        return diff if diff is NotImplemented else diff.is_zero_to_precision()
+
+    __hash__ = None
+
+
+class PadicScalar(_Number):
+    """An element of Q_p carried to finite absolute precision."""
+
+    __slots__ = ("prime", "valuation", "unit", "abs_precision")
+    ram_index = 1
+    _mixed = "mixed primes"
+    _from_form = staticmethod(_coordinate)
+
+    def __init__(self, prime: int, unit: int, valuation, abs_precision):
+        # Normalizing constructor; accepts unnormalized unit/valuation.
+        check_odd_prime(prime)
+        if abs_precision != INFINITY:
+            if abs_precision != int(abs_precision):
+                raise ValueError("abs_precision must be an integer or +inf")
+            abs_precision = int(abs_precision)
+        _scalar(prime, unit, valuation, abs_precision, self)
+
+    # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def exact_zero(cls, p: int) -> "PadicScalar":
+        return cls(p, 0, INFINITY, INFINITY)
+
+    @classmethod
+    def zero_to_precision(cls, p: int, abs_precision: int) -> "PadicScalar":
+        return cls(p, 0, INFINITY, abs_precision)
+
+    @classmethod
+    def from_rational(cls, value, p: int, abs_precision) -> "PadicScalar":
+        """Represent an exact rational to the given absolute precision."""
+        value = value if type(value) is int else Fraction(value)
+        if value == 0:
+            return cls.exact_zero(p)
+        v, den = vp(value, p), value.denominator // p ** vp(value.denominator, p)
+        if abs_precision == INFINITY and den != 1:
+            raise PrecisionError(f"1/{den} has no exact finite expansion; give a finite precision")
+        if abs_precision <= v:
+            return cls.zero_to_precision(p, abs_precision)
+        r = abs_precision if abs_precision == INFINITY else int(abs_precision) - v
+        (_, unit, _, _), = _scale(p, ((0, 1, 0, r),), value.numerator, value.denominator)
+        return cls(p, unit, v, abs_precision)  # checks p and the precision
+
+    # -- predicates and views ---------------------------------------------
+
+    def _entries(self, i=0):
+        """The integer form of self * pi**i: one entry, or none for the exact 0."""
+        if self.unit:
+            return ((i, self.unit, self.valuation, self.abs_precision - self.valuation),)
+        return () if self.abs_precision == INFINITY else ((i, 0, self.abs_precision, 0),)
+
+    form = property(_entries, doc="The integer form: one entry at index 0, or none.")
+
+    @property
+    def is_exact_zero(self) -> bool:
+        return self.unit == 0 and self.abs_precision == INFINITY
+
+    @property
+    def is_precision_zero(self) -> bool:
+        return self.unit == 0 and self.abs_precision != INFINITY
+
+    def valuation_floor(self):
+        """Exact valuation, or the provable lower bound for a precision zero."""
+        if self.is_precision_zero:
+            return self.abs_precision
+        return self.valuation
+
+    def residue(self) -> int:
+        """Leading digit: unit mod p (0 for zeros)."""
+        return self.unit % self.prime
+
+    def lift_fraction(self) -> Fraction:
+        """The canonical rational representative unit * p**valuation."""
+        if self.unit == 0:
+            return Fraction(0)
+        v = int(self.valuation)
+        if v >= 0:
+            return Fraction(self.unit * self.prime**v)
+        return Fraction(self.unit, self.prime**-v)
+
+    def reduce_abs_precision(self, abs_precision) -> "PadicScalar":
+        if abs_precision >= self.abs_precision:
+            return self
+        return PadicScalar(self.prime, self.unit, self.valuation, abs_precision)
+
+    # -- arithmetic beyond the shared operators ------------------------------
+
+    def __mul__(self, other):
+        y = self._operand(other, embed=False)
+        if y is NotImplemented:
+            return NotImplemented
+        p = self.prime
+        if isinstance(other, _Number):
+            return _coordinate(p, 1, _product(p, 1, self.form, y))
+        return _coordinate(p, 1, _scale(p, self.form, other.numerator, other.denominator))
+
+    __rmul__ = __mul__
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
+    def inverse(self) -> "PadicScalar":
+        if self.unit == 0:
+            raise ZeroDivisionError("inverting a (precision) zero")
+        return _coordinate(self.prime, 1, _monomial_inverse(self.prime, 1, self.form[0]))
+
+    def __pow__(self, exponent: int):
+        if not isinstance(exponent, int):
+            return NotImplemented
+        if exponent < 0:
+            return self.inverse() ** -exponent
+        return _coordinate(self.prime, 1, _power(self.prime, 1, self.form, exponent))
+
+    def shift(self, k: int) -> "PadicScalar":
+        """Multiply by p**k exactly."""
+        return _scalar(self.prime, self.unit, self.valuation + k, self.abs_precision + k)
+
+    # -- comparison ---------------------------------------------------------
+
+    def is_congruent(self, other, abs_precision=None) -> bool:
+        """True when self - other is zero to the given (or shared) precision."""
+        diff = self - other
+        if abs_precision is None:
+            return diff.is_zero_to_precision()
+        return diff.valuation_floor() >= abs_precision
+
+    def __repr__(self):
+        p = self.prime
+        if self.is_exact_zero:
+            return "0"
+        if self.is_precision_zero:
+            return f"O({p}^{int(self.abs_precision)})"
+        v = int(self.valuation)
+        body = f"{self.unit}" if v == 0 else f"{self.unit}*{p}^{v}"
+        if self.abs_precision == INFINITY:
+            return body
+        return f"{body} + O({p}^{int(self.abs_precision)})"
 
 
 def newton_polygon(points):

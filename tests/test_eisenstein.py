@@ -3,11 +3,11 @@
 import random
 from fractions import Fraction
 from functools import partial
-from operator import add, sub
+from operator import add, mul, sub, truediv
 
 import pytest
 
-from padic_cartan.eisenstein import EisensteinElement, _element, _product, _terms
+from padic_cartan.eisenstein import EisensteinElement, _element, _product
 from padic_cartan.errors import CosetViolationError, PrecisionError
 from padic_cartan.padic import INFINITY, PadicScalar, power_by_squaring
 
@@ -595,9 +595,9 @@ def test_monomial_powers_match_square_and_multiply():
         for i in range(e):
             for c in _monomial_coordinates(rng, p):
                 a = EisensteinElement.pi_monomial(c, i, e)
-                assert len(_terms(a)) == 1
+                assert len(a.form) == 1
                 for n in exponents:
-                    want = _element(p, e, power_by_squaring(_terms(a), n, one, mul))
+                    want = _element(p, e, power_by_squaring(a.form, n, one, mul))
                     got = a**n
                     assert [_key(x) for x in got.coords] == [_key(x) for x in want.coords], (a, n)
                     if c.unit < 0 and (i * n // e) % 2:
@@ -691,6 +691,42 @@ def test_scalar_operators_match_the_fraction_rules():
     assert {t for t, _ in errors} == {ZeroDivisionError, PrecisionError} and len(errors) >= 10
     with pytest.raises(ValueError, match="^mixed primes$"):
         PadicScalar.from_rational(1, 5, 3) * PadicScalar.from_rational(1, 11, 3)
+
+
+def test_scaling_and_scalar_products_match_the_fraction_rules():
+    # x * q, q * x and x / q for an int or Fraction q scale every coordinate;
+    # by a scalar s they take each coordinate's product with s or with 1/s.
+    errors = set()
+    for seed in range(20):
+        for a, b in _random_pairs(150, seed=seed):
+            p, xs = a.prime, [_ref(c) for c in a.coords]
+            scalars = (b.coords[0], PadicScalar.from_rational(7, p, 3), exact(3 * p, p))
+            for q in (0, 3, -p**2, 7 * p**3, Fraction(2, 7), Fraction(5, p),
+                      Fraction(-3, 4 * p**2)):
+                want = _ref_outcome(p, lambda: [_ref_scaled(p, x, q) for x in xs])
+                assert _outcome(lambda: a * q) == want == _outcome(lambda: q * a), (a, q)
+                want = _ref_outcome(p, lambda: [_ref_divided(p, x, q) for x in xs])
+                assert _outcome(lambda: a / q) == want, (a, q)
+                errors.add(want[1])
+            for s in scalars:
+                want = _ref_outcome(p, lambda: [_ref_product(p, x, _ref(s)) for x in xs])
+                assert _outcome(lambda: a * s) == want == _outcome(lambda: s * a), (a, s)
+                want = _ref_outcome(
+                    p, lambda: [_ref_product(p, x, inv) for inv in [_ref_inverse(p, _ref(s))]
+                                for x in xs])
+                assert _outcome(lambda: a / s) == want, (a, s)
+                errors.add(want[1])
+    # Zero divisors, and p-free denominators or exact non-unit divisors against exact values.
+    assert {t for t, _ in errors - {None}} == {ZeroDivisionError, PrecisionError}
+    x, y = EisensteinElement.from_rational(1, 5, 3, 4), PadicScalar.from_rational(2, 11, 4)
+    for op in (mul, lambda u, v: v * u, truediv):
+        with pytest.raises(ValueError, match="^mixed fields$"):
+            op(x, y)
+    # L ÷ L checks the field before it inverts the divisor or returns a zero numerator.
+    for divisor in (EisensteinElement.from_rational(2, 11, 3, 4), EisensteinElement.zero(5, 4)):
+        for numerator in (x, EisensteinElement.zero(5, 3)):
+            with pytest.raises(ValueError, match="^mixed fields$"):
+                numerator / divisor
 
 
 def _assert_form_invariants(x):

@@ -26,6 +26,21 @@ from padic_cartan.padic import INFINITY, PadicScalar, multinomial_exact, multino
 A, B = Fraction(2, 7), Fraction(-3, 5)
 
 
+def test_yasuda_coefficient_refuses_mixed_fields():
+    # A is 1 over Q_11(pi_3); B lies over another prime, another e, or is a scalar.
+    one = EisensteinElement.from_rational(1, 11, 3, INFINITY)
+    others = (EisensteinElement.from_rational(2, 13, 3, INFINITY),
+              EisensteinElement.from_rational(2, 11, 4, INFINITY),
+              PadicScalar.from_rational(2, 11, INFINITY))
+    plans = _sum_plan.cache_info()
+    for other in others:
+        for A, B in ((one, other), (other, one)):
+            with pytest.raises(ValueError, match="^mixed fields$"):
+                yasuda_coefficient(A, B, 7, 4)
+    assert _sum_plan.cache_info() == plans  # refused before any plan is read
+    assert yasuda_coefficient(one, one + 1, 7, 4).prime == 11
+
+
 def test_low_index_closed_forms():
     assert yasuda_coefficient_exact(A, B, 1) == 1
     assert yasuda_coefficient_exact(A, B, 3) == 0

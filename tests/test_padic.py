@@ -393,7 +393,8 @@ def test_exact_division_by_non_dividing_unit_raises():
 
 def test_normal_form_matches_fraction_valuations():
     # Units carrying p**0 .. p**1000, of both signs, at random precisions: the
-    # valuation and unit are those of the rational unit * p**valuation.
+    # valuation and unit are those of the rational unit * p**valuation, and
+    # vp reads k off the integer and off Fractions with it on either side.
     rng, stripped = random.Random(31), 0
     for p in (5, 11):
         for k in [*range(40), *(rng.randrange(40, 1000) for _ in range(40)), 1000]:
@@ -401,7 +402,10 @@ def test_normal_form_matches_fraction_valuations():
             valuation = rng.randrange(-5, 5)
             N = rng.choice((INFINITY, valuation + rng.randrange(0, k + 20)))
             lift = Fraction(unit) * Fraction(p) ** valuation
-            v = vp(lift, p)
+            v, free = k + valuation, rng.randrange(1, p**6) * p + rng.randrange(1, p)
+            assert vp(unit, p) == k and vp(lift, p) == v, (p, k, valuation)
+            assert vp(Fraction(free, unit), p) == -k == -vp(Fraction(unit, free), p), (p, k)
+            assert vp(Fraction(unit, p ** (k + 3)), p) == -3, (p, k)
             if v >= N:
                 want = (0, INFINITY)
             elif N == INFINITY:

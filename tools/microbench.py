@@ -59,6 +59,9 @@ followed by `<key>.iqr`, the interquartile range of the same timed loops:
       them: the volkov.hodge_parameters.cm curves (beta = 0, one Yasuda pair
       at k = 1), and seeded p = 13 curves of the shallow-batch ordinary shapes,
       which leave at the ordinary gate before any L arithmetic
+  eisenstein.mul.scalar.e3                   p = 11, x * s and x * q for x as in
+      eisenstein.mul.e3, s a 12-digit PadicScalar unit and q a Fraction of a
+      6-digit unit over an integer in [2, 100) prime to 11; one op is both
 
 Each median and IQR is taken over REPEATS = 15 timed loops (time.perf_counter)
 of the same 200 seeded operand pairs (one curve for formal_log.series, .exact
@@ -69,7 +72,8 @@ volkov.hodge_parameters draws its operands after the other layers, and
 padic.inverse and volkov.hodge_parameters.cm after it, and eisenstein.add
 after all of them, and eisenstein.add.spread after it, so each layer times
 the operands it had before the later ones were added; curve.reduction and
-the classifier keys draw theirs last.
+the classifier keys draw theirs after all of them, and eisenstein.mul.scalar
+last.
 --src selects the package source, so one checkout can time another
 (default: the src/ beside this script).  Given twice, both trees are loaded
 side by side and each key is timed on both in alternating rounds (A B B A
@@ -258,6 +262,10 @@ def cases(package):
              [(Fraction(a), Fraction(b)) for a, b in cm])
     ordinary = [shallow_curve(*shape) for shape in (SHALLOW_SHAPES[15:19] * CURVES)[:CURVES]]
     add_case("classifier.classify.ordinary", classify, ordinary)
+    scaled = [(EisensteinElement(PRIME, 3, [scalar(12, extra) for _ in range(3)]),
+               scalar(12, extra), Fraction(prime_to_p(1, PRIME**6), prime_to_p(2, 100)))
+              for _ in range(PAIRS)]
+    add_case("eisenstein.mul.scalar.e3", lambda x, s, q: (x * s, x * q), scaled)
     return out
 
 

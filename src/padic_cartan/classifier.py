@@ -25,6 +25,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .curve import MULTIPLICATIVE, WeierstrassCurve
+from .eisenstein import _texts
 from .errors import ExcludedJInvariantError, NormalizationError
 from .padic import INFINITY, check_odd_prime
 from .volkov import (
@@ -140,12 +141,13 @@ def _scalar_json(scalar) -> dict:
 
 def _eisenstein_json(element) -> dict:
     """An element of L as a pi-coordinate vector with explicit precisions."""
-    coords = element.coords
+    lifts, precisions, text = _texts(element)
+    p = element.prime
     return {
-        "coordinates": [str(c.lift_fraction()) for c in coords],
-        "coordinate_precisions": [_encode_exact(c.abs_precision) for c in coords],
+        "coordinates": [str(u * p**v) if v >= 0 else f"{u}/{p**-v}" for u, v in lifts],
+        "coordinate_precisions": [_encode_exact(N) for N in precisions],
         "pi_precision": _encode_exact(element.pi_precision()),
-        "repr": repr(element),
+        "repr": text,
     }
 
 
@@ -166,15 +168,21 @@ def _hodge_dict(hodge):
     }
 
 
-def classify(p, a, b, precision=None, k=None, k_cap=_DEFAULT_K_CAP) -> ImageReport:
+def classify(p, a, b, precision=None, k=None, k_cap=_DEFAULT_K_CAP, *,
+             curve=None) -> ImageReport:
     """Classify the image of the p-adic Galois representation of one curve.
 
     precision is the requested beta certificate in pi_e-digits; k forces the
     refinement level d_{p**(2k+1)}/d_{p**2k}.  With k=None the level is
     chosen adaptively (just enough to make beta visible, capped at k_cap;
     classification never needs visibility, it only enriches the report).
+    curve may pass WeierstrassCurve(p, a, b) already built, so that its
+    reduction data is not computed again; it must be that curve.
     """
-    curve = WeierstrassCurve(p, a, b)
+    if curve is None:
+        curve = WeierstrassCurve(p, a, b)
+    elif (curve.prime, curve.a, curve.b) != (p, a, b):
+        raise ValueError("curve is not WeierstrassCurve(p, a, b)")
     red = curve.reduction
     e = red.defect
     hyps = []  # (condition, holds), in the order the gates run

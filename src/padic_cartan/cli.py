@@ -139,7 +139,8 @@ def _emit(payload: dict, as_json: bool) -> None:
 def _classify_one(p, a_text, b_text, args) -> dict:
     curve = _build_curve(p, a_text, b_text)
     precision = _resolve_precision(args.precision, curve.reduction.defect)
-    report = classify(p, curve.a, curve.b, precision=precision, k=args.k, k_cap=args.k_max)
+    report = classify(p, curve.a, curve.b, precision=precision, k=args.k, k_cap=args.k_max,
+                      curve=curve)
     return report.to_dict()
 
 

@@ -5,12 +5,14 @@ kernel that every operation and the Yasuda sums of `formal_log` run on, and
 the operators shared with PadicScalar (`+`, `-`, `/` by an int, a Fraction
 or a scalar, `==`) are those of `padic`; `*` runs on the form as well.
 `coords` is a view that builds the e normalized PadicScalars on demand, for
-the JSON writer, `repr` and `as_padic_scalar`; no operator reads it.
+`as_padic_scalar` and callers; no operator reads it, and `repr` and the JSON
+writer format the form directly (`_texts`).
 As v(c[i]) is an integer and v(pi_e**i) = i/e, v(x) = min(v(c[i]) + i/e)
 whenever it is visible at the carried precision; it, its provable floor and
 `pi_precision` (min of e*(f + r) + i) are read off the form in pi-digits.
 `inverse` takes its lead entry from them and forms 1 - w, the doubling tail
-and its cut (`_truncate`) on the form.
+and its cut (`_truncate`) on the form, or the cut alone when the lead is the
+only nonzero unit.
 """
 
 from __future__ import annotations
@@ -63,8 +65,8 @@ class EisensteinElement(_Number):
 
     @classmethod
     def from_scalar(cls, scalar: PadicScalar, e: int) -> "EisensteinElement":
-        p = scalar.prime
-        if e not in _ALLOWED_E or not isinstance(scalar, PadicScalar):
+        p = scalar.prime if isinstance(scalar, PadicScalar) else None
+        if e not in _ALLOWED_E or p is None:
             return cls(p, e, [scalar] * e)  # raises the constructor's message
         return _element(p, e, scalar.form)
 
@@ -164,6 +166,14 @@ class EisensteinElement(_Number):
         truncated to pi**P, all that w is known to, before it is multiplied
         by 1/(lead * pi**lead_i).  Requires the valuation to be visible at
         the carried precision.
+
+        When the lead is the only nonzero unit (the rest are zeros known to
+        some precision, as on every divisor of the log route), the tail is
+        known in closed form.  x = self/lead is 1 plus those zeros, known to
+        N p-digits, N the least precision of its entries; so w = 1 - x is a
+        zero whose floor equals its precision e*N, no power of w is kept,
+        and the tail is the exact 1 cut to pi**(e*N).  N <= 0 is a tail that
+        does not contract, and an exact monomial (N infinite) has no tail.
         """
         p, e = self.prime, self.ram_index
         form = self.form
@@ -171,7 +181,16 @@ class EisensteinElement(_Number):
         if v == INFINITY:
             raise ZeroDivisionError("inverting zero")
         # v(c[i]) + i/e == v/e picks i = v mod e for the lead entry.
-        inv_lead = _monomial_inverse(p, e, next(t for t in form if t[0] == v % e))
+        lead = next(t for t in form if t[0] == v % e)
+        inv_lead = _monomial_inverse(p, e, lead)
+        if not any(u for i, u, _, _ in form if i != lead[0]):  # the monomial's closed form
+            (j, _, g, _), = inv_lead
+            N = min([lead[3]] + [f + g + (i + j >= e) for i, _, f, _ in form if i != lead[0]])
+            if N == INFINITY:
+                return _element(p, e, inv_lead)
+            if N <= 0:
+                raise PrecisionError("tail not contracting; precision too low")
+            return _element(p, e, _product(p, e, _truncate(p, e, _ONE, e * N), inv_lead))
         x = _product(p, e, form, inv_lead)
         # w = 1 - x, the 1 known to x's least coordinate precision, as `1 - x` embeds it.
         N = min((f + r for _, _, f, r in x), default=INFINITY)
@@ -179,8 +198,6 @@ class EisensteinElement(_Number):
         w = _product(p, e, _ONE, [embedded] + [(i, -u, f, r) for i, u, f, r in x])
         floor, prec = _bounds(w, e)
         if prec == INFINITY:
-            if not w:
-                return _element(p, e, inv_lead)  # exact monomial: no tail to sum
             raise PrecisionError("cannot invert an exact non-monomial")
         if floor <= 0:
             raise PrecisionError("tail not contracting; precision too low")
@@ -201,15 +218,30 @@ class EisensteinElement(_Number):
         return _bounds(diff.form, self.ram_index)[0] >= pi_digits
 
     def __repr__(self):
-        bits = []
-        for i, c in enumerate(self.coords):
-            if c.is_exact_zero:
-                continue
-            inner = repr(c)
-            if " " in inner:
-                inner = f"({inner})"
-            bits.append(inner if i == 0 else f"{inner}*pi^{i}" if i > 1 else f"{inner}*pi")
-        return " + ".join(bits) or "0"  # a precision zero shows its coordinates
+        return _texts(self)[2]
+
+
+def _texts(x):
+    """(lifts, abs precisions, repr) of x's coordinates, read off the form: each
+    normalized coordinate's lift unit * p**valuation as (unit, valuation), (0, 0)
+    for a zero (a finite unit reduced mod p**r, as a negation leaves -u), its
+    absolute precision, and the sum of the nonzero coordinates' reprs times
+    their pi-powers.  The lifts stay integers: repr prints no power of p."""
+    p, e = x.prime, x.ram_index
+    lifts, precisions, terms = [(0, 0)] * e, [INFINITY] * e, [None] * e
+    for i, u, f, r in x.form:
+        precisions[i] = N = f + r
+        if not u:
+            terms[i] = f"O({p}^{N})"
+            continue
+        if r != INFINITY:
+            u %= p**r
+        lifts[i] = u, f
+        term = f"{u}" if f == 0 else f"{u}*{p}^{f}"
+        terms[i] = term if r == INFINITY else f"({term} + O({p}^{N}))"
+    bits = [t if i == 0 else f"{t}*pi" if i == 1 else f"{t}*pi^{i}"
+            for i, t in enumerate(terms) if t is not None]  # in index order
+    return lifts, precisions, " + ".join(bits) or "0"  # a precision zero shows its coordinates
 
 
 def _pi_digits(form, e: int):

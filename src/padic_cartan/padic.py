@@ -21,7 +21,9 @@ sums its terms over p**base, base the least floor a term can have, and is
 normalized once (`_normal`) mod the least of their precisions: as every
 partial sum is exact to that precision, this equals adding them one by one.
 So a form that lists an index twice is a sum, and its product with the exact
-1 normalizes it.  `_power` takes a monomial's power in closed form, `_scale`
+1 normalizes it.  The product of two monomials (one entry each, the shape of
+every Yasuda term and every PadicScalar `*`) is that one term, normalized, and
+`_power` takes a monomial's power in closed form; `_scale`
 multiplies by an exact num/den, `_monomial_inverse` inverts one entry and
 `_coordinate` makes a scalar of a one-entry form.
 
@@ -277,6 +279,15 @@ def _product(p: int, e: int, x, y):
     """The integer form of x * y; an index listed twice in x or y is a sum."""
     if not x or not y:
         return []
+    if len(x) == 1 == len(y):  # the one term, as the loop below would sum it
+        (i, ua, fa, ra), = x
+        (j, ub, fb, rb), = y
+        k, t, f = i + j, ua * ub, fa + fb
+        if k >= e:  # pi**e = -p
+            k, t, f = k - e, -t, f + 1
+        N = f + (ra if ra < rb else rb)
+        t, f = _normal(p, t, f, N)
+        return [(k, t, f, N - f)] if t else [(k, 0, N, 0)] if N != INFINITY else []
     base = min(f for _, _, f, _ in x) + min(f for _, _, f, _ in y)
     total, precision = [0] * e, [INFINITY] * e
     for i, ua, fa, ra in x:
@@ -339,6 +350,10 @@ def _monomial_inverse(p: int, e: int, entry):
     return _scale(p, [(-i % e, -sign if i else sign, -f - (i > 0), r)], 1, sign * u)
 
 
+def _negated(form):
+    return [(i, -u, f, r) for i, u, f, r in form]
+
+
 class _Number:
     """The operators that Q_p and L share; see the module docstring."""
 
@@ -372,17 +387,21 @@ class _Number:
 
     def __neg__(self):
         p, e = self.prime, self.ram_index
-        return self._from_form(p, e, [(i, -u, f, r) for i, u, f, r in self.form])
+        return self._from_form(p, e, _negated(self.form))
 
     def __sub__(self, other):
         y = self._operand(other)
         if y is NotImplemented:
             return NotImplemented
-        p, e, minus_y = self.prime, self.ram_index, [(i, -u, f, r) for i, u, f, r in y]
-        return self._from_form(p, e, _product(p, e, _ONE, [*self.form, *minus_y]))
+        p, e = self.prime, self.ram_index
+        return self._from_form(p, e, _product(p, e, _ONE, [*self.form, *_negated(y)]))
 
     def __rsub__(self, other):
-        return (-self) + other
+        y = self._operand(other)
+        if y is NotImplemented:
+            return NotImplemented
+        p, e = self.prime, self.ram_index
+        return self._from_form(p, e, _product(p, e, _ONE, [*y, *_negated(self.form)]))
 
     def __truediv__(self, other):
         """Division by an int, a Fraction or a PadicScalar (its field checked first)."""

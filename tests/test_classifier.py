@@ -327,3 +327,22 @@ def test_classify_is_invariant_under_weighted_scaling():
             assert {f: got["hodge"][f] for f in kept_hodge} == {
                 f: want["hodge"][f] for f in kept_hodge}, (p, a, b, u)
     assert len(gates) >= 4, gates
+
+
+def test_classify_takes_the_curve_already_built(monkeypatch):
+    from padic_cartan import classifier, cli
+    from padic_cartan.curve import WeierstrassCurve
+
+    curves = _seeded_curves(4, 48)
+    want = [classify(p, a, b).to_dict() for p, a, b in curves]
+    with pytest.raises(ValueError, match="^curve is not WeierstrassCurve"):
+        classify(11, 11**3, 11**2, curve=WeierstrassCurve(11, 11**3, 2 * 11**2))
+
+    def built_again(*args):
+        raise AssertionError("classify built the curve again")
+
+    monkeypatch.setattr(classifier, "WeierstrassCurve", built_again)
+    for (p, a, b), report in zip(curves, want):
+        assert classify(p, a, b, curve=WeierstrassCurve(p, a, b)).to_dict() == report
+    # The CLI hands classify the curve it built to resolve the precision.
+    assert cli.main(["classify", "--p", "11", "--a", "1331", "--b", "121", "--json"]) == 0

@@ -7,6 +7,7 @@ from operator import add, mul, sub, truediv
 
 import pytest
 
+from padic_cartan.classifier import _eisenstein_json, _encode_exact
 from padic_cartan.eisenstein import EisensteinElement, _element, _product
 from padic_cartan.errors import CosetViolationError, PrecisionError
 from padic_cartan.padic import INFINITY, PadicScalar, power_by_squaring
@@ -25,6 +26,10 @@ def test_constructor_validation():
         EisensteinElement(11, 3, [0, 1, 2])
     with pytest.raises(ValueError):
         EisensteinElement(11, 3, [PadicScalar.exact_zero(7)] * 3)
+    with pytest.raises(ValueError, match="^coordinates must be PadicScalars over the same p$"):
+        EisensteinElement.from_scalar(5, 3)
+    with pytest.raises(ValueError, match="^ramification index must be one of"):
+        EisensteinElement.from_scalar(5, 5)
 
 
 def test_elements_are_immutable():
@@ -252,6 +257,42 @@ def test_repr_forms():
     assert repr(x) == "(2 + O(11^1))*pi"
     pz = EisensteinElement(11, 3, [PadicScalar.zero_to_precision(11, 1)] * 3)
     assert repr(pz) == "O(11^1) + O(11^1)*pi + O(11^1)*pi^2"
+
+
+def _coordinate_texts(x):
+    """The JSON fields and repr of x through its coordinates: a PadicScalar per
+    coordinate, and its lift as a Fraction (the route the formatter replaced)."""
+    coords, bits = x.coords, []
+    for i, c in enumerate(coords):
+        if c.is_exact_zero:
+            continue
+        inner = repr(c)
+        if " " in inner:
+            inner = f"({inner})"
+        bits.append(inner if i == 0 else f"{inner}*pi^{i}" if i > 1 else f"{inner}*pi")
+    return {
+        "coordinates": [str(c.lift_fraction()) for c in coords],
+        "coordinate_precisions": [_encode_exact(c.abs_precision) for c in coords],
+        "pi_precision": _encode_exact(x.pi_precision()),
+        "repr": " + ".join(bits) or "0",
+    }
+
+
+def test_json_and_repr_from_the_form_match_the_coordinates():
+    seen = {"index order": 0, "finite -u": 0, "negative floor": 0, "precision zero": 0}
+    for seed in range(20):
+        for a, b in _random_pairs(150, seed=seed):
+            for x in (a, -a, a * b, a.mul_pi_power(seed - 9), a.truncate_pi(seed - 3),
+                      (-b).truncate_pi(2 * seed)):
+                want = _coordinate_texts(x)
+                assert _eisenstein_json(x) == want, x.form
+                assert repr(x) == want["repr"], x.form
+                indices = [t[0] for t in x.form]
+                seen["index order"] += indices != sorted(indices)
+                seen["finite -u"] += any(u < 0 and r != INFINITY for _, u, _, r in x.form)
+                seen["negative floor"] += any(u and f < 0 for _, u, f, _ in x.form)
+                seen["precision zero"] += any(not u for _, u, _, _ in x.form)
+    assert min(seen.values()) >= 1000, seen
 
 
 def test_embedding_matches_target_precision():
@@ -552,6 +593,8 @@ def _geometric_inverse(a):
     prec = w.pi_precision()
     if prec == INFINITY:
         return inv_lead
+    if w.valuation_floor() <= 0:  # the tail sum(w**j) would not converge
+        raise PrecisionError("tail not contracting; precision too low")
     steps = int(prec / (e * w.valuation_floor())) + 1
     term = w
     out = EisensteinElement.from_rational(1, a.prime, e, INFINITY) + w
@@ -603,6 +646,78 @@ def test_monomial_powers_match_square_and_multiply():
                     if c.unit < 0 and (i * n // e) % 2:
                         negative_after_odd_folds += 1
     assert negative_after_odd_folds >= 100
+
+
+def test_one_entry_products_match_the_fraction_rules():
+    # Monomial times monomial, the shape of every Yasuda term, at every index pair
+    # (PadicScalar products, e = 1, are checked in test_scalar_operators_match_the_fraction_rules).
+    rng, counts = random.Random(24), {"fold": 0, "finite -u": 0, "precision zero": 0}
+    for p in (5, 11):
+        for e in (3, 4, 6):
+            for i in range(e):
+                for j in range(e):
+                    for c in _monomial_coordinates(rng, p):
+                        for d in _monomial_coordinates(rng, p):
+                            a = EisensteinElement.pi_monomial(c, i, e)
+                            b = -EisensteinElement.pi_monomial(d, j, e)  # a finite unit as -u
+                            assert len(a.form) == 1 == len(b.form)
+                            want = _ref_element_product(p, [_ref(x) for x in a.coords],
+                                                        [_ref(x) for x in b.coords])
+                            got = [_key(x) for x in (a * b).coords]
+                            assert got == [_ref_key(p, *w) for w in want], (a, b)
+                            (_, u, _, r), = b.form
+                            counts["fold"] += i + j >= e
+                            counts["finite -u"] += u < 0 and r != INFINITY
+                            counts["precision zero"] += not (c.unit and d.unit)
+    assert min(counts.values()) >= 200, counts
+
+
+def _monomial_with_zeros(rng, p, e, i, exact):
+    """A unit at pi**i, exact (+-1, 2 or -3) or finite, and at each other index an
+    exact zero or a zero known to p**g, g from f - 1 to f + 4, f the unit's floor."""
+    f = rng.randrange(-2, 3)
+    if exact:
+        lead = PadicScalar(p, rng.choice((1, -1, 2, -3)), f, INFINITY)
+    else:
+        unit = rng.randrange(1, p**6)
+        lead = PadicScalar(p, unit + (unit % p == 0), f, f + rng.randrange(1, 8))
+    zeros = [PadicScalar.exact_zero(p)] + [PadicScalar.zero_to_precision(p, g)
+                                           for g in range(f - 1, f + 5)]
+    return lead, EisensteinElement(p, e, [lead if j == i else rng.choice(zeros)
+                                          for j in range(e)])
+
+
+def test_monomial_inverses_match_the_geometric_tail():
+    # A unit plus zeros known to some precision, as every divisor of the log route;
+    # inverse() takes its closed form, the references sum the tail term by term.
+    rng, outcomes = random.Random(25), {}
+    for p in (5, 7, 11, 13):
+        for e in (3, 4, 6):
+            for i in range(e):
+                for exact in (True, True, False, False, False) * 4:
+                    lead, a = _monomial_with_zeros(rng, p, e, i, exact)
+                    # the unit cut below, at or above its own digits: zeros listed after it
+                    w = e * lead.valuation + i
+                    b = EisensteinElement.pi_monomial(lead, i, e).truncate_pi(
+                        rng.randrange(w - e, w + 6 * e))
+                    for x in (a, b, EisensteinElement.pi_monomial(lead, i, e)):
+                        got = _outcome(x.inverse)
+                        try:
+                            want = [_key(c) for c in _geometric_inverse(x).coords], None
+                        except (PrecisionError, ZeroDivisionError) as exc:
+                            want = None, (type(exc), str(exc))
+                        assert got == want, x
+                        if got[1] is None:
+                            inv = x.inverse()
+                            _agrees_to_precision(inv, _exact_inverse(_lifts(x), p), p)
+                            seen = "exact" if inv.pi_precision() == INFINITY else "cut"
+                        else:
+                            seen = got[1][1].split(";")[0].split(":")[0]
+                        outcomes[seen] = outcomes.get(seen, 0) + 1
+    assert min(outcomes.values()) >= 50 and set(outcomes) == {
+        "exact", "cut", "tail not contracting", "valuation ambiguous",
+        "element is zero to precision", "1/2 has no exact finite expansion",
+        "1/3 has no exact finite expansion"}, outcomes
 
 
 # -- the element stores its integer form: oracles for +, - and the invariants ----
@@ -657,6 +772,16 @@ def test_kernel_sum_matches_coordinatewise_padic_addition():
         x + "1"
     with pytest.raises(TypeError):
         x + 1.0
+
+
+@pytest.mark.parametrize("other", ["1", None, 1.0, [1]])
+def test_reflected_subtraction_of_a_foreign_operand_names_minus(other):
+    for x in (EisensteinElement.from_rational(1, 5, 3, 4), PadicScalar.from_rational(1, 5, 4)):
+        name = type(x).__name__
+        with pytest.raises(TypeError, match=rf"for -: '{type(other).__name__}' and '{name}'$"):
+            other - x
+        with pytest.raises(TypeError, match=rf"for -: '{name}' and '{type(other).__name__}'$"):
+            x - other
 
 
 def test_scalar_operators_match_the_fraction_rules():

@@ -62,6 +62,13 @@ followed by `<key>.iqr`, the interquartile range of the same timed loops:
   eisenstein.mul.scalar.e3                   p = 11, x * s and x * q for x as in
       eisenstein.mul.e3, s a 12-digit PadicScalar unit and q a Fraction of a
       6-digit unit over an integer in [2, 100) prime to 11; one op is both
+  eisenstein.inverse.monomial.eE             e = 3, 4, 6; p = 11, inverse() of
+      the log route's divisor d_(p**2k): a 4-digit unit at valuation -2 in
+      coordinate 0 and zeros known to p**1 in the others
+  classifier.to_dict.lift
+      ImageReport.to_dict() of classify(p, a, b) on seeded curves of the eight
+      p = 11 log-route shapes of shallow-batch (the first SHALLOW_SHAPES),
+      three of each; the reports are built before timing
 
 Each median and IQR is taken over REPEATS = 15 timed loops (time.perf_counter)
 of the same 200 seeded operand pairs (one curve for formal_log.series, .exact
@@ -72,8 +79,8 @@ volkov.hodge_parameters draws its operands after the other layers, and
 padic.inverse and volkov.hodge_parameters.cm after it, and eisenstein.add
 after all of them, and eisenstein.add.spread after it, so each layer times
 the operands it had before the later ones were added; curve.reduction and
-the classifier keys draw theirs after all of them, and eisenstein.mul.scalar
-last.
+the classifier keys draw theirs after all of them, then eisenstein.mul.scalar,
+then eisenstein.inverse.monomial, and classifier.to_dict last.
 --src selects the package source, so one checkout can time another
 (default: the src/ beside this script).  Given twice, both trees are loaded
 side by side and each key is timed on both in alternating rounds (A B B A
@@ -266,6 +273,12 @@ def cases(package):
                scalar(12, extra), Fraction(prime_to_p(1, PRIME**6), prime_to_p(2, 100)))
               for _ in range(PAIRS)]
     add_case("eisenstein.mul.scalar.e3", lambda x, s, q: (x * s, x * q), scaled)
+    for e in (3, 4, 6):
+        divisors = [(EisensteinElement(PRIME, e, [scalar(4, extra).shift(-2)] + [
+            PadicScalar.zero_to_precision(PRIME, 1)] * (e - 1)),) for _ in range(PAIRS)]
+        add_case(f"eisenstein.inverse.monomial.e{e}", lambda a: a.inverse(), divisors)
+    reports = [(classify(*shallow_curve(*shape)),) for shape in SHALLOW_SHAPES[:8] * 3]
+    add_case("classifier.to_dict.lift", lambda report: report.to_dict(), reports)
     return out
 
 

@@ -25,9 +25,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .curve import MULTIPLICATIVE, WeierstrassCurve
-from .eisenstein import _texts
 from .errors import ExcludedJInvariantError, NormalizationError
-from .padic import INFINITY, check_odd_prime
+from .padic import INFINITY, _texts, check_odd_prime
 from .volkov import (
     ALPHA_INFINITY,
     adaptive_level,
@@ -130,21 +129,23 @@ def _encode_exact(value):
     return str(value)
 
 
+def _lift_texts(p: int, lifts) -> list:
+    """Each (unit, v) lift of `_texts` as the rational unit * p**v, in lowest terms."""
+    return [str(u * p**v) if v >= 0 else f"{u}/{p**-v}" for u, v in lifts]
+
+
 def _scalar_json(scalar) -> dict:
     """A p-adic scalar as its canonical lift plus an explicit precision."""
-    return {
-        "lift": str(scalar.lift_fraction()),
-        "precision": _encode_exact(scalar.abs_precision),
-        "repr": repr(scalar),
-    }
+    lifts, (precision,), text = _texts(scalar)
+    (lift,) = _lift_texts(scalar.prime, lifts)
+    return {"lift": lift, "precision": _encode_exact(precision), "repr": text}
 
 
 def _eisenstein_json(element) -> dict:
     """An element of L as a pi-coordinate vector with explicit precisions."""
     lifts, precisions, text = _texts(element)
-    p = element.prime
     return {
-        "coordinates": [str(u * p**v) if v >= 0 else f"{u}/{p**-v}" for u, v in lifts],
+        "coordinates": _lift_texts(element.prime, lifts),
         "coordinate_precisions": [_encode_exact(N) for N in precisions],
         "pi_precision": _encode_exact(element.pi_precision()),
         "repr": text,

@@ -63,6 +63,12 @@ def _message(exc: ValueError) -> str:
     return _PRIME_MESSAGE if isinstance(exc, UnsupportedPrimeError) else str(exc)
 
 
+def _int_str_limit() -> int:
+    """Python's digit limit for int to str conversion, read at call time; 0 is
+    no limit, and so is an interpreter older than 3.10.7, which has none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def _parse_rational(text, label: str) -> Fraction:
     try:
         return Fraction(str(text))
@@ -240,7 +246,7 @@ def _cmd_logcoeffs(args) -> int:
         )
     if 4 * a**3 + 27 * b**2 == 0:
         raise ValueError(f"discriminant vanishes for a={a}, b={b}")
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    limit = _int_str_limit()
     digits, r = max((d, 2 * N + 1) for N, d in enumerate(_logcoeff_digits(a, b, r_max)))
     if limit and digits > limit:
         raise ValueError(f"--r-max {r_max}: d_{r} may need up to {digits} digits, "
@@ -293,8 +299,7 @@ def _cmd_divpoly(args) -> int:
         v = args.v_alpha_inv
         if v < 0:
             raise ValueError("v-alpha-inv must be >= 0 (twist-normalize first)")
-        # The largest JSON lift is p**(v + k); 0 is no limit, and the call is new in 3.10.7.
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        limit = _int_str_limit()  # the largest JSON lift is p**(v + k)
         if args.json and limit and (v + k) * math.log10(check_odd_prime(p)) >= limit:
             raise ValueError(f"--v-alpha-inv {v} puts {p}**{v + k} in the JSON, over Python's "
                              f"{limit}-digit limit for int to str conversion")

@@ -1,12 +1,12 @@
 """Arithmetic in the Eisenstein extension L = Q_p(pi_e), pi_e**e = -p.
 
-An element stores its integer form `form`; the form, its invariants, the
-kernel that every operation and the Yasuda sums of `formal_log` run on, and
-the operators shared with PadicScalar (`+`, `-`, `/` by an int, a Fraction
-or a scalar, `==`) are those of `padic`; `*` runs on the form as well.
-`coords` is a view that builds the e normalized PadicScalars on demand, for
-`as_padic_scalar` and callers; no operator reads it, and `repr` and the JSON
-writer format the form directly (`_texts`).
+An element stores (prime, ram_index, form), as a PadicScalar stores its
+prime and form; the form, its invariants, the kernel that every operation and
+the Yasuda sums of `formal_log` run on, the operators shared with PadicScalar
+(`+`, `-`, `/` by an int, a Fraction or a scalar, the reflected `/`, `==`) and
+the formatter of `repr` and the JSON report (`_texts`) are those of `padic`;
+`*` runs on the form as well.  `coords` is a view that wraps each entry as a
+PadicScalar on demand, for callers; no operator reads it.
 As v(c[i]) is an integer and v(pi_e**i) = i/e, v(x) = min(v(c[i]) + i/e)
 whenever it is visible at the carried precision; it, its provable floor and
 `pi_precision` (min of e*(f + r) + i) are read off the form in pi-digits.
@@ -22,7 +22,7 @@ from fractions import Fraction
 from .errors import CosetViolationError, PrecisionError
 from .padic import (
     _ONE, INFINITY, PadicScalar, _coordinate, _monomial_inverse, _Number, _power, _product,
-    _scalar, _scale)
+    _scale)
 
 _ALLOWED_E = (3, 4, 6)
 
@@ -54,7 +54,7 @@ class EisensteinElement(_Number):
         for i, c in enumerate(coords):
             if not isinstance(c, PadicScalar) or c.prime != prime:
                 raise ValueError("coordinates must be PadicScalars over the same p")
-            form += c._entries(i)
+            form += [(i, u, f, r) for _, u, f, r in c.form]
         _element(prime, ram_index, form, self)
 
     # -- constructors ------------------------------------------------------
@@ -83,10 +83,10 @@ class EisensteinElement(_Number):
 
     @property
     def coords(self) -> tuple:
-        """The e coordinates over Q_p as normalized PadicScalars, built from the form."""
+        """The e coordinates over Q_p as PadicScalars, each wrapping its entry."""
         p, out = self.prime, [_coordinate(self.prime, 1, ())] * self.ram_index
         for i, u, f, r in self.form:
-            out[i] = _scalar(p, u, f, f + r)
+            out[i] = _coordinate(p, 1, ((0, u, f, r),))
         return tuple(out)
 
     def pi_precision(self):
@@ -103,17 +103,15 @@ class EisensteinElement(_Number):
         v = _bounds(self.form, self.ram_index)[0]
         return v if v == INFINITY else Fraction(v, self.ram_index)
 
-    @property
-    def is_exact_zero(self) -> bool:
-        return not self.form
-
     def as_padic_scalar(self) -> PadicScalar:
         """Coordinate 0, provided every other coordinate vanishes to precision."""
-        coords = self.coords
-        for i, c in enumerate(coords[1:], start=1):
-            if c.unit:
-                raise CosetViolationError(f"pi_e**{i} component {c!r} does not cancel")
-        return coords[0]
+        p = self.prime
+        visible = [t for t in self.form if t[0] and t[1]]
+        if visible:
+            i, u, f, r = min(visible)  # the least index, as its message names it
+            c = _coordinate(p, 1, ((0, u, f, r),))
+            raise CosetViolationError(f"pi_e**{i} component {c!r} does not cancel")
+        return _coordinate(p, 1, [t for t in self.form if not t[0]])
 
     def truncate_pi(self, pi_digits: int) -> "EisensteinElement":
         """Reduce to absolute precision pi_e**pi_digits."""
@@ -216,32 +214,6 @@ class EisensteinElement(_Number):
         if pi_digits is None:
             return diff.is_zero_to_precision()
         return _bounds(diff.form, self.ram_index)[0] >= pi_digits
-
-    def __repr__(self):
-        return _texts(self)[2]
-
-
-def _texts(x):
-    """(lifts, abs precisions, repr) of x's coordinates, read off the form: each
-    normalized coordinate's lift unit * p**valuation as (unit, valuation), (0, 0)
-    for a zero (a finite unit reduced mod p**r, as a negation leaves -u), its
-    absolute precision, and the sum of the nonzero coordinates' reprs times
-    their pi-powers.  The lifts stay integers: repr prints no power of p."""
-    p, e = x.prime, x.ram_index
-    lifts, precisions, terms = [(0, 0)] * e, [INFINITY] * e, [None] * e
-    for i, u, f, r in x.form:
-        precisions[i] = N = f + r
-        if not u:
-            terms[i] = f"O({p}^{N})"
-            continue
-        if r != INFINITY:
-            u %= p**r
-        lifts[i] = u, f
-        term = f"{u}" if f == 0 else f"{u}*{p}^{f}"
-        terms[i] = term if r == INFINITY else f"({term} + O({p}^{N}))"
-    bits = [t if i == 0 else f"{t}*pi" if i == 1 else f"{t}*pi^{i}"
-            for i, t in enumerate(terms) if t is not None]  # in index order
-    return lifts, precisions, " + ".join(bits) or "0"  # a precision zero shows its coordinates
 
 
 def _pi_digits(form, e: int):

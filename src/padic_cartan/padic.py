@@ -1,19 +1,19 @@
 """Bounded-precision p-adic scalars, the arithmetic kernel of Q_p and L, and
 exact p-adic combinatorics.
 
-A :class:`PadicScalar` is ``unit * p**valuation + O(p**abs_precision)`` with the
-unit stored reduced modulo ``p**(abs_precision - valuation)``, i.e. to its full
-relative precision.  Exact zero (valuation ``+inf``, infinite precision) is
-distinct from a precision zero ``O(p**N)``, whose valuation is only known to be
-``>= N``.
+A :class:`PadicScalar` is ``unit * p**valuation + O(p**abs_precision)``.  Exact
+zero (valuation ``+inf``, infinite precision) is distinct from a precision zero
+``O(p**N)``, whose valuation is only known to be ``>= N``.
 
 Q_p and L = Q_p(pi_e), pi_e**e = -p, share one integer form and one kernel.
 x = sum(c[i] * pi_e**i) has an entry (i, unit, floor f, relative precision r)
-per coordinate not exactly 0, c[i] = unit * p**f + O(p**(f + r)); a
-PadicScalar is the form of e = 1 (its `form` view).  Each index appears at most
-once; p divides no nonzero unit; a zero known to p**N is (i, 0, N, 0), an
-exact zero is absent; a finite unit is defined only mod p**r (a negation
-leaves -u).  The kernel `_product` keeps the rules of Caruso, Roe and
+per coordinate not exactly 0, c[i] = unit * p**f + O(p**(f + r)).  Each index
+appears at most once; p divides no nonzero unit; a zero known to p**N is
+(i, 0, N, 0), an exact zero is absent; a finite unit is defined only mod p**r
+(a negation leaves -u).  Both types store (prime, form): a PadicScalar is the
+form of e = 1, one entry at index 0 or none, and its `unit`, `valuation` and
+`abs_precision` are views of that entry, the unit reduced mod p**r on read.
+The kernel `_product` keeps the rules of Caruso, Roe and
 Vaccon, "Tracking p-adic precision" (2014): a_i and b_j give the term
 a_i.unit * b_j.unit * p**(f_a + f_b), known mod p**min(N_a + f_b, N_b + f_a),
 at index i + j, folded from index e on through pi**e = -p.  Each coordinate
@@ -24,16 +24,19 @@ So a form that lists an index twice is a sum, and its product with the exact
 1 normalizes it.  The product of two monomials (one entry each, the shape of
 every Yasuda term and every PadicScalar `*`) is that one term, normalized, and
 `_power` takes a monomial's power in closed form; `_scale`
-multiplies by an exact num/den, `_monomial_inverse` inverts one entry and
-`_coordinate` makes a scalar of a one-entry form.
+multiplies by an exact num/den and `_monomial_inverse` inverts one entry.
+Every kernel result keeps the invariants, so `_coordinate` (and
+`eisenstein._element` for L) wraps it as it is; `_texts` prints a form of
+either type, for `repr` and the JSON report.
 
 Both number types share one operator set on the form, the base `_Number`:
-`+`, `-`, `/` by an int, a Fraction or a PadicScalar, `==` and immutability.
-Each type supplies `ram_index` (a class attribute of 1 on PadicScalar), its
-`form`, `_from_form` (`_coordinate` here, `eisenstein._element` for L) and its
-message for an operand over another field.  An int or Fraction summand is
-known to the least coordinate precision of the other summand.  `*`, `**` and
-`inverse` stay in each type, as functions of its own.
+`+`, `-`, `/` by an int, a Fraction or a PadicScalar, the reflected `/`,
+`==`, `repr`, `is_exact_zero` and immutability.  Each type supplies `ram_index`
+(a class attribute of 1 on PadicScalar), `_from_form` (`_coordinate` here,
+`eisenstein._element` for L) and its message for an operand over another
+field.  An int or Fraction summand is known to the least coordinate precision
+of the other summand.  `*`, `**` and `inverse` stay in each type, as functions
+of its own.
 
 The combinatorial helpers (`val_factorial`, `multinomial_padic`, ...) never
 build the underlying factorials when the arguments are large: valuations come
@@ -41,14 +44,15 @@ from Legendre's formula and unit parts mod p**d from the base-p digits and O(d)
 cached block polynomials, so a multinomial with top index around 10**9 costs
 O(p * d * log_p n) word operations.
 
-The prime is checked where a scalar is built from caller data: the
-constructor, which the classmethods use (Miller-Rabin runs once per prime).
-Arithmetic builds its results through `_scalar`, from checked operands.
+The prime is checked, and the form normalized, where a scalar is built from
+caller data: the constructor, which the classmethods use (Miller-Rabin runs
+once per prime).
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 
@@ -56,6 +60,7 @@ from .errors import PrecisionError, UnsupportedPrimeError
 
 INFINITY = float("inf")
 _ONE = ((0, 1, 0, INFINITY),)  # the form of the exact 1
+_NO_ENTRY = ((0, 0, INFINITY, 0),)  # what a scalar's views read for the exact 0
 
 
 @lru_cache(maxsize=None)
@@ -239,19 +244,6 @@ def power_by_squaring(base, exponent: int, one, mul):
     return one if out is None else out
 
 
-def _scalar(p: int, unit: int, valuation, abs_precision, x=None) -> PadicScalar:
-    """unit * p**valuation + O(p**abs_precision), normalized, in x or a new scalar."""
-    if x is None:
-        x = object.__new__(PadicScalar)
-    unit, valuation = _normal(p, unit, valuation, abs_precision)
-    _set = object.__setattr__
-    _set(x, "prime", p)
-    _set(x, "valuation", valuation)
-    _set(x, "unit", unit)
-    _set(x, "abs_precision", abs_precision)
-    return x
-
-
 def _normal(p: int, unit: int, valuation, abs_precision):
     """(unit, valuation) of unit * p**valuation + O(p**abs_precision) in normal
     form: p does not divide the unit, reduced mod p**(abs_precision - valuation),
@@ -268,11 +260,14 @@ def _normal(p: int, unit: int, valuation, abs_precision):
     return (unit, valuation) if unit else (0, INFINITY)
 
 
-def _coordinate(p: int, e: int, form) -> PadicScalar:
-    """The normalized PadicScalar of a form of one entry (its index is not read)
-    or none (the exact 0); e is ignored, as the hook shares `_element`'s signature."""
-    (_, u, f, r), = form or ((0, 0, INFINITY, 0),)
-    return _scalar(p, u, f, f + r)
+def _coordinate(p: int, e: int, form, x=None) -> PadicScalar:
+    """The PadicScalar of a form of one entry at index 0, or none (the exact 0),
+    in x or a new scalar, unchecked: results of arithmetic on checked operands
+    come through here.  e is ignored, as the hook shares `_element`'s signature."""
+    x, _set = object.__new__(PadicScalar) if x is None else x, object.__setattr__
+    _set(x, "prime", p)
+    _set(x, "form", tuple(form))
+    return x
 
 
 def _product(p: int, e: int, x, y):
@@ -354,6 +349,31 @@ def _negated(form):
     return [(i, -u, f, r) for i, u, f, r in form]
 
 
+def _texts(x):
+    """(lifts, abs precisions, repr) of the coordinates of x, a PadicScalar or an
+    EisensteinElement, read off its form: each normalized coordinate's lift
+    unit * p**valuation as (unit, valuation), (0, 0) for a zero (a finite unit
+    reduced mod p**r, as a negation leaves -u), its absolute precision, and the
+    sum of the nonzero coordinates' texts times their pi-powers, each text
+    parenthesized in L when it carries an O-term.  The lifts stay integers:
+    repr prints no power of p."""
+    p, e = x.prime, x.ram_index
+    lifts, precisions, bits = [(0, 0)] * e, [INFINITY] * e, []
+    for i, u, f, r in sorted(x.form):  # in index order
+        precisions[i] = N = f + r
+        if not u:
+            term = f"O({p}^{N})"
+        else:
+            if r != INFINITY:
+                u %= p**r
+            lifts[i] = u, f
+            term = f"{u}" if f == 0 else f"{u}*{p}^{f}"
+            if r != INFINITY:
+                term = f"{term} + O({p}^{N})" if e == 1 else f"({term} + O({p}^{N}))"
+        bits.append(term if i == 0 else f"{term}*pi" if i == 1 else f"{term}*pi^{i}")
+    return lifts, precisions, " + ".join(bits) or "0"  # a precision zero shows its coordinates
+
+
 class _Number:
     """The operators that Q_p and L share; see the module docstring."""
 
@@ -410,13 +430,23 @@ class _Number:
             return NotImplemented
         p, e = self.prime, self.ram_index
         if isinstance(other, _Number):
-            if not other.unit:
+            if other.is_zero_to_precision():
                 raise ZeroDivisionError("inverting a (precision) zero")
             return self._from_form(p, e, _product(p, e, self.form, _monomial_inverse(p, e, y[0])))
         if other == 0:
             raise ZeroDivisionError("division by zero")
         q = 1 / Fraction(other)
         return self._from_form(p, e, _scale(p, self.form, q.numerator, q.denominator))
+
+    def __rtruediv__(self, other):
+        """other / self for an int, a Fraction or a scalar (checked before self is inverted)."""
+        if self._operand(other, embed=False) is NotImplemented:
+            return NotImplemented
+        return self.inverse() * other
+
+    @property
+    def is_exact_zero(self) -> bool:
+        return not self.form
 
     def is_zero_to_precision(self) -> bool:
         return not any(u for _, u, _, _ in self.form)
@@ -431,11 +461,14 @@ class _Number:
 
     __hash__ = None
 
+    def __repr__(self):
+        return _texts(self)[2]
+
 
 class PadicScalar(_Number):
     """An element of Q_p carried to finite absolute precision."""
 
-    __slots__ = ("prime", "valuation", "unit", "abs_precision")
+    __slots__ = ("prime", "form")
     ram_index = 1
     _mixed = "mixed primes"
     _from_form = staticmethod(_coordinate)
@@ -447,7 +480,13 @@ class PadicScalar(_Number):
             if abs_precision != int(abs_precision):
                 raise ValueError("abs_precision must be an integer or +inf")
             abs_precision = int(abs_precision)
-        _scalar(prime, unit, valuation, abs_precision, self)
+        unit, valuation = _normal(prime, unit, valuation, abs_precision)
+        if unit:
+            valuation = int(valuation)  # the floor of the form is an int, as repr prints it
+            form = ((0, unit, valuation, abs_precision - valuation),)
+        else:
+            form = () if abs_precision == INFINITY else ((0, 0, abs_precision, 0),)
+        _coordinate(prime, 1, form, self)
 
     # -- constructors ------------------------------------------------------
 
@@ -474,29 +513,32 @@ class PadicScalar(_Number):
         (_, unit, _, _), = _scale(p, ((0, 1, 0, r),), value.numerator, value.denominator)
         return cls(p, unit, v, abs_precision)  # checks p and the precision
 
-    # -- predicates and views ---------------------------------------------
-
-    def _entries(self, i=0):
-        """The integer form of self * pi**i: one entry, or none for the exact 0."""
-        if self.unit:
-            return ((i, self.unit, self.valuation, self.abs_precision - self.valuation),)
-        return () if self.abs_precision == INFINITY else ((i, 0, self.abs_precision, 0),)
-
-    form = property(_entries, doc="The integer form: one entry at index 0, or none.")
+    # -- views of the form ----------------------------------------------------
 
     @property
-    def is_exact_zero(self) -> bool:
-        return self.unit == 0 and self.abs_precision == INFINITY
+    def unit(self) -> int:
+        """The unit, reduced mod p**r when finite (0 for zeros)."""
+        (_, u, _, r), = self.form or _NO_ENTRY
+        return u if r == INFINITY else u % self.prime**r
+
+    @property
+    def valuation(self):
+        (_, u, f, _), = self.form or _NO_ENTRY
+        return f if u else INFINITY
+
+    @property
+    def abs_precision(self):
+        (_, _, f, r), = self.form or _NO_ENTRY
+        return f + r
 
     @property
     def is_precision_zero(self) -> bool:
-        return self.unit == 0 and self.abs_precision != INFINITY
+        return bool(self.form) and not self.form[0][1]
 
     def valuation_floor(self):
         """Exact valuation, or the provable lower bound for a precision zero."""
-        if self.is_precision_zero:
-            return self.abs_precision
-        return self.valuation
+        (_, _, f, _), = self.form or _NO_ENTRY
+        return f
 
     def residue(self) -> int:
         """Leading digit: unit mod p (0 for zeros)."""
@@ -504,12 +546,7 @@ class PadicScalar(_Number):
 
     def lift_fraction(self) -> Fraction:
         """The canonical rational representative unit * p**valuation."""
-        if self.unit == 0:
-            return Fraction(0)
-        v = int(self.valuation)
-        if v >= 0:
-            return Fraction(self.unit * self.prime**v)
-        return Fraction(self.unit, self.prime**-v)
+        return self.unit * Fraction(self.prime) ** self.valuation if self.unit else Fraction(0)
 
     def reduce_abs_precision(self, abs_precision) -> "PadicScalar":
         if abs_precision >= self.abs_precision:
@@ -529,13 +566,11 @@ class PadicScalar(_Number):
 
     __rmul__ = __mul__
 
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
     def inverse(self) -> "PadicScalar":
-        if self.unit == 0:
+        entry, = self.form or _NO_ENTRY
+        if not entry[1]:
             raise ZeroDivisionError("inverting a (precision) zero")
-        return _coordinate(self.prime, 1, _monomial_inverse(self.prime, 1, self.form[0]))
+        return _coordinate(self.prime, 1, _monomial_inverse(self.prime, 1, entry))
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
@@ -545,8 +580,8 @@ class PadicScalar(_Number):
         return _coordinate(self.prime, 1, _power(self.prime, 1, self.form, exponent))
 
     def shift(self, k: int) -> "PadicScalar":
-        """Multiply by p**k exactly."""
-        return _scalar(self.prime, self.unit, self.valuation + k, self.abs_precision + k)
+        """Multiply by p**k exactly: a shift of the floor."""
+        return _coordinate(self.prime, 1, [(i, u, f + k, r) for i, u, f, r in self.form])
 
     # -- comparison ---------------------------------------------------------
 
@@ -556,18 +591,6 @@ class PadicScalar(_Number):
         if abs_precision is None:
             return diff.is_zero_to_precision()
         return diff.valuation_floor() >= abs_precision
-
-    def __repr__(self):
-        p = self.prime
-        if self.is_exact_zero:
-            return "0"
-        if self.is_precision_zero:
-            return f"O({p}^{int(self.abs_precision)})"
-        v = int(self.valuation)
-        body = f"{self.unit}" if v == 0 else f"{self.unit}*{p}^{v}"
-        if self.abs_precision == INFINITY:
-            return body
-        return f"{body} + O({p}^{int(self.abs_precision)})"
 
 
 def newton_polygon(points):
@@ -618,20 +641,15 @@ def newton_polygon(points):
     )
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class NewtonPolygon:
     """Result of :func:`newton_polygon`; immutable."""
 
-    __slots__ = ("points", "vertices", "segments", "zero_root_multiplicity", "degree")
-
-    def __init__(self, points, vertices, segments, zero_root_multiplicity, degree):
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "segments", segments)
-        object.__setattr__(self, "zero_root_multiplicity", zero_root_multiplicity)
-        object.__setattr__(self, "degree", degree)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NewtonPolygon is immutable")
+    points: tuple
+    vertices: tuple
+    segments: tuple
+    zero_root_multiplicity: int
+    degree: int
 
     def root_valuations(self):
         """Multiset of root valuations as (valuation, multiplicity) pairs.

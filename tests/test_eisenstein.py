@@ -7,7 +7,7 @@ from operator import add, mul, sub, truediv
 
 import pytest
 
-from padic_cartan.classifier import _eisenstein_json, _encode_exact
+from padic_cartan.classifier import _eisenstein_json, _encode_exact, _scalar_json
 from padic_cartan.eisenstein import EisensteinElement, _element, _product
 from padic_cartan.errors import CosetViolationError, PrecisionError
 from padic_cartan.padic import INFINITY, PadicScalar, power_by_squaring
@@ -104,8 +104,30 @@ def test_as_padic_scalar_checks_higher_coordinates():
     x = EisensteinElement.from_rational(7, 11, 3, 4)
     assert x.as_padic_scalar().lift_fraction() == 7
     y = x + EisensteinElement.pi_monomial(exact(1), 1, 3)
-    with pytest.raises(CosetViolationError):
+    with pytest.raises(CosetViolationError, match=r"^pi_e\*\*1 component 1 does not cancel$"):
         y.as_padic_scalar()
+    # Coordinate 0 folded from pi**3 holds -7 in the form; the scalar reads it mod 11**4.
+    seven = PadicScalar.from_rational(7, 11, 4)
+    folded = EisensteinElement.pi_monomial(seven, 2, 3).mul_pi_power(1)
+    assert folded.form == ((0, -7, 1, 4),)
+    s = folded.as_padic_scalar()
+    assert (s.unit, s.valuation, s.abs_precision) == (11**4 - 7, 1, 5)
+    assert repr(s) == "14634*11^1 + O(11^5)" and s == -77
+    # Zeros known to a precision cancel; a folded nonzero higher coordinate does not.
+    z = folded + EisensteinElement(11, 3, [PadicScalar.exact_zero(11)]
+                                   + [PadicScalar.zero_to_precision(11, 2)] * 2)
+    assert repr(z.as_padic_scalar()) == "14634*11^1 + O(11^5)"
+    w = EisensteinElement.pi_monomial(PadicScalar.from_rational(3, 11, 4), 5, 3)
+    assert w.form == ((2, -3, 1, 4),)
+    with pytest.raises(CosetViolationError,
+                       match=r"^pi_e\*\*2 component 14638\*11\^1 \+ O\(11\^5\) does not cancel$"):
+        w.as_padic_scalar()
+    # The message names the least index, whatever the order of the form.
+    v = EisensteinElement(11, 3, [exact(4), exact(5), exact(6)]).mul_pi_power(2)
+    assert [t[0] for t in v.form] == [2, 0, 1]
+    with pytest.raises(CosetViolationError,
+                       match=r"^pi_e\*\*1 component -6\*11\^1 does not cancel$"):
+        v.as_padic_scalar()
 
 
 def test_truncate_pi_per_coordinate():
@@ -259,27 +281,41 @@ def test_repr_forms():
     assert repr(pz) == "O(11^1) + O(11^1)*pi + O(11^1)*pi^2"
 
 
+def _scalar_texts(c):
+    """The JSON fields and repr of a scalar from its unit, valuation and precision:
+    the formula of the formatter that `_texts` replaced, and its lift as a Fraction."""
+    p, unit, v, N = c.prime, c.unit, c.valuation, c.abs_precision
+    if unit:
+        body = f"{unit}" if v == 0 else f"{unit}*{p}^{v}"
+        text = body if N == INFINITY else f"{body} + O({p}^{N})"
+    else:
+        text = "0" if N == INFINITY else f"O({p}^{N})"
+    lift = unit * Fraction(p) ** v if unit else Fraction(0)
+    return {"lift": str(lift), "precision": _encode_exact(N), "repr": text}
+
+
 def _coordinate_texts(x):
     """The JSON fields and repr of x through its coordinates: a PadicScalar per
-    coordinate, and its lift as a Fraction (the route the formatter replaced)."""
-    coords, bits = x.coords, []
+    coordinate, printed by `_scalar_texts` (the route the formatter replaced)."""
+    coords, bits = [_scalar_texts(c) for c in x.coords], []
     for i, c in enumerate(coords):
-        if c.is_exact_zero:
+        if c["repr"] == "0":
             continue
-        inner = repr(c)
+        inner = c["repr"]
         if " " in inner:
             inner = f"({inner})"
         bits.append(inner if i == 0 else f"{inner}*pi^{i}" if i > 1 else f"{inner}*pi")
     return {
-        "coordinates": [str(c.lift_fraction()) for c in coords],
-        "coordinate_precisions": [_encode_exact(c.abs_precision) for c in coords],
+        "coordinates": [c["lift"] for c in coords],
+        "coordinate_precisions": [c["precision"] for c in coords],
         "pi_precision": _encode_exact(x.pi_precision()),
         "repr": " + ".join(bits) or "0",
     }
 
 
 def test_json_and_repr_from_the_form_match_the_coordinates():
-    seen = {"index order": 0, "finite -u": 0, "negative floor": 0, "precision zero": 0}
+    seen = {"index order": 0, "finite -u": 0, "negative floor": 0, "precision zero": 0,
+            "scalar finite -u": 0}
     for seed in range(20):
         for a, b in _random_pairs(150, seed=seed):
             for x in (a, -a, a * b, a.mul_pi_power(seed - 9), a.truncate_pi(seed - 3),
@@ -292,6 +328,15 @@ def test_json_and_repr_from_the_form_match_the_coordinates():
                 seen["finite -u"] += any(u < 0 and r != INFINITY for _, u, _, r in x.form)
                 seen["negative floor"] += any(u and f < 0 for _, u, f, _ in x.form)
                 seen["precision zero"] += any(not u for _, u, _, _ in x.form)
+                # Scalars print through the same formatter: each coordinate, and its
+                # negation and shift, which hold -u and a moved floor in their forms.
+                for c in x.coords if seed < 5 else ():
+                    for s in (c, -c, c.shift(seed - 9)):
+                        want = _scalar_texts(s)
+                        assert _scalar_json(s) == want, s.form
+                        assert repr(s) == want["repr"], s.form
+                        seen["scalar finite -u"] += any(u < 0 and r != INFINITY
+                                                        for _, u, _, r in s.form)
     assert min(seen.values()) >= 1000, seen
 
 
@@ -784,18 +829,58 @@ def test_reflected_subtraction_of_a_foreign_operand_names_minus(other):
             x - other
 
 
+def _assert_normal_unit(c):
+    """A scalar's unit lies in [0, p**r) and is prime to p when finite, whatever
+    sign its form holds (an exact unit keeps its sign)."""
+    if c.unit:
+        r = c.abs_precision - c.valuation
+        assert c.unit % c.prime and (r == INFINITY or 0 < c.unit < c.prime**r), c.form
+
+
+def test_reflected_division_matches_the_inverse_times_the_numerator():
+    inverted = 0
+    for seed in range(5):
+        for a, b in _random_pairs(150, seed=seed):
+            p = a.prime
+            for c in (3, -p**2, Fraction(2, 7), Fraction(-5, p), b.coords[0],
+                      PadicScalar.from_rational(7, p, 3)):
+                want = _outcome(lambda: a.inverse() * c)
+                assert _outcome(lambda: c / a) == want, (a, c)
+                inverted += want[1] is None
+            s = b.coords[1]
+            assert _outcome(lambda: 1 / s) == _outcome(lambda: s.inverse() * 1)
+            with pytest.raises(ValueError, match="^mixed fields$"):  # 16 - p: the other prime
+                PadicScalar.from_rational(1, 16 - p, 3) / a
+    assert inverted >= 500
+
+
+@pytest.mark.parametrize("other", ["1", 2.0, None, [1]])
+def test_reflected_division_of_a_foreign_operand_names_slash(other):
+    zero = PadicScalar.zero_to_precision(11, 3)
+    for x in (EisensteinElement.from_rational(1, 5, 3, 4), PadicScalar.from_rational(1, 5, 4),
+              zero, EisensteinElement.from_scalar(zero, 3)):
+        name = type(x).__name__
+        with pytest.raises(TypeError, match=rf"for /: '{type(other).__name__}' and '{name}'$"):
+            other / x
+
+
 def test_scalar_operators_match_the_fraction_rules():
-    rng, errors = random.Random(21), set()
+    rng, errors, negated = random.Random(21), set(), 0
     for _ in range(1500):
         p = rng.choice((5, 11))
         x, y = _random_coordinate(rng, p), _random_coordinate(rng, p)
         rx, ry = _ref(x), _ref(y)
         q = rng.choice((0, 3, -p**2, 7 * p**3, Fraction(2, 7), Fraction(5, p),
                         Fraction(-3, 4 * p**2)))
+        k, N = rng.randrange(-4, 5), rng.randrange(-3, 9)
         cases = [
             (lambda: x + y, lambda: _ref_sum([rx, ry])),
             (lambda: x - y, lambda: _ref_sum([rx, (-ry[0], ry[1])])),
             (lambda: -x, lambda: (-rx[0], rx[1])),
+            (lambda: (-x).shift(k), lambda: (-rx[0] * Fraction(p) ** k, rx[1] + k)),
+            (lambda: x.shift(k), lambda: (rx[0] * Fraction(p) ** k, rx[1] + k)),
+            (lambda: x.reduce_abs_precision(N), lambda: (rx[0], min(rx[1], N))),
+            (lambda: (-x).reduce_abs_precision(N), lambda: (-rx[0], min(rx[1], N))),
             (lambda: x * y, lambda: _ref_product(p, rx, ry)),
             (lambda: x / y, lambda: _ref_product(p, rx, _ref_inverse(p, ry))),
             (x.inverse, lambda: _ref_inverse(p, rx)),
@@ -812,8 +897,14 @@ def test_scalar_operators_match_the_fraction_rules():
             assert _outcome(got) == want, (x, y, q)
             if want[1]:
                 errors.add(want[1])
+            else:
+                _assert_normal_unit(got())
+                negated += any(u < 0 and r != INFINITY for _, u, _, r in got().form)
+        assert x.reduce_abs_precision(x.abs_precision) is x
+        assert x.reduce_abs_precision(INFINITY) is x
     # Zeros, exact non-units and p-free denominators against exact values all raise.
     assert {t for t, _ in errors} == {ZeroDivisionError, PrecisionError} and len(errors) >= 10
+    assert negated >= 1000  # finite units stored as -u, read mod p**r
     with pytest.raises(ValueError, match="^mixed primes$"):
         PadicScalar.from_rational(1, 5, 3) * PadicScalar.from_rational(1, 11, 3)
 

@@ -337,6 +337,11 @@ def test_newton_polygon_two_segments():
     np = newton_polygon([(0, 2), (1, 0), (3, 0)])
     assert np.segments == ((Fraction(-2), 1), (Fraction(0), 2))
     assert np.root_valuations() == [(Fraction(2), 1), (Fraction(0), 2)]
+    assert repr(np) == ("NewtonPolygon(vertices=[(0, Fraction(2, 1)), (1, Fraction(0, 1)), "
+                        "(3, Fraction(0, 1))], segments=[(slope -2, len 1), (slope 0, len 2)])")
+    with pytest.raises(AttributeError):
+        np.degree = 4
+    assert np.degree == 3 and np != newton_polygon([(0, 2), (1, 0), (3, 0)])  # identity ==
 
 
 def _key(x):

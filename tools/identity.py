@@ -1,0 +1,218 @@
+"""Byte-identity dump of the package's outputs, stdlib only.
+
+    python3 tools/identity.py [--src DIR [--src DIR]]
+
+Prints one SHA-256 per section per source tree (default: the src/ beside
+this script), and with two trees exits 1 when any section differs:
+
+  operators  seeded PadicScalar and EisensteinElement operands (p = 5, 11;
+             e = 3, 4, 6; exact zeros, zeros known to a precision, exact and
+             finite units, negative valuations) through every public operator
+             and view: the value of each result (unit, valuation, precision per
+             coordinate), its repr and JSON, or the error's type and message
+  cli        every `$ padic-cartan ...` command of README.md, plain and with
+             --json, and `examples --json`: exit code, stdout and stderr
+  corpus     `classify --batch`, plain and --json, on the first 4 passes
+             (PASSES) of perfbench's shallow-batch and deep-batch corpora for
+             seeds 1, 2 and 3, built by perfbench/corpus.py (read, not changed)
+
+Both trees run in this process, loaded side by side as in tools/microbench.py;
+the corpora are drawn once, with the src/ beside this script.  The operator
+section leaves out `c / x` for an element x, and a foreign operand divided by
+a number: trees from before the reflected `/` was written once for both types
+raise TypeError for every `c / x` over L, and invert before they check c.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import importlib
+import io
+import os
+import random
+import shlex
+import sys
+import tempfile
+from fractions import Fraction
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
+sys.path[:0] = [HERE, os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+from microbench import _load  # noqa: E402
+
+SEEDS, PASSES = (1, 2, 3), 4
+FOREIGN = ("1", None, 1.0, [1])
+
+
+def _outcome(fn, show):
+    try:
+        return show(fn())
+    except Exception as exc:  # every error is part of the record
+        return f"{type(exc).__name__}: {exc}"
+
+
+def operator_lines(package):
+    """One line per operation on seeded operands of both number types."""
+    classifier, eisenstein, padic = (importlib.import_module(f"{package}.{name}")
+                                     for name in ("classifier", "eisenstein", "padic"))
+    PadicScalar, EisensteinElement = padic.PadicScalar, eisenstein.EisensteinElement
+    INFINITY = padic.INFINITY
+    rng, lines = random.Random(25), []
+
+    def scalar(p):
+        kind, v = rng.random(), rng.randrange(-3, 5)
+        if kind < 0.15:
+            return PadicScalar.exact_zero(p)
+        if kind < 0.3:
+            return PadicScalar.zero_to_precision(p, rng.randrange(-3, 8))
+        if kind < 0.5:
+            return PadicScalar(p, rng.choice([1, -1]) * rng.randrange(1, p**4), v, INFINITY)
+        return PadicScalar(p, rng.randrange(1, p**8), v, v + rng.randrange(1, 9))
+
+    def key(c):
+        return f"{c.unit},{c.valuation},{c.abs_precision}"
+
+    def show(x):
+        if isinstance(x, PadicScalar):
+            return f"Q {key(x)} {x!r} {classifier._scalar_json(x)}"
+        if isinstance(x, EisensteinElement):
+            coords = " ".join(key(c) for c in x.coords)
+            return f"L{x.ram_index} {coords} {x!r} {classifier._eisenstein_json(x)}"
+        return repr(x)
+
+    def record(label, fn):
+        lines.append(f"{label}: {_outcome(fn, show)}")
+
+    for n in range(600):
+        p = rng.choice((5, 11))
+        x, y = scalar(p), scalar(p)
+        c = rng.choice((0, 3, -p**2, 7 * p**3, Fraction(2, 7), Fraction(5, p),
+                        Fraction(-3, 4 * p**2)))
+        k, N = rng.randrange(-4, 5), rng.randrange(-2, 9)
+        ops = {
+            "x": lambda: x, "x+y": lambda: x + y, "x-y": lambda: x - y,
+            "x*y": lambda: x * y, "x/y": lambda: x / y, "-x": lambda: -x,
+            "x.inverse": x.inverse, "x+c": lambda: x + c, "c+x": lambda: c + x,
+            "x-c": lambda: x - c, "c-x": lambda: c - x, "x*c": lambda: x * c,
+            "c*x": lambda: c * x, "x/c": lambda: x / c, "c/x": lambda: c / x,
+            "x==y": lambda: x == y, "x!=c": lambda: x != c, "x.shift": lambda: x.shift(k),
+            "x.reduce": lambda: x.reduce_abs_precision(N),
+            "x.reduce.is": lambda: x.reduce_abs_precision(N) is x,
+            "x.congruent": lambda: x.is_congruent(y), "x.congruent.N": lambda: x.is_congruent(y, N),
+            "x.floor": x.valuation_floor, "x.residue": x.residue, "x.lift": x.lift_fraction,
+            "x.zeros": lambda: (x.is_exact_zero, x.is_precision_zero, x.is_zero_to_precision()),
+        }
+        ops.update({f"x**{m}": (lambda m=m: x**m) for m in range(-2, 5)})
+        for i, other in enumerate(FOREIGN):
+            ops.update({f"x+f{i}": lambda o=other: x + o, f"f{i}-x": lambda o=other: o - x,
+                        f"x*f{i}": lambda o=other: x * o, f"x/f{i}": lambda o=other: x / o,
+                        f"x==f{i}": lambda o=other: x == o})
+        for label, fn in ops.items():
+            record(f"Q{n} {label}", fn)
+
+    for n in range(400):
+        p, e = rng.choice((5, 11)), rng.choice((3, 4, 6))
+        a, b = (EisensteinElement(p, e, [scalar(p) for _ in range(e)]) for _ in range(2))
+        s = scalar(p)
+        c = rng.choice((0, 3, -p**2, Fraction(2, 7), Fraction(5, p)))
+        k = rng.randrange(-9, 9)
+        ops = {
+            "a": lambda: a, "a+b": lambda: a + b, "a-b": lambda: a - b, "a*b": lambda: a * b,
+            "a/b": lambda: a / b, "-a": lambda: -a, "a.inverse": a.inverse,
+            "a+c": lambda: a + c, "c-a": lambda: c - a, "a*c": lambda: a * c,
+            "c*a": lambda: c * a, "a/c": lambda: a / c, "a+s": lambda: a + s,
+            "s-a": lambda: s - a, "a*s": lambda: a * s, "s*a": lambda: s * a,
+            "a/s": lambda: a / s, "a==b": lambda: a == b, "a==s": lambda: a == s,
+            "s==a": lambda: s == a, "a.pi": lambda: a.mul_pi_power(k),
+            "a.truncate": lambda: a.truncate_pi(k + 6),
+            "a.scalar": a.as_padic_scalar,
+            "a.pi.scalar": lambda: a.mul_pi_power(k).as_padic_scalar(),
+            "a.monomial": lambda: EisensteinElement.pi_monomial(s, k, e),
+            "a.embedded": lambda: EisensteinElement.from_scalar(s, e),
+            "a.v": a.valuation, "a.floor": a.valuation_floor, "a.pi_precision": a.pi_precision,
+            "a.congruent": lambda: a.is_congruent(b), "a.congruent.k": lambda: a.is_congruent(b, k),
+            "a.zeros": lambda: (a.is_exact_zero, a.is_zero_to_precision()),
+        }
+        ops.update({f"a**{m}": (lambda m=m: a**m) for m in range(4)})
+        for i, other in enumerate(FOREIGN):
+            ops.update({f"a+f{i}": lambda o=other: a + o, f"f{i}-a": lambda o=other: o - a,
+                        f"a*f{i}": lambda o=other: a * o, f"a/f{i}": lambda o=other: a / o,
+                        f"a==f{i}": lambda o=other: a == o})
+        for label, fn in ops.items():
+            record(f"L{n} {label}", fn)
+    return lines
+
+
+def _cli_run(cli, argv, label=None):
+    """The command's label (argv by default), exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    label = shlex.join(argv) if label is None else label
+    return f"$ {label}\nexit {code}\n{out.getvalue()}stderr:\n{err.getvalue()}"
+
+
+def cli_lines(package):
+    """The README's commands, plain and --json, and `examples --json`."""
+    cli = importlib.import_module(f"{package}.cli")
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
+        commands = [shlex.split(line[len("$ padic-cartan "):])
+                    for line in handle if line.startswith("$ padic-cartan ")]
+    commands += [argv + ["--json"] for argv in commands if "--json" not in argv]
+    commands.append(["examples", "--json"])
+    return [_cli_run(cli, argv) for argv in commands]
+
+
+def corpus_batches():
+    """(name, batch text) of PASSES corpus passes per workload and seed."""
+    import corpus
+
+    out = []
+    for name in ("shallow-batch", "deep-batch"):
+        for seed in SEEDS:
+            ops, _ = corpus.build(corpus.WORKLOADS[name], seed, passes=PASSES)
+            out.append((f"{name}:{seed}", "".join(corpus.batch_line(*op) + "\n" for op in ops)))
+    return out
+
+
+def corpus_lines(package, batches, scratch):
+    cli = importlib.import_module(f"{package}.cli")
+    lines = []
+    for name, text in batches:
+        path = os.path.join(scratch, "batch.txt")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        for mode in ([], ["--json"]):
+            lines.append(_cli_run(cli, ["classify", "--batch", path, *mode], f"{name} {mode}"))
+    return lines
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", action="append",
+                        help="package source tree; twice to compare two trees")
+    args = parser.parse_args(argv)
+    trees = args.src or [os.path.join(ROOT, "src")]
+    if len(trees) > 2:
+        parser.error("--src is given at most twice")
+    os.environ.pop("PADIC_CARTAN_PRECISION", None)  # the CLI's defaults, not the caller's
+    batches = corpus_batches()
+    packages = [_load(src, f"padic_cartan_{side}") for side, src in zip("ab", trees)]
+    digests = {}
+    with tempfile.TemporaryDirectory() as scratch:
+        for section, dump in (("operators", operator_lines), ("cli", cli_lines),
+                              ("corpus", lambda pkg: corpus_lines(pkg, batches, scratch))):
+            for src, package in zip(trees, packages):
+                text = "\n".join(dump(package)).encode()
+                digests[section, src] = digest = hashlib.sha256(text).hexdigest()
+                print(f"{section} {digest} {len(text)} B {src}")
+    differ = len(trees) == 2 and any(digests[s, trees[0]] != digests[s, trees[1]]
+                                     for s, _ in digests)
+    if differ:
+        print("outputs differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,10 +16,11 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .eisenstein import EisensteinElement, _pi_digits
+from .eisenstein import EisensteinElement, _element, _pi_digits
 from .errors import NormalizationError, SingularCurveError, UnsupportedPrimeError
-from .padic import INFINITY, check_odd_prime, vp
+from .padic import _ONE, INFINITY, _scale, check_odd_prime, vp
 
+_HASSE_BUDGET = 2 * 10**6  # the largest table of (p-1)/2 factorials hasse_residue builds
 GOOD_ORDINARY = "good_ordinary"
 GOOD_SUPERSINGULAR = "good_supersingular"
 MULTIPLICATIVE = "multiplicative"
@@ -127,8 +128,11 @@ def hasse_residue(a: Fraction, b: Fraction, p: int) -> int:
     Zero exactly when the reduced curve is supersingular.
     """
     check_odd_prime(p)
-    am, bm = _mod_p(a, p), _mod_p(b, p)
     M = (p - 1) // 2
+    if M > _HASSE_BUDGET:  # priced from p alone, before the table is built
+        raise ValueError(f"the Hasse invariant at p = {p} needs {M} factorials mod p, "
+                         f"over the budget {_HASSE_BUDGET:.0e}")
+    am, bm = _mod_p(a, p), _mod_p(b, p)
     fact = [1] * (M + 1)
     for i in range(1, M + 1):
         fact[i] = fact[i - 1] * i % p
@@ -210,8 +214,9 @@ def good_model_over_L(curve: WeierstrassCurve, e: int) -> GoodModelL:
     The minimal model is p-integral, so lam = lcm(den a, den b) is a p-adic
     unit and (lam**4 a, lam**6 b) is an isomorphic model with integer
     coefficients; beta moves by lam**((p-1) p**(2k)) = 1 mod p**(2k+1), far
-    past its certificate.  Then u = pi_e**s with s = e * v(disc_min)/12 lands
-    the `normalized_shape` with exact coordinates.  Raises NormalizationError
+    past its certificate.  Each is wrapped from its one-entry form (`_scale`
+    of the exact 1), and u = pi_e**s with s = e * v(disc_min)/12 lands the
+    `normalized_shape` with exact coordinates.  Raises NormalizationError
     when the curve is not a potential e-lift (wrong defect, or e does not
     divide p + 1 so the reduction is not supersingular).
     """
@@ -231,9 +236,7 @@ def good_model_over_L(curve: WeierstrassCurve, e: int) -> GoodModelL:
     s = e * data.v_min_discriminant // 12
     (an, ad), (bn, bd) = data.minimal.a.as_integer_ratio(), data.minimal.b.as_integer_ratio()
     lam = lcm(ad, bd)
-    model = GoodModelL(
-        EisensteinElement.from_rational(lam**4 // ad * an, p, e, INFINITY).mul_pi_power(-4 * s),
-        EisensteinElement.from_rational(lam**6 // bd * bn, p, e, INFINITY).mul_pi_power(-6 * s),
-    )
+    model = GoodModelL(*(_element(p, e, _scale(p, _ONE, c, 1)).mul_pi_power(-k * s)
+                         for c, k in ((lam**4 // ad * an, 4), (lam**6 // bd * bn, 6))))
     deforming_coefficient(model)  # good reduction: the other coefficient is a unit
     return model

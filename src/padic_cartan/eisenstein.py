@@ -142,8 +142,10 @@ class EisensteinElement(_Number):
         return self * other.inverse()
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
+        if not isinstance(exponent, int):
             return NotImplemented
+        if exponent < 0:
+            return self.inverse() ** -exponent
         p, e = self.prime, self.ram_index
         return _element(p, e, _power(p, e, self.form, exponent))
 

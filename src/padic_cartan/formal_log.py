@@ -18,13 +18,13 @@ Two independent routes are provided and cross-checked in the test suite:
   Caruso-Roe-Vaccon, "Tracking p-adic precision" (2014).  This is what makes
   coefficients of index p**7 ~ 10**9 affordable.  Valuations are kept as
   integer pi-digits (e*v), and the sum runs on the integer form of `padic`:
-  each multinomial is a one-entry form, the terms are concatenated and
-  normalized by one `_product`, and 1/r is one `_scale`, after an exact
-  entry that the p-free part of r does not divide is cut to the target.
-  One element (or scalar) is built, at the end.  Everything but the powers
-  of A and B is read off (p, e, (r-1)/2, v_p(r), v(A), v(B), target): that
-  plan is cached on this key (128 plans), so curves that share valuations
-  share it; no result changes.
+  the plan holds each multinomial as its one-entry form, the terms are
+  concatenated and normalized by one `_product`, and 1/r is one `_scale`,
+  after an exact entry that the p-free part of r does not divide is cut to
+  the target.  One element (or scalar) is built, at the end.  Everything but
+  the powers of A and B is read off (p, e, (r-1)/2, v_p(r), v(A), v(B),
+  target): that plan is cached on this key (128 plans), so curves that share
+  valuations share it; no result changes.
 
 * `series_inversion_logarithm` computes the same prefix by inverting the
   Weierstrass parametrization (t = -x/y, w = -1/y = t**3 z, z a series in
@@ -53,7 +53,7 @@ from .curve import deforming_coefficient
 from .eisenstein import EisensteinElement, _pi_digits, _truncate
 from .errors import PrecisionError
 from .padic import (
-    _ONE, INFINITY, PadicScalar, _Number, _power, _product, _scale, multinomial_exact,
+    _ONE, INFINITY, _Number, _power, _product, _scale, multinomial_exact,
     multinomial_padic, multinomial_valuation, vp)
 
 # Largest (r-1)/2 for which the untruncated sum is evaluated term by term.
@@ -80,7 +80,7 @@ class FormalLogPrefix:
 
 @lru_cache(maxsize=128)  # <= ~40 MB: a plan of exact unit-coefficient multinomials is ~300 KB
 def _sum_plan(p: int, e: int, N: int, vr: int, wA, wB, target: int):
-    """((m, n, multinomial) per kept term, dropped, exact) of the sum at r = 2N+1.
+    """((m, n, multinomial form) per kept term, dropped, exact) of the sum at r = 2N+1.
 
     wA, wB are v(A), v(B) in pi-digits (ints or INFINITY), vr = v_p(r).  One
     walk over the pairs of 2m + 3n = N, in the direction in which m*wA + n*wB
@@ -124,11 +124,9 @@ def _sum_plan(p: int, e: int, N: int, vr: int, wA, wB, target: int):
                 f"more than ~{cost:.2g} digit operations, over the budget {_WORK_BUDGET:.0e}")
         kept.append((m, n, parts, digits))
     exact = not dropped and N <= _EXACT_MULTINOMIAL_CAP
-    return tuple(
-        (m, n, multinomial_exact(N, parts) if exact
-         else multinomial_padic(N, parts, p, digits))
-        for m, n, parts, digits in kept
-    ), dropped, exact
+    return tuple((m, n, _scale(p, _ONE, multinomial_exact(N, parts), 1) if exact
+                  else multinomial_padic(N, parts, p, digits).form)
+                 for m, n, parts, digits in kept), dropped, exact
 
 
 def yasuda_coefficient(A, B, r: int, target_pi_digits: int):
@@ -170,9 +168,7 @@ def yasuda_coefficient(A, B, r: int, target_pi_digits: int):
         working = target_pi_digits + e * vr + e
         a, b = _truncate(p, e, a, working, fill=False), _truncate(p, e, b, working, fill=False)
     total = []
-    for m, n, coeff in terms:
-        v = None if isinstance(coeff, PadicScalar) else vp(coeff, p)  # an exact multinomial
-        term = coeff.form if v is None else [(0, coeff // p**v, v, INFINITY)]
+    for m, n, term in terms:
         if m:
             term = _product(p, e, term, _power(p, e, a, m))
         if n:

@@ -13,21 +13,21 @@ appears at most once; p divides no nonzero unit; a zero known to p**N is
 (a negation leaves -u).  Both types store (prime, form): a PadicScalar is the
 form of e = 1, one entry at index 0 or none, and its `unit`, `valuation` and
 `abs_precision` are views of that entry, the unit reduced mod p**r on read.
-The kernel `_product` keeps the rules of Caruso, Roe and
-Vaccon, "Tracking p-adic precision" (2014): a_i and b_j give the term
-a_i.unit * b_j.unit * p**(f_a + f_b), known mod p**min(N_a + f_b, N_b + f_a),
-at index i + j, folded from index e on through pi**e = -p.  Each coordinate
-sums its terms over p**base, base the least floor a term can have, and is
-normalized once (`_normal`) mod the least of their precisions: as every
-partial sum is exact to that precision, this equals adding them one by one.
-So a form that lists an index twice is a sum, and its product with the exact
-1 normalizes it.  The product of two monomials (one entry each, the shape of
-every Yasuda term and every PadicScalar `*`) is that one term, normalized, and
-`_power` takes a monomial's power in closed form; `_scale`
-multiplies by an exact num/den and `_monomial_inverse` inverts one entry.
-Every kernel result keeps the invariants, so `_coordinate` (and
-`eisenstein._element` for L) wraps it as it is; `_texts` prints a form of
-either type, for `repr` and the JSON report.
+The kernel `_product` keeps the rules of Caruso, Roe and Vaccon, "Tracking
+p-adic precision" (2014): a_i and b_j give the term a_i.unit * b_j.unit *
+p**(f_a + f_b), known mod p**min(N_a + f_b, N_b + f_a), at index i + j, folded
+from index e on through pi**e = -p (floor + 1, sign flipped).  Each coordinate
+sums over its own least floor (its nonzero terms over p**base, a lower floor
+rebasing the sum so far) and is normalized once mod the least of their
+precisions: every partial sum is exact to it, so this equals adding them one
+by one, and `_normal` strips what cancelled, one p at a time.  So a form that
+lists an index twice is a sum; times the exact 1 it is normalized.  The
+product of two monomials (one entry each, the shape of every Yasuda term and
+every PadicScalar `*`) is that one term, normalized, and `_power` takes a
+monomial's power in closed form; `_scale` multiplies by an exact num/den and
+`_monomial_inverse` inverts one entry.  Every kernel result keeps the
+invariants, so `_coordinate` (and `eisenstein._element` for L) wraps it as it
+is; `_texts` prints a form of either type, for `repr` and the JSON report.
 
 Both number types share one operator set on the form, the base `_Number`:
 `+`, `-`, `/` by an int, a Fraction or a PadicScalar, the reflected `/`,
@@ -252,11 +252,8 @@ def _normal(p: int, unit: int, valuation, abs_precision):
         return 0, INFINITY  # indistinguishable from zero at this precision
     if abs_precision != INFINITY:
         unit %= p ** int(abs_precision - valuation)
-    q, k = p, 1  # strip p, p**2, p**4, ... while they divide, from p again when one does not
-    while unit and unit % p == 0:  # stays below p**(abs_precision - valuation)
-        if unit % q:
-            q, k = p, 1
-        unit, valuation, q, k = unit // q, valuation + k, q * q, 2 * k
+    while unit and unit % p == 0:  # in a kernel result, only what cancelled
+        unit, valuation = unit // p, valuation + 1
     return (unit, valuation) if unit else (0, INFINITY)
 
 
@@ -283,22 +280,23 @@ def _product(p: int, e: int, x, y):
         N = f + (ra if ra < rb else rb)
         t, f = _normal(p, t, f, N)
         return [(k, t, f, N - f)] if t else [(k, 0, N, 0)] if N != INFINITY else []
-    base = min(f for _, _, f, _ in x) + min(f for _, _, f, _ in y)
-    total, precision = [0] * e, [INFINITY] * e
+    total, base, precision = [0] * e, [INFINITY] * e, [INFINITY] * e
     for i, ua, fa, ra in x:
         for j, ub, fb, rb in y:
             k, f, t = i + j, fa + fb, ua * ub
+            if k >= e:  # pi**e = -p: floor + 1, sign flipped
+                k, f, t = k - e, f + 1, -t
             N = f + (ra if ra < rb else rb)  # min(N_a + f_b, N_b + f_a)
-            if t and f != base:
-                t *= p ** (f - base)
-            if k >= e:  # pi**e = -p
-                k, t, N = k - e, -p * t, N + 1
-            total[k] += t
             if N < precision[k]:
                 precision[k] = N
+            if t:  # summed over p**base[k], the least floor of index k's nonzero terms
+                b = base[k]
+                if f < b:  # a lower floor rebases the sum so far
+                    total[k], base[k], b = total[k] * p ** (b - f) if total[k] else 0, f, f
+                total[k] += t if f == b else t * p if f == b + 1 else t * p ** (f - b)
     out = []
     for k, N in enumerate(precision):  # an exact 0 needs no normal form
-        u, f = _normal(p, total[k], base, N) if total[k] or N != INFINITY else (0, N)
+        u, f = _normal(p, total[k], base[k], N) if total[k] or N != INFINITY else (0, N)
         if u:
             out.append((k, u, f, N - f))
         elif N != INFINITY:

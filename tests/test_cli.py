@@ -45,7 +45,7 @@ def test_classify_text_covers_same_fields(capsys):
     assert "p>sqrt(n0+1): true" in out
 
 
-def test_classify_input_errors(capsys):
+def test_classify_input_errors(capsys, monkeypatch):
     for p in ("9", "3"):  # p = 3 raises its own UnsupportedPrimeError message
         rc, out, err = run(capsys, "classify", "--p", p, "--a", "1", "--b", "1")
         assert rc == 2 and out == "" and err == "p must be an odd prime > 3\n"
@@ -59,6 +59,16 @@ def test_classify_input_errors(capsys):
     assert rc == 2 and "below e = 3" in err
     rc, _, err = run(capsys, "classify", *EXAMPLE1, "--precision", "many")
     assert rc == 2 and "e-multiplier" in err
+
+    def no_loop(*args):
+        raise AssertionError("a loop of curve.py ran before the refusal")
+
+    monkeypatch.setattr("padic_cartan.curve.range", no_loop, raising=False)
+    for mode in ([], ["--json"]):  # the Hasse table priced from p, before it is built
+        rc, out, err = run(capsys, "classify", "--p", "1000000007", "--a", "1", "--b", "1", *mode)
+        assert rc == 2 and out == "" and err == (
+            "the Hasse invariant at p = 1000000007 needs 500000003 factorials mod p, "
+            "over the budget 2e+06\n")
 
 
 def test_classify_precision_env_and_flag(capsys, monkeypatch):

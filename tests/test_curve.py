@@ -7,6 +7,7 @@ from math import gcd
 
 import pytest
 
+import padic_cartan.curve as curve_module
 from padic_cartan.curve import (
     GOOD_ORDINARY,
     GOOD_SUPERSINGULAR,
@@ -115,13 +116,28 @@ def test_semistability_defect_reduces_first():
     assert (data.minimal.a, data.minimal.b) == (11**3, 11**2)
 
 
-def test_hasse_residue_values():
+def test_hasse_residue_values(monkeypatch):
     # (x^3 + 1)^2 has no x^4 term mod 5: supersingular.
     assert hasse_residue(0, 1, 5) == 0
     # (x^3 + x + 1)^5 has x^10 coefficient 20 over Z: ordinary at 11.
     assert hasse_residue(1, 1, 11) == 20 % 11
     with pytest.raises(ValueError):
         hasse_residue(Fraction(1, 11), 1, 11)
+
+    # Priced from p before the table: 3999971 and 4000037 are consecutive primes
+    # on either side of 2 * _HASSE_BUDGET + 1, and every loop of curve.py fails.
+    def no_loop(*args):
+        raise AssertionError("the table loop ran")
+
+    assert (3999971 - 1) // 2 <= curve_module._HASSE_BUDGET < (4000037 - 1) // 2
+    monkeypatch.setattr(curve_module, "range", no_loop, raising=False)
+    for p, M in ((4000037, 2000018), (10**9 + 7, 500000003)):
+        with pytest.raises(ValueError, match=rf"^the Hasse invariant at p = {p} needs {M} "):
+            hasse_residue(1, 1, p)
+        with pytest.raises(ValueError, match=rf"needs {M} factorials mod p, over the budget"):
+            semistability_defect(WeierstrassCurve(p, 1, 1))  # defect 1: the Hasse test
+    with pytest.raises(AssertionError, match="the table loop ran"):  # within the budget
+        hasse_residue(1, 1, 3999971)
 
 
 def test_good_reduction_branches_use_hasse():
@@ -183,6 +199,52 @@ def test_good_model_scales_unit_denominators_exactly():
     # pi**3 = -11: A_L = 5**3 * 11 * pi**2 and B_L = 5**6.
     assert model.a.coords[2].lift_fraction() == 5**3 * 11
     assert model.b.as_padic_scalar().lift_fraction() == 5**6
+
+
+# (p, v(a), v(b), kind) of the shallow-batch corpus shapes that have a good model
+# over L: integral lifts, CM lifts (a = 0 or b = 0), the canonical-subgroup gate,
+# small primes, and unit and p-power denominators; None is an exact 0.
+_L_SHAPES = (
+    (11, 3, 2, None), (11, 4, 4, None), (11, 5, 4, None), (11, 4, 2, None), (11, 2, 1, None),
+    (11, 5, 5, None), (11, 1, 3, None), (11, 3, 6, None), (11, None, 2, None),
+    (11, None, 1, None), (11, 1, None, None), (11, 3, None, None), (11, 2, 2, None),
+    (11, 3, 4, None), (11, 1, 2, None), (5, 3, 2, None), (7, 1, 3, None), (5, 2, 1, None),
+    (11, 3, 2, "unit_den"), (11, 2, 1, "unit_den"), (11, 1, 3, "p_den"), (11, 5, 4, "p_den"),
+)
+
+
+def test_good_model_matches_the_public_route():
+    # The model's forms, repr and JSON against from_rational(...).mul_pi_power(...)
+    # on one seeded curve of each shape, drawn as the corpus draws them, either sign.
+    from padic_cartan.classifier import _eisenstein_json
+
+    def unit(p):
+        return rng.choice((1, -1)) * (rng.randrange(1, p) + p * rng.randrange(p * p // 2, p * p))
+
+    rng, seen = random.Random(26), set()
+    for p, va, vb, kind in _L_SHAPES:
+        a = Fraction(0) if va is None else Fraction(unit(p) * p**va)
+        b = Fraction(0) if vb is None else Fraction(unit(p) * p**vb)
+        if kind == "unit_den":
+            a, b = a / rng.choice((2, 3, 7, 97)), b / rng.choice((4, 13, 19, 89))
+        elif kind == "p_den":
+            a, b = a / p**4, b / p**6
+        c = WeierstrassCurve(p, a, b)
+        e = c.reduction.defect
+        model = good_model_over_L(c, e)
+        minimal, s = c.reduction.minimal, e * c.reduction.v_min_discriminant // 12
+        lam = minimal.a.denominator * minimal.b.denominator // gcd(minimal.a.denominator,
+                                                                   minimal.b.denominator)
+        want = [EisensteinElement.from_rational(q, p, e, INFINITY).mul_pi_power(-k * s)
+                for q, k in ((lam**4 * minimal.a, 4), (lam**6 * minimal.b, 6))]
+        for got, ref in zip(model, want):
+            assert (got.form, repr(got), _eisenstein_json(got)) == (
+                ref.form, repr(ref), _eisenstein_json(ref)), (p, a, b)
+        seen |= {f"e={e}", kind or "integral"}
+        seen |= {"a = 0"} if a == 0 else {"b = 0"} if b == 0 else set()
+        seen |= {"negative"} if a < 0 or b < 0 else set()
+    assert seen == {"e=3", "e=4", "e=6", "integral", "unit_den", "p_den", "a = 0", "b = 0",
+                    "negative"}
 
 
 def test_good_model_rejections():

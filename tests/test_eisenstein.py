@@ -1,6 +1,8 @@
 """Tests for arithmetic in L = Q_p(pi_e) with pi_e**e = -p."""
 
+import collections
 import random
+import re
 from fractions import Fraction
 from functools import partial
 from operator import add, mul, sub, truediv
@@ -544,7 +546,7 @@ def test_product_kernel_matches_schoolbook_product():
 
 
 def test_inverse_and_powers_match_fraction_arithmetic():
-    inverted = 0
+    inverted, refused = 0, collections.Counter()
     for a, _ in _random_pairs(150, seed=7):
         p, e = a.prime, a.ram_index
         exact = [Fraction(1)] + [Fraction(0)] * (e - 1)
@@ -553,9 +555,15 @@ def test_inverse_and_powers_match_fraction_arithmetic():
             exact = _exact_product(exact, _lifts(a), p)
         try:
             inv = a.inverse()
-        except (PrecisionError, ZeroDivisionError):
+        except (PrecisionError, ZeroDivisionError) as exc:
+            for n in (1, 2):  # a negative power inverts first, with the inversion's error
+                with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                    a**-n
+            refused[type(exc)] += 1
             continue
         inverted += 1
+        for n in (1, 2, 3):
+            assert a**-n == 1 / a**n, (a, n)
         # lift(a) lies in a's ball, so lift(a)**-1 is within pi**P of inv and
         # v(lift(a) * lift(inv) - 1) >= v(a) + P/e, P = inv.pi_precision().
         residual = _exact_product(_lifts(a), _lifts(inv), p)
@@ -564,7 +572,14 @@ def test_inverse_and_powers_match_fraction_arithmetic():
         bound = INFINITY if P == INFINITY else a.valuation() + Fraction(P, e)
         for k, q in enumerate(residual):
             assert q == 0 or _vp(q, p) + Fraction(k, e) >= bound, (a, inv)
-    assert inverted >= 40
+    assert inverted >= 40 and refused[PrecisionError] >= 40, refused
+    for e in (3, 4, 6):
+        x = EisensteinElement(11, e, [PadicScalar(11, 3 + i, i % 2, 9) for i in range(e)])
+        assert x**-2 == 1 / x**2 and x**-2 * x**2 == 1
+        with pytest.raises(ZeroDivisionError, match="^inverting zero$"):
+            EisensteinElement.zero(11, e) ** -1
+        with pytest.raises(PrecisionError, match="^element is zero to precision"):
+            EisensteinElement.from_scalar(PadicScalar.zero_to_precision(11, 4), e) ** -3
 
 
 def _exact_inverse(x, p):
@@ -778,10 +793,38 @@ def _outcome(fn):
     return [_key(c) for c in coords], None
 
 
+def _spread_and_cancelling_pairs():
+    """Pairs with coordinate floors 0, 200 and 400 (cycled over the e indices), and
+    pairs, exact or known past p**K, whose difference (and the sum with -b)
+    cancels in every coordinate to a power p**K, K from 150 to 400."""
+    rng, out = random.Random(26), []
+    for p in (5, 11):
+        for e in (3, 4, 6):
+            for _ in range(5):
+                def unit():
+                    u = rng.choice((1, -1)) * rng.randrange(1, p**12)
+                    return u + (u % p == 0)
+
+                floors = [200 * (i % 3) for i in range(e)]
+                a, b = (EisensteinElement(p, e, [PadicScalar(
+                    p, unit(), f, rng.choice((INFINITY, f + rng.randrange(1, 13))))
+                    for f in rng.sample(floors, e)]) for _ in range(2))
+                out.append((a, b))
+                K, exact = rng.randrange(150, 400), rng.random() < 0.5
+                lifts = [unit() * Fraction(p) ** rng.randrange(-2, 3) for _ in range(e)]
+                near = [q + unit() * p**K for q in lifts]
+                a, b = (EisensteinElement(p, e, [PadicScalar.from_rational(
+                    q, p, INFINITY if exact else K + rng.randrange(1, 20)) for q in qs])
+                    for qs in (lifts, near))
+                out += [(a, b), (a, -b)]
+    return out
+
+
 def test_kernel_sum_matches_coordinatewise_padic_addition():
-    shapes, errors = set(), 0
-    for seed in range(20):
-        for a, b in _random_pairs(150, seed=seed):
+    shapes, errors, cancelled = set(), 0, 0
+    for pairs in [*map(partial(_random_pairs, 150), range(20)), _spread_and_cancelling_pairs()]:
+        for a, b in pairs:
+            cancelled += all(c.unit and c.valuation >= 150 for c in (a - b).coords)
             for c in a.coords + b.coords:
                 shapes.add("exact zero" if c.is_exact_zero else "precision zero"
                            if c.is_precision_zero else "finite" if c.abs_precision != INFINITY
@@ -804,6 +847,7 @@ def test_kernel_sum_matches_coordinatewise_padic_addition():
                 errors += want[1] is not None
     assert shapes == {"exact zero", "precision zero", "finite", "exact"}
     assert errors >= 40  # p-free denominators against exact coordinates
+    assert cancelled == 30
     x = EisensteinElement.from_rational(1, 5, 3, 4)
     with pytest.raises(ValueError, match="^mixed fields$"):
         x + EisensteinElement.from_rational(1, 11, 3, 4)

@@ -20,7 +20,8 @@ from padic_cartan.formal_log import (
     yasuda_coefficient,
     yasuda_coefficient_exact,
 )
-from padic_cartan.padic import INFINITY, PadicScalar, multinomial_exact, multinomial_padic
+from padic_cartan.padic import (
+    INFINITY, PadicScalar, _coordinate, multinomial_exact, multinomial_padic)
 
 
 A, B = Fraction(2, 7), Fraction(-3, 5)
@@ -648,7 +649,7 @@ def test_over_budget_key_is_refused_every_time_and_never_cached():
 
 def _element_level_sum(A, B, r, target):
     """(d_r, dropped) by the element-level loop that the integer form replaced:
-    the same plan; A and B cut coordinate by coordinate (exact zeros kept
+    the same plan, each multinomial wrapped as a PadicScalar; A and B cut coordinate by coordinate (exact zeros kept
     exact) before their powers; sum(coeff * A**m * B**n) / r with the public
     operators; then cut to the target when a term was dropped."""
     e = A.ram_index if isinstance(A, EisensteinElement) else 1
@@ -668,8 +669,8 @@ def _element_level_sum(A, B, r, target):
         working = target + e * vr + e
         A, B = cut(A, working, True), cut(B, working, True)
     total = 0 * A
-    for m, n, coeff in terms:
-        total = total + coeff * (A**m) * (B**n)
+    for m, n, form in terms:  # the plan holds each multinomial's one-entry form
+        total = total + _coordinate(p, 1, form) * (A**m) * (B**n)
     total = total / r
     return (cut(total, target, False) if dropped else total), dropped
 

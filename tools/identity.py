@@ -9,7 +9,9 @@ this script), and with two trees exits 1 when any section differs:
              e = 3, 4, 6; exact zeros, zeros known to a precision, exact and
              finite units, negative valuations) through every public operator
              and view: the value of each result (unit, valuation, precision per
-             coordinate), its repr and JSON, or the error's type and message
+             coordinate), its repr and JSON, or the error's type and message;
+             then operands of both types whose coordinates lie at floors 0,
+             200 and 400, drawn after all the others
   cli        every `$ padic-cartan ...` command of README.md, plain and with
              --json, and `examples --json`: exit code, stdout and stderr
   corpus     `classify --batch`, plain and --json, on the first 4 passes
@@ -84,12 +86,7 @@ def operator_lines(package):
     def record(label, fn):
         lines.append(f"{label}: {_outcome(fn, show)}")
 
-    for n in range(600):
-        p = rng.choice((5, 11))
-        x, y = scalar(p), scalar(p)
-        c = rng.choice((0, 3, -p**2, 7 * p**3, Fraction(2, 7), Fraction(5, p),
-                        Fraction(-3, 4 * p**2)))
-        k, N = rng.randrange(-4, 5), rng.randrange(-2, 9)
+    def scalar_ops(x, y, c, k, N):
         ops = {
             "x": lambda: x, "x+y": lambda: x + y, "x-y": lambda: x - y,
             "x*y": lambda: x * y, "x/y": lambda: x / y, "-x": lambda: -x,
@@ -108,15 +105,9 @@ def operator_lines(package):
             ops.update({f"x+f{i}": lambda o=other: x + o, f"f{i}-x": lambda o=other: o - x,
                         f"x*f{i}": lambda o=other: x * o, f"x/f{i}": lambda o=other: x / o,
                         f"x==f{i}": lambda o=other: x == o})
-        for label, fn in ops.items():
-            record(f"Q{n} {label}", fn)
+        return ops
 
-    for n in range(400):
-        p, e = rng.choice((5, 11)), rng.choice((3, 4, 6))
-        a, b = (EisensteinElement(p, e, [scalar(p) for _ in range(e)]) for _ in range(2))
-        s = scalar(p)
-        c = rng.choice((0, 3, -p**2, Fraction(2, 7), Fraction(5, p)))
-        k = rng.randrange(-9, 9)
+    def element_ops(a, b, s, c, k, e):
         ops = {
             "a": lambda: a, "a+b": lambda: a + b, "a-b": lambda: a - b, "a*b": lambda: a * b,
             "a/b": lambda: a / b, "-a": lambda: -a, "a.inverse": a.inverse,
@@ -139,8 +130,42 @@ def operator_lines(package):
             ops.update({f"a+f{i}": lambda o=other: a + o, f"f{i}-a": lambda o=other: o - a,
                         f"a*f{i}": lambda o=other: a * o, f"a/f{i}": lambda o=other: a / o,
                         f"a==f{i}": lambda o=other: a == o})
-        for label, fn in ops.items():
+        return ops
+
+    for n in range(600):
+        p = rng.choice((5, 11))
+        x, y = scalar(p), scalar(p)
+        c = rng.choice((0, 3, -p**2, 7 * p**3, Fraction(2, 7), Fraction(5, p),
+                        Fraction(-3, 4 * p**2)))
+        k, N = rng.randrange(-4, 5), rng.randrange(-2, 9)
+        for label, fn in scalar_ops(x, y, c, k, N).items():
+            record(f"Q{n} {label}", fn)
+
+    for n in range(400):
+        p, e = rng.choice((5, 11)), rng.choice((3, 4, 6))
+        a, b = (EisensteinElement(p, e, [scalar(p) for _ in range(e)]) for _ in range(2))
+        s = scalar(p)
+        c = rng.choice((0, 3, -p**2, Fraction(2, 7), Fraction(5, p)))
+        k = rng.randrange(-9, 9)
+        for label, fn in element_ops(a, b, s, c, k, e).items():
             record(f"L{n} {label}", fn)
+
+    def far(p, floor):  # a scalar as `scalar` draws it, moved up by floor
+        return scalar(p).shift(floor)
+
+    for n in range(200):  # floors far apart: 0, 200 and 400, per coordinate
+        p, e = rng.choice((5, 11)), rng.choice((1, 3, 4, 6))
+        c = rng.choice((0, 3, -p**2, Fraction(2, 7), Fraction(5, p)))
+        k, N = rng.randrange(-9, 9), rng.randrange(-2, 409)
+        if e == 1:
+            x, y = far(p, rng.choice((0, 200, 400))), far(p, rng.choice((0, 200, 400)))
+            ops, label = scalar_ops(x, y, c, k, N), f"QF{n}"
+        else:
+            a, b = (EisensteinElement(p, e, [far(p, 200 * rng.randrange(3)) for _ in range(e)])
+                    for _ in range(2))
+            ops, label = element_ops(a, b, far(p, 200 * rng.randrange(3)), c, k, e), f"LF{n}"
+        for name, fn in ops.items():
+            record(f"{label} {name}", fn)
     return lines
 
 

@@ -46,10 +46,10 @@ followed by `<key>.iqr`, the interquartile range of the same timed loops:
       shallow-batch median op; curve built per op, plans cached
   eisenstein.add.eE                          e = 3, 4, 6; p = 11, x + y with
       every coordinate a random 12-digit unit at a random valuation in
-      [0, 12): coordinate floors that lie apart, which the sum normalizes
-      over one base
+      [0, 12): coordinate floors that lie apart, each index summed over its
+      own least floor
   eisenstein.add.spread.e3                   p = 11, x + y with 12-digit units
-      at coordinate floors 0, 200 and 400: one base far below two of them
+      at coordinate floors 0, 200 and 400: floors far apart
   curve.reduction
       WeierstrassCurve(p, a, b) built, then .reduction, v_j and v_j_minus_1728
       read, on one seeded curve of each of the 36 shapes of perfbench's

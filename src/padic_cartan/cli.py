@@ -292,19 +292,18 @@ def _cmd_divpoly(args) -> int:
         raise ValueError(
             f"k {k} > {_DIVPOLY_K_CAP} gives degree p**{2 * k}; pass --force to allow it"
         )
-    if args.alpha_inf:
-        alpha_inv = 0  # build_gk reads the int 0 as alpha**-1 = 0 exactly
-        v_label = None
-    else:
-        v = args.v_alpha_inv
-        if v < 0:
-            raise ValueError("v-alpha-inv must be >= 0 (twist-normalize first)")
-        limit = _int_str_limit()  # the largest JSON lift is p**(v + k)
-        if args.json and limit and (v + k) * math.log10(check_odd_prime(p)) >= limit:
-            raise ValueError(f"--v-alpha-inv {v} puts {p}**{v + k} in the JSON, over Python's "
-                             f"{limit}-digit limit for int to str conversion")
-        alpha_inv = p**v
-        v_label = v
+    v = None if args.alpha_inf else args.v_alpha_inv
+    if v is not None and v < 0:
+        raise ValueError("v-alpha-inv must be >= 0 (twist-normalize first)")
+    # Both modes print the degree p**(2k); the JSON also prints the lifts, up to p**(v + k).
+    flag, power = f"--k {k}", 2 * k
+    if args.json and v is not None and v > k:
+        flag, power = f"--v-alpha-inv {v}", v + k
+    limit = _int_str_limit()
+    if limit and power * math.log10(check_odd_prime(p)) >= limit:
+        raise ValueError(f"{flag} puts {p}**{power} in the {'JSON' if args.json else 'table'}, "
+                         f"over Python's {limit}-digit limit for int to str conversion")
+    alpha_inv = 0 if v is None else p**v  # build_gk reads the int 0 as alpha**-1 = 0 exactly
     poly = build_gk(p, e, alpha_inv, k)
     partition = root_valuation_partition(poly)
     if args.json:
@@ -312,7 +311,7 @@ def _cmd_divpoly(args) -> int:
             "p": p,
             "e": e,
             "k": k,
-            "v_alpha_inv": v_label,
+            "v_alpha_inv": v,
             "alpha_infinite": args.alpha_inf,
             "degree": poly.degree,
             "coefficients": [

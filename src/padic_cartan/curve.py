@@ -20,7 +20,7 @@ from .eisenstein import EisensteinElement, _element, _pi_digits
 from .errors import NormalizationError, SingularCurveError, UnsupportedPrimeError
 from .padic import _ONE, INFINITY, _scale, check_odd_prime, vp
 
-_HASSE_BUDGET = 2 * 10**6  # the largest table of (p-1)/2 factorials hasse_residue builds
+_HASSE_BUDGET = 2 * 10**6  # the largest (p-1)/2 whose products hasse_residue runs
 GOOD_ORDINARY = "good_ordinary"
 GOOD_SUPERSINGULAR = "good_supersingular"
 MULTIPLICATIVE = "multiplicative"
@@ -125,26 +125,31 @@ def _mod_p(value, p: int) -> int:
 def hasse_residue(a: Fraction, b: Fraction, p: int) -> int:
     """Coefficient of x**(p-1) in (x**3 + a*x + b)**((p-1)/2), mod p.
 
-    Zero exactly when the reduced curve is supersingular.
+    Zero exactly when the reduced curve is supersingular.  The terms are
+    M!/(i! j! k!) (a x)**j b**k x**(3i), i + j + k = M = (p-1)/2, 3i + j = p - 1.
+    At the least i, k is 0 or 1, so the first multinomial is (i+1)...M / j!,
+    and each later one is the one before times j(j-1)(j-2)/((i+1)(k+1)(k+2)).
     """
     check_odd_prime(p)
     M = (p - 1) // 2
-    if M > _HASSE_BUDGET:  # priced from p alone, before the table is built
+    if M > _HASSE_BUDGET:  # priced from p alone, before the products run
         raise ValueError(f"the Hasse invariant at p = {p} needs {M} factorials mod p, "
                          f"over the budget {_HASSE_BUDGET:.0e}")
     am, bm = _mod_p(a, p), _mod_p(b, p)
-    fact = [1] * (M + 1)
-    for i in range(1, M + 1):
-        fact[i] = fact[i - 1] * i % p
-    total = 0
-    # x**(3i) * (a x)**j * b**k with i+j+k = M and 3i + j = p - 1; the bounds
-    # on i keep j and k >= 0.
-    for i in range((p - 1 + 3) // 4, (p - 1) // 3 + 1):
-        j = p - 1 - 3 * i
-        k = 2 * i - M
-        coeff = fact[M] * pow(fact[i] * fact[j] % p * fact[k] % p, -1, p) % p
+    i = (p + 2) // 4  # the least i that keeps k >= 0
+    j, k = p - 1 - 3 * i, 2 * i - M
+    num = den = 1
+    for t in range(i + 1, M + 1):
+        num = num * t % p
+    for t in range(2, j + 1):
+        den = den * t % p
+    coeff, total = num * pow(den, -1, p) % p, 0
+    while True:
         total = (total + coeff * pow(am, j, p) * pow(bm, k, p)) % p
-    return total
+        if j < 3:  # the next i would make j negative
+            return total
+        coeff = coeff * j * (j - 1) * (j - 2) * pow((i + 1) * (k + 1) * (k + 2), -1, p) % p
+        i, j, k = i + 1, j - 3, k + 2
 
 
 def semistability_defect(curve: WeierstrassCurve) -> ReductionData:

@@ -3,10 +3,11 @@
 An element stores (prime, ram_index, form), as a PadicScalar stores its
 prime and form; the form, its invariants, the kernel that every operation and
 the Yasuda sums of `formal_log` run on, the operators shared with PadicScalar
-(`+`, `-`, `/` by an int, a Fraction or a scalar, the reflected `/`, `==`) and
-the formatter of `repr` and the JSON report (`_texts`) are those of `padic`;
-`*` runs on the form as well.  `coords` is a view that wraps each entry as a
-PadicScalar on demand, for callers; no operator reads it.
+(`+`, `-`, `**`, `/` by an int, a Fraction or a number with its one rule for
+a zero dividend, the reflected `/`, `==`) and the formatter of `repr` and the
+JSON report (`_texts`) are those of `padic`; `*` runs on the form as well.
+`coords` is a view that wraps each entry as a PadicScalar on demand, for
+callers; no operator reads it.
 As v(c[i]) is an integer and v(pi_e**i) = i/e, v(x) = min(v(c[i]) + i/e)
 whenever it is visible at the carried precision; it, its provable floor and
 `pi_precision` (min of e*(f + r) + i) are read off the form in pi-digits.
@@ -21,8 +22,7 @@ from fractions import Fraction
 
 from .errors import CosetViolationError, PrecisionError
 from .padic import (
-    _ONE, INFINITY, PadicScalar, _coordinate, _monomial_inverse, _Number, _power, _product,
-    _scale)
+    _ONE, INFINITY, PadicScalar, _coordinate, _monomial_inverse, _Number, _product, _scale)
 
 _ALLOWED_E = (3, 4, 6)
 
@@ -130,24 +130,6 @@ class EisensteinElement(_Number):
         return _element(p, e, _scale(p, self.form, other.numerator, other.denominator))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if type(other) is not EisensteinElement:
-            return super().__truediv__(other)
-        self._operand(other)  # the field is checked before the divisor is inverted
-        if self.is_exact_zero:
-            if other.is_exact_zero:
-                raise ZeroDivisionError("0/0")
-            return self
-        return self * other.inverse()
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            return self.inverse() ** -exponent
-        p, e = self.prime, self.ram_index
-        return _element(p, e, _power(p, e, self.form, exponent))
 
     def mul_pi_power(self, power: int) -> "EisensteinElement":
         """Multiply by pi_e**power exactly (any sign)."""

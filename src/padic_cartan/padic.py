@@ -55,12 +55,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from operator import itemgetter
 
 from .errors import PrecisionError, UnsupportedPrimeError
 
 INFINITY = float("inf")
 _ONE = ((0, 1, 0, INFINITY),)  # the form of the exact 1
 _NO_ENTRY = ((0, 0, INFINITY, 0),)  # what a scalar's views read for the exact 0
+_UNIT = itemgetter(1)  # an entry's unit
 
 
 @lru_cache(maxsize=None)
@@ -116,14 +118,15 @@ def vp(value: int | Fraction, p: int):
 
 
 def val_factorial(n: int, p: int) -> int:
-    """v_p(n!) by Legendre: sum of floor(n / p**i)."""
+    """v_p(n!) by Legendre: the sum of floor(n / p**i), each term the one before
+    divided by p, so every division is by the word p."""
     if n < 0:
         raise ValueError(f"factorial of negative {n}")
     check_odd_prime(p)
-    total, q = 0, p
-    while q <= n:
-        total += n // q
-        q *= p
+    total = 0
+    while n:
+        n //= p
+        total += n
     return total
 
 
@@ -422,18 +425,18 @@ class _Number:
         return self._from_form(p, e, _product(p, e, _ONE, [*y, *_negated(self.form)]))
 
     def __truediv__(self, other):
-        """Division by an int, a Fraction or a PadicScalar (its field checked first)."""
-        y = self._operand(other, embed=False)
-        if y is NotImplemented:
+        """x / y: by a number y (its field checked first), x itself when x is the exact 0
+        and y is not zero to its precision, else x * y.inverse(); by an int or a Fraction,
+        a scaling."""
+        if self._operand(other, embed=False) is NotImplemented:
             return NotImplemented
-        p, e = self.prime, self.ram_index
         if isinstance(other, _Number):
-            if other.is_zero_to_precision():
-                raise ZeroDivisionError("inverting a (precision) zero")
-            return self._from_form(p, e, _product(p, e, self.form, _monomial_inverse(p, e, y[0])))
+            if self.is_exact_zero and not other.is_zero_to_precision():
+                return self
+            return self * other.inverse()
         if other == 0:
             raise ZeroDivisionError("division by zero")
-        q = 1 / Fraction(other)
+        p, e, q = self.prime, self.ram_index, 1 / Fraction(other)
         return self._from_form(p, e, _scale(p, self.form, q.numerator, q.denominator))
 
     def __rtruediv__(self, other):
@@ -442,12 +445,21 @@ class _Number:
             return NotImplemented
         return self.inverse() * other
 
+    def __pow__(self, exponent: int):
+        """x**n: for n < 0, the inverse to the power -n."""
+        if not isinstance(exponent, int):
+            return NotImplemented
+        if exponent < 0:
+            return self.inverse() ** -exponent
+        p, e = self.prime, self.ram_index
+        return self._from_form(p, e, _power(p, e, self.form, exponent))
+
     @property
     def is_exact_zero(self) -> bool:
         return not self.form
 
     def is_zero_to_precision(self) -> bool:
-        return not any(u for _, u, _, _ in self.form)
+        return not any(map(_UNIT, self.form))
 
     def __eq__(self, other):
         # A scalar meets an element through the element's reflected __eq__.
@@ -569,13 +581,6 @@ class PadicScalar(_Number):
         if not entry[1]:
             raise ZeroDivisionError("inverting a (precision) zero")
         return _coordinate(self.prime, 1, _monomial_inverse(self.prime, 1, entry))
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            return self.inverse() ** -exponent
-        return _coordinate(self.prime, 1, _power(self.prime, 1, self.form, exponent))
 
     def shift(self, k: int) -> "PadicScalar":
         """Multiply by p**k exactly: a shift of the floor."""

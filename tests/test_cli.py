@@ -142,6 +142,9 @@ def test_classify_batch_errors_carry_line_numbers(capsys, tmp_path):
     batch.write_text("3 1 1\n")
     rc, out, err = run(capsys, "classify", "--batch", str(batch))
     assert rc == 2 and out == "" and err == f"{batch}:1: p must be an odd prime > 3\n"
+    batch.write_text("11 1331 121\nx 1 1\n")
+    rc, out, err = run(capsys, "classify", "--batch", str(batch))
+    assert rc == 2 and len(out.splitlines()) == 1 and err == f"{batch}:2: p must be an integer\n"
 
 
 def test_beta_request_precision_raises_k(capsys):
@@ -202,6 +205,7 @@ def test_beta_deep_levels_are_answered(capsys, argv):
 @pytest.mark.parametrize("command, extra", [
     ("beta", ["--precision", "200"]),
     ("classify", ["--k", "60"]),
+    ("beta", ["--precision", "30000"]),  # N ~ 11**20001 / 2: Legendre runs on word divisions
 ])
 def test_over_budget_requests_exit_2_before_any_arithmetic(capsys, monkeypatch,
                                                             command, extra):
@@ -446,6 +450,26 @@ def test_divpoly_json_refuses_lifts_past_the_int_str_limit(capsys, monkeypatch):
     assert run(capsys, *base, "5000")[2].strip() == "build_gk reached"
     monkeypatch.delattr(sys, "get_int_max_str_digits")  # before Python 3.10.7
     assert run(capsys, *base, "5000")[2].strip() == "build_gk reached"
+
+
+def test_divpoly_refuses_a_degree_past_the_int_str_limit(capsys, monkeypatch):
+    # Both modes print the degree p**(2k), refused by its digit estimate before build_gk.
+    def build_gk(*args):
+        raise ValueError("build_gk reached")
+
+    monkeypatch.setattr("padic_cartan.cli.build_gk", build_gk)
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+    base = ["divpoly", "--p", "11", "--e", "3", "--force", "--k"]
+    for mode, where in (([], "table"), (["--json"], "JSON"), (["--alpha-inf"], "table")):
+        # 11**4128 has 4299 digits, 11**4130 has 4301.
+        assert run(capsys, *base, "2064", *mode) == (2, "", "build_gk reached\n")
+        rc, out, err = run(capsys, *base, "2065", *mode)
+        assert rc == 2 and out == ""
+        assert err == (f"--k 2065 puts 11**4130 in the {where}, over Python's 4300-digit "
+                       "limit for int to str conversion\n")
+    # In the JSON the lift p**(v + k) takes over from the degree once v > k.
+    rc, _, err = run(capsys, *base, "2064", "--json", "--v-alpha-inv", "2066")
+    assert rc == 2 and err.startswith("--v-alpha-inv 2066 puts 11**4130 in the JSON")
 
 
 @pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,

@@ -140,6 +140,36 @@ def test_hasse_residue_values(monkeypatch):
         hasse_residue(1, 1, 3999971)
 
 
+def _hasse_by_factorial_table(a, b, p):
+    """The x**(p-1) coefficient mod p, one multinomial per term from a table of
+    the factorials 0!, ..., ((p-1)/2)! mod p."""
+    M = (p - 1) // 2
+    fact = [1] * (M + 1)
+    for i in range(1, M + 1):
+        fact[i] = fact[i - 1] * i % p
+    total = 0
+    for i in range((p + 2) // 4, (p - 1) // 3 + 1):
+        j, k = p - 1 - 3 * i, 2 * i - M
+        term = fact[M] * pow(fact[i] * fact[j] * fact[k], -1, p) * pow(a, j, p) * pow(b, k, p)
+        total = (total + term) % p
+    return total
+
+
+def test_hasse_residue_matches_the_factorial_table_and_the_expansion():
+    rng = random.Random(27)
+    primes = [q for q in range(5, 6000) if all(q % d for d in range(2, int(q**0.5) + 1))]
+    for n in range(300):
+        p = rng.choice(primes[:40] if n % 3 == 0 else primes)
+        a, b = (rng.choice((0, rng.randrange(1, p))) + p * rng.randrange(-50, 50)
+                for _ in range(2))
+        den = rng.choice((1, 2, 7)) if p != 7 else 1
+        residues = [(c * pow(den, -1, p)) % p for c in (a, b)]
+        want = _hasse_by_factorial_table(*residues, p)
+        assert hasse_residue(Fraction(a, den), Fraction(b, den), p) == want, (a, b, den, p)
+        if p < 200:
+            assert want == _hasse_by_expansion(*residues, p)
+
+
 def test_good_reduction_branches_use_hasse():
     ss = semistability_defect(WeierstrassCurve(5, 0, 1))
     assert ss.defect == 1 and ss.supersingular

@@ -220,8 +220,31 @@ def test_division_short_circuits_exact_zero_numerator():
     # the zero numerator must win without attempting the inversion.
     q = zero / (1 + pi)
     assert q.is_exact_zero
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ZeroDivisionError, match="^inverting zero$"):
         zero / zero
+
+
+def test_exact_zero_dividend_is_one_rule_for_both_types():
+    # x / y for a number y: the exact 0 over a y that is not zero to its precision
+    # is the exact 0; over any other y it is x * y.inverse(), which raises as the
+    # inverse does.  Both types share the one `/`.
+    q_zero, l_zero = PadicScalar.exact_zero(5), EisensteinElement.zero(11, 3)
+    seventy_seven = PadicScalar.from_rational(77, 5, INFINITY)  # exact, 1/77 has no expansion
+    assert (q_zero / seventy_seven) is q_zero
+    assert (q_zero / PadicScalar.from_rational(77, 5, 3)).is_exact_zero
+    assert (EisensteinElement.zero(5, 4) / seventy_seven).is_exact_zero
+    with pytest.raises(PrecisionError, match="^1/77 has no exact finite expansion"):
+        PadicScalar.from_rational(2, 5, INFINITY) / seventy_seven
+    for divisor in (PadicScalar.exact_zero(5), PadicScalar.zero_to_precision(5, 3)):
+        for dividend in (q_zero, EisensteinElement.zero(5, 6)):
+            with pytest.raises(ZeroDivisionError, match=r"^inverting a \(precision\) zero$"):
+                dividend / divisor
+    # Over L a zero known to p**4 may itself be 0: the quotient is not an exact 0.
+    known_zero = EisensteinElement.from_scalar(PadicScalar.zero_to_precision(11, 4), 3)
+    with pytest.raises(PrecisionError, match="^element is zero to precision"):
+        l_zero / known_zero
+    shared = {"__pow__", "__truediv__"}
+    assert not shared & (set(vars(PadicScalar)) | set(vars(EisensteinElement)))
 
 
 def test_division_round_trip():
@@ -428,6 +451,15 @@ def _ref_inverse(p, x):
     if N == INFINITY and unit != 1:
         raise PrecisionError(f"1/{unit} has no exact finite expansion; reduce precision first")
     return 1 / lift, N - 2 * v
+
+
+def _ref_quotient(p, xs, y):
+    """xs / y for a number y, coordinates xs: the exact 0 stays itself when y is not
+    zero to its precision; otherwise each coordinate times 1/y."""
+    if all(x == (0, INFINITY) for x in xs) and y[0]:
+        return xs
+    inverse = _ref_inverse(p, y)
+    return [_ref_product(p, x, inverse) for x in xs]
 
 
 def _ref_embedded(p, c, N):
@@ -926,7 +958,7 @@ def test_scalar_operators_match_the_fraction_rules():
             (lambda: x.reduce_abs_precision(N), lambda: (rx[0], min(rx[1], N))),
             (lambda: (-x).reduce_abs_precision(N), lambda: (-rx[0], min(rx[1], N))),
             (lambda: x * y, lambda: _ref_product(p, rx, ry)),
-            (lambda: x / y, lambda: _ref_product(p, rx, _ref_inverse(p, ry))),
+            (lambda: x / y, lambda: _ref_quotient(p, [rx], ry)[0]),
             (x.inverse, lambda: _ref_inverse(p, rx)),
             (lambda: x + q, lambda: _ref_sum([rx, _ref_embedded(p, q, rx[1])])),
             (lambda: q - x, lambda: _ref_sum([(-rx[0], rx[1]), _ref_embedded(p, q, rx[1])])),
@@ -971,9 +1003,7 @@ def test_scaling_and_scalar_products_match_the_fraction_rules():
             for s in scalars:
                 want = _ref_outcome(p, lambda: [_ref_product(p, x, _ref(s)) for x in xs])
                 assert _outcome(lambda: a * s) == want == _outcome(lambda: s * a), (a, s)
-                want = _ref_outcome(
-                    p, lambda: [_ref_product(p, x, inv) for inv in [_ref_inverse(p, _ref(s))]
-                                for x in xs])
+                want = _ref_outcome(p, lambda: _ref_quotient(p, xs, _ref(s)))
                 assert _outcome(lambda: a / s) == want, (a, s)
                 errors.add(want[1])
     # Zero divisors, and p-free denominators or exact non-unit divisors against exact values.

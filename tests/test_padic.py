@@ -45,6 +45,25 @@ def test_val_factorial_matches_direct_count():
     assert val_factorial(0, 5) == 0
 
 
+def test_val_factorial_matches_the_digit_sum_form_on_deep_arguments():
+    # Legendre's other form, (n - s_p(n)) / (p - 1) with s_p the base-p digit sum,
+    # on n = (p**j - 1) // 2, whose j digits are all (p - 1) / 2: the shape of the
+    # Yasuda indices N = (p**(2k+1) - 1) / 2.
+    def digit_sum(n, p):
+        total = 0
+        while n:
+            n, digit = divmod(n, p)
+            total += digit
+        return total
+
+    for p in (5, 11, 29):
+        for j in [*range(1, 30), 100, 1000, 3000, 6000, 6001]:
+            n = (p**j - 1) // 2
+            s = digit_sum(n, p)
+            assert s == j * (p - 1) // 2
+            assert val_factorial(n, p) == (n - s) // (p - 1), (p, j)
+
+
 def test_val_binomial_prime_power_exhaustive():
     # j - v_p(a) against the literal binomial, all a, small prime powers.
     for p in (5, 7, 11):

@@ -6,11 +6,13 @@ from fractions import Fraction
 
 import pytest
 
+from padic_cartan import volkov
 from padic_cartan.curve import WeierstrassCurve, good_model_over_L
 from padic_cartan.eisenstein import EisensteinElement
 from padic_cartan.errors import (
     CanonicalSubgroupError,
     NormalizationError,
+    PadicCartanError,
     PrecisionError,
 )
 from padic_cartan.formal_log import yasuda_coefficient
@@ -280,6 +282,29 @@ def test_hodge_parameters_rejects_wrong_defect():
         hodge_parameters(WeierstrassCurve(11, 1, 1))  # good ordinary, e = 1
     with pytest.raises(NormalizationError):
         hodge_parameters(WeierstrassCurve(5, 25, 5))  # e = 6 >= p - 1
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (lambda beta, k: EisensteinElement.zero(11, 3),
+     "log route gives beta = 0 but closed form v(beta) = 4/3"),
+    (lambda beta, k: EisensteinElement.zero(11, 3).truncate_pi(7),
+     "beta invisible mod pi^7 contradicts closed form v(beta) = 4/3"),
+    (lambda beta, k: beta.mul_pi_power(1), "log route v(beta) = 5/3 != closed form 4/3"),
+    (lambda beta, k: beta + 1 if k == 1 else beta,
+     "beta certificates at k=1 and k=2 disagree mod pi^4"),
+])
+def test_hodge_parameters_safety_gates_catch_a_tampered_log_route(monkeypatch, tamper, message):
+    # v(beta) = 4/3 at the adaptive level k = 2, certified mod pi^7, with the
+    # k - 1 = 1 cross-check mod pi^4: each gate meets a log route that breaks it.
+    route = volkov.beta_from_logarithm
+
+    def tampered(model, k=1, precision=None):
+        return tamper(route(model, k, precision), k)
+
+    monkeypatch.setattr(volkov, "beta_from_logarithm", tampered)
+    with pytest.raises(PadicCartanError) as caught:
+        hodge_parameters(WeierstrassCurve(11, 11**3, 11**2))
+    assert type(caught.value) is PadicCartanError and str(caught.value) == message
 
 
 def test_alpha_infinity_is_singleton():

@@ -69,6 +69,11 @@ followed by `<key>.iqr`, the interquartile range of the same timed loops:
       ImageReport.to_dict() of classify(p, a, b) on seeded curves of the eight
       p = 11 log-route shapes of shallow-batch (the first SHALLOW_SHAPES),
       three of each; the reports are built before timing
+  padic.div.dD                               D = 4, 32, 256 digits; p = 11,
+      x / y of random D-digit units at valuation 0
+  eisenstein.div.eE                          e = 3, 4, 6; p = 11, x / y in the
+      log route's shape: x with a random 4-digit unit at valuation 0 in every
+      coordinate, y as in eisenstein.inverse.monomial.eE (one nonzero unit)
 
 Each median and IQR is taken over REPEATS = 15 timed loops (time.perf_counter)
 of the same 200 seeded operand pairs (one curve for formal_log.series, .exact
@@ -80,7 +85,8 @@ padic.inverse and volkov.hodge_parameters.cm after it, and eisenstein.add
 after all of them, and eisenstein.add.spread after it, so each layer times
 the operands it had before the later ones were added; curve.reduction and
 the classifier keys draw theirs after all of them, then eisenstein.mul.scalar,
-then eisenstein.inverse.monomial, and classifier.to_dict last.
+then eisenstein.inverse.monomial, then classifier.to_dict, and padic.div and
+eisenstein.div last.
 --src selects the package source, so one checkout can time another
 (default: the src/ beside this script).  Given twice, both trees are loaded
 side by side and each key is timed on both in alternating rounds (A B B A
@@ -279,6 +285,15 @@ def cases(package):
         add_case(f"eisenstein.inverse.monomial.e{e}", lambda a: a.inverse(), divisors)
     reports = [(classify(*shallow_curve(*shape)),) for shape in SHALLOW_SHAPES[:8] * 3]
     add_case("classifier.to_dict.lift", lambda report: report.to_dict(), reports)
+    for digits in (4, 32, 256):
+        pairs = [(scalar(digits, extra), scalar(digits, extra)) for _ in range(PAIRS)]
+        add_case(f"padic.div.d{digits}", lambda a, b: a / b, pairs)
+    for e in (3, 4, 6):
+        quotients = [(EisensteinElement(PRIME, e, [scalar(4, extra) for _ in range(e)]),
+                      EisensteinElement(PRIME, e, [scalar(4, extra).shift(-2)] + [
+                          PadicScalar.zero_to_precision(PRIME, 1)] * (e - 1)))
+                     for _ in range(PAIRS)]
+        add_case(f"eisenstein.div.e{e}", lambda a, b: a / b, quotients)
     return out
 
 

@@ -20,7 +20,6 @@ decimal approximations to begin with.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -81,8 +80,7 @@ def index_at_stabilization(p: int, e: int, v_min_discriminant: int) -> int:
     return 1
 
 
-@dataclass(frozen=True)
-class ImageReport:
+class ImageReport(NamedTuple):
     """Everything classify() established about one curve."""
 
     prime: int
@@ -99,18 +97,21 @@ class ImageReport:
 
     def to_dict(self) -> dict:
         """JSON-safe dict; field order is the canonical output order."""
+        # One unpack: each NamedTuple field read by name goes through a descriptor.
+        (prime, defect, reduction_type, supersingular, v_min_discriminant, canonical_subgroup,
+         hodge, n0, image_label, index_at_level, hypotheses_checked) = self
         return {
-            "prime": self.prime,
-            "defect": self.defect,
-            "reduction_type": self.reduction_type,
-            "supersingular": self.supersingular,
-            "v_min_discriminant": self.v_min_discriminant,
-            "canonical_subgroup": self.canonical_subgroup,
-            "n0": self.n0,
-            "image_label": self.image_label,
-            "index_at_level": self.index_at_level,
-            "hypotheses_checked": [list(pair) for pair in self.hypotheses_checked],
-            "hodge": _hodge_dict(self.hodge),
+            "prime": prime,
+            "defect": defect,
+            "reduction_type": reduction_type,
+            "supersingular": supersingular,
+            "v_min_discriminant": v_min_discriminant,
+            "canonical_subgroup": canonical_subgroup,
+            "n0": n0,
+            "image_label": image_label,
+            "index_at_level": index_at_level,
+            "hypotheses_checked": list(map(list, hypotheses_checked)),
+            "hodge": _hodge_dict(hodge),
         }
 
 
@@ -155,17 +156,17 @@ def _eisenstein_json(element) -> dict:
 def _hodge_dict(hodge):
     if hodge is None:
         return None
-    alpha = hodge.alpha
+    _, _, k_used, certificate, beta, v_beta, epsilon, alpha, v_alpha = hodge
     if alpha is not None:
         alpha = "infinity" if alpha is ALPHA_INFINITY else _scalar_json(alpha)
     return {
-        "k_used": hodge.k_used,
-        "certificate_pi_digits": hodge.certificate_pi_digits,
-        "beta": _eisenstein_json(hodge.beta),
-        "v_beta": _encode_exact(hodge.v_beta),
-        "epsilon": hodge.epsilon,
+        "k_used": k_used,
+        "certificate_pi_digits": certificate,
+        "beta": _eisenstein_json(beta),
+        "v_beta": _encode_exact(v_beta),
+        "epsilon": epsilon,
         "alpha": alpha,
-        "v_alpha": _encode_exact(hodge.v_alpha),
+        "v_alpha": _encode_exact(v_alpha),
     }
 
 

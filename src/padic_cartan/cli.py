@@ -25,7 +25,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from operator import attrgetter
 
 from .classifier import (
@@ -505,6 +505,7 @@ def _cmd_examples(args) -> int:
 # -- parser -----------------------------------------------------------------------
 
 
+@cache  # parse_args leaves the tree as it was: one build per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="padic-cartan",

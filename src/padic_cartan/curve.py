@@ -10,7 +10,6 @@ rejected outright, so y**2 = x**3 + A*x + B models and the scaling
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -26,23 +25,42 @@ GOOD_SUPERSINGULAR = "good_supersingular"
 MULTIPLICATIVE = "multiplicative"
 
 
-@dataclass(frozen=True)
-class WeierstrassCurve:
-    """y**2 = x**3 + a*x + b over Q_p, p > 3."""
+class _Frozen:
+    """A record set once through vars(self): equal, hashed and shown on its `_shown` fields."""
 
-    prime: int
-    a: Fraction
-    b: Fraction
-    v_a: object = field(init=False, repr=False, compare=False)  # INFINITY for a = 0
-    v_b: object = field(init=False, repr=False, compare=False)
-    v_discriminant: int = field(init=False, repr=False, compare=False)
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def __post_init__(self):
-        p = check_odd_prime(self.prime)
+    __delattr__ = __setattr__
+
+    def _key(self):
+        return tuple(map(vars(self).__getitem__, self._shown))
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._shown, self._key()))
+        return f"{type(self).__name__}({shown})"
+
+
+class WeierstrassCurve(_Frozen):
+    """y**2 = x**3 + a*x + b over Q_p, p > 3.
+
+    v_a (INFINITY for a = 0), v_b and v_discriminant are set when it is built.
+    """
+
+    _shown = ("prime", "a", "b")
+
+    def __init__(self, prime: int, a: Fraction, b: Fraction):
+        p = check_odd_prime(prime)
         if p == 3:
             raise UnsupportedPrimeError("p = 3 is not supported")
-        a = self.a if type(self.a) is Fraction else Fraction(self.a)
-        b = self.b if type(self.b) is Fraction else Fraction(self.b)
+        a = a if type(a) is Fraction else Fraction(a)
+        b = b if type(b) is Fraction else Fraction(b)
         va, vb = vp(a, p), vp(b, p)
         # v(disc) = v(4a**3 + 27b**2); the terms cancel or sum to 0 only if their v tie.
         vdisc = min(3 * va, 2 * vb)
@@ -51,8 +69,7 @@ class WeierstrassCurve:
             if n == 0:
                 raise SingularCurveError(f"discriminant vanishes for a={a}, b={b}")
             vdisc = vp(n, p) - 3 * vp(a.denominator, p) - 2 * vp(b.denominator, p)
-        for name, value in zip(("a", "b", "v_a", "v_b", "v_discriminant"), (a, b, va, vb, vdisc)):
-            object.__setattr__(self, name, value)
+        vars(self).update(prime=prime, a=a, b=b, v_a=va, v_b=vb, v_discriminant=vdisc)
 
     @cached_property
     def discriminant(self) -> Fraction:
@@ -104,8 +121,7 @@ def quadratic_twist(curve: WeierstrassCurve, d) -> WeierstrassCurve:
     return WeierstrassCurve(curve.prime, d**2 * curve.a, d**3 * curve.b)
 
 
-@dataclass(frozen=True)
-class ReductionData:
+class ReductionData(NamedTuple):
     """Semistability defect and potential reduction type of a minimal model."""
 
     minimal: WeierstrassCurve

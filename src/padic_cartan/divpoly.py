@@ -14,16 +14,15 @@ of the question.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .eisenstein import EisensteinElement
 from .errors import PrecisionError
 from .padic import INFINITY, NewtonPolygon, PadicScalar, check_odd_prime, newton_polygon
 
 
-@dataclass(frozen=True)
-class SparsePolynomialL:
+class SparsePolynomialL(NamedTuple):
     """Polynomial over L as a map exponent -> nonzero coefficient."""
 
     prime: int

@@ -44,12 +44,11 @@ takes lam = lcm(den A, den B), so both are integers, and divides once per d_r.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .curve import deforming_coefficient
+from .curve import _Frozen, deforming_coefficient
 from .eisenstein import EisensteinElement, _pi_digits, _truncate
 from .errors import PrecisionError
 from .padic import (
@@ -65,17 +64,32 @@ _WORK_BUDGET = 6 * 10**7
 _SERIES_DEFAULT_CAP = 500
 
 
-@dataclass(frozen=True)
-class FormalLogPrefix:
+class FormalLogPrefix(_Frozen):
     """A computed prefix d_0..d_n of the formal logarithm."""
 
-    coefficients: tuple
+    _shown = ("coefficients",)
+
+    def __init__(self, coefficients: tuple):
+        vars(self)["coefficients"] = coefficients
 
     def d(self, r: int):
         return self.coefficients[r]
 
     def __len__(self):
         return len(self.coefficients)
+
+
+def _charge(p: int, e: int, size, vr: int, target: int, digits: int = 0, cost=0):
+    """cost plus one term kept in the sum at r = 2N+1; PrecisionError past _WORK_BUDGET."""
+    # Factorial units over size = log_p(N+1) digits of up to p blocks, and powers, at
+    # the term's digits or at least the p-digits to which A and B are reduced.
+    working = -(-(target + e * vr + e) // e)
+    cost += max(digits, working) ** 2 * p * size
+    if cost > _WORK_BUDGET:
+        raise PrecisionError(
+            f"d_r at r ~ {p}^{size + math.log(2, p):.0f} to pi^{target} needs "
+            f"more than ~{cost:.2g} digit operations, over the budget {_WORK_BUDGET:.0e}")
+    return cost
 
 
 @lru_cache(maxsize=128)  # <= ~40 MB: a plan of exact unit-coefficient multinomials is ~300 KB
@@ -95,8 +109,7 @@ def _sum_plan(p: int, e: int, N: int, vr: int, wA, wB, target: int):
     if wA == wB == 0 and N > _GENERIC_CAP:  # unit coefficients: nothing is dropped
         raise PrecisionError(
             f"index {2 * N + 1} needs the full sum over units; cap is {_GENERIC_CAP}")
-    threshold = target + e * vr
-    working = -(-(threshold + e) // e)  # p-digits of A and B reduced for their powers
+    threshold, size = target + e * vr, math.log(N + 1, p)
     if 3 * wA >= 2 * wB:
         pairs = ((m, (N - 2 * m) // 3) for m in range((2 * N) % 3, N // 2 + 1, 3))
     else:
@@ -116,12 +129,7 @@ def _sum_plan(p: int, e: int, N: int, vr: int, wA, wB, target: int):
             dropped = True
             continue
         digits = -((w_term - target) // e)  # ceil((target - w_term) / e) >= 1
-        # Factorial units over log_p N digits of up to p blocks, and powers.
-        cost += max(digits, working) ** 2 * p * math.log(N + 1, p)
-        if cost > _WORK_BUDGET:
-            raise PrecisionError(
-                f"d_r at r ~ {p}^{math.log(2 * N + 1, p):.0f} to pi^{target} needs "
-                f"more than ~{cost:.2g} digit operations, over the budget {_WORK_BUDGET:.0e}")
+        cost = _charge(p, e, size, vr, target, digits, cost)
         kept.append((m, n, parts, digits))
     exact = not dropped and N <= _EXACT_MULTINOMIAL_CAP
     return tuple((m, n, _scale(p, _ONE, multinomial_exact(N, parts), 1) if exact

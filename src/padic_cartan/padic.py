@@ -52,10 +52,10 @@ once per prime).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import PrecisionError, UnsupportedPrimeError
 
@@ -644,8 +644,7 @@ def newton_polygon(points):
     )
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class NewtonPolygon:
+class NewtonPolygon(NamedTuple):
     """Result of :func:`newton_polygon`; immutable."""
 
     points: tuple

@@ -14,8 +14,8 @@ implemented separately from the log route so each can check the other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .curve import WeierstrassCurve, good_model_over_L, normalized_shape
 from .eisenstein import EisensteinElement, _pi_digits
@@ -25,7 +25,7 @@ from .errors import (
     PadicCartanError,
     PrecisionError,
 )
-from .formal_log import yasuda_coefficient
+from .formal_log import _charge, yasuda_coefficient
 from .padic import INFINITY, PadicScalar
 
 NEG_INFINITY = -INFINITY
@@ -191,6 +191,9 @@ def beta_from_logarithm(model, k: int = 1, precision: int | None = None) -> Eise
     # v(d_{p^2k}) = -k and v(d_{p^(2k+1)}) >= 1/e - (k+1), so these absolute
     # targets leave k*e+1 relative pi-digits on each; one extra e as guard.
     guard = e
+    # d_{p^2k} has v = -k, below its target, so its sum keeps a term costing at least this
+    # (N + 1 > p^(2k)/2, less a margin past rounding): a deep level is refused from k alone.
+    _charge(p, e, (2 * k - math.log(2, p)) * (1 - 1e-12), 2 * k, 1 + guard)
     num = yasuda_coefficient(a_l, b_l, p ** (2 * k + 1), 2 - e + guard)
     den = yasuda_coefficient(a_l, b_l, p ** (2 * k), 1 + guard)
     beta = (num / den).mul_pi_power(e - 1)  # -(p/pi) = pi**(e-1)
@@ -216,8 +219,7 @@ def alpha_from_beta(beta: EisensteinElement, epsilon: int):
     return -q.shift(1)
 
 
-@dataclass(frozen=True)
-class HodgeParameters:
+class HodgeParameters(NamedTuple):
     """The deformation data of one potentially supersingular curve."""
 
     prime: int
@@ -294,14 +296,4 @@ def hodge_parameters(
                 f"beta certificates at k={k - 1} and k={k} disagree mod pi^{window}"
             )
 
-    return HodgeParameters(
-        prime=p,
-        e=e,
-        k_used=k,
-        certificate_pi_digits=certificate,
-        beta=beta,
-        v_beta=v_closed,
-        epsilon=epsilon,
-        alpha=alpha,
-        v_alpha=v_alpha,
-    )
+    return HodgeParameters(p, e, k, certificate, beta, v_closed, epsilon, alpha, v_alpha)

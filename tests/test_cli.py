@@ -2,9 +2,11 @@
 
 import json
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
@@ -219,6 +221,49 @@ def test_over_budget_requests_exit_2_before_any_arithmetic(capsys, monkeypatch,
     rc, out, err = run(capsys, command, *EXAMPLE1, *extra)
     assert rc == 2 and out == ""
     assert len(err.strip().splitlines()) == 1 and "budget" in err
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("beta", ["--precision", "300000"]),  # k = 100000: N ~ 11**200001 / 2
+    ("classify", ["--k", "100000"]),
+])
+def test_deep_levels_are_priced_before_any_valuation(capsys, monkeypatch, command, extra):
+    # d_(p**2k) keeps a term at 2k + 3 p-digits whatever its valuation, priced
+    # from p, e and k alone: no Legendre sum runs before the refusal.
+    def no_valuation(*args):
+        raise AssertionError("a factorial valuation ran before the refusal")
+
+    monkeypatch.setattr("padic_cartan.padic.val_factorial", no_valuation)
+    rc, out, err = run(capsys, command, *EXAMPLE1, *extra)
+    assert rc == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "budget" in err
+
+
+def test_parser_is_built_once_with_the_same_help_and_errors(capsys):
+    from padic_cartan.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+    fresh = _build_parser.__wrapped__()
+    run(capsys, "classify", *EXAMPLE1, "--json")
+    for argv in (["--help"], ["classify", "--help"], ["beta", "--p", "x"],
+                 ["divpoly", "--p", "11", "--e", "5", "--k", "1"], []):
+        outputs = []
+        for parse in (main, fresh.parse_args):
+            with pytest.raises(SystemExit):
+                parse(argv)
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] and outputs[0] != ("", "")
+
+
+def test_importing_the_cli_loads_no_dataclass_machinery():
+    # Compared with the modules already loaded, so a site hook cannot decide it.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (f"import sys; sys.path.insert(0, {src!r}); before = set(sys.modules); "
+            "import padic_cartan.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} "
+            "& (set(sys.modules) - before)))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def test_logcoeffs_text_and_methods_agree(capsys):

@@ -360,7 +360,8 @@ def test_newton_polygon_two_segments():
                         "(3, Fraction(0, 1))], segments=[(slope -2, len 1), (slope 0, len 2)])")
     with pytest.raises(AttributeError):
         np.degree = 4
-    assert np.degree == 3 and np != newton_polygon([(0, 2), (1, 0), (3, 0)])  # identity ==
+    assert np.degree == 3 and np == newton_polygon([(0, 2), (1, 0), (3, 0)])  # value ==
+    assert np != newton_polygon([(0, 2), (1, 1), (3, 0)])
 
 
 def _key(x):

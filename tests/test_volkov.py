@@ -423,3 +423,31 @@ def test_truncated_model_gives_the_sums_of_the_exact_model():
                 assert got.is_congruent(want), (p, a, b, k, j)
                 compared += 1
     assert compared == 2 * (15 + 10 + 15) * 3 * 2
+
+
+@pytest.mark.parametrize("p, a, b", [(11, 11**3, 11**2), (11, 0, 11**2), (11, 0, 11),
+                                     (11, 11, 0), (23, 23**4, 23**2), (17, 17**3, 17**2)])
+def test_level_price_is_at_most_the_divisor_sums_own(monkeypatch, p, a, b):
+    # The price beta_from_logarithm reads before any sum is a lower bound: the
+    # plan of d_(p^2k) prices a term at no less, so nothing answered is refused.
+    from padic_cartan import formal_log
+
+    calls, real = [], formal_log._charge
+
+    def charge(p, e, size, vr, target, digits=0, cost=0):
+        total = real(p, e, size, vr, target, digits, cost)
+        calls.append((vr, target, total - cost))
+        return total
+
+    curve = WeierstrassCurve(p, a, b)
+    model = good_model_over_L(curve, curve.reduction.defect)
+    monkeypatch.setattr(formal_log, "_WORK_BUDGET", math.inf)
+    monkeypatch.setattr(formal_log, "_charge", charge)
+    monkeypatch.setattr(volkov, "_charge", charge)
+    for k in range(4):
+        formal_log._sum_plan.cache_clear()
+        calls.clear()
+        beta_from_logarithm(model, k)
+        (vr, target, price), *plans = calls
+        assert any(c[:2] == (vr, target) for c in plans)  # the divisor's sum keeps a term
+        assert all(price <= cost for v, t, cost in plans if (v, t) == (vr, target))

@@ -12,6 +12,16 @@ this script), and with two trees exits 1 when any section differs:
              coordinate), its repr and JSON, or the error's type and message;
              then operands of both types whose coordinates lie at floors 0,
              200 and 400, drawn after all the others
+  records    the result records (WeierstrassCurve, ReductionData,
+             HodgeParameters, ImageReport, SparsePolynomialL, NewtonPolygon,
+             FormalLogPrefix) built from seeded curves, polynomials, points
+             and rational models: each one's repr, == and != against an equal
+             record built apart and against a different one, whether equal
+             records hash alike (or the hash error), its rebuild from its
+             fields in order, and for each field whether setting and deleting
+             it raise an AttributeError; a NewtonPolygon is compared with
+             itself only, since trees whose records were dataclasses
+             compare it by identity
   cli        every `$ padic-cartan ...` command of README.md, plain and with
              --json, and `examples --json`: exit code, stdout and stderr
   corpus     `classify --batch`, plain and --json, on the first 4 passes
@@ -169,6 +179,97 @@ def operator_lines(package):
     return lines
 
 
+def record_lines(package):
+    """repr, equality, hashing, field order and immutability of the result records."""
+    classifier, curve, divpoly, formal_log, padic = (
+        importlib.import_module(f"{package}.{name}")
+        for name in ("classifier", "curve", "divpoly", "formal_log", "padic"))
+    WeierstrassCurve = curve.WeierstrassCurve
+    fields = {
+        "WeierstrassCurve": ("prime", "a", "b"),
+        "ReductionData": ("minimal", "defect", "v_min_discriminant", "potential_type",
+                          "supersingular"),
+        "HodgeParameters": ("prime", "e", "k_used", "certificate_pi_digits", "beta", "v_beta",
+                            "epsilon", "alpha", "v_alpha"),
+        "ImageReport": ("prime", "defect", "reduction_type", "supersingular",
+                        "v_min_discriminant", "canonical_subgroup", "hodge", "n0",
+                        "image_label", "index_at_level", "hypotheses_checked"),
+        "SparsePolynomialL": ("prime", "ram_index", "coefficients"),
+        "NewtonPolygon": ("points", "vertices", "segments", "zero_root_multiplicity", "degree"),
+        "FormalLogPrefix": ("coefficients",),
+    }
+    rng, lines = random.Random(28), []
+
+    def refuses(action):
+        try:
+            action()
+        except Exception as exc:  # FrozenInstanceError is an AttributeError too
+            return str(isinstance(exc, AttributeError))
+        return "no"
+
+    def record(label, x, same, other, extra=()):
+        names = fields[type(x).__name__]
+        rebuilt = type(x)(*(getattr(x, name) for name in names))
+        frozen = " ".join(f"{name}:{refuses(lambda: setattr(x, name, None))}"
+                          f"/{refuses(lambda: delattr(x, name))}" for name in names + extra)
+        lines.append(f"{label} {x!r}")
+        if same is None:  # a NewtonPolygon: only itself, and its hash, are comparable
+            compared = f"{x == x} {x != x} hash {_outcome(lambda: hash(x) == hash(x), str)}"
+        else:
+            compared = (f"{x == same} {x != same} {x == other} {x != other} {x == rebuilt} "
+                        f"hash {_outcome(lambda: hash(x) == hash(same), str)}")
+        lines.append(f"{label} {compared} frozen {frozen} {x!r}")
+
+    def unit(p):
+        return rng.randrange(1, p) + p * rng.randrange(p * p)
+
+    for n in range(48):
+        p = rng.choice((5, 7, 11, 13, 17, 23))
+        va, vb = (rng.choice((None, 0, 1, 2, 3, 4)) for _ in range(2))
+        a = Fraction(0 if va is None else unit(p) * p**va, rng.choice((1, 1, 7, p)))
+        b = Fraction(0 if vb is None else unit(p) * p**vb, rng.choice((1, 1, 5, p**2)))
+        try:
+            x = WeierstrassCurve(p, a, b)
+        except ValueError as exc:
+            lines.append(f"C{n} ({p}, {a}, {b}): {type(exc).__name__}: {exc}")
+            continue
+        x.reduction, x.j_invariant  # the derived fields of one side only
+        same, other = WeierstrassCurve(p, a, b), WeierstrassCurve(p, a, b + p**3)
+        record(f"C{n} curve", x, same, other, ("v_a", "v_b", "v_discriminant", "reduction"))
+        record(f"C{n} reduction", x.reduction, same.reduction, other.reduction)
+        report = classifier.classify(p, a, b)
+        record(f"C{n} report", report, classifier.classify(p, a, b, curve=same),
+               classifier.classify(p, a, b + p**3))
+        if report.hodge is not None:
+            again = classifier.classify(p, a, b).hodge
+            other = type(again)(*(0 if name == "k_used" else getattr(again, name)
+                                  for name in fields["HodgeParameters"]))
+            record(f"C{n} hodge", report.hodge, again, other)
+    for n, (p, e, v, k) in enumerate([(5, 3, None, 1), (11, 3, 0, 1), (11, 4, 2, 2),
+                                      (17, 6, 1, 1), (23, 3, None, 2), (23, 4, 0, 1)]):
+        alpha_inv = 0 if v is None else p**v
+        poly = divpoly.build_gk(p, e, alpha_inv, k)
+        record(f"G{n} poly", poly, divpoly.build_gk(p, e, alpha_inv, k),
+               divpoly.build_gk(p, e, alpha_inv, k + 1))
+        record(f"G{n} polygon", divpoly.newton_polygon_of(poly), None, None)
+    for n in range(12):
+        points = sorted({rng.randrange(12): rng.choice((Fraction(rng.randrange(9), 3), 4))
+                         for _ in range(5)}.items())
+        polygon = padic.newton_polygon(points)
+        record(f"N{n} polygon", polygon, None, None)
+        lines.append(f"N{n} {polygon.root_valuations()}")
+    for n in range(12):
+        a, b = (Fraction(rng.randrange(-99, 100), rng.randrange(1, 40)) for _ in range(2))
+        if 4 * a**3 + 27 * b**2 == 0:
+            continue
+        terms = rng.randrange(1, 30)
+        prefix = formal_log.series_inversion_logarithm(a, b, terms)
+        record(f"F{n} prefix", prefix, formal_log.series_inversion_logarithm(a, b, terms),
+               formal_log.series_inversion_logarithm(a, b, terms + 1))
+        lines.append(f"F{n} len {len(prefix)} d {prefix.d(terms)}")
+    return lines
+
+
 def _cli_run(cli, argv, label=None):
     """The command's label (argv by default), exit code, stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
@@ -226,7 +327,8 @@ def main(argv=None):
     packages = [_load(src, f"padic_cartan_{side}") for side, src in zip("ab", trees)]
     digests = {}
     with tempfile.TemporaryDirectory() as scratch:
-        for section, dump in (("operators", operator_lines), ("cli", cli_lines),
+        for section, dump in (("operators", operator_lines), ("records", record_lines),
+                              ("cli", cli_lines),
                               ("corpus", lambda pkg: corpus_lines(pkg, batches, scratch))):
             for src, package in zip(trees, packages):
                 text = "\n".join(dump(package)).encode()

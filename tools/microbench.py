@@ -74,19 +74,28 @@ followed by `<key>.iqr`, the interquartile range of the same timed loops:
   eisenstein.div.eE                          e = 3, 4, 6; p = 11, x / y in the
       log route's shape: x with a random 4-digit unit at valuation 0 in every
       coordinate, y as in eisenstein.inverse.monomial.eE (one nonzero unit)
+  cli.import.cold
+      a fresh interpreter (this one's executable, site and environment) that
+      puts the tree on sys.path and runs `import padic_cartan.cli`, timed to
+      its exit; without a bytecode cache (PYTHONDONTWRITEBYTECODE) that
+      includes compiling the package
+  cli.ready.cold
+      the same, running `main(["classify", "--batch", os.devnull, "--json"])`:
+      the work of perfbench's setup child before its "ready"
 
 Each median and IQR is taken over REPEATS = 15 timed loops (time.perf_counter)
 of the same 200 seeded operand pairs (one curve for formal_log.series, .exact
 and the P keys, CURVES curves for formal_log.yasuda and the other
-volkov.hodge_parameters keys); EisensteinElement inverse() and pow run on the
-first 20 of them, and so do factorial_unit and multinomial_padic.
+volkov.hodge_parameters keys, SPAWNS interpreters for the cli keys);
+EisensteinElement inverse() and pow run on the first 20 of them, and so do
+factorial_unit and multinomial_padic.
 volkov.hodge_parameters draws its operands after the other layers, and
 padic.inverse and volkov.hodge_parameters.cm after it, and eisenstein.add
 after all of them, and eisenstein.add.spread after it, so each layer times
 the operands it had before the later ones were added; curve.reduction and
 the classifier keys draw theirs after all of them, then eisenstein.mul.scalar,
 then eisenstein.inverse.monomial, then classifier.to_dict, and padic.div and
-eisenstein.div last.
+eisenstein.div last; the cli keys draw nothing.
 --src selects the package source, so one checkout can time another
 (default: the src/ beside this script).  Given twice, both trees are loaded
 side by side and each key is timed on both in alternating rounds (A B B A
@@ -101,11 +110,18 @@ import json
 import os
 import random
 import statistics
+import subprocess
 import sys
 import time
 from fractions import Fraction
 
-PRIME, PAIRS, INVERSES, REPEATS, CURVES = 11, 200, 20, 15, 5
+PRIME, PAIRS, INVERSES, REPEATS, CURVES, SPAWNS = 11, 200, 20, 15, 5, 3
+# Run by a fresh interpreter per op, with argv[1] the source tree.
+COLD = {
+    "cli.import.cold": "import padic_cartan.cli",
+    "cli.ready.cold": "import os; from padic_cartan.cli import main; "
+                      "main(['classify', '--batch', os.devnull, '--json'])",
+}
 # (p, v(a), v(b)[, kind]) of perfbench/corpus.py's SHALLOW patterns; None is
 # an exact 0.  The last four groups: e in {1, 2}, multiplicative, rational.
 SHALLOW_SHAPES = (
@@ -294,6 +310,14 @@ def cases(package):
                           PadicScalar.zero_to_precision(PRIME, 1)] * (e - 1)))
                      for _ in range(PAIRS)]
         add_case(f"eisenstein.div.e{e}", lambda a, b: a / b, quotients)
+    src = os.path.dirname(os.path.dirname(sys.modules[package].__file__))
+
+    def spawn(code):
+        subprocess.run([sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); "
+                        + code, src], check=True, stdout=subprocess.DEVNULL)
+
+    for name, code in COLD.items():
+        add_case(name, spawn, [(code,)] * SPAWNS)
     return out
 
 

@@ -176,11 +176,13 @@ def classify(p, a, b, precision=None, k=None, k_cap=_DEFAULT_K_CAP, *,
 
     precision is the requested beta certificate in pi_e-digits; k forces the
     refinement level d_{p**(2k+1)}/d_{p**2k}.  With k=None the level is
-    chosen adaptively (just enough to make beta visible, capped at k_cap;
+    chosen adaptively (just enough to make beta visible, capped at k_cap >= 1;
     classification never needs visibility, it only enriches the report).
     curve may pass WeierstrassCurve(p, a, b) already built, so that its
     reduction data is not computed again; it must be that curve.
     """
+    if k_cap < 1:
+        raise ValueError(f"the level cap must be at least 1, got {k_cap}")
     if curve is None:
         curve = WeierstrassCurve(p, a, b)
     elif (curve.prime, curve.a, curve.b) != (p, a, b):

@@ -3,9 +3,10 @@
 An element stores (prime, ram_index, form), as a PadicScalar stores its
 prime and form; the form, its invariants, the kernel that every operation and
 the Yasuda sums of `formal_log` run on, the operators shared with PadicScalar
-(`+`, `-`, `**`, `/` by an int, a Fraction or a number with its one rule for
-a zero dividend, the reflected `/`, `==`) and the formatter of `repr` and the
-JSON report (`_texts`) are those of `padic`; `*` runs on the form as well.
+(`+`, `-`, `*`, `**`, `/` by an int, a Fraction or a number with its one rule
+for a zero dividend, the reflected ones, `==`, `is_congruent` in pi-digits,
+pickling), the floor and precision of a form in pi-digits (`_bounds`) and the
+formatter of `repr` and the JSON report (`_texts`) are those of `padic`.
 `coords` is a view that wraps each entry as a PadicScalar on demand, for
 callers; no operator reads it.
 As v(c[i]) is an integer and v(pi_e**i) = i/e, v(x) = min(v(c[i]) + i/e)
@@ -22,7 +23,7 @@ from fractions import Fraction
 
 from .errors import CosetViolationError, PrecisionError
 from .padic import (
-    _ONE, INFINITY, PadicScalar, _coordinate, _monomial_inverse, _Number, _product, _scale)
+    _ONE, INFINITY, PadicScalar, _bounds, _coordinate, _monomial_inverse, _Number, _product)
 
 _ALLOWED_E = (3, 4, 6)
 
@@ -120,17 +121,6 @@ class EisensteinElement(_Number):
 
     # -- arithmetic beyond the shared operators --------------------------------
 
-    def __mul__(self, other):
-        y = self._operand(other, embed=False)
-        if y is NotImplemented:
-            return NotImplemented
-        p, e = self.prime, self.ram_index
-        if isinstance(other, _Number):
-            return _element(p, e, _product(p, e, self.form, y))
-        return _element(p, e, _scale(p, self.form, other.numerator, other.denominator))
-
-    __rmul__ = __mul__
-
     def mul_pi_power(self, power: int) -> "EisensteinElement":
         """Multiply by pi_e**power exactly (any sign)."""
         e, form = self.ram_index, []
@@ -191,14 +181,6 @@ class EisensteinElement(_Number):
             left_out *= 2
         return _element(p, e, _product(p, e, _truncate(p, e, tail, prec), inv_lead))
 
-    # -- comparison ----------------------------------------------------------
-
-    def is_congruent(self, other, pi_digits=None) -> bool:
-        diff = self - other
-        if pi_digits is None:
-            return diff.is_zero_to_precision()
-        return _bounds(diff.form, self.ram_index)[0] >= pi_digits
-
 
 def _pi_digits(form, e: int):
     """e * v of an integer form in pi-digits, INFINITY for exactly 0; raises
@@ -212,13 +194,6 @@ def _pi_digits(form, e: int):
         raise PrecisionError(f"valuation ambiguous: visible term at {Fraction(best, e)}, "
                              f"precision floor {Fraction(floor, e)}")
     return best
-
-
-def _bounds(form, e: int):
-    """(floor, precision) of an integer form in pi-digits: e*v >= min of e*f + i,
-    and it is known to pi**(min of e*(f + r) + i); INFINITY when there is none."""
-    return (min((e * f + i for i, _, f, _ in form), default=INFINITY),
-            min((e * (f + r) + i for i, _, f, r in form if r != INFINITY), default=INFINITY))
 
 
 def _truncate(p: int, e: int, form, pi_digits: int, fill: bool = True):

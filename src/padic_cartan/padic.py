@@ -30,13 +30,15 @@ invariants, so `_coordinate` (and `eisenstein._element` for L) wraps it as it
 is; `_texts` prints a form of either type, for `repr` and the JSON report.
 
 Both number types share one operator set on the form, the base `_Number`:
-`+`, `-`, `/` by an int, a Fraction or a PadicScalar, the reflected `/`,
-`==`, `repr`, `is_exact_zero` and immutability.  Each type supplies `ram_index`
-(a class attribute of 1 on PadicScalar), `_from_form` (`_coordinate` here,
-`eisenstein._element` for L) and its message for an operand over another
-field.  An int or Fraction summand is known to the least coordinate precision
-of the other summand.  `*`, `**` and `inverse` stay in each type, as functions
-of its own.
+`+`, `-`, `*`, `/` by an int, a Fraction or a number and their reflections,
+`**`, `==`, `is_congruent` (the floor read by `_bounds` in pi-digits, p-digits
+over Q_p), `repr`, `is_exact_zero`, immutability, and `pickle` and `copy`
+(`__reduce__` rebuilds a number from its prime, ram_index and form).  Each type
+supplies `ram_index` (1 on PadicScalar), `_from_form` (`_coordinate` here,
+`eisenstein._element` for L), its message for an operand over another field,
+its constructors, its views of the form and `inverse`, whose algorithm and
+errors differ by type.  An int or Fraction summand is known to the least
+coordinate precision of the other summand.
 
 The combinatorial helpers (`val_factorial`, `multinomial_padic`, ...) never
 build the underlying factorials when the arguments are large: valuations come
@@ -350,6 +352,13 @@ def _negated(form):
     return [(i, -u, f, r) for i, u, f, r in form]
 
 
+def _bounds(form, e: int):
+    """(floor, precision) of an integer form in pi-digits: e*v >= min of e*f + i,
+    and it is known to pi**(min of e*(f + r) + i); INFINITY when there is none."""
+    return (min((e * f + i for i, _, f, _ in form), default=INFINITY),
+            min((e * (f + r) + i for i, _, f, r in form if r != INFINITY), default=INFINITY))
+
+
 def _texts(x):
     """(lifts, abs precisions, repr) of the coordinates of x, a PadicScalar or an
     EisensteinElement, read off its form: each normalized coordinate's lift
@@ -445,6 +454,18 @@ class _Number:
             return NotImplemented
         return self.inverse() * other
 
+    def __mul__(self, other):
+        """x * y: the kernel product by a number, a scaling by an int or a Fraction."""
+        y = self._operand(other, embed=False)
+        if y is NotImplemented:
+            return NotImplemented
+        p, e = self.prime, self.ram_index
+        if isinstance(other, _Number):
+            return self._from_form(p, e, _product(p, e, self.form, y))
+        return self._from_form(p, e, _scale(p, self.form, other.numerator, other.denominator))
+
+    __rmul__ = __mul__
+
     def __pow__(self, exponent: int):
         """x**n: for n < 0, the inverse to the power -n."""
         if not isinstance(exponent, int):
@@ -469,10 +490,22 @@ class _Number:
             return NotImplemented
         return diff if diff is NotImplemented else diff.is_zero_to_precision()
 
+    def is_congruent(self, other, pi_digits=None) -> bool:
+        """True when self - other is zero to its carried precision, or, given
+        pi_digits, when its floor reaches pi**pi_digits (p-digits over Q_p)."""
+        diff = self - other
+        if pi_digits is None:
+            return diff.is_zero_to_precision()
+        return _bounds(diff.form, diff.ram_index)[0] >= pi_digits
+
     __hash__ = None
 
     def __repr__(self):
         return _texts(self)[2]
+
+    def __reduce__(self):
+        """pickle and copy rebuild the number from its form, as arithmetic does."""
+        return self._from_form, (self.prime, self.ram_index, self.form)
 
 
 class PadicScalar(_Number):
@@ -565,17 +598,6 @@ class PadicScalar(_Number):
 
     # -- arithmetic beyond the shared operators ------------------------------
 
-    def __mul__(self, other):
-        y = self._operand(other, embed=False)
-        if y is NotImplemented:
-            return NotImplemented
-        p = self.prime
-        if isinstance(other, _Number):
-            return _coordinate(p, 1, _product(p, 1, self.form, y))
-        return _coordinate(p, 1, _scale(p, self.form, other.numerator, other.denominator))
-
-    __rmul__ = __mul__
-
     def inverse(self) -> "PadicScalar":
         entry, = self.form or _NO_ENTRY
         if not entry[1]:
@@ -585,15 +607,6 @@ class PadicScalar(_Number):
     def shift(self, k: int) -> "PadicScalar":
         """Multiply by p**k exactly: a shift of the floor."""
         return _coordinate(self.prime, 1, [(i, u, f + k, r) for i, u, f, r in self.form])
-
-    # -- comparison ---------------------------------------------------------
-
-    def is_congruent(self, other, abs_precision=None) -> bool:
-        """True when self - other is zero to the given (or shared) precision."""
-        diff = self - other
-        if abs_precision is None:
-            return diff.is_zero_to_precision()
-        return diff.valuation_floor() >= abs_precision
 
 
 def newton_polygon(points):

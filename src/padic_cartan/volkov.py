@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import itemgetter
 from typing import NamedTuple
 
 from .curve import WeierstrassCurve, good_model_over_L, normalized_shape
@@ -29,6 +30,7 @@ from .formal_log import _charge, yasuda_coefficient
 from .padic import INFINITY, PadicScalar
 
 NEG_INFINITY = -INFINITY
+_RELATIVE_PRECISION = itemgetter(3)  # of a form's entry (index, unit, floor, precision)
 
 # v(Delta_min) classes of potential e-lifts, keyed by sign of epsilon.
 _EPSILON_PLUS = (2, 3, 4)
@@ -196,9 +198,14 @@ def beta_from_logarithm(model, k: int = 1, precision: int | None = None) -> Eise
     _charge(p, e, (2 * k - math.log(2, p)) * (1 - 1e-12), 2 * k, 1 + guard)
     num = yasuda_coefficient(a_l, b_l, p ** (2 * k + 1), 2 - e + guard)
     den = yasuda_coefficient(a_l, b_l, p ** (2 * k), 1 + guard)
+    if num.is_exact_zero:  # the CM lifts: beta = 0 exactly
+        return num
+    if k and INFINITY in map(_RELATIVE_PRECISION, den.form):
+        # d_1 = 1; a deeper divisor whose sum drops no term (as at p = 5) has exact
+        # coordinates, and its inverse would need an exact 1/unit: cut it to its
+        # target, as a sum that drops terms already is.
+        den = den.truncate_pi(1 + guard)
     beta = (num / den).mul_pi_power(e - 1)  # -(p/pi) = pi**(e-1)
-    if beta.is_exact_zero:
-        return beta
     return beta.truncate_pi(certificate if precision is None else precision)
 
 

@@ -22,7 +22,8 @@ from padic_cartan.errors import (
     SingularCurveError,
     UnsupportedPrimeError,
 )
-from padic_cartan.volkov import ALPHA_INFINITY
+from padic_cartan.curve import WeierstrassCurve
+from padic_cartan.volkov import ALPHA_INFINITY, hodge_parameters
 
 
 def test_index_rule_residue_two():
@@ -192,6 +193,46 @@ def test_classify_precision_is_a_cap():
         classify(11, 11**3, 11**2, precision=2)
 
 
+def test_classify_refuses_a_level_cap_below_one():
+    for k_cap in (0, -5):
+        with pytest.raises(ValueError, match="^the level cap must be at least 1"):
+            classify(11, 11**3, 11**2, k_cap=k_cap)
+    assert classify(11, 11**3, 11**2, k_cap=1).hodge.k_used == 1
+
+
+@pytest.mark.parametrize("a, b", [(375, 1250), (250, 1250)])
+def test_p5_lifts_whose_divisor_drops_no_term(a, b):
+    # e = 3 at p = 5: the sum of d_(p**2k) drops no term, so it is exact with a
+    # unit other than +-1, and beta divides by it cut to its target.
+    report = classify(5, a, b)
+    assert (report.defect, report.image_label) == (3, "out_of_scope(canonical_subgroup)")
+    assert report.hodge.v_beta == 0 and report.hodge.beta.valuation() == 0
+    curve = WeierstrassCurve(5, a, b)
+    betas = [hodge_parameters(curve, k=k).beta for k in (1, 2, 3)]  # each checks k - 1
+    assert betas[2].is_congruent(betas[0], 4) and betas[2].pi_precision() == 10
+
+
+def test_classify_raises_nothing_on_a_seeded_sweep():
+    # p < 60; v(a), v(b) in 0..6 or exactly 0; lifts, and unit and p denominators.
+    rng = random.Random(29)
+    primes = [p for p in range(5, 60) if all(p % q for q in range(2, p))]
+    labels = set()
+    for _ in range(3000):
+        p = rng.choice(primes)
+        a, b = (Fraction(0) if v is None else
+                Fraction((rng.randrange(1, p) + p * rng.randrange(p * p)) * p**v)
+                for v in (rng.choice((None, *range(7))), rng.choice((None, *range(7)))))
+        kind = rng.choice(("lift", "unit_den", "p_den"))
+        if kind == "unit_den":
+            a /= rng.choice([d for d in range(2, 100) if d % p])
+            b /= rng.choice([d for d in range(2, 100) if d % p])
+        elif kind == "p_den":
+            a, b = a / p**4, b / p**6
+        if 4 * a**3 + 27 * b**2 != 0:
+            labels.add(classify(p, a, b).image_label.split("_level_")[0])
+    assert len(labels) == 7, labels
+
+
 def test_report_dict_key_order_and_round_trip():
     report = classify(11, 11**3, 11**2)
     d = report.to_dict()
@@ -331,7 +372,6 @@ def test_classify_is_invariant_under_weighted_scaling():
 
 def test_classify_takes_the_curve_already_built(monkeypatch):
     from padic_cartan import classifier, cli
-    from padic_cartan.curve import WeierstrassCurve
 
     curves = _seeded_curves(4, 48)
     want = [classify(p, a, b).to_dict() for p, a, b in curves]

@@ -106,6 +106,28 @@ def test_classify_default_k_max_is_two(capsys):
     assert hodge["k_used"] == 2 and hodge["certificate_pi_digits"] == 7
 
 
+def test_classify_refuses_a_level_cap_below_one(capsys, tmp_path):
+    batch = tmp_path / "curves.txt"
+    batch.write_text("11 1331 121\n")
+    for k_max in ("0", "-5"):
+        rc, out, err = run(capsys, "classify", *EXAMPLE1, "--k-max", k_max)
+        assert rc == 2 and out == "" and err == f"the level cap must be at least 1, got {k_max}\n"
+        rc, out, err = run(capsys, "classify", "--batch", str(batch), "--k-max", k_max)
+        assert rc == 2 and out == "" and err == (
+            f"{batch}:1: the level cap must be at least 1, got {k_max}\n")
+    rc, out, _ = run(capsys, "classify", *EXAMPLE1, "--k-max", "1", "--json")
+    assert rc == 0 and json.loads(out)["hodge"]["k_used"] == 1
+
+
+def test_p5_lift_with_an_exact_divisor_is_answered(capsys):
+    curve = ["--p", "5", "--a", "375", "--b", "1250"]
+    rc, out, err = run(capsys, "classify", *curve, "--json")
+    assert rc == 0 and err == ""
+    assert json.loads(out)["image_label"] == "out_of_scope(canonical_subgroup)"
+    rc, out, err = run(capsys, "beta", *curve, "--json")
+    assert rc == 0 and err == "" and json.loads(out)["v_beta"] == "0"
+
+
 def test_classify_batch_text_and_json(capsys, tmp_path):
     batch = tmp_path / "curves.txt"
     batch.write_text(

@@ -1,13 +1,19 @@
-"""The package's result records: repr, equality, hashing and immutability."""
+"""The package's result records: repr, equality, hashing, immutability, and
+pickling and copying, of the records and of the numbers they hold."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 
 from padic_cartan import (
+    ALPHA_INFINITY,
+    EisensteinElement,
     FormalLogPrefix,
     HodgeParameters,
     ImageReport,
+    PadicScalar,
     ReductionData,
     WeierstrassCurve,
     build_gk,
@@ -127,3 +133,42 @@ def test_formal_log_prefix_len_repr_equality_and_immutability():
     model = good_model_over_L(WeierstrassCurve(11, 11**3, 11**2), 3)
     with pytest.raises(TypeError):  # coefficients over L do not hash
         hash(series_inversion_logarithm(*model, 3))
+
+
+def _round_trips(value):
+    """value through pickle, copy.deepcopy and copy.copy."""
+    return [pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)]
+
+
+_SCALARS = [PadicScalar.exact_zero(11), PadicScalar.zero_to_precision(11, 4),
+            PadicScalar(11, 123, -2, 5), PadicScalar(11, -7, 3, float("inf"))]
+_ELEMENTS = [EisensteinElement.zero(11, 3),
+             EisensteinElement.from_scalar(PadicScalar.zero_to_precision(11, 2), 4),
+             EisensteinElement(11, 3, [_SCALARS[2], _SCALARS[1], PadicScalar(11, 5, 1, 6)]),
+             EisensteinElement.pi_monomial(_SCALARS[3], 5, 6)]
+
+
+@pytest.mark.parametrize("x", _SCALARS + _ELEMENTS, ids=repr)
+def test_numbers_pickle_and_copy(x):
+    for y in _round_trips(x):
+        assert type(y) is type(x) and repr(y) == repr(x)
+        assert (y.prime, y.ram_index, y.form) == (x.prime, x.ram_index, x.form)
+        assert repr(y * y + 1) == repr(x * x + 1)
+        with pytest.raises(AttributeError):
+            y.form = ()
+
+
+def test_records_holding_numbers_pickle_and_copy():
+    report = classify(11, 11**3, 11**2)
+    cm = hodge_parameters(WeierstrassCurve(11, 0, 11**2))
+    assert report.hodge is not None and cm.alpha is ALPHA_INFINITY
+    poly = build_gk(11, 3, 0, 1)
+    model = good_model_over_L(WeierstrassCurve(11, 11**3, 11**2), 3)
+    prefix = series_inversion_logarithm(*(c.truncate_pi(12) for c in model), 5)  # d_5 finite
+    for y in _round_trips(report):
+        assert y.to_dict() == report.to_dict() and repr(y) == repr(report)
+    for y in _round_trips(cm):
+        assert repr(y) == repr(cm) and y.alpha is ALPHA_INFINITY
+    for record in (poly, prefix):
+        for y in _round_trips(record):
+            assert type(y) is type(record) and repr(y) == repr(record) and y == record

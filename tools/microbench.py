@@ -52,8 +52,8 @@ followed by `<key>.iqr`, the interquartile range of the same timed loops:
       at coordinate floors 0, 200 and 400: floors far apart
   curve.reduction
       WeierstrassCurve(p, a, b) built, then .reduction, v_j and v_j_minus_1728
-      read, on one seeded curve of each of the 36 shapes of perfbench's
-      shallow-batch corpus (SHALLOW_SHAPES, drawn the way it draws them)
+      read, on one seeded curve of each of the 36 patterns of perfbench's
+      shallow-batch corpus, drawn by perfbench/corpus.py (read, not changed)
   classifier.classify.cm, classifier.classify.ordinary
       classify(p, a, b) at its defaults on Fraction inputs, as the CLI passes
       them: the volkov.hodge_parameters.cm curves (beta = 0, one Yasuda pair
@@ -67,7 +67,7 @@ followed by `<key>.iqr`, the interquartile range of the same timed loops:
       coordinate 0 and zeros known to p**1 in the others
   classifier.to_dict.lift
       ImageReport.to_dict() of classify(p, a, b) on seeded curves of the eight
-      p = 11 log-route shapes of shallow-batch (the first SHALLOW_SHAPES),
+      p = 11 log-route patterns of shallow-batch (the first in corpus.SHALLOW),
       three of each; the reports are built before timing
   padic.div.dD                               D = 4, 32, 256 digits; p = 11,
       x / y of random D-digit units at valuation 0
@@ -115,6 +115,9 @@ import sys
 import time
 from fractions import Fraction
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# perfbench/corpus.py draws the shallow-batch curves, importing the package beside it.
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 PRIME, PAIRS, INVERSES, REPEATS, CURVES, SPAWNS = 11, 200, 20, 15, 5, 3
 # Run by a fresh interpreter per op, with argv[1] the source tree.
 COLD = {
@@ -122,18 +125,6 @@ COLD = {
     "cli.ready.cold": "import os; from padic_cartan.cli import main; "
                       "main(['classify', '--batch', os.devnull, '--json'])",
 }
-# (p, v(a), v(b)[, kind]) of perfbench/corpus.py's SHALLOW patterns; None is
-# an exact 0.  The last four groups: e in {1, 2}, multiplicative, rational.
-SHALLOW_SHAPES = (
-    (11, 3, 2), (11, 4, 4), (11, 5, 4), (11, 4, 2), (11, 2, 1), (11, 5, 5), (11, 1, 3), (11, 3, 6),
-    (11, None, 2), (11, None, 1), (11, 1, None), (11, 3, None),
-    (11, 2, 2), (11, 3, 4), (11, 1, 2),
-    (13, 3, 2), (13, 1, 3), (13, None, 0), (13, 0, None),
-    (5, 3, 2), (7, 1, 3), (5, 2, 1), (5, None, 0), (7, 0, None),
-    (11, None, 0), (11, 0, None), (11, None, 3), (11, 2, None), (17, None, 0), (23, 0, None),
-    (11, 0, 1, "multiplicative"), (13, 0, 2, "multiplicative"),
-    (11, 3, 2, "unit_den"), (11, 2, 1, "unit_den"), (11, 1, 3, "p_den"), (11, 5, 4, "p_den"),
-)
 
 
 def _load(src, name):
@@ -148,6 +139,8 @@ def _load(src, name):
 
 def cases(package):
     """(key, op, operands) for every key, in timing order, on one package tree."""
+    import corpus
+
     classifier, curve, eisenstein, formal_log, padic, volkov = (
         importlib.import_module(f"{package}.{name}")
         for name in ("classifier", "curve", "eisenstein", "formal_log", "padic", "volkov"))
@@ -263,23 +256,11 @@ def cases(package):
     pairs = [(far_apart(), far_apart()) for _ in range(PAIRS)]
     add_case("eisenstein.add.spread.e3", lambda a, b: a + b, pairs)
 
-    def shallow_curve(p, va, vb, kind="lift"):
-        """(p, a, b) of one shape, drawn as perfbench/corpus.py draws it."""
-        def unit():
-            return extra.randrange(1, p) + p * extra.randrange(p * p // 2, p * p)
+    def shallow_curves(patterns):
+        """(p, a, b) of one curve per pattern of the shallow-batch corpus, drawn by it."""
+        return [(pattern.p, *corpus._draw(extra, pattern)) for pattern in patterns]
 
-        if kind == "multiplicative":  # v(4a**3 + 27b**2) = vb, so v(j) = -vb
-            u = unit()
-            return p, Fraction(-3 * u * u), Fraction(2 * u**3 + p**vb * unit())
-        a = Fraction(0 if va is None else unit() * p**va)
-        b = Fraction(0 if vb is None else unit() * p**vb)
-        if kind == "unit_den":
-            return p, a / prime_to_p(2, 100), b / prime_to_p(2, 100)
-        if kind == "p_den":
-            return p, a / p**4, b / p**6
-        return p, a, b
-
-    shallow = [shallow_curve(*shape) for shape in SHALLOW_SHAPES]
+    shallow = shallow_curves(corpus.SHALLOW)
 
     def reduction(p, a, b):
         c = WeierstrassCurve(p, a, b)
@@ -289,7 +270,7 @@ def cases(package):
     classify = classifier.classify
     add_case("classifier.classify.cm", lambda a, b: classify(PRIME, a, b),
              [(Fraction(a), Fraction(b)) for a, b in cm])
-    ordinary = [shallow_curve(*shape) for shape in (SHALLOW_SHAPES[15:19] * CURVES)[:CURVES]]
+    ordinary = shallow_curves((corpus.SHALLOW[15:19] * CURVES)[:CURVES])  # the ordinary gate
     add_case("classifier.classify.ordinary", classify, ordinary)
     scaled = [(EisensteinElement(PRIME, 3, [scalar(12, extra) for _ in range(3)]),
                scalar(12, extra), Fraction(prime_to_p(1, PRIME**6), prime_to_p(2, 100)))
@@ -299,7 +280,7 @@ def cases(package):
         divisors = [(EisensteinElement(PRIME, e, [scalar(4, extra).shift(-2)] + [
             PadicScalar.zero_to_precision(PRIME, 1)] * (e - 1)),) for _ in range(PAIRS)]
         add_case(f"eisenstein.inverse.monomial.e{e}", lambda a: a.inverse(), divisors)
-    reports = [(classify(*shallow_curve(*shape)),) for shape in SHALLOW_SHAPES[:8] * 3]
+    reports = [(classify(*curve),) for curve in shallow_curves(corpus.SHALLOW[:8] * 3)]
     add_case("classifier.to_dict.lift", lambda report: report.to_dict(), reports)
     for digits in (4, 32, 256):
         pairs = [(scalar(digits, extra), scalar(digits, extra)) for _ in range(PAIRS)]
@@ -334,12 +315,11 @@ def _stats(runs):
 
 
 def main(argv=None):
-    here = os.path.dirname(os.path.abspath(__file__))
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", action="append",
                         help="package source tree; twice to interleave two trees")
     args = parser.parse_args(argv)
-    trees = args.src or [os.path.join(os.path.dirname(here), "src")]
+    trees = args.src or [os.path.join(ROOT, "src")]
     if len(trees) > 2:
         parser.error("--src is given at most twice")
     suites = [cases(_load(src, f"padic_cartan_{side}")) for side, src in zip("ab", trees)]

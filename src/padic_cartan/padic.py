@@ -42,9 +42,9 @@ coordinate precision of the other summand.
 
 The combinatorial helpers (`val_factorial`, `multinomial_padic`, ...) never
 build the underlying factorials when the arguments are large: valuations come
-from Legendre's formula and unit parts mod p**d from the base-p digits and O(d)
-cached block polynomials, so a multinomial with top index around 10**9 costs
-O(p * d * log_p n) word operations.
+from Legendre's formula and unit parts mod p**d from one cached block product
+per base-p digit, so a multinomial with top index n costs O(d * log(d) * log_p n)
+products mod p**d, after a table of O(p * d**2) of them is built once per (p, d).
 
 The prime is checked, and the form normalized, where a scalar is built from
 caller data: the constructor, which the classmethods use (Miller-Rabin runs
@@ -159,60 +159,60 @@ def multinomial_exact(n: int, parts) -> int:
     return out
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=64)  # <= ~16 MB: a deep certificate's largest, p = 29 at 34 digits, is ~250 KB
 def _block_polynomials(p: int, digits: int) -> tuple:
-    """F_j(x) = prod_{i <= p**j, p ∤ i} (x + i) mod p**digits, for 1 <= j < digits.
+    """Row j < digits: G_(j,a)(x) = prod_{i <= a*p**j, p ∤ i} (x + i) mod p**digits, a < p.
 
-    F_j is cut to degree < ceil(digits / j), exact at any x divisible by p**j;
-    F_(j+1)(x) = prod_{t < p} F_j(x + t*p**j).  O(p * digits**2) word operations.
+    G_(j,a) is cut to degree < ceil(digits / (j+1)), exact at any x divisible by
+    p**(j+1).  Row 0 multiplies in one factor (x + i) at a time, row j > 0 one block
+    F_j(x + t*p**j) (F_1 = G_(0,p-1), F_(j+1) = G_(j,p)).  O(p * digits**2) word
+    operations; the table holds O(p * digits * log(digits)) coefficients.
     """
-    P = p**digits
-    poly = [1] + [0] * (digits - 1)
-    for i in range(1, p):  # F_1, one factor (x + i) at a time
-        poly = [(i * c + (poly[k - 1] if k else 0)) % P for k, c in enumerate(poly)]
-    blocks = [()]
-    while len(blocks) < digits:
-        blocks.append(tuple(poly))
-        product = [1] + [0] * (-(-digits // len(blocks)) - 1)
+    P, row = p**digits, [(1,)]
+    for i in range(1, p):  # row 0, one factor (x + i) at a time
+        g = row[-1]
+        row.append(tuple([(i * c + b) % P for c, b in zip((*g, 0), (0, *g))][:digits]))
+    rows, block = [tuple(row)], row[-1]
+    for j in range(1, digits):
+        row, cut = [(1,)], -(-digits // (j + 1))
         for t in range(p):
-            shift, shifted = t * p ** (len(blocks) - 1), list(poly)
-            for lo in range(len(shifted) - 1):  # F_j(x + shift), synthetic division
-                for k in range(len(shifted) - 2, lo - 1, -1):
-                    shifted[k] = (shifted[k] + shift * shifted[k + 1]) % P
-            product = [sum(product[i] * shifted[k - i] for i in range(k + 1)) % P
-                       for k in range(len(product))]
-        poly = product
-    return tuple(blocks)
+            shift, f = t * p**j, list(block)
+            for lo in range(len(f) - 1):  # f = F_j(x + shift), synthetic division
+                for k in range(len(f) - 2, lo - 1, -1):
+                    f[k] = (f[k] + shift * f[k + 1]) % P
+            g = row[-1]  # G_(j,t+1) = G_(j,t) * f, cut
+            row.append(tuple([sum([g[i] * f[k - i] for i in range(max(0, k - len(f) + 1),
+                                                                  min(k + 1, len(g)))]) % P
+                              for k in range(min(len(g) + len(f) - 1, cut))]))
+        block = row.pop()  # F_(j+1) = G_(j,p)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def factorial_unit(n: int, p: int, digits: int) -> int:
     """Unit part n! / p**v_p(n!) modulo P = p**digits, from the digits of n.
 
-    n! = U(n) * p**(n//p) * (n//p)! with U(m) the product of the p-free i <= m,
-    U(m) = (-1)**(m // P) * U(m mod P), and base-p digit a_j of m mod P adds
-    a_j blocks F_j (Granville, "Binomial coefficients modulo prime powers").
+    n! = U(n) * p**(n//p) * (n//p)! with U(m) the product of the p-free i <= m, and
+    U(m) = (-1)**(m // P) * U(m mod P).  Each base-p digit a_j of m mod P, from the
+    top, adds one evaluation G_(j,a_j)(x) of the table, x the part of m above digit j
+    (Granville, "Binomial coefficients modulo prime powers").
     """
     check_odd_prime(p)
     if n < 0:
         raise ValueError(f"factorial of negative {n}")
     if digits < 1:
         raise ValueError("need at least one digit")
-    P = p**digits
-    blocks = _block_polynomials(p, digits)
-    out = 1
+    P, rows, out = p**digits, _block_polynomials(p, digits), 1
     while n:
         q, m = divmod(n, P)
         out, x, step = (-out if q % 2 else out), 0, P
-        for poly in reversed(blocks[1:]):
+        for row in reversed(rows):
             step //= p
-            count, m = divmod(m, step)
-            for _ in range(count):
-                value = 0
-                for c in reversed(poly):
-                    value = (value * x + c) % P
-                out, x = out * value % P, x + step
-        for i in range(x + 1, x + m + 1):
-            out = out * i % P
+            a, m = divmod(m, step)
+            value = 0
+            for c in reversed(row[a]):
+                value = (value * x + c) % P
+            out, x = out * value % P, x + a * step
         n //= p
     return out % P
 

@@ -197,9 +197,9 @@ def beta_from_logarithm(model, k: int = 1, precision: int | None = None) -> Eise
     # (N + 1 > p^(2k)/2, less a margin past rounding): a deep level is refused from k alone.
     _charge(p, e, (2 * k - math.log(2, p)) * (1 - 1e-12), 2 * k, 1 + guard)
     num = yasuda_coefficient(a_l, b_l, p ** (2 * k + 1), 2 - e + guard)
-    den = yasuda_coefficient(a_l, b_l, p ** (2 * k), 1 + guard)
-    if num.is_exact_zero:  # the CM lifts: beta = 0 exactly
+    if num.is_exact_zero:  # the CM lifts: beta = 0 exactly, whatever the divisor
         return num
+    den = yasuda_coefficient(a_l, b_l, p ** (2 * k), 1 + guard)
     if k and INFINITY in map(_RELATIVE_PRECISION, den.form):
         # d_1 = 1; a deeper divisor whose sum drops no term (as at p = 5) has exact
         # coordinates, and its inverse would need an exact 1/unit: cut it to its

@@ -48,7 +48,9 @@ def test_classify_text_covers_same_fields(capsys):
 
 
 def test_classify_input_errors(capsys, monkeypatch):
-    for p in ("9", "3"):  # p = 3 raises its own UnsupportedPrimeError message
+    # p = 3 raises its own UnsupportedPrimeError message; 1763 = 41 * 43 has no factor
+    # <= 37, so the Miller-Rabin witnesses refuse it.
+    for p in ("9", "3", "1763"):
         rc, out, err = run(capsys, "classify", "--p", p, "--a", "1", "--b", "1")
         assert rc == 2 and out == "" and err == "p must be an odd prime > 3\n"
     rc, _, err = run(capsys, "classify", "--p", "11", "--a", "0", "--b", "0")

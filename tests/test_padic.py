@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -11,6 +12,7 @@ from padic_cartan.padic import (
     _normal,
     check_odd_prime,
     factorial_unit,
+    is_prime,
     multinomial_exact,
     multinomial_padic,
     multinomial_valuation,
@@ -26,6 +28,19 @@ def test_check_odd_prime_rejects_bad_inputs():
         with pytest.raises(UnsupportedPrimeError):
             check_odd_prime(bad)
     assert check_odd_prime(10**9 + 7) == 10**9 + 7
+
+
+def test_miller_rabin_refuses_composites_with_no_small_factor():
+    # No trial divisor (the primes <= 37) divides these, so the witness loop must
+    # refuse them; 3215031751 = 151 * 751 * 28351 is a strong pseudoprime to the
+    # bases 2, 3, 5 and 7.
+    for composite in (41**2, 41 * 43, 151 * 751 * 28351):
+        assert not is_prime(composite)
+        with pytest.raises(UnsupportedPrimeError):
+            check_odd_prime(composite)
+    for prime in (1000003, 3999971):
+        assert check_odd_prime(prime) == prime
+    assert not is_prime(0) and not is_prime(1)
 
 
 def test_vp_on_ints_and_fractions():
@@ -96,6 +111,69 @@ def test_factorial_unit_matches_math_factorial():
         ns += [p**j + d for j in range(1, 5) for d in (-1, 0, 1) if p**j + d <= 3000]
         for n in ns:
             assert factorial_unit(n, p, digits) == _unit_oracle(n, p, digits), (n, p)
+
+
+@lru_cache(maxsize=None)
+def _reference_block_polynomials(p, digits):
+    """F_j(x) = prod_{i <= p**j, p ∤ i} (x + i) mod p**digits, for 1 <= j < digits.
+
+    F_j is cut to degree < ceil(digits / j), exact at any x divisible by p**j;
+    F_(j+1)(x) = prod_{t < p} F_j(x + t*p**j).
+    """
+    P = p**digits
+    poly = [1] + [0] * (digits - 1)
+    for i in range(1, p):  # F_1, one factor (x + i) at a time
+        poly = [(i * c + (poly[k - 1] if k else 0)) % P for k, c in enumerate(poly)]
+    blocks = [()]
+    while len(blocks) < digits:
+        blocks.append(tuple(poly))
+        product = [1] + [0] * (-(-digits // len(blocks)) - 1)
+        for t in range(p):
+            shift, shifted = t * p ** (len(blocks) - 1), list(poly)
+            for lo in range(len(shifted) - 1):  # F_j(x + shift), synthetic division
+                for k in range(len(shifted) - 2, lo - 1, -1):
+                    shifted[k] = (shifted[k] + shift * shifted[k + 1]) % P
+            product = [sum(product[i] * shifted[k - i] for i in range(k + 1)) % P
+                       for k in range(len(product))]
+        poly = product
+    return tuple(blocks)
+
+
+def _reference_factorial_unit(n, p, digits):
+    """The unit of n! mod p**digits with a base-p digit a_j costing a_j evaluations of
+    the block F_j, and the units digit one factor at a time."""
+    P = p**digits
+    blocks = _reference_block_polynomials(p, digits)
+    out = 1
+    while n:
+        q, m = divmod(n, P)
+        out, x, step = (-out if q % 2 else out), 0, P
+        for poly in reversed(blocks[1:]):
+            step //= p
+            count, m = divmod(m, step)
+            for _ in range(count):
+                value = 0
+                for c in reversed(poly):
+                    value = (value * x + c) % P
+                out, x = out * value % P, x + step
+        for i in range(x + 1, x + m + 1):
+            out = out * i % P
+        n //= p
+    return out % P
+
+
+def test_factorial_unit_matches_the_block_by_block_reference():
+    # One evaluation per digit against a_j evaluations of F_j per digit, on n up to
+    # about p**70 and on n = p**j + c for c in -3..3, past math.factorial's reach.
+    rng = random.Random(30)
+    cases = []
+    for _ in range(150):
+        p, j = rng.choice((5, 7, 11, 13, 17, 19, 23, 29, 31)), rng.randrange(71)
+        digits = rng.randrange(1, 41)
+        cases += [(rng.randrange(p**j + 1), p, digits),
+                  (max(0, p**j + rng.randrange(-3, 4)), p, digits)]
+    for n, p, digits in cases:
+        assert factorial_unit(n, p, digits) == _reference_factorial_unit(n, p, digits), (n, p)
 
 
 def test_factorial_unit_past_the_old_table_cap():

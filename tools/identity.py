@@ -3,7 +3,8 @@
     python3 tools/identity.py [--src DIR [--src DIR]]
 
 Prints one SHA-256 per section per source tree (default: the src/ beside
-this script), and with two trees exits 1 when any section differs:
+this script), and with two trees exits 1 when any section differs, after
+printing the first line that differs in each differing section, from each tree:
 
   operators  seeded PadicScalar and EisensteinElement operands (p = 5, 11;
              e = 3, 4, 6; exact zeros, zeros known to a precision, exact and
@@ -19,9 +20,7 @@ this script), and with two trees exits 1 when any section differs:
              record built apart and against a different one, whether equal
              records hash alike (or the hash error), its rebuild from its
              fields in order, and for each field whether setting and deleting
-             it raise an AttributeError; a NewtonPolygon is compared with
-             itself only, since trees whose records were dataclasses
-             compare it by identity
+             it raise an AttributeError
   cli        every `$ padic-cartan ...` command of README.md, plain and with
              --json, and `examples --json`: exit code, stdout and stderr
   corpus     `classify --batch`, plain and --json, on the first 4 passes
@@ -29,10 +28,7 @@ this script), and with two trees exits 1 when any section differs:
              seeds 1, 2 and 3, built by perfbench/corpus.py (read, not changed)
 
 Both trees run in this process, loaded side by side as in tools/microbench.py;
-the corpora are drawn once, with the src/ beside this script.  The operator
-section leaves out `c / x` for an element x, and a foreign operand divided by
-a number: trees from before the reflected `/` was written once for both types
-raise TypeError for every `c / x` over L, and invert before they check c.
+the corpora are drawn once, with the src/ beside this script.
 """
 
 import argparse
@@ -114,7 +110,7 @@ def operator_lines(package):
         for i, other in enumerate(FOREIGN):
             ops.update({f"x+f{i}": lambda o=other: x + o, f"f{i}-x": lambda o=other: o - x,
                         f"x*f{i}": lambda o=other: x * o, f"x/f{i}": lambda o=other: x / o,
-                        f"x==f{i}": lambda o=other: x == o})
+                        f"f{i}/x": lambda o=other: o / x, f"x==f{i}": lambda o=other: x == o})
         return ops
 
     def element_ops(a, b, s, c, k, e):
@@ -122,9 +118,10 @@ def operator_lines(package):
             "a": lambda: a, "a+b": lambda: a + b, "a-b": lambda: a - b, "a*b": lambda: a * b,
             "a/b": lambda: a / b, "-a": lambda: -a, "a.inverse": a.inverse,
             "a+c": lambda: a + c, "c-a": lambda: c - a, "a*c": lambda: a * c,
-            "c*a": lambda: c * a, "a/c": lambda: a / c, "a+s": lambda: a + s,
-            "s-a": lambda: s - a, "a*s": lambda: a * s, "s*a": lambda: s * a,
-            "a/s": lambda: a / s, "a==b": lambda: a == b, "a==s": lambda: a == s,
+            "c*a": lambda: c * a, "a/c": lambda: a / c, "c/a": lambda: c / a,
+            "a+s": lambda: a + s, "s-a": lambda: s - a, "a*s": lambda: a * s,
+            "s*a": lambda: s * a, "a/s": lambda: a / s, "s/a": lambda: s / a,
+            "a==b": lambda: a == b, "a==s": lambda: a == s,
             "s==a": lambda: s == a, "a.pi": lambda: a.mul_pi_power(k),
             "a.truncate": lambda: a.truncate_pi(k + 6),
             "a.scalar": a.as_padic_scalar,
@@ -139,7 +136,7 @@ def operator_lines(package):
         for i, other in enumerate(FOREIGN):
             ops.update({f"a+f{i}": lambda o=other: a + o, f"f{i}-a": lambda o=other: o - a,
                         f"a*f{i}": lambda o=other: a * o, f"a/f{i}": lambda o=other: a / o,
-                        f"a==f{i}": lambda o=other: a == o})
+                        f"f{i}/a": lambda o=other: o / a, f"a==f{i}": lambda o=other: a == o})
         return ops
 
     for n in range(600):
@@ -213,11 +210,8 @@ def record_lines(package):
         frozen = " ".join(f"{name}:{refuses(lambda: setattr(x, name, None))}"
                           f"/{refuses(lambda: delattr(x, name))}" for name in names + extra)
         lines.append(f"{label} {x!r}")
-        if same is None:  # a NewtonPolygon: only itself, and its hash, are comparable
-            compared = f"{x == x} {x != x} hash {_outcome(lambda: hash(x) == hash(x), str)}"
-        else:
-            compared = (f"{x == same} {x != same} {x == other} {x != other} {x == rebuilt} "
-                        f"hash {_outcome(lambda: hash(x) == hash(same), str)}")
+        compared = (f"{x == same} {x != same} {x == other} {x != other} {x == rebuilt} "
+                    f"hash {_outcome(lambda: hash(x) == hash(same), str)}")
         lines.append(f"{label} {compared} frozen {frozen} {x!r}")
 
     def unit(p):
@@ -251,12 +245,15 @@ def record_lines(package):
         poly = divpoly.build_gk(p, e, alpha_inv, k)
         record(f"G{n} poly", poly, divpoly.build_gk(p, e, alpha_inv, k),
                divpoly.build_gk(p, e, alpha_inv, k + 1))
-        record(f"G{n} polygon", divpoly.newton_polygon_of(poly), None, None)
+        record(f"G{n} polygon", divpoly.newton_polygon_of(poly),
+               divpoly.newton_polygon_of(divpoly.build_gk(p, e, alpha_inv, k)),
+               divpoly.newton_polygon_of(divpoly.build_gk(p, e, alpha_inv, k + 1)))
     for n in range(12):
         points = sorted({rng.randrange(12): rng.choice((Fraction(rng.randrange(9), 3), 4))
                          for _ in range(5)}.items())
         polygon = padic.newton_polygon(points)
-        record(f"N{n} polygon", polygon, None, None)
+        record(f"N{n} polygon", polygon, padic.newton_polygon(points),
+               padic.newton_polygon([(x, y + 1) for x, y in points]))
         lines.append(f"N{n} {polygon.root_valuations()}")
     for n in range(12):
         a, b = (Fraction(rng.randrange(-99, 100), rng.randrange(1, 40)) for _ in range(2))
@@ -325,17 +322,23 @@ def main(argv=None):
     os.environ.pop("PADIC_CARTAN_PRECISION", None)  # the CLI's defaults, not the caller's
     batches = corpus_batches()
     packages = [_load(src, f"padic_cartan_{side}") for side, src in zip("ab", trees)]
-    digests = {}
+    differ = False
     with tempfile.TemporaryDirectory() as scratch:
         for section, dump in (("operators", operator_lines), ("records", record_lines),
                               ("cli", cli_lines),
                               ("corpus", lambda pkg: corpus_lines(pkg, batches, scratch))):
-            for src, package in zip(trees, packages):
-                text = "\n".join(dump(package)).encode()
-                digests[section, src] = digest = hashlib.sha256(text).hexdigest()
-                print(f"{section} {digest} {len(text)} B {src}")
-    differ = len(trees) == 2 and any(digests[s, trees[0]] != digests[s, trees[1]]
-                                     for s, _ in digests)
+            texts = ["\n".join(dump(package)) for package in packages]
+            for src, text in zip(trees, texts):
+                data = text.encode()
+                print(f"{section} {hashlib.sha256(data).hexdigest()} {len(data)} B {src}")
+            if len(texts) == 2 and texts[0] != texts[1]:
+                differ = True
+                a, b = (text.split("\n") for text in texts)
+                first = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y),
+                             min(len(a), len(b)))
+                for src, lines in zip(trees, (a, b)):
+                    print(f"  first difference, line {first + 1} of {src}: "
+                          f"{lines[first] if first < len(lines) else '(no such line)'}")
     if differ:
         print("outputs differ")
     return 1 if differ else 0

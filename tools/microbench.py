@@ -16,6 +16,9 @@ followed by `<key>.iqr`, the interquartile range of the same timed loops:
   padic.factorial_unit.nK, padic.multinomial_padic.nK
       K = 7, 80: n! and C(N; m+2n, m, n), 2m + 3n = N, to 4 digits, p = 11,
       n and N random in [11**K, 2 * 11**K)
+  padic.factorial_unit.n80.d34
+      n! to 34 digits, p = 11, n random in [11**80, 2 * 11**80): the digits
+      of a deep certificate's multinomials
   formal_log.series.r501, formal_log.exact.r501
       d_1..d_501 of one seeded rational curve (denominators 23 and 37) by
       series_inversion_logarithm and by yasuda_coefficient_exact per odd r;
@@ -33,10 +36,13 @@ followed by `<key>.iqr`, the interquartile range of the same timed loops:
       on seeded e = 3 lifts a = u * 11**3, b = u' * 11**2 with 3-digit units,
       integral and with both coefficients divided by integers in [2, 100)
       prime to 11; curve built per op, sum plans cached after the first loop
-  volkov.hodge_parameters.P70.cold, volkov.hodge_parameters.P100.cold
+  volkov.hodge_parameters.P40.cold, .P70.cold, .P100.cold
       hodge_parameters(WeierstrassCurve(11, 11**3, 11**2), precision=P), levels
-      k = 23 and 33: deep certificates, which no perfbench workload reaches;
+      k = 13, 23 and 33: deep certificates, which no perfbench workload reaches;
       curve built and the plan cache cleared per op
+  volkov.hodge_parameters.p17.P70.cold, volkov.hodge_parameters.p23.P70.cold
+      the same at precision 70 (k = 23) on WeierstrassCurve(17, 2 * 17**3,
+      3 * 17**2) and WeierstrassCurve(23, 23**3, 23**2), also e = 3
   padic.inverse.dD                           D = 4, 32, 256 digits; p = 11,
       PadicScalar.inverse() of random D-digit units at valuation 0
   volkov.hodge_parameters.cm
@@ -94,8 +100,9 @@ padic.inverse and volkov.hodge_parameters.cm after it, and eisenstein.add
 after all of them, and eisenstein.add.spread after it, so each layer times
 the operands it had before the later ones were added; curve.reduction and
 the classifier keys draw theirs after all of them, then eisenstein.mul.scalar,
-then eisenstein.inverse.monomial, then classifier.to_dict, and padic.div and
-eisenstein.div last; the cli keys draw nothing.
+then eisenstein.inverse.monomial, then classifier.to_dict, then padic.div and
+eisenstein.div, and padic.factorial_unit.n80.d34 last; the .P40.cold, .p17 and
+.p23 keys and the cli keys draw nothing.
 --src selects the package source, so one checkout can time another
 (default: the src/ beside this script).  Given twice, both trees are loaded
 side by side and each key is timed on both in alternating rounds (A B B A
@@ -228,9 +235,9 @@ def cases(package):
         add_case(f"volkov.hodge_parameters.{name}",
                 lambda a, b: hodge_parameters(WeierstrassCurve(PRIME, a, b)), curves)
 
-    def deep_cold(precision):
+    def deep_cold(precision, p=PRIME, a=PRIME**3, b=PRIME**2):
         clear()
-        return hodge_parameters(WeierstrassCurve(PRIME, PRIME**3, PRIME**2), precision=precision)
+        return hodge_parameters(WeierstrassCurve(p, a, b), precision=precision)
 
     for precision in (70, 100):
         add_case(f"volkov.hodge_parameters.P{precision}.cold", deep_cold, [(precision,)])
@@ -291,6 +298,11 @@ def cases(package):
                           PadicScalar.zero_to_precision(PRIME, 1)] * (e - 1)))
                      for _ in range(PAIRS)]
         add_case(f"eisenstein.div.e{e}", lambda a, b: a / b, quotients)
+    ns = [(extra.randrange(PRIME**80, 2 * PRIME**80),) for _ in range(INVERSES)]
+    add_case("padic.factorial_unit.n80.d34", lambda n: factorial_unit(n, PRIME, 34), ns)
+    add_case("volkov.hodge_parameters.P40.cold", deep_cold, [(40,)])
+    for p, a, b in ((17, 2 * 17**3, 3 * 17**2), (23, 23**3, 23**2)):
+        add_case(f"volkov.hodge_parameters.p{p}.P70.cold", deep_cold, [(70, p, a, b)])
     src = os.path.dirname(os.path.dirname(sys.modules[package].__file__))
 
     def spawn(code):

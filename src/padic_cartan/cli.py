@@ -41,6 +41,7 @@ from .eisenstein import EisensteinElement
 from .errors import UnsupportedPrimeError
 from .formal_log import (
     _EXACT_MULTINOMIAL_CAP,
+    recurrence_logarithm,
     series_inversion_logarithm,
     yasuda_coefficient,
     yasuda_coefficient_exact,
@@ -251,11 +252,9 @@ def _cmd_logcoeffs(args) -> int:
     if limit and digits > limit:
         raise ValueError(f"--r-max {r_max}: d_{r} may need up to {digits} digits, "
                          f"over Python's {limit}-digit limit for int to str conversion")
-    if args.method == "series":
-        prefix = series_inversion_logarithm(a, b, r_max, force=True)
-        pairs = [(r, prefix.coefficients[r]) for r in range(1, r_max + 1, 2)]
-    else:
-        pairs = [(r, yasuda_coefficient_exact(a, b, r)) for r in range(1, r_max + 1, 2)]
+    prefix = (series_inversion_logarithm(a, b, r_max, force=True) if args.method == "series"
+              else recurrence_logarithm(a, b, r_max))
+    pairs = [(r, prefix.d(r)) for r in range(1, r_max + 1, 2)]
     if args.json:
         payload = {
             "a": str(a),
@@ -436,12 +435,13 @@ def _check_classification(p, a, b, k, want) -> list:
 def _check_dr_dual_route() -> list:
     p = 11
     a, b = Fraction(p**3), Fraction(p**2)
-    prefix = series_inversion_logarithm(a, b, 41)
+    series, recurrence = series_inversion_logarithm(a, b, 41), recurrence_logarithm(a, b, 41)
     problems = []
     for r in range(1, 42, 2):
         direct = yasuda_coefficient_exact(a, b, r)
-        if direct != prefix.coefficients[r]:
-            problems.append(f"d_{r}: multinomial {direct} != series {prefix.coefficients[r]}")
+        if not direct == series.d(r) == recurrence.d(r):
+            problems.append(f"d_{r}: multinomial {direct}, series {series.d(r)}, "
+                            f"recurrence {recurrence.d(r)}")
     return problems
 
 
@@ -563,7 +563,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=("multinomial", "series"),
         default="multinomial",
-        help="closed multinomial sum (default) or series inversion",
+        help="multinomial sum by its order-3 recurrence (default) or series inversion",
     )
     log.add_argument("--json", action="store_true")
     log.add_argument("--force", action="store_true", help="allow r-max > 501")

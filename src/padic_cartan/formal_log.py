@@ -35,10 +35,10 @@ Two independent routes are provided and cross-checked in the test suite:
   O(n**2) ring operations; oracle use only, capped by default.
 
 Both routes work over Q_p (PadicScalar or exact Fraction coefficients) and
-over L = Q_p(pi_e) (EisensteinElement coefficients).  Over Q both run on
-integers: u = t**2 -> lam*u maps (A, B) to (lam**2 A, lam**3 B) and d_r, whose
-terms all have weight 2m + 3n = (r-1)/2, to lam**((r-1)/2) d_r.  Each route
-takes lam = lcm(den A, den B), so both are integers, and divides once per d_r.
+over L = Q_p(pi_e) (EisensteinElement coefficients).  Over Q, where d_r has
+weight (r-1)/2, the exact sum and its order-3 recurrence `recurrence_logarithm`
+run on integers lam**2 A, lam**3 B, lam = lcm(den A, den B), and the series on
+each weight-s coefficient times da**(s//2) db**(s//3); each divides once per d_r.
 """
 
 from __future__ import annotations
@@ -225,6 +225,35 @@ def yasuda_coefficient_exact(A, B, r: int) -> Fraction:
     return Fraction(total, r * lam**N)
 
 
+def recurrence_logarithm(A, B, n_terms: int) -> FormalLogPrefix:
+    """Exact prefix d_0..d_{n_terms} over Q by the recurrence of g_N = (2N+1) d_(2N+1).
+
+    g_N = [u**N] (1 + A u**2 + B u**3)**N (Lagrange inversion) is P-recursive:
+    P0 g_N + ... + P3 g_(N-3) = 0, P_i cubic in N and of weight 9 + i in (A, B)
+    (found by guessing).  On a = lam**2 A, b = lam**3 B the g_N are integers, so
+    each division by P0 must be exact.  g_0..g_2, and g_N wherever P0 vanishes
+    (every N when B = 0), are yasuda_coefficient_exact's.
+    """
+    A, B = Fraction(A), Fraction(B)
+    lam = math.lcm(A.denominator, B.denominator)
+    a, b = int(A * lam**2), int(B * lam**3)
+    U, V, g = a**3, b**2, []
+    for N in range((n_terms + 1) // 2):
+        p0 = 2 * N * (2 * N - 1) * b * (2 * U * (N - 1) - 27 * V * (2 * N - 3))
+        if N < 3 or not p0:
+            g.append(int(yasuda_coefficient_exact(A, B, 2 * N + 1) * (2 * N + 1) * lam**N))
+            continue
+        p1 = a * a * (N - 1) * (2 * U * N * (N - 1) - 9 * V * ((6 * N - 9) * N + 4))
+        p2 = -6 * a * b * (N - 1) * (U * ((6 * N - 9) * N + 2) - 54 * V * ((3 * N - 6) * N + 2))
+        p3 = -(4 * U + 27 * V) * (N - 1) * (N - 2) * (2 * U * N - 27 * V * (2 * N - 1))
+        gN, rest = divmod(-(p1 * g[-1] + p2 * g[-2] + p3 * g[-3]), p0)
+        if rest:
+            raise ArithmeticError(f"g_{N} of ({A}, {B}): the recurrence does not divide")
+        g.append(gN)
+    return FormalLogPrefix(tuple(Fraction(g[r // 2], r * lam ** (r // 2)) if r % 2 else Fraction(0)
+                                 for r in range(n_terms + 1)))
+
+
 # -- series-inversion oracle -------------------------------------------------
 
 
@@ -243,13 +272,13 @@ def series_inversion_logarithm(A, B, n_terms: int, force: bool = False) -> Forma
     is a unit for p >= 5, and for p = 3 PadicScalar division lowers the
     absolute precision by the lost digit.
 
-    Exact over Q (int/Fraction inputs): the loop runs on the integral model
-    (lam**2 A, lam**3 B), lam = lcm(den A, den B).  u -> lam*u scales z_s and
-    c_s by lam**s, which makes z_s and 6 c_s integers (z_0 = 1, integer
-    recurrences), so d_(2s+1) is one division by 6 (2s+1) lam**s.  Bounded
-    precision over Q_p or L, on A and B as they are.  Independent of the
-    multinomial route, hence an oracle for it.  O(n_terms**2) ring
-    multiplications: capped at 500 unless force=True.
+    Exact over Q, with A = A'/da and B = B'/db: a weight-s coefficient (of z,
+    z^2, z^3, 6 c) is an integer polynomial in A, B of weight s, and the loop
+    keeps it times F(s) = da**(s//2) db**(s//3), an integer.  x_i y_(s-i) lacks
+    da of F(s) iff i % 2 > s % 2, db iff i % 3 > s % 3, so a convolution is six
+    slices by i mod 6, each times its carry.  Bounded precision over Q_p or L
+    (da = db = 1).  Independent of the multinomial route, hence an oracle for
+    it.  O(n_terms**2) ring multiplications: capped at 500 unless force=True.
     """
     if n_terms < 1:
         raise ValueError("need at least one coefficient")
@@ -258,30 +287,40 @@ def series_inversion_logarithm(A, B, n_terms: int, force: bool = False) -> Forma
             f"n_terms={n_terms} beyond the oracle cap {_SERIES_DEFAULT_CAP}; "
             "pass force=True if you mean it"
         )
-    lam = 1
+    da = db = 1
     if isinstance(A, (int, Fraction)) or isinstance(B, (int, Fraction)):
         A, B = Fraction(A), Fraction(B)
-        lam = math.lcm(A.denominator, B.denominator)
-        A, B, zero, one = int(A * lam**2), int(B * lam**3), 0, 1
+        da, db, zero, one = A.denominator, B.denominator, 0, 1
+        A, B = A.numerator, B.numerator * da  # F(2) A and F(3) B
     else:  # over Q_p or L: the exact 0 and 1 of A's type
         zero = 0 * A
         one = zero + 1
-
+    # carry[s % 6][i % 6]: the factor of F(s) that F(i) F(s-i) lacks.
+    carry = [[(da if i % 2 > t % 2 else 1) * (db if i % 3 > t % 3 else 1) for i in range(6)]
+             for t in range(6)]
+    def dot(x, y, s, lo, hi):  # sum of x_i y_(s-i) over lo <= i <= hi, at F(s)
+        total, ks = zero, carry[s % 6]
+        for i in range(lo, min(lo + 6, hi + 1)):
+            part = sum(map(mul, x[i:hi + 1:6], y[s - i::-6]), zero)
+            total += part if ks[i % 6] == 1 else part * ks[i % 6]
+        return total
+    # A u^2 and B u^3 at F(2) and F(3), carried to F(s) by s mod 6.
+    shifts = [(A * ks[2], B * ks[3]) for ks in carry]
     # Step s appends z_s, 6 c_s, (z^2)_s and (z^3)_s in turn; each reads only
     # entries already appended.
     z, c6, z2, z3 = [], [], [], []
     for s in range((n_terms + 1) // 2):
-        a_s = A * z2[s - 2] if s >= 2 else zero
-        b_s = B * z3[s - 3] if s >= 3 else zero
+        a_s = shifts[s % 6][0] * z2[s - 2] if s >= 2 else zero
+        b_s = shifts[s % 6][1] * z3[s - 3] if s >= 3 else zero
         z.append(a_s + b_s if s else one)
         c6.append(3 * (s + 2) * a_s + 2 * (2 * s + 3) * b_s)
         h = s // 2
-        half = sum(map(mul, z[h + 1:], reversed(z[:s - h])), zero)  # i > s/2
-        z2.append(2 * half + (zero if s % 2 else z[h] * z[h]))
-        z3.append(sum(map(mul, z, reversed(z2)), zero))
-    if isinstance(one, int):  # over Q: from the integral model back to Fractions
+        z2.append(2 * dot(z, z, s, h + 1, s) + (zero if s % 2 else dot(z, z, s, h, h)))
+        z3.append(dot(z, z2, s, 0, s))
+    if isinstance(one, int):  # over Q: from the graded model back to Fractions
         c6, zero, one = [Fraction(c) for c in c6], Fraction(0), Fraction(1)
-    d = [one] + [c6[s] / (6 * (2 * s + 1) * lam**s) for s in range(1, len(c6))]
+    d = [one] + [c6[s] / (6 * (2 * s + 1) * da ** (s // 2) * db ** (s // 3))
+                 for s in range(1, len(c6))]
     return FormalLogPrefix(tuple(d[r // 2] if r % 2 else zero for r in range(n_terms + 1)))
 
 

@@ -334,11 +334,12 @@ def test_logcoeffs_refuses_past_the_exact_cap_even_with_force(capsys, monkeypatc
 
 
 def _no_route(monkeypatch):
-    """Both exact routes raise, so a request that reaches them exits 2 with this line."""
+    """Every exact route raises, so a request that reaches one exits 2 with this line."""
     def route(*args, **kwargs):
         raise ValueError("route reached")
 
     monkeypatch.setattr("padic_cartan.cli.yasuda_coefficient_exact", route)
+    monkeypatch.setattr("padic_cartan.cli.recurrence_logarithm", route)
     monkeypatch.setattr("padic_cartan.cli.series_inversion_logarithm", route)
 
 

@@ -16,6 +16,7 @@ from padic_cartan.formal_log import (
     _sum_plan,
     hasse_invariant,
     odd_coefficient_valuation,
+    recurrence_logarithm,
     series_inversion_logarithm,
     yasuda_coefficient,
     yasuda_coefficient_exact,
@@ -145,6 +146,64 @@ def test_series_route_matches_exact_route():
         assert prefix.d(r) == yasuda_coefficient_exact(a, b, r), r
 
 
+def test_recurrence_prefix_matches_the_exact_sum():
+    # Every odd r <= 501 against the per-r sum: seeded curves, a = 0, b = 0,
+    # plain and negative integers, coprime and shared denominators.
+    rng = random.Random(31)
+    curves = [(Fraction(rng.randint(-99, 99), rng.choice((23, 29, 31, 37))),
+               Fraction(rng.randint(-99, 99), rng.choice((23, 29, 31, 37)))) for _ in range(3)]
+    curves += [(0, Fraction(-89, 29)), (Fraction(73, 31), 0), (5, -17), (-1331, -121),
+               (Fraction(5, 12), Fraction(-7, 18)), (Fraction(-3, 11**4), Fraction(5, 11**6)),
+               (Fraction(1, 6), Fraction(1, 6))]
+    for a, b in curves:
+        prefix = recurrence_logarithm(a, b, 501)
+        assert len(prefix) == 502
+        for r in range(1, 502, 2):
+            assert prefix.d(r) == yasuda_coefficient_exact(a, b, r), (a, b, r)
+        assert all(type(d) is Fraction for d in prefix.coefficients)
+        assert all(prefix.d(r) == 0 for r in range(0, 502, 2))
+    assert recurrence_logarithm(Fraction(2, 7), Fraction(-3, 5), 1).coefficients == (0, 1)
+
+
+def test_recurrence_takes_the_sum_where_its_leading_coefficient_vanishes(monkeypatch):
+    # P0 = 2N(2N-1) B (27 B^2 (2N-3) - 2 A^3 (N-1)) vanishes at N = 3 for
+    # (A, B) = (9, 6), as 27*36*3 = 2*729*2, and at every N when B = 0.
+    assert 27 * 6**2 * 3 == 2 * 9**3 * 2
+    asked = []
+
+    def oracle(A, B, r):
+        asked.append(r)
+        return yasuda_coefficient_exact(A, B, r)
+
+    monkeypatch.setattr("padic_cartan.formal_log.yasuda_coefficient_exact", oracle)
+    for (a, b), fallback in (((9, 6), [1, 3, 5, 7]), ((Fraction(-3, 4), 0), list(range(1, 122, 2)))):
+        asked.clear()
+        prefix = recurrence_logarithm(a, b, 121)
+        assert asked == fallback, (a, b)
+        for r in range(1, 122, 2):
+            assert prefix.d(r) == yasuda_coefficient_exact(a, b, r), (a, b, r)
+    assert any(recurrence_logarithm(9, 6, 121).d(r) for r in (7, 9, 11))
+
+
+def test_recurrence_fails_loudly_on_a_wrong_start(monkeypatch):
+    # 1/5 more on d_5 is lam^2 more on g_2, which breaks the division by P0 at once.
+    def off_by_one(A, B, r):
+        return yasuda_coefficient_exact(A, B, r) + Fraction(r == 5, 5)
+
+    monkeypatch.setattr("padic_cartan.formal_log.yasuda_coefficient_exact", off_by_one)
+    with pytest.raises(ArithmeticError, match="g_3 of"):
+        recurrence_logarithm(Fraction(2, 7), Fraction(-3, 5), 21)
+
+
+def test_graded_series_on_one_sided_denominators():
+    # Only den(a) or only den(b) above 1: every carry is a power of one of them.
+    for a, b in ((Fraction(-83, 29), 7), (-5, Fraction(91, 37)), (Fraction(1, 6), 1)):
+        prefix = series_inversion_logarithm(a, b, 501, force=True)
+        assert prefix == recurrence_logarithm(a, b, 501)
+        for r in range(1, 502, 2):
+            assert prefix.d(r) == yasuda_coefficient_exact(a, b, r), (a, b, r)
+
+
 @pytest.mark.parametrize(
     "a, b, lam",
     [
@@ -163,8 +222,9 @@ def test_series_route_matches_exact_route():
 )
 def test_weighted_homogeneity_over_Q(a, b, lam):
     # u = t^2 -> lam*u maps (a, b) to (lam^2 a, lam^3 b) and d_r to
-    # lam^((r-1)/2) d_r, as every term has weight 2m + 3n = (r-1)/2; both
-    # exact routes rest on this with lam = lcm(den a, den b).
+    # lam^((r-1)/2) d_r, as every term has weight 2m + 3n = (r-1)/2; the exact
+    # sum and its recurrence rest on this with lam = lcm(den a, den b), and the
+    # series keeps each weight-s coefficient times den(a)^(s//2) den(b)^(s//3).
     scaled_a, scaled_b = lam**2 * a, lam**3 * b
     prefix = series_inversion_logarithm(a, b, 61)
     scaled = series_inversion_logarithm(scaled_a, scaled_b, 61)

@@ -26,6 +26,10 @@ printing the first line that differs in each differing section, from each tree:
   corpus     `classify --batch`, plain and --json, on the first 4 passes
              (PASSES) of perfbench's shallow-batch and deep-batch corpora for
              seeds 1, 2 and 3, built by perfbench/corpus.py (read, not changed)
+  logcoeffs  `logcoeffs --r-max 501 --json` by both methods on the first
+             PASSES passes of perfbench's exact-logcoeffs corpus for the same
+             seeds, then on the edge curves EDGES: a = 0, b = 0, integers,
+             and (1/6, 1/6), one denominator shared by a and b
 
 Both trees run in this process, loaded side by side as in tools/microbench.py;
 the corpora are drawn once, with the src/ beside this script.
@@ -50,6 +54,8 @@ sys.path[:0] = [HERE, os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")
 from microbench import _load  # noqa: E402
 
 SEEDS, PASSES = (1, 2, 3), 4
+EDGES = ((0, Fraction(-89, 29)), (Fraction(73, 31), 0), (5, -17), (-1331, 121),
+         (Fraction(1, 6), Fraction(1, 6)))
 FOREIGN = ("1", None, 1.0, [1])
 
 
@@ -299,6 +305,24 @@ def corpus_batches():
     return out
 
 
+def logcoeff_curves():
+    """(a, b) of PASSES exact-logcoeffs corpus passes per seed, then EDGES."""
+    import corpus
+
+    curves = []
+    for seed in SEEDS:
+        curves += corpus.build(corpus.WORKLOADS["exact-logcoeffs"], seed, passes=PASSES)[0]
+    return curves + list(EDGES)
+
+
+def logcoeff_lines(package, curves):
+    import corpus
+
+    cli = importlib.import_module(f"{package}.cli")
+    return [_cli_run(cli, corpus.logcoeff_argv(a, b, method) + ["--json"])
+            for a, b in curves for method in ("multinomial", "series")]
+
+
 def corpus_lines(package, batches, scratch):
     cli = importlib.import_module(f"{package}.cli")
     lines = []
@@ -320,13 +344,14 @@ def main(argv=None):
     if len(trees) > 2:
         parser.error("--src is given at most twice")
     os.environ.pop("PADIC_CARTAN_PRECISION", None)  # the CLI's defaults, not the caller's
-    batches = corpus_batches()
+    batches, curves = corpus_batches(), logcoeff_curves()
     packages = [_load(src, f"padic_cartan_{side}") for side, src in zip("ab", trees)]
     differ = False
     with tempfile.TemporaryDirectory() as scratch:
         for section, dump in (("operators", operator_lines), ("records", record_lines),
                               ("cli", cli_lines),
-                              ("corpus", lambda pkg: corpus_lines(pkg, batches, scratch))):
+                              ("corpus", lambda pkg: corpus_lines(pkg, batches, scratch)),
+                              ("logcoeffs", lambda pkg: logcoeff_lines(pkg, curves))):
             texts = ["\n".join(dump(package)) for package in packages]
             for src, text in zip(trees, texts):
                 data = text.encode()

@@ -23,6 +23,13 @@ followed by `<key>.iqr`, the interquartile range of the same timed loops:
       d_1..d_501 of one seeded rational curve (denominators 23 and 37) by
       series_inversion_logarithm and by yasuda_coefficient_exact per odd r;
       one op is the whole prefix
+  formal_log.multinomial.r501
+      the same prefix by the route of `logcoeffs --method multinomial`:
+      recurrence_logarithm (yasuda_coefficient_exact per odd r in a tree
+      without it)
+  formal_log.series.r501.shared
+      formal_log.series.r501 on (1/6, 1/6), where a and b share their
+      denominator, so the series route's grading saves least
   formal_log.yasuda.p4, formal_log.yasuda.p5
       the two sums of a deep-batch level-2 beta: d_r at r = 17**4 to pi**4 and
       r = 17**5 to pi**2 on the good model over L (e = 3) of seeded p = 17
@@ -90,7 +97,7 @@ followed by `<key>.iqr`, the interquartile range of the same timed loops:
       the work of perfbench's setup child before its "ready"
 
 Each median and IQR is taken over REPEATS = 15 timed loops (time.perf_counter)
-of the same 200 seeded operand pairs (one curve for formal_log.series, .exact
+of the same 200 seeded operand pairs (one curve for the formal_log .r501 keys
 and the P keys, CURVES curves for formal_log.yasuda and the other
 volkov.hodge_parameters keys, SPAWNS interpreters for the cli keys);
 EisensteinElement inverse() and pow run on the first 20 of them, and so do
@@ -101,8 +108,9 @@ after all of them, and eisenstein.add.spread after it, so each layer times
 the operands it had before the later ones were added; curve.reduction and
 the classifier keys draw theirs after all of them, then eisenstein.mul.scalar,
 then eisenstein.inverse.monomial, then classifier.to_dict, then padic.div and
-eisenstein.div, and padic.factorial_unit.n80.d34 last; the .P40.cold, .p17 and
-.p23 keys and the cli keys draw nothing.
+eisenstein.div, and padic.factorial_unit.n80.d34 last; the .P40.cold, .p17,
+.p23, .multinomial.r501 and .series.r501.shared keys and the cli keys draw
+nothing.
 --src selects the package source, so one checkout can time another
 (default: the src/ beside this script).  Given twice, both trees are loaded
 side by side and each key is timed on both in alternating rounds (A B B A
@@ -205,6 +213,13 @@ def cases(package):
             lambda a, b: series_inversion_logarithm(a, b, 501, force=True), curve)
     add_case("formal_log.exact.r501",
             lambda a, b: [yasuda_coefficient_exact(a, b, r) for r in range(1, 502, 2)], curve)
+    recurrence = getattr(formal_log, "recurrence_logarithm", None)
+    add_case("formal_log.multinomial.r501",
+            (lambda a, b: recurrence(a, b, 501)) if recurrence else
+            (lambda a, b: [yasuda_coefficient_exact(a, b, r) for r in range(1, 502, 2)]), curve)
+    add_case("formal_log.series.r501.shared",
+            lambda a, b: series_inversion_logarithm(a, b, 501, force=True),
+            [(Fraction(1, 6), Fraction(1, 6))])
     models = []
     while len(models) < CURVES:
         a, b = rng.randrange(1, 17) * 17**3, rng.randrange(1, 17) * 17**2

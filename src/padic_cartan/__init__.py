@@ -7,6 +7,8 @@ image classification, the alternative division polynomials g_k, and adelic
 index bounds, all in exact or certified bounded-precision arithmetic.
 """
 
+from types import ModuleType as _ModuleType
+
 from .padic import (
     INFINITY,
     NewtonPolygon,
@@ -33,6 +35,7 @@ from .formal_log import (
     FormalLogPrefix,
     hasse_invariant,
     odd_coefficient_valuation,
+    recurrence_logarithm,
     series_inversion_logarithm,
     yasuda_coefficient,
     yasuda_coefficient_exact,
@@ -69,52 +72,6 @@ from .classifier import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALPHA_INFINITY",
-    "AdelicBound",
-    "EisensteinElement",
-    "FormalLogPrefix",
-    "HodgeParameters",
-    "INFINITY",
-    "ImageReport",
-    "NewtonPolygon",
-    "PadicScalar",
-    "ReductionData",
-    "SparsePolynomialL",
-    "WeierstrassCurve",
-    "adelic_bound",
-    "alpha_from_beta",
-    "beta_from_logarithm",
-    "build_gk",
-    "classify",
-    "coefficient_valuations",
-    "delta_correction",
-    "epsilon_sign",
-    "format_table",
-    "index_at_stabilization",
-    "factorial_unit",
-    "good_model_over_L",
-    "has_canonical_subgroup",
-    "hasse_invariant",
-    "hodge_parameters",
-    "minimal_model",
-    "multinomial_exact",
-    "multinomial_padic",
-    "multinomial_valuation",
-    "newton_polygon",
-    "newton_polygon_of",
-    "odd_coefficient_valuation",
-    "per_prime_index_bound",
-    "quadratic_twist",
-    "root_valuation_partition",
-    "semistability_defect",
-    "series_inversion_logarithm",
-    "stabilization_level",
-    "v_alpha_table",
-    "v_beta_closed_form",
-    "val_binomial_prime_power",
-    "val_factorial",
-    "vp",
-    "yasuda_coefficient",
-    "yasuda_coefficient_exact",
-]
+# Every public name bound above, bar the submodules that the imports bind.
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -38,7 +38,6 @@ from .classifier import (
 from .curve import WeierstrassCurve, good_model_over_L
 from .divpoly import build_gk, format_table, root_valuation_partition
 from .eisenstein import EisensteinElement
-from .errors import UnsupportedPrimeError
 from .formal_log import (
     _EXACT_MULTINOMIAL_CAP,
     recurrence_logarithm,
@@ -49,7 +48,6 @@ from .formal_log import (
 from .padic import INFINITY, PadicScalar, check_odd_prime
 from .volkov import beta_from_logarithm, hodge_parameters, v_alpha_table
 
-_PRIME_MESSAGE = "p must be an odd prime > 3"
 _ENV_PRECISION = "PADIC_CARTAN_PRECISION"
 _LOGCOEFF_CAP = 501
 _DIVPOLY_K_CAP = 3
@@ -57,11 +55,6 @@ _DIVPOLY_K_CAP = 3
 # keeps 2, which the benchmark corpora assume (with 3, p=11 and p=17 lifts
 # of v(beta) = 7/3 move to k=3).
 _DEFAULT_K_MAX = 2
-
-
-def _message(exc: ValueError) -> str:
-    """The one-line stderr text of an input error."""
-    return _PRIME_MESSAGE if isinstance(exc, UnsupportedPrimeError) else str(exc)
 
 
 def _int_str_limit() -> int:
@@ -180,7 +173,7 @@ def _classify_batch(args) -> int:
                 raise ValueError("p must be an integer") from None
             payload = _classify_one(p, fields[1], fields[2], args)
         except ValueError as exc:
-            raise ValueError(f"{args.batch}:{lineno}: {_message(exc)}") from None
+            raise ValueError(f"{args.batch}:{lineno}: {exc}") from None
         if args.json:
             print(json.dumps(payload, separators=(",", ":")))
         else:
@@ -620,7 +613,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ValueError as exc:
-        print(_message(exc), file=sys.stderr)
+        print(exc, file=sys.stderr)
         return 2
     except BrokenPipeError:
         return 0

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .eisenstein import EisensteinElement, _element, _pi_digits
 from .errors import NormalizationError, SingularCurveError, UnsupportedPrimeError
-from .padic import _ONE, INFINITY, _scale, check_odd_prime, vp
+from .padic import _ONE, INFINITY, _scale, check_odd_prime, is_prime, vp
 
 _HASSE_BUDGET = 2 * 10**6  # the largest (p-1)/2 whose products hasse_residue runs
 GOOD_ORDINARY = "good_ordinary"
@@ -56,19 +56,18 @@ class WeierstrassCurve(_Frozen):
     _shown = ("prime", "a", "b")
 
     def __init__(self, prime: int, a: Fraction, b: Fraction):
-        p = check_odd_prime(prime)
-        if p == 3:
-            raise UnsupportedPrimeError("p = 3 is not supported")
+        if not isinstance(prime, int) or prime <= 3 or not is_prime(prime):
+            raise UnsupportedPrimeError("p must be an odd prime > 3")
         a = a if type(a) is Fraction else Fraction(a)
         b = b if type(b) is Fraction else Fraction(b)
-        va, vb = vp(a, p), vp(b, p)
+        va, vb = vp(a, prime), vp(b, prime)
         # v(disc) = v(4a**3 + 27b**2); the terms cancel or sum to 0 only if their v tie.
         vdisc = min(3 * va, 2 * vb)
         if 3 * va == 2 * vb:
             n = 4 * a.numerator**3 * b.denominator**2 + 27 * b.numerator**2 * a.denominator**3
             if n == 0:
                 raise SingularCurveError(f"discriminant vanishes for a={a}, b={b}")
-            vdisc = vp(n, p) - 3 * vp(a.denominator, p) - 2 * vp(b.denominator, p)
+            vdisc = vp(n, prime) - 3 * vp(a.denominator, prime) - 2 * vp(b.denominator, prime)
         vars(self).update(prime=prime, a=a, b=b, v_a=va, v_b=vb, v_discriminant=vdisc)
 
     @cached_property

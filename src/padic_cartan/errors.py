@@ -6,7 +6,8 @@ class PadicCartanError(ValueError):
 
 
 class UnsupportedPrimeError(PadicCartanError):
-    """Raised for p <= 3, composite p, or an even "prime"."""
+    """Raised for a p that is not an odd prime; `WeierstrassCurve`, and so every
+    function and CLI command that builds a curve, refuses p = 3 as well."""
 
 
 class SingularCurveError(PadicCartanError):

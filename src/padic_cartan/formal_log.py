@@ -137,6 +137,13 @@ def _sum_plan(p: int, e: int, N: int, vr: int, wA, wB, target: int):
                  for m, n, parts, digits in kept), dropped, exact
 
 
+def _check_ring_elements(A, B):
+    """TypeError unless A and B are both PadicScalar or EisensteinElement."""
+    for x in (A, B):
+        if not isinstance(x, _Number):
+            raise TypeError(f"unsupported coefficient type {type(x).__name__}")
+
+
 def yasuda_coefficient(A, B, r: int, target_pi_digits: int):
     """d_r of the formal logarithm, certified mod pi_e**target_pi_digits.
 
@@ -163,9 +170,7 @@ def yasuda_coefficient(A, B, r: int, target_pi_digits: int):
     """
     if r < 1 or r % 2 == 0:
         raise ValueError(f"coefficient index must be odd and positive, got {r}")
-    for x in (A, B):
-        if not isinstance(x, _Number):
-            raise TypeError(f"unsupported coefficient type {type(x).__name__}")
+    _check_ring_elements(A, B)
     if type(A) is not type(B) or A.prime != B.prime or A.ram_index != B.ram_index:
         raise ValueError("mixed fields")
     p, e, a, b = A.prime, A.ram_index, A.form, B.form
@@ -234,6 +239,8 @@ def recurrence_logarithm(A, B, n_terms: int) -> FormalLogPrefix:
     each division by P0 must be exact.  g_0..g_2, and g_N wherever P0 vanishes
     (every N when B = 0), are yasuda_coefficient_exact's.
     """
+    if n_terms < 1:
+        raise ValueError("need at least one coefficient")
     A, B = Fraction(A), Fraction(B)
     lam = math.lcm(A.denominator, B.denominator)
     a, b = int(A * lam**2), int(B * lam**3)
@@ -288,13 +295,14 @@ def series_inversion_logarithm(A, B, n_terms: int, force: bool = False) -> Forma
             "pass force=True if you mean it"
         )
     da = db = 1
-    if isinstance(A, (int, Fraction)) or isinstance(B, (int, Fraction)):
+    if isinstance(A, _Number) or isinstance(B, _Number):  # over Q_p or L: A's exact 0 and 1
+        _check_ring_elements(A, B)
+        zero = 0 * A
+        one = zero + 1
+    else:
         A, B = Fraction(A), Fraction(B)
         da, db, zero, one = A.denominator, B.denominator, 0, 1
         A, B = A.numerator, B.numerator * da  # F(2) A and F(3) B
-    else:  # over Q_p or L: the exact 0 and 1 of A's type
-        zero = 0 * A
-        one = zero + 1
     # carry[s % 6][i % 6]: the factor of F(s) that F(i) F(s-i) lacks.
     carry = [[(da if i % 2 > t % 2 else 1) * (db if i % 3 > t % 3 else 1) for i in range(6)]
              for t in range(6)]
@@ -330,15 +338,15 @@ def hasse_invariant(A, B, p: int | None = None):
     Returns the same element type as the inputs (Fraction over Q).  Equals
     p * d_p, which the test suite checks on both routes.
     """
-    if p is None:
-        p = A.prime
-    M = (p - 1) // 2
     if isinstance(A, (int, Fraction)):
+        if p is None:
+            raise ValueError("p is needed for rational coefficients")
         A, B, total = Fraction(A), Fraction(B), Fraction(0)
-    elif A.prime != p:
+    elif p not in (None, A.prime):
         raise ValueError("p does not match the coefficient field")
     else:
-        total = 0 * A  # an exact zero of A's type
+        p, total = A.prime, 0 * A  # total: an exact zero of A's type
+    M = (p - 1) // 2
     # 3i <= p - 1 and 2i >= M, so both exponents below are >= 0.
     for i in range((p + 2) // 4, (p - 1) // 3 + 1):
         j = p - 1 - 3 * i

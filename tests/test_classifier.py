@@ -11,6 +11,7 @@ from padic_cartan.classifier import (
     EXCLUDED_J_INVARIANT,
     FULL_LABEL,
     AdelicBound,
+    _encode_exact,
     adelic_bound,
     classify,
     delta_correction,
@@ -272,6 +273,8 @@ def test_report_dict_cm_sentinels():
     minus = classify(11, 0, 11**4).to_dict()
     assert minus["hodge"]["alpha"]["lift"] == "0"
     assert minus["hodge"]["v_alpha"] == "inf"
+    with pytest.raises(ValueError, match="unexpected finite float 0.5"):
+        _encode_exact(0.5)  # only the two infinities are floats in exact data
 
 
 def test_per_prime_index_bound_rows():

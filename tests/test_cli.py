@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 from itertools import permutations
 from pathlib import Path
 
@@ -48,8 +49,8 @@ def test_classify_text_covers_same_fields(capsys):
 
 
 def test_classify_input_errors(capsys, monkeypatch):
-    # p = 3 raises its own UnsupportedPrimeError message; 1763 = 41 * 43 has no factor
-    # <= 37, so the Miller-Rabin witnesses refuse it.
+    # The curve refuses all three in one text; 1763 = 41 * 43 has no factor <= 37,
+    # so the Miller-Rabin witnesses refuse it.
     for p in ("9", "3", "1763"):
         rc, out, err = run(capsys, "classify", "--p", p, "--a", "1", "--b", "1")
         assert rc == 2 and out == "" and err == "p must be an odd prime > 3\n"
@@ -165,9 +166,10 @@ def test_classify_batch_errors_carry_line_numbers(capsys, tmp_path):
     batch.write_bytes(b"11 1331 121\n\xff 1 1\n")
     rc, out, err = run(capsys, "classify", "--batch", str(batch))
     assert rc == 2 and out == "" and err.startswith("cannot read batch file: 'utf-8'")
-    batch.write_text("3 1 1\n")
-    rc, out, err = run(capsys, "classify", "--batch", str(batch))
-    assert rc == 2 and out == "" and err == f"{batch}:1: p must be an odd prime > 3\n"
+    for p in (3, 9):
+        batch.write_text(f"{p} 1 1\n")
+        rc, out, err = run(capsys, "classify", "--batch", str(batch))
+        assert rc == 2 and out == "" and err == f"{batch}:1: p must be an odd prime > 3\n"
     batch.write_text("11 1331 121\nx 1 1\n")
     rc, out, err = run(capsys, "classify", "--batch", str(batch))
     assert rc == 2 and len(out.splitlines()) == 1 and err == f"{batch}:2: p must be an integer\n"
@@ -188,8 +190,9 @@ def test_beta_request_precision_raises_k(capsys):
 def test_beta_rejects_unsupported_defect(capsys):
     rc, _, err = run(capsys, "beta", "--p", "11", "--a", "1", "--b", "1")
     assert rc == 2 and "e in {3,4,6}" in err
-    rc, out, err = run(capsys, "beta", "--p", "4", "--a", "1", "--b", "1")
-    assert rc == 2 and out == "" and err == "p must be an odd prime > 3\n"
+    for p in ("4", "9"):
+        rc, out, err = run(capsys, "beta", "--p", p, "--a", "1", "--b", "1")
+        assert rc == 2 and out == "" and err == "p must be an odd prime > 3\n"
     for bad in (["--precision", "0"], ["--precision", "-3"], ["--k", "-1"]):
         rc, out, err = run(capsys, "beta", *EXAMPLE1, *bad)
         assert rc == 2 and out == "", bad
@@ -417,8 +420,10 @@ def test_divpoly_gates(capsys):
         capsys, "divpoly", "--p", "11", "--e", "3", "--k", "4", "--force", "--json"
     )
     assert rc == 0 and json.loads(out)["degree"] == 11**8
+    # divpoly has a p = 3 table, so its refusal of 9 does not claim "> 3".
     rc, _, err = run(capsys, "divpoly", "--p", "9", "--e", "3", "--k", "1")
-    assert rc == 2 and err.strip() == "p must be an odd prime > 3"
+    assert rc == 2 and err.strip() == "need an odd prime, got 9"
+    assert run(capsys, "divpoly", "--p", "3", "--e", "4", "--k", "1")[0] == 0
     rc, _, err = run(capsys, "divpoly", "--p", "7", "--e", "6", "--k", "1")
     assert rc == 2 and "does not divide" in err
     rc, _, err = run(
@@ -458,7 +463,7 @@ def test_adelic_bound_errors(capsys):
     rc, out, err = run(
         capsys, "adelic-bound", "--h-j", "0", "--index-p", "9", "--index-n", "1"
     )
-    assert rc == 2 and out == "" and err == "p must be an odd prime > 3\n"
+    assert rc == 2 and out == "" and err == "need an odd prime, got 9\n"
     # 1e100 overflows inside the power, 1e95 in the product; inf is no height.
     for h_j in ("1e100", "1e95", "inf"):
         rc, out, err = run(capsys, "adelic-bound", "--h-j", h_j, "--json")
@@ -495,6 +500,43 @@ def test_examples_report_a_disagreeing_alpha_route(capsys, monkeypatch, target, 
     assert lines[-1].startswith("FAIL valpha_table_vs_alpha: ")
 
 
+def _example1_curve_changed(cli, monkeypatch):
+    monkeypatch.setattr(cli, "_EXAMPLE1", (11, 2 * 11**3, 11**2))
+
+
+def _example1_n0_changed(cli, monkeypatch):
+    name, p, a, b, k, _ = cli._CLASSIFY_EXAMPLES[0]
+    wrong = partial(cli._check_classification, p, a, b, k, (("n0", 2),))
+    monkeypatch.setattr(cli, "_EXAMPLE_CHECKS", tuple(
+        (other, wrong if other == name else check) for other, check in cli._EXAMPLE_CHECKS))
+
+
+@pytest.mark.parametrize("patch, fails", [
+    # d_11 = 20 A B / 11 doubles with a, and alpha's residue moves with it.
+    (_example1_curve_changed, {
+        "example1_log_coefficients": ["d_11 = 40*pi^2 != 20*pi^2 mod pi^12; "],
+        "example1_beta_k2_value": ["beta != 2*p*pi mod pi^7: ", "; alpha residue = 8 != 5"]}),
+    (_example1_n0_changed, {"example1_classification": ["n0 = 1 != 2"]}),
+])
+def test_examples_fail_on_a_changed_frozen_value(capsys, monkeypatch, patch, fails):
+    from padic_cartan import cli
+
+    patch(cli, monkeypatch)
+    rc, out, err = run(capsys, "examples")
+    assert rc == 1 and err == ""
+    failed = {}
+    for line in out.splitlines():
+        status, name = line.split()[0], line.split()[1].rstrip(":")
+        if status == "FAIL":
+            failed[name] = line
+        else:
+            assert line == f"PASS {name}"
+    assert set(failed) == set(fails)
+    for name, parts in fails.items():
+        assert failed[name].startswith(f"FAIL {name}: {parts[0]}")
+        assert all(part in failed[name] for part in parts[1:]), failed[name]
+
+
 def test_divpoly_json_refuses_lifts_past_the_int_str_limit(capsys, monkeypatch):
     # The JSON lift p**(v + k) is refused by its digit estimate, before build_gk.
     def build_gk(*args):
@@ -513,7 +555,7 @@ def test_divpoly_json_refuses_lifts_past_the_int_str_limit(capsys, monkeypatch):
             assert err.strip() == "build_gk reached"
     rc, _, err = run(capsys, "divpoly", "--p", "9", "--e", "3", "--k", "1", "--json",
                      "--v-alpha-inv", "5000")
-    assert rc == 2 and err.strip() == "p must be an odd prime > 3"
+    assert rc == 2 and err.strip() == "need an odd prime, got 9"
     text = [arg for arg in base if arg != "--json"]
     assert run(capsys, *text, "5000")[2].strip() == "build_gk reached"  # no lift in text
     monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)  # 0: no limit

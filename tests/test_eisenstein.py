@@ -274,6 +274,10 @@ def test_equality_is_congruence():
     x = EisensteinElement.from_rational(5, 11, 3, 2)
     assert x == 5 + 2 * 11**2
     assert x != 6
+    # Over two ram indices the difference is refused, so they compare unequal.
+    y = EisensteinElement.from_rational(5, 11, 4, 2)
+    assert x.__eq__(y) is NotImplemented
+    assert not x == y and x != y
 
 
 @pytest.mark.parametrize("other", ["5", None, 5.0, [5]])

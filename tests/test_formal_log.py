@@ -321,6 +321,25 @@ def test_series_caps():
     assert series_inversion_logarithm(A, B, 5, force=True).d(5) == 2 * A / 5
 
 
+@pytest.mark.parametrize("route", [recurrence_logarithm, series_inversion_logarithm])
+@pytest.mark.parametrize("n_terms", [0, -1])
+def test_both_prefix_routes_refuse_an_empty_prefix(route, n_terms):
+    with pytest.raises(ValueError, match="^need at least one coefficient$"):
+        route(A, B, n_terms)
+    assert route(A, B, 1).coefficients == (0, 1)
+
+
+def test_a_rational_beside_a_scalar_is_refused_by_type_on_both_routes():
+    x = PadicScalar.from_rational(3, 11, 5)
+    for y in (0, Fraction(1, 2)):
+        message = f"^unsupported coefficient type {type(y).__name__}$"
+        for A, B in ((x, y), (y, x)):
+            with pytest.raises(TypeError, match=message):
+                yasuda_coefficient(A, B, 11, 4)
+            with pytest.raises(TypeError, match=message):
+                series_inversion_logarithm(A, B, 5)
+
+
 def test_exact_route_cap():
     with pytest.raises(ValueError):
         yasuda_coefficient_exact(A, B, 2 * 10**4 + 3)
@@ -392,6 +411,8 @@ def test_hasse_invariant_typed_inputs():
     assert h.is_congruent(hasse_invariant(Fraction(1), Fraction(1), 11) % 11**6)
     with pytest.raises(ValueError):
         hasse_invariant(a, b, 13)
+    with pytest.raises(ValueError, match="p is needed for rational coefficients"):
+        hasse_invariant(1, 2)
 
 
 def test_cm_coefficients_vanish_on_both_routes():

@@ -58,6 +58,8 @@ def test_val_factorial_matches_direct_count():
         n = rng.randrange(1, 3000)
         assert val_factorial(n, p) == vp(math.factorial(n), p)
     assert val_factorial(0, 5) == 0
+    with pytest.raises(ValueError, match="factorial of negative -1"):
+        val_factorial(-1, 11)
 
 
 def test_val_factorial_matches_the_digit_sum_form_on_deep_arguments():
@@ -184,6 +186,8 @@ def test_factorial_unit_past_the_old_table_cap():
 def test_factorial_unit_rejects_negative_n():
     with pytest.raises(ValueError):
         factorial_unit(-1, 5, 2)
+    with pytest.raises(ValueError, match="need at least one digit"):  # and no digit
+        factorial_unit(5, 11, 0)
 
 
 def test_multinomial_padic_matches_exact():
@@ -371,6 +375,8 @@ def test_pow_and_division():
     q = PadicScalar.from_rational(6, p, 6) / PadicScalar.from_rational(2, p, 6)
     assert q.is_congruent(3)
     assert (x / 3).is_congruent(1)
+    with pytest.raises(TypeError):
+        x**0.5
 
 
 def test_equality_is_congruence_at_shared_precision():
@@ -381,6 +387,10 @@ def test_equality_is_congruence_at_shared_precision():
     assert x == y
     assert x == z  # shared window is O(5^2)
     assert not (PadicScalar.from_rational(3, p, 2) == x)
+    # Over two primes the difference is refused, so they compare unequal.
+    eleven, thirteen = PadicScalar.from_rational(3, 11, 5), PadicScalar.from_rational(3, 13, 5)
+    assert eleven.__eq__(thirteen) is NotImplemented
+    assert not eleven == thirteen and eleven != thirteen
 
 
 def test_repr_formats():

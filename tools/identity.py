@@ -30,6 +30,9 @@ printing the first line that differs in each differing section, from each tree:
              PASSES passes of perfbench's exact-logcoeffs corpus for the same
              seeds, then on the edge curves EDGES: a = 0, b = 0, integers,
              and (1/6, 1/6), one denominator shared by a and b
+  surface    the package's sorted __all__, then a non-prime p (9) given to
+             classify, beta, classify --batch, divpoly and adelic-bound: exit
+             code, stdout and stderr, the batch file's path shown as FILE
 
 Both trees run in this process, loaded side by side as in tools/microbench.py;
 the corpora are drawn once, with the src/ beside this script.
@@ -57,6 +60,10 @@ SEEDS, PASSES = (1, 2, 3), 4
 EDGES = ((0, Fraction(-89, 29)), (Fraction(73, 31), 0), (5, -17), (-1331, 121),
          (Fraction(1, 6), Fraction(1, 6)))
 FOREIGN = ("1", None, 1.0, [1])
+NON_PRIME = (["classify", "--p", "9", "--a", "1", "--b", "1"],
+             ["beta", "--p", "9", "--a", "1", "--b", "1"],
+             ["divpoly", "--p", "9", "--e", "4", "--k", "1"],
+             ["adelic-bound", "--h-j", "0", "--index-p", "9", "--index-n", "1"])
 
 
 def _outcome(fn, show):
@@ -335,6 +342,17 @@ def corpus_lines(package, batches, scratch):
     return lines
 
 
+def surface_lines(package, scratch):
+    """The sorted exports, then each command's refusal of a non-prime p."""
+    cli = importlib.import_module(f"{package}.cli")
+    path = os.path.join(scratch, "non-prime.txt")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("9 1 1\n")
+    batch = _cli_run(cli, ["classify", "--batch", path], "classify --batch FILE")
+    return (sorted(importlib.import_module(package).__all__)
+            + [_cli_run(cli, argv) for argv in NON_PRIME] + [batch.replace(path, "FILE")])
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", action="append",
@@ -351,7 +369,8 @@ def main(argv=None):
         for section, dump in (("operators", operator_lines), ("records", record_lines),
                               ("cli", cli_lines),
                               ("corpus", lambda pkg: corpus_lines(pkg, batches, scratch)),
-                              ("logcoeffs", lambda pkg: logcoeff_lines(pkg, curves))):
+                              ("logcoeffs", lambda pkg: logcoeff_lines(pkg, curves)),
+                              ("surface", lambda pkg: surface_lines(pkg, scratch))):
             texts = ["\n".join(dump(package)) for package in packages]
             for src, text in zip(trees, texts):
                 data = text.encode()

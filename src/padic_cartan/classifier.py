@@ -116,9 +116,7 @@ class ImageReport(NamedTuple):
 
 
 def _encode_exact(value):
-    """Fractions (and infinities) as strings, ints as ints, None as None."""
-    if value is None:
-        return None
+    """Fractions (and infinities) as strings, ints as ints."""
     if isinstance(value, bool) or isinstance(value, int):
         return value
     if isinstance(value, float):

@@ -49,6 +49,7 @@ from .padic import INFINITY, PadicScalar, check_odd_prime
 from .volkov import beta_from_logarithm, hodge_parameters, v_alpha_table
 
 _ENV_PRECISION = "PADIC_CARTAN_PRECISION"
+_DEFAULT_PRECISION = "4e"
 _LOGCOEFF_CAP = 501
 _DIVPOLY_K_CAP = 3
 # Adaptive-level cap of `classify`.  The library's own default is 3; the CLI
@@ -78,7 +79,7 @@ def _resolve_precision(flag_value, e: int) -> int:
     An empty or blank environment value counts as unset.
     """
     if flag_value is None:
-        flag_value = os.environ.get(_ENV_PRECISION, "").strip() or "4e"
+        flag_value = os.environ.get(_ENV_PRECISION, "").strip() or _DEFAULT_PRECISION
     text = str(flag_value).strip().lower()
     try:
         if text.endswith("e"):
@@ -517,7 +518,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cls.add_argument(
         "--precision",
         help="beta certificate cap in pi_e-digits, or an e-multiplier like 4e "
-        f"(default 4e; env {_ENV_PRECISION} overrides)",
+        f"(default {_DEFAULT_PRECISION}; env {_ENV_PRECISION} overrides)",
     )
     cls.add_argument("--k", type=int, help="force the refinement level k")
     cls.add_argument(
@@ -559,7 +560,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="multinomial sum by its order-3 recurrence (default) or series inversion",
     )
     log.add_argument("--json", action="store_true")
-    log.add_argument("--force", action="store_true", help="allow r-max > 501")
+    log.add_argument("--force", action="store_true", help=f"allow r-max > {_LOGCOEFF_CAP}")
     log.set_defaults(func=_cmd_logcoeffs)
 
     div = sub.add_parser(
@@ -580,7 +581,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="alpha = infinity: drop the odd-exponent terms (CM shape)",
     )
     div.add_argument("--json", action="store_true")
-    div.add_argument("--force", action="store_true", help="allow k > 3")
+    div.add_argument("--force", action="store_true", help=f"allow k > {_DIVPOLY_K_CAP}")
     div.set_defaults(func=_cmd_divpoly)
 
     adb = sub.add_parser(

@@ -138,10 +138,13 @@ def _sum_plan(p: int, e: int, N: int, vr: int, wA, wB, target: int):
 
 
 def _check_ring_elements(A, B):
-    """TypeError unless A and B are both PadicScalar or EisensteinElement."""
+    """TypeError unless A and B are both PadicScalar or EisensteinElement, and
+    ValueError("mixed fields") unless both are of one type, prime and e."""
     for x in (A, B):
         if not isinstance(x, _Number):
             raise TypeError(f"unsupported coefficient type {type(x).__name__}")
+    if type(A) is not type(B) or A.prime != B.prime or A.ram_index != B.ram_index:
+        raise ValueError("mixed fields")
 
 
 def yasuda_coefficient(A, B, r: int, target_pi_digits: int):
@@ -171,8 +174,6 @@ def yasuda_coefficient(A, B, r: int, target_pi_digits: int):
     if r < 1 or r % 2 == 0:
         raise ValueError(f"coefficient index must be odd and positive, got {r}")
     _check_ring_elements(A, B)
-    if type(A) is not type(B) or A.prime != B.prime or A.ram_index != B.ram_index:
-        raise ValueError("mixed fields")
     p, e, a, b = A.prime, A.ram_index, A.form, B.form
     wA, wB = _pi_digits(a, e), _pi_digits(b, e)  # v(A), v(B) in pi-digits, or INFINITY
     vr = vp(r, p)
@@ -241,6 +242,8 @@ def recurrence_logarithm(A, B, n_terms: int) -> FormalLogPrefix:
     """
     if n_terms < 1:
         raise ValueError("need at least one coefficient")
+    if (n_terms - 1) // 2 > _EXACT_MULTINOMIAL_CAP:  # as the per-r route, before any term
+        raise ValueError(f"index {(n_terms - 1) | 1} too large for the exact path")
     A, B = Fraction(A), Fraction(B)
     lam = math.lcm(A.denominator, B.denominator)
     a, b = int(A * lam**2), int(B * lam**3)
@@ -338,14 +341,15 @@ def hasse_invariant(A, B, p: int | None = None):
     Returns the same element type as the inputs (Fraction over Q).  Equals
     p * d_p, which the test suite checks on both routes.
     """
-    if isinstance(A, (int, Fraction)):
-        if p is None:
-            raise ValueError("p is needed for rational coefficients")
-        A, B, total = Fraction(A), Fraction(B), Fraction(0)
-    elif p not in (None, A.prime):
-        raise ValueError("p does not match the coefficient field")
-    else:
+    if isinstance(A, _Number) or isinstance(B, _Number):  # typed: over Q_p or L
+        _check_ring_elements(A, B)
+        if p not in (None, A.prime):
+            raise ValueError("p does not match the coefficient field")
         p, total = A.prime, 0 * A  # total: an exact zero of A's type
+    elif p is None:
+        raise ValueError("p is needed for rational coefficients")
+    else:
+        A, B, total = Fraction(A), Fraction(B), Fraction(0)
     M = (p - 1) // 2
     # 3i <= p - 1 and 2i >= M, so both exponents below are >= 0.
     for i in range((p + 2) // 4, (p - 1) // 3 + 1):
@@ -362,6 +366,7 @@ def odd_coefficient_valuation(a_l: EisensteinElement, b_l: EisensteinElement, k:
     -(k+1) + v of its `deforming_coefficient` (A_L for e in {3, 6}, B_L for
     e = 4); INFINITY in the CM cases (the coefficient vanishes identically).
     """
+    _check_ring_elements(a_l, b_l)
     if k < 0:
         raise ValueError("k must be nonnegative")
     v = deforming_coefficient((a_l, b_l)).valuation()

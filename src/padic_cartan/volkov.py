@@ -32,11 +32,9 @@ from .padic import INFINITY, PadicScalar
 NEG_INFINITY = -INFINITY
 _RELATIVE_PRECISION = itemgetter(3)  # of a form's entry (index, unit, floor, precision)
 
-# v(Delta_min) classes of potential e-lifts, keyed by sign of epsilon.
-_EPSILON_PLUS = (2, 3, 4)
-_EPSILON_MINUS = (8, 9, 10)
 # v(alpha) = (c + sign*v)/d with (c, sign) by v(Delta_min): e = 6, 4, 3 with
-# epsilon = +1, then e = 3, 4, 6 with epsilon = -1.
+# epsilon = +1, then e = 3, 4, 6 with epsilon = -1.  epsilon = -sign, as
+# `alpha_from_beta` inverts beta (v(alpha) falls as v grows) iff epsilon = +1.
 _V_ALPHA_TABLE = {2: (4, -1), 3: (3, -1), 4: (5, -1), 8: (2, 1), 9: (1, 1), 10: (1, 1)}
 
 
@@ -46,14 +44,10 @@ class _AlphaInfinity:
     Its inverse is the exact zero scalar; see `alpha_inverse`.
     """
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self):
+        return "ALPHA_INFINITY"
+
+    def __reduce__(self):  # pickle and copy return the module's one instance
         return "ALPHA_INFINITY"
 
 
@@ -73,10 +67,8 @@ def alpha_inverse(alpha, p: int | None = None):
 
 def epsilon_sign(v_min_discriminant: int) -> int:
     """+1 when v(Delta_min) in {2,3,4}, -1 when in {8,9,10}."""
-    if v_min_discriminant in _EPSILON_PLUS:
-        return 1
-    if v_min_discriminant in _EPSILON_MINUS:
-        return -1
+    if v_min_discriminant in _V_ALPHA_TABLE:
+        return -_V_ALPHA_TABLE[v_min_discriminant][1]
     if v_min_discriminant in (0, 6):
         raise ValueError(
             f"v(Delta_min)={v_min_discriminant}: defect is 1 or 2, no epsilon"

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import io
 import json
 import random
 import subprocess
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from padic_cartan.cli import _logcoeff_digits, main
-from padic_cartan.formal_log import yasuda_coefficient_exact
+from padic_cartan.formal_log import FormalLogPrefix, yasuda_coefficient_exact
 
 EXAMPLE1 = ["--p", "11", "--a", "1331", "--b", "121"]
 
@@ -323,12 +324,8 @@ def test_logcoeffs_json_and_caps(capsys):
 
 
 def test_logcoeffs_refuses_past_the_exact_cap_even_with_force(capsys, monkeypatch):
-    # The refusal must come before any coefficient: computing them would take hours.
-    def no_work(*args, **kwargs):
-        raise AssertionError("a coefficient was computed before the refusal")
-
-    monkeypatch.setattr("padic_cartan.cli.yasuda_coefficient_exact", no_work)
-    monkeypatch.setattr("padic_cartan.cli.series_inversion_logarithm", no_work)
+    # The refusal must come before any route: computing the coefficients would take hours.
+    _no_route(monkeypatch)
     for method in ((), ("--method", "series")):
         rc, out, err = run(capsys, "logcoeffs", "--a", "1", "--b", "1",
                            "--r-max", "20003", "--force", *method)
@@ -470,7 +467,12 @@ def test_adelic_bound_errors(capsys):
         assert rc == 2 and out == "" and "h_j" in err
 
 
-def test_examples_list_and_run(capsys):
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_examples_list_and_run(capsys, monkeypatch):
     rc, out, _ = run(capsys, "examples", "--list")
     assert rc == 0
     names = out.splitlines()
@@ -480,6 +482,8 @@ def test_examples_list_and_run(capsys):
     payload = json.loads(out)
     assert payload["all_pass"] is True
     assert all(r["pass"] for r in payload["results"])
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())  # as in `padic-cartan examples | head -0`
+    assert main(["examples", "--list"]) == 0
 
 
 @pytest.mark.parametrize("target, raises", [
@@ -511,12 +515,34 @@ def _example1_n0_changed(cli, monkeypatch):
         (other, wrong if other == name else check) for other, check in cli._EXAMPLE_CHECKS))
 
 
+def _k1_beta_is_the_k2_beta(cli, monkeypatch):
+    route = cli.beta_from_logarithm
+    monkeypatch.setattr(cli, "beta_from_logarithm", lambda model, k: route(model, 2))
+
+
+def _recurrence_d5_off(cli, monkeypatch):
+    route = cli.recurrence_logarithm
+
+    def off(a, b, n_terms):
+        d = list(route(a, b, n_terms).coefficients)
+        d[5] += 1
+        return FormalLogPrefix(tuple(d))
+
+    monkeypatch.setattr(cli, "recurrence_logarithm", off)
+
+
 @pytest.mark.parametrize("patch, fails", [
     # d_11 = 20 A B / 11 doubles with a, and alpha's residue moves with it.
     (_example1_curve_changed, {
         "example1_log_coefficients": ["d_11 = 40*pi^2 != 20*pi^2 mod pi^12; "],
         "example1_beta_k2_value": ["beta != 2*p*pi mod pi^7: ", "; alpha residue = 8 != 5"]}),
     (_example1_n0_changed, {"example1_classification": ["n0 = 1 != 2"]}),
+    # The k = 2 beta is visible, in a pi^7 window.
+    (_k1_beta_is_the_k2_beta, {"example1_beta_k1_window": [
+        "beta at k=1 should vanish mod pi^4, got ", "; k=1 window should be pi^4, got pi^7"]}),
+    # d_5 = 2 a / 5 with a = 11**3.
+    (_recurrence_d5_off, {"dr_dual_route": [
+        "d_5: multinomial 2662/5, series 2662/5, recurrence 2667/5"]}),
 ])
 def test_examples_fail_on_a_changed_frozen_value(capsys, monkeypatch, patch, fails):
     from padic_cartan import cli

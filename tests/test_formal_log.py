@@ -340,6 +340,49 @@ def test_a_rational_beside_a_scalar_is_refused_by_type_on_both_routes():
                 series_inversion_logarithm(A, B, 5)
 
 
+_Q11 = PadicScalar.from_rational(3, 11, 5)
+_MIXED_PAIRS = [  # (A, B, error type, message) of every typed route
+    (_Q11, EisensteinElement.from_rational(2, 11, 3, 5), ValueError, "mixed fields"),
+    (_Q11, PadicScalar.from_rational(2, 13, 5), ValueError, "mixed fields"),
+    (EisensteinElement.from_rational(1, 11, 3, 5), EisensteinElement.from_rational(1, 11, 4, 5),
+     ValueError, "mixed fields"),
+    (1, _Q11, TypeError, "unsupported coefficient type int"),
+    (_Q11, 1, TypeError, "unsupported coefficient type int"),
+]
+
+
+@pytest.mark.parametrize("route", [
+    lambda A, B: yasuda_coefficient(A, B, 7, 4),
+    lambda A, B: series_inversion_logarithm(A, B, 9),
+    lambda A, B: hasse_invariant(A, B),
+    lambda A, B: odd_coefficient_valuation(A, B, 0),
+], ids=["yasuda", "series", "hasse", "odd_valuation"])
+@pytest.mark.parametrize("A, B, error, message", _MIXED_PAIRS,
+                         ids=["scalar_L", "two_primes", "e3_e4", "int_number", "number_int"])
+def test_typed_routes_share_one_coefficient_pair_rule(route, A, B, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        route(A, B)
+
+
+def test_recurrence_refuses_past_the_exact_cap_before_any_term(monkeypatch):
+    from padic_cartan import formal_log
+
+    def no_term(*args):
+        raise AssertionError("a coefficient was computed before the refusal")
+
+    monkeypatch.setattr(formal_log, "yasuda_coefficient_exact", no_term)
+    for b in (0, 1):  # b = 0: P0 vanishes, so every g_N would come from the per-r route
+        for n_terms, top in ((20003, 20003), (20004, 20003), (10**6, 999_999)):
+            with pytest.raises(ValueError, match=f"^index {top} too large for the exact path$"):
+                recurrence_logarithm(1, b, n_terms)
+    monkeypatch.undo()
+    # At a lowered cap the last index inside it still runs, and the next is refused.
+    monkeypatch.setattr(formal_log, "_EXACT_MULTINOMIAL_CAP", 3)
+    assert recurrence_logarithm(1, 1, 8).d(7) == yasuda_coefficient_exact(1, 1, 7)
+    with pytest.raises(ValueError, match="^index 9 too large for the exact path$"):
+        recurrence_logarithm(1, 1, 9)
+
+
 def test_exact_route_cap():
     with pytest.raises(ValueError):
         yasuda_coefficient_exact(A, B, 2 * 10**4 + 3)

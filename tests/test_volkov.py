@@ -1,6 +1,8 @@
 """Tests for the deformation parameters: closed forms and the log route."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -308,8 +310,13 @@ def test_hodge_parameters_safety_gates_catch_a_tampered_log_route(monkeypatch, t
 
 
 def test_alpha_infinity_is_singleton():
+    # `alpha is ALPHA_INFINITY` is how the library reads it, so a pickled or
+    # copied sentinel must come back as the module's one instance.
     assert repr(ALPHA_INFINITY) == "ALPHA_INFINITY"
-    assert type(ALPHA_INFINITY)() is ALPHA_INFINITY
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(ALPHA_INFINITY, protocol)) is ALPHA_INFINITY
+    assert copy.copy(ALPHA_INFINITY) is ALPHA_INFINITY
+    assert copy.deepcopy(ALPHA_INFINITY) is ALPHA_INFINITY
 
 
 def test_beta_becomes_visible_at_level_three():

@@ -32,7 +32,11 @@ printing the first line that differs in each differing section, from each tree:
              and (1/6, 1/6), one denominator shared by a and b
   surface    the package's sorted __all__, then a non-prime p (9) given to
              classify, beta, classify --batch, divpoly and adelic-bound: exit
-             code, stdout and stderr, the batch file's path shown as FILE
+             code, stdout and stderr, the batch file's path shown as FILE;
+             then each typed log route (yasuda_coefficient,
+             series_inversion_logarithm, hasse_invariant,
+             odd_coefficient_valuation) on five mixed coefficient pairs: the
+             result's type names, or the error's type and message
 
 Both trees run in this process, loaded side by side as in tools/microbench.py;
 the corpora are drawn once, with the src/ beside this script.
@@ -342,15 +346,44 @@ def corpus_lines(package, batches, scratch):
     return lines
 
 
+def _type_names(result):
+    """A result's type name; for a prefix, also its coefficients' type names."""
+    if type(result).__name__ == "FormalLogPrefix":
+        return "FormalLogPrefix of " + " ".join(
+            sorted({type(d).__name__ for d in result.coefficients}))
+    return type(result).__name__
+
+
+def pair_rule_lines(package):
+    """Each typed log route on mixed coefficient pairs: its result's types, or its error."""
+    eisenstein, formal_log, padic = (importlib.import_module(f"{package}.{name}")
+                                     for name in ("eisenstein", "formal_log", "padic"))
+    scalar, element = padic.PadicScalar.from_rational, eisenstein.EisensteinElement.from_rational
+    q11 = scalar(3, 11, 5)
+    pairs = {"Q_11 scalar, L element over 11": (q11, element(2, 11, 3, 5)),
+             "Q_11 scalar, Q_13 scalar": (q11, scalar(2, 13, 5)),
+             "e = 3 element, e = 4 element": (element(1, 11, 3, 5), element(1, 11, 4, 5)),
+             "int, number": (1, q11), "number, int": (q11, 1)}
+    routes = {"yasuda_coefficient": lambda A, B: formal_log.yasuda_coefficient(A, B, 7, 4),
+              "series_inversion_logarithm":
+                  lambda A, B: formal_log.series_inversion_logarithm(A, B, 9),
+              "hasse_invariant": formal_log.hasse_invariant,
+              "odd_coefficient_valuation":
+                  lambda A, B: formal_log.odd_coefficient_valuation(A, B, 0)}
+    return [f"{name}({pair}): {_outcome(lambda: route(A, B), _type_names)}"
+            for name, route in routes.items() for pair, (A, B) in pairs.items()]
+
+
 def surface_lines(package, scratch):
-    """The sorted exports, then each command's refusal of a non-prime p."""
+    """The sorted exports, each command's refusal of a non-prime p, then the pair rule."""
     cli = importlib.import_module(f"{package}.cli")
     path = os.path.join(scratch, "non-prime.txt")
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("9 1 1\n")
     batch = _cli_run(cli, ["classify", "--batch", path], "classify --batch FILE")
     return (sorted(importlib.import_module(package).__all__)
-            + [_cli_run(cli, argv) for argv in NON_PRIME] + [batch.replace(path, "FILE")])
+            + [_cli_run(cli, argv) for argv in NON_PRIME] + [batch.replace(path, "FILE")]
+            + pair_rule_lines(package))
 
 
 def main(argv=None):

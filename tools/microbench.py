@@ -36,8 +36,9 @@ followed by `<key>.iqr`, the interquartile range of the same timed loops:
       curves a = u * 17**3, b = u' * 17**2; the sum plans are cached after
       the first loop
   formal_log.yasuda.p5.cold
-      formal_log.yasuda.p5 with the plan cache cleared before each sum: the
-      cost of a single curve (a --src without the cache times the plain sum)
+      formal_log.yasuda.p5 with the plan cache and padic's block-polynomial
+      table cleared before each sum: the cost of a single curve (a --src
+      without the cache times the plain sum)
   volkov.hodge_parameters.lift, volkov.hodge_parameters.unit_den
       hodge_parameters(WeierstrassCurve(11, a, b)) at the default level (k = 2)
       on seeded e = 3 lifts a = u * 11**3, b = u' * 11**2 with 3-digit units,
@@ -46,7 +47,7 @@ followed by `<key>.iqr`, the interquartile range of the same timed loops:
   volkov.hodge_parameters.P40.cold, .P70.cold, .P100.cold
       hodge_parameters(WeierstrassCurve(11, 11**3, 11**2), precision=P), levels
       k = 13, 23 and 33: deep certificates, which no perfbench workload reaches;
-      curve built and the plan cache cleared per op
+      curve built and the plan cache and block-polynomial table cleared per op
   volkov.hodge_parameters.p17.P70.cold, volkov.hodge_parameters.p23.P70.cold
       the same at precision 70 (k = 23) on WeierstrassCurve(17, 2 * 17**3,
       3 * 17**2) and WeierstrassCurve(23, 23**3, 23**2), also e = 3
@@ -227,8 +228,15 @@ def cases(package):
             models.append(tuple(good_model_over_L(WeierstrassCurve(17, a, b), 3)))
     add_case("formal_log.yasuda.p4", lambda a, b: yasuda_coefficient(a, b, 17**4, 4), models)
     add_case("formal_log.yasuda.p5", lambda a, b: yasuda_coefficient(a, b, 17**5, 2), models)
-    plan = getattr(formal_log, "_sum_plan", None)
-    clear = plan.cache_clear if plan else lambda: None
+    # A .cold key clears the sum plans and the factorial units' block polynomials,
+    # each where the tree has it.
+    clears = [table.cache_clear for table in (getattr(formal_log, "_sum_plan", None),
+                                              getattr(padic, "_block_polynomials", None))
+              if hasattr(table, "cache_clear")]
+
+    def clear():
+        for table_clear in clears:
+            table_clear()
 
     def cold(a, b):
         clear()

@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from functools import cache, partial
@@ -48,8 +47,7 @@ from .formal_log import (
 from .padic import INFINITY, PadicScalar, check_odd_prime
 from .volkov import beta_from_logarithm, hodge_parameters, v_alpha_table
 
-_ENV_PRECISION = "PADIC_CARTAN_PRECISION"
-_DEFAULT_PRECISION = "4e"
+_DEFAULT_PRECISION = "4e"  # enough to report the k <= 3 certificates in full
 _LOGCOEFF_CAP = 501
 _DIVPOLY_K_CAP = 3
 # Adaptive-level cap of `classify`.  The library's own default is 3; the CLI
@@ -65,22 +63,19 @@ def _int_str_limit() -> int:
 
 
 def _parse_rational(text, label: str) -> Fraction:
+    text = str(text)
     try:
-        return Fraction(str(text))
+        # Integers and n/d only: Fraction("1e19999999") builds a 20-million-digit int.
+        if "e" in text.lower() or "." in text:
+            raise ValueError
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"{label} must be a rational like 7 or -7/4, got {text!r}") from exc
 
 
-def _resolve_precision(flag_value, e: int) -> int:
-    """pi_e-digit precision from the flag, the environment, or the default.
-
-    Accepts a plain digit count ("12") or an e-multiplier ("4e").  The
-    default is 4e digits, enough to report the k<=3 certificates in full.
-    An empty or blank environment value counts as unset.
-    """
-    if flag_value is None:
-        flag_value = os.environ.get(_ENV_PRECISION, "").strip() or _DEFAULT_PRECISION
-    text = str(flag_value).strip().lower()
+def _resolve_precision(flag_value: str, e: int) -> int:
+    """pi_e-digit precision from a digit count ("12") or an e-multiplier ("4e")."""
+    text = flag_value.strip().lower()
     try:
         if text.endswith("e"):
             return int(text[:-1] or 1) * e
@@ -517,8 +512,9 @@ def _build_parser() -> argparse.ArgumentParser:
     cls.add_argument("--b", help="coefficient b as an integer or num/den")
     cls.add_argument(
         "--precision",
+        default=_DEFAULT_PRECISION,
         help="beta certificate cap in pi_e-digits, or an e-multiplier like 4e "
-        f"(default {_DEFAULT_PRECISION}; env {_ENV_PRECISION} overrides)",
+        f"(default {_DEFAULT_PRECISION})",
     )
     cls.add_argument("--k", type=int, help="force the refinement level k")
     cls.add_argument(

@@ -65,22 +65,27 @@ INFINITY = float("inf")
 _ONE = ((0, 1, 0, INFINITY),)  # the form of the exact 1
 _NO_ENTRY = ((0, 0, INFINITY, 0),)  # what a scalar's views read for the exact 0
 _UNIT = itemgetter(1)  # an entry's unit
+# Trial divisors and Miller-Rabin bases, deterministic below psi_13 (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017).
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI13 = 3317044064679887385961981
 
 
 @lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for the word-sized inputs used here."""
+    """Deterministic Miller-Rabin; UnsupportedPrimeError from psi_13 on."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _BASES:
         if n % q == 0:
             return n == q
+    if n >= _PSI13:
+        raise UnsupportedPrimeError(f"cannot certify {n} as prime")
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    # This base set is deterministic for n < 3.3 * 10**24.
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -156,12 +156,11 @@ def stabilization_level(e: int, v_j, v_j_minus_1728) -> int:
     return (beta_digits + 1) // e
 
 
-def beta_from_logarithm(model, k: int = 1, precision: int | None = None) -> EisensteinElement:
+def beta_from_logarithm(model, k: int = 1) -> EisensteinElement:
     """beta via the coefficient ratio at level k, mod pi_e**(k*e+1).
 
     `model` is a GoodModelL (or any (a_l, b_l) pair of EisensteinElements)
-    for a normalized good model over L.  `precision` may lower, but never
-    raise, the certified pi-precision k*e + 1.
+    for a normalized good model over L.
     """
     a_l, b_l = model
     if not isinstance(a_l, EisensteinElement) or not isinstance(b_l, EisensteinElement):
@@ -173,15 +172,6 @@ def beta_from_logarithm(model, k: int = 1, precision: int | None = None) -> Eise
         raise NormalizationError(f"the ratio route needs e < p-1 (e={e}, p={p})")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    certificate = k * e + 1
-    if precision is not None:
-        if precision < 1:
-            raise ValueError("precision must be >= 1 pi-digit")
-        if precision > certificate:
-            raise PrecisionError(
-                f"level k={k} certifies beta only mod pi^{certificate}; "
-                f"requested pi^{precision} needs a larger k"
-            )
     # v(d_{p^2k}) = -k and v(d_{p^(2k+1)}) >= 1/e - (k+1), so these absolute
     # targets leave k*e+1 relative pi-digits on each; one extra e as guard.
     guard = e
@@ -198,7 +188,7 @@ def beta_from_logarithm(model, k: int = 1, precision: int | None = None) -> Eise
         # target, as a sum that drops terms already is.
         den = den.truncate_pi(1 + guard)
     beta = (num / den).mul_pi_power(e - 1)  # -(p/pi) = pi**(e-1)
-    return beta.truncate_pi(certificate if precision is None else precision)
+    return beta.truncate_pi(k * e + 1)
 
 
 def alpha_from_beta(beta: EisensteinElement, epsilon: int):
@@ -240,7 +230,7 @@ def hodge_parameters(
     """Compute (beta, epsilon, alpha) for a curve with defect e in {3,4,6}.
 
     With k=None the level is `adaptive_level`, just large enough to make beta
-    visibly nonzero (non-CM).
+    visibly nonzero (non-CM).  A precision >= 1 raises k to certify it, and beta is cut to it.
     The log route is always cross-checked against the closed forms and the
     k-1 certificate; failures raise PadicCartanError.
     """
@@ -255,11 +245,14 @@ def hodge_parameters(
     beta_digits, v_closed = beta_pi_digits(e, v_j, v_jm), v_beta_closed_form(e, v_j, v_jm)
     if k is None:
         k = adaptive_level(e, beta_digits)
-    if precision is not None:
-        k = max(k, -((1 - precision) // e))  # ceil((precision-1)/e)
-    model = good_model_over_L(curve, e)
-    beta = beta_from_logarithm(model, k, precision)
     certificate = k * e + 1 if precision is None else precision
+    k = max(k, -((1 - certificate) // e))  # ceil((certificate-1)/e)
+    model = good_model_over_L(curve, e)
+    if certificate < 1 and k >= 0:  # a negative k is beta_from_logarithm's to refuse
+        raise ValueError("precision must be >= 1 pi-digit")
+    beta = beta_from_logarithm(model, k)
+    if certificate < k * e + 1 and not beta.is_exact_zero:
+        beta = beta.truncate_pi(certificate)
     epsilon = epsilon_sign(red.v_min_discriminant)
 
     if beta.is_exact_zero:
@@ -289,7 +282,7 @@ def hodge_parameters(
             )
     if k >= 1:
         window = min((k - 1) * e + 1, certificate)
-        prev = beta_from_logarithm(model, k - 1, None)
+        prev = beta_from_logarithm(model, k - 1)
         if not beta.is_congruent(prev, window):
             raise PadicCartanError(
                 f"beta certificates at k={k - 1} and k={k} disagree mod pi^{window}"

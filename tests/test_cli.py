@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from padic_cartan.cli import _logcoeff_digits, main
+from padic_cartan import cli
+from padic_cartan.cli import _logcoeff_digits, _parse_rational, main
 from padic_cartan.formal_log import FormalLogPrefix, yasuda_coefficient_exact
 
 EXAMPLE1 = ["--p", "11", "--a", "1331", "--b", "121"]
@@ -50,9 +51,9 @@ def test_classify_text_covers_same_fields(capsys):
 
 
 def test_classify_input_errors(capsys, monkeypatch):
-    # The curve refuses all three in one text; 1763 = 41 * 43 has no factor <= 37,
+    # The curve refuses all three in one text; 2021 = 43 * 47 has no factor <= 41,
     # so the Miller-Rabin witnesses refuse it.
-    for p in ("9", "3", "1763"):
+    for p in ("9", "3", "2021"):
         rc, out, err = run(capsys, "classify", "--p", p, "--a", "1", "--b", "1")
         assert rc == 2 and out == "" and err == "p must be an odd prime > 3\n"
     rc, _, err = run(capsys, "classify", "--p", "11", "--a", "0", "--b", "0")
@@ -77,9 +78,8 @@ def test_classify_input_errors(capsys, monkeypatch):
             "over the budget 2e+06\n")
 
 
-def test_classify_precision_env_and_flag(capsys, monkeypatch):
-    monkeypatch.setenv("PADIC_CARTAN_PRECISION", "1e")
-    rc, out, _ = run(capsys, "classify", *EXAMPLE1, "--json")
+def test_classify_precision_flag_and_default(capsys):
+    rc, out, _ = run(capsys, "classify", *EXAMPLE1, "--json", "--precision", "1e")
     assert rc == 0
     hodge = json.loads(out)["hodge"]
     assert hodge["certificate_pi_digits"] == 3
@@ -87,17 +87,29 @@ def test_classify_precision_env_and_flag(capsys, monkeypatch):
     rc, out, _ = run(capsys, "classify", *EXAMPLE1, "--json", "--precision", "4e")
     assert rc == 0
     assert json.loads(out)["hodge"]["certificate_pi_digits"] == 7
+    assert run(capsys, "classify", *EXAMPLE1, "--json") == (0, out, "")  # the 4e default
 
 
-@pytest.mark.parametrize("blank", ["", "  "])
-def test_blank_precision_env_is_unset(capsys, monkeypatch, blank):
-    monkeypatch.delenv("PADIC_CARTAN_PRECISION", raising=False)
-    _, default, _ = run(capsys, "classify", *EXAMPLE1, "--json")
-    monkeypatch.setenv("PADIC_CARTAN_PRECISION", blank)
-    rc, out, err = run(capsys, "classify", *EXAMPLE1, "--json")
-    assert rc == 0 and err == ""
-    assert out == default
-    assert json.loads(out)["hodge"]["certificate_pi_digits"] == 7  # the 4e default
+def test_exponent_and_decimal_rationals_are_refused_before_parsing(capsys, monkeypatch, tmp_path):
+    # Fraction reads "1e19999999" as a 20-million-digit integer; the documented
+    # forms are integers and n/d, so these are refused before Fraction runs.
+    def no_fraction(*args):
+        raise AssertionError("Fraction ran on a refused rational")
+
+    monkeypatch.setattr(cli, "Fraction", no_fraction)
+    batch = tmp_path / "curves.txt"
+    for text in ("1e19999999", "1E5", "-2.5", ".5", "7/4e1"):
+        rc, out, err = run(capsys, "classify", "--p", "11", "--a", text, "--b", "1")
+        assert rc == 2 and out == "" and err == (
+            f"a must be a rational like 7 or -7/4, got {text!r}\n")
+        batch.write_text(f"11 {text} 1\n")
+        rc, out, err = run(capsys, "classify", "--batch", str(batch))
+        assert rc == 2 and out == "" and err == (
+            f"{batch}:1: a must be a rational like 7 or -7/4, got {text!r}\n")
+    monkeypatch.undo()
+    for text, value in (("7", 7), (" -7/4 ", Fraction(-7, 4)), ("+3/6", Fraction(1, 2)),
+                        ("1_000", 1000)):
+        assert _parse_rational(text, "a") == value
 
 
 def test_classify_default_k_max_is_two(capsys):
@@ -198,6 +210,11 @@ def test_beta_rejects_unsupported_defect(capsys):
         rc, out, err = run(capsys, "beta", *EXAMPLE1, *bad)
         assert rc == 2 and out == "", bad
         assert err.strip() and len(err.strip().splitlines()) == 1, (bad, err)
+    # At p = 5, e = 6 a precision below 1 is refused before the ratio route's e < p-1.
+    e6 = ["--p", "5", "--a", "25", "--b", "5"]
+    for bad, message in ((["--precision", "0"], "precision must be >= 1 pi-digit"),
+                         (["--precision", "1"], "the ratio route needs e < p-1 (e=6, p=5)")):
+        assert run(capsys, "beta", *e6, *bad) == (2, "", message + "\n")
 
 
 def test_cm_lifts_at_a_forced_level(capsys):
@@ -208,6 +225,13 @@ def test_cm_lifts_at_a_forced_level(capsys):
     assert payload["image_label"] == "full_Cns_plus_all_levels"
     assert payload["hodge"]["beta"]["coordinates"] == ["0", "0", "0"]
     assert payload["hodge"]["beta"]["coordinate_precisions"] == ["inf", "inf", "inf"]
+    # A precision below the level's pi^7 cuts beta, but never an exact zero.
+    rc, out, err = run(capsys, "classify", "--p", "23", "--a", "0", "--b", "1058",
+                       "--k", "2", "--precision", "4", "--json")
+    hodge = json.loads(out)["hodge"]
+    assert rc == 0 and err == "" and hodge["certificate_pi_digits"] == 4
+    assert hodge["beta"]["coordinates"] == ["0", "0", "0"]
+    assert hodge["beta"]["coordinate_precisions"] == ["inf", "inf", "inf"]
     # At --precision 31 (k = 10) the CM sums drop no term but pass the exact
     # multinomial cap: they must raise A and B reduced, as the exact unit to
     # a power near r/6 would not finish.

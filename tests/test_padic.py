@@ -5,6 +5,8 @@ from functools import lru_cache
 
 import pytest
 
+from padic_cartan import padic
+from padic_cartan.curve import WeierstrassCurve
 from padic_cartan.errors import PrecisionError, UnsupportedPrimeError
 from padic_cartan.padic import (
     INFINITY,
@@ -30,17 +32,38 @@ def test_check_odd_prime_rejects_bad_inputs():
     assert check_odd_prime(10**9 + 7) == 10**9 + 7
 
 
+# The least strong pseudoprimes to the prime bases to 37 and to 41 (Sorenson
+# and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+PSI12 = 318665857834031151167461  # 399165290221 * 798330580441
+PSI13 = 3317044064679887385961981
+
+
 def test_miller_rabin_refuses_composites_with_no_small_factor():
-    # No trial divisor (the primes <= 37) divides these, so the witness loop must
-    # refuse them; 3215031751 = 151 * 751 * 28351 is a strong pseudoprime to the
-    # bases 2, 3, 5 and 7.
-    for composite in (41**2, 41 * 43, 151 * 751 * 28351):
+    # No trial divisor (the primes <= 41) divides the last four, so the witness
+    # loop must refuse them; 3215031751 = 151 * 751 * 28351 is a strong
+    # pseudoprime to the bases 2, 3, 5 and 7, PSI12 to every prime base to 37.
+    for composite in (41**2, 41 * 43, 43**2, 43 * 47, 151 * 751 * 28351, PSI12):
         assert not is_prime(composite)
         with pytest.raises(UnsupportedPrimeError):
             check_odd_prime(composite)
-    for prime in (1000003, 3999971):
+    with pytest.raises(UnsupportedPrimeError, match="^p must be an odd prime > 3$"):
+        WeierstrassCurve(PSI12, 1, 1)
+    for prime in (1000003, 3999971, 2**61 - 1):
         assert check_odd_prime(prime) == prime
     assert not is_prime(0) and not is_prime(1)
+
+
+def test_primality_past_psi13_is_refused_before_any_round(monkeypatch):
+    def no_pow(*args):
+        raise AssertionError("a Miller-Rabin round ran")
+
+    monkeypatch.setattr(padic, "pow", no_pow, raising=False)
+    for n in (PSI13, PSI13 + 6, 2**89 - 1):  # none has a factor <= 41; the last is prime
+        with pytest.raises(UnsupportedPrimeError, match=f"^cannot certify {n} as prime$"):
+            is_prime(n)
+        with pytest.raises(UnsupportedPrimeError, match=f"^cannot certify {n} as prime$"):
+            WeierstrassCurve(n, 1, 1)
+    assert not is_prime(2 * PSI13) and not is_prime(41 * PSI13)  # trial division decides
 
 
 def test_vp_on_ints_and_fractions():

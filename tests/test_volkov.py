@@ -177,15 +177,35 @@ def test_beta_visible_at_level_two():
 
 
 def test_beta_precision_is_capped_by_certificate():
+    # The level fixes the certificate pi^(k*e+1); a lower precision is a cut of
+    # it, the one hodge_parameters makes.
     model = _example1_model()
-    with pytest.raises(PrecisionError):
-        beta_from_logarithm(model, 1, precision=8)
-    low = beta_from_logarithm(model, 2, precision=5)
-    assert low.pi_precision() == 5
-    with pytest.raises(ValueError):
-        beta_from_logarithm(model, 2, precision=0)
+    beta = beta_from_logarithm(model, 2)
+    low = beta.truncate_pi(5)
+    assert beta.pi_precision() == 7 and low.pi_precision() == 5
+    hodge = hodge_parameters(WeierstrassCurve(11, 11**3, 11**2), k=2, precision=5)
+    assert hodge.certificate_pi_digits == 5 and hodge.beta.form == low.form
     with pytest.raises(ValueError):
         beta_from_logarithm(model, -1)
+
+
+def test_hodge_parameters_refuses_a_precision_below_one(monkeypatch):
+    def no_sum(*args):
+        raise AssertionError("the log route ran before the refusal")
+
+    monkeypatch.setattr(volkov, "beta_from_logarithm", no_sum)
+    # At p = 5, e = 6 this refusal now comes before the ratio route's "needs e < p-1".
+    for curve in (WeierstrassCurve(11, 11**3, 11**2), WeierstrassCurve(11, 0, 11**2),
+                  WeierstrassCurve(5, 25, 5)):
+        for precision in (0, -3):
+            with pytest.raises(ValueError) as caught:
+                hodge_parameters(curve, precision=precision)
+            assert type(caught.value) is ValueError
+            assert str(caught.value) == "precision must be >= 1 pi-digit"
+    monkeypatch.undo()
+    # precision -3 leaves k = -1 (ceil(-4/3) = -1), which is refused as before.
+    with pytest.raises(ValueError, match="^k must be nonnegative$"):
+        hodge_parameters(WeierstrassCurve(11, 11**3, 11**2), k=-1, precision=-3)
 
 
 def test_beta_route_type_and_field_checks():
@@ -300,8 +320,8 @@ def test_hodge_parameters_safety_gates_catch_a_tampered_log_route(monkeypatch, t
     # k - 1 = 1 cross-check mod pi^4: each gate meets a log route that breaks it.
     route = volkov.beta_from_logarithm
 
-    def tampered(model, k=1, precision=None):
-        return tamper(route(model, k, precision), k)
+    def tampered(model, k=1):
+        return tamper(route(model, k), k)
 
     monkeypatch.setattr(volkov, "beta_from_logarithm", tampered)
     with pytest.raises(PadicCartanError) as caught:
@@ -347,7 +367,7 @@ def test_unit_denominator_certificates_hold_every_digit(a, b, precision):
         EisensteinElement.pi_monomial(PadicScalar.from_rational(q, 11, 120), -w * s, e)
         for q, w in ((red.minimal.a, 4), (red.minimal.b, 6))
     ]
-    oracle = beta_from_logarithm(model, hodge.k_used, precision)
+    oracle = beta_from_logarithm(model, hodge.k_used).truncate_pi(precision)
     assert oracle.pi_precision() == precision
     assert hodge.beta.is_congruent(oracle, precision)
 

@@ -31,10 +31,11 @@ printing the first line that differs in each differing section, from each tree:
              seeds, then on the edge curves EDGES: a = 0, b = 0, integers,
              and (1/6, 1/6), one denominator shared by a and b
   surface    the package's sorted __all__, then a non-prime p (9) given to
-             classify, beta, classify --batch, divpoly and adelic-bound: exit
-             code, stdout and stderr, the batch file's path shown as FILE;
-             then each typed log route (yasuda_coefficient,
-             series_inversion_logarithm, hasse_invariant,
+             classify, beta, classify --batch, divpoly and adelic-bound, then
+             classify on a composite p with no factor <= 41 (psi_12) and on a
+             coefficient in exponent form (1e5): exit code, stdout and stderr,
+             the batch file's path shown as FILE; then each typed log route
+             (yasuda_coefficient, series_inversion_logarithm, hasse_invariant,
              odd_coefficient_valuation) on five mixed coefficient pairs: the
              result's type names, or the error's type and message
 
@@ -68,6 +69,8 @@ NON_PRIME = (["classify", "--p", "9", "--a", "1", "--b", "1"],
              ["beta", "--p", "9", "--a", "1", "--b", "1"],
              ["divpoly", "--p", "9", "--e", "4", "--k", "1"],
              ["adelic-bound", "--h-j", "0", "--index-p", "9", "--index-n", "1"])
+ODD_INPUTS = (["classify", "--p", "318665857834031151167461", "--a", "1", "--b", "1"],
+              ["classify", "--p", "11", "--a", "1e5", "--b", "1"])
 
 
 def _outcome(fn, show):
@@ -375,7 +378,8 @@ def pair_rule_lines(package):
 
 
 def surface_lines(package, scratch):
-    """The sorted exports, each command's refusal of a non-prime p, then the pair rule."""
+    """The sorted exports, each command's refusal of a non-prime p, the ODD_INPUTS,
+    then the pair rule."""
     cli = importlib.import_module(f"{package}.cli")
     path = os.path.join(scratch, "non-prime.txt")
     with open(path, "w", encoding="utf-8") as handle:
@@ -383,7 +387,7 @@ def surface_lines(package, scratch):
     batch = _cli_run(cli, ["classify", "--batch", path], "classify --batch FILE")
     return (sorted(importlib.import_module(package).__all__)
             + [_cli_run(cli, argv) for argv in NON_PRIME] + [batch.replace(path, "FILE")]
-            + pair_rule_lines(package))
+            + [_cli_run(cli, argv) for argv in ODD_INPUTS] + pair_rule_lines(package))
 
 
 def main(argv=None):
@@ -394,7 +398,7 @@ def main(argv=None):
     trees = args.src or [os.path.join(ROOT, "src")]
     if len(trees) > 2:
         parser.error("--src is given at most twice")
-    os.environ.pop("PADIC_CARTAN_PRECISION", None)  # the CLI's defaults, not the caller's
+    os.environ.pop("PADIC_CARTAN_PRECISION", None)  # read by older trees: their defaults, not the caller's
     batches, curves = corpus_batches(), logcoeff_curves()
     packages = [_load(src, f"padic_cartan_{side}") for side, src in zip("ab", trees)]
     differ = False

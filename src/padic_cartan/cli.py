@@ -29,6 +29,7 @@ from operator import attrgetter
 
 from .classifier import (
     _eisenstein_json,
+    _encode_exact,
     _hodge_dict,
     adelic_bound,
     classify,
@@ -44,7 +45,7 @@ from .formal_log import (
     yasuda_coefficient,
     yasuda_coefficient_exact,
 )
-from .padic import INFINITY, PadicScalar, check_odd_prime
+from .padic import PadicScalar, check_odd_prime
 from .volkov import beta_from_logarithm, hodge_parameters, v_alpha_table
 
 _DEFAULT_PRECISION = "4e"  # enough to report the k <= 3 certificates in full
@@ -56,10 +57,12 @@ _DIVPOLY_K_CAP = 3
 _DEFAULT_K_MAX = 2
 
 
-def _int_str_limit() -> int:
-    """Python's digit limit for int to str conversion, read at call time; 0 is
-    no limit, and so is an interpreter older than 3.10.7, which has none."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+def _check_printable(digits: int, request: str) -> None:
+    """Refuse `request` if it prints an int of `digits` digits, past Python's int to str
+    limit read at call time (0, or an interpreter before 3.10.7, has none)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and digits > limit:
+        raise ValueError(f"{request}, over Python's {limit}-digit limit for int to str conversion")
 
 
 def _parse_rational(text, label: str) -> Fraction:
@@ -236,11 +239,8 @@ def _cmd_logcoeffs(args) -> int:
         )
     if 4 * a**3 + 27 * b**2 == 0:
         raise ValueError(f"discriminant vanishes for a={a}, b={b}")
-    limit = _int_str_limit()
     digits, r = max((d, 2 * N + 1) for N, d in enumerate(_logcoeff_digits(a, b, r_max)))
-    if limit and digits > limit:
-        raise ValueError(f"--r-max {r_max}: d_{r} may need up to {digits} digits, "
-                         f"over Python's {limit}-digit limit for int to str conversion")
+    _check_printable(digits, f"--r-max {r_max}: d_{r} may need up to {digits} digits")
     prefix = (series_inversion_logarithm(a, b, r_max, force=True) if args.method == "series"
               else recurrence_logarithm(a, b, r_max))
     pairs = [(r, prefix.d(r)) for r in range(1, r_max + 1, 2)]
@@ -262,15 +262,11 @@ def _cmd_logcoeffs(args) -> int:
 # -- divpoly --------------------------------------------------------------------
 
 
-def _format_valuation(v) -> str:
-    return "inf" if v == INFINITY else str(v)
-
-
 def _partition_lines(partition) -> list:
     lines = []
     for valuation, count in partition:
         noun = "root" if count == 1 else "roots"
-        lines.append(f"{count} {noun} of valuation {_format_valuation(valuation)}")
+        lines.append(f"{count} {noun} of valuation {_encode_exact(valuation)}")
     return lines
 
 
@@ -287,10 +283,8 @@ def _cmd_divpoly(args) -> int:
     flag, power = f"--k {k}", 2 * k
     if args.json and v is not None and v > k:
         flag, power = f"--v-alpha-inv {v}", v + k
-    limit = _int_str_limit()
-    if limit and power * math.log10(check_odd_prime(p)) >= limit:
-        raise ValueError(f"{flag} puts {p}**{power} in the {'JSON' if args.json else 'table'}, "
-                         f"over Python's {limit}-digit limit for int to str conversion")
+    _check_printable(math.floor(power * math.log10(check_odd_prime(p))) + 1,
+                     f"{flag} puts {p}**{power} in the {'JSON' if args.json else 'table'}")
     alpha_inv = 0 if v is None else p**v  # build_gk reads the int 0 as alpha**-1 = 0 exactly
     poly = build_gk(p, e, alpha_inv, k)
     partition = root_valuation_partition(poly)
@@ -306,7 +300,7 @@ def _cmd_divpoly(args) -> int:
                 [n, _eisenstein_json(poly.coefficients[n])] for n in poly.support
             ],
             "partition": [
-                [_format_valuation(valuation), count] for valuation, count in partition
+                [_encode_exact(valuation), count] for valuation, count in partition
             ],
         }
         print(json.dumps(payload, indent=2))
@@ -326,15 +320,16 @@ def _cmd_adelic_bound(args) -> int:
     if (args.index_p is None) != (args.index_n is None):
         raise ValueError("--index-p and --index-n must be given together")
     if args.index_p is not None:
+        p, n = check_odd_prime(args.index_p), args.index_n
+        digits = math.floor(2 * n * math.log10(p)) + 1  # of p**(2n) >= c * p**(2n-1)
+        _check_printable(digits, f"--index-n {n}: the bound may need up to {digits} digits")
         j = None
         if args.j is not None:
             j = _parse_rational(args.j, "j")
-        per_prime = per_prime_index_bound(
-            args.index_p, args.index_n, mod_p_case=args.mod_p_case, j_invariant=j
-        )
+        per_prime = per_prime_index_bound(p, n, mod_p_case=args.mod_p_case, j_invariant=j)
         payload["per_prime"] = {
-            "p": args.index_p,
-            "n": args.index_n,
+            "p": p,
+            "n": n,
             "mod_p_case": args.mod_p_case,
             "bound": per_prime,
         }

@@ -215,6 +215,13 @@ def normalized_shape(e: int) -> tuple[int, int]:
     raise NormalizationError(f"no Eisenstein normalization for e={e}")
 
 
+def check_supersingular(p: int, e: int) -> None:
+    """NormalizationError unless e divides p + 1: supersingular reduction over L = Q_p(pi_e)."""
+    if (p + 1) % e:
+        raise NormalizationError(
+            f"e={e} does not divide p+1={p + 1}; reduction is not supersingular")
+
+
 def deforming_coefficient(model) -> EisensteinElement:
     """The coefficient of a normalized good model over L that deforms.
 
@@ -249,10 +256,7 @@ def good_model_over_L(curve: WeierstrassCurve, e: int) -> GoodModelL:
         raise NormalizationError(
             f"semistability defect is {data.defect}, not the requested {e}"
         )
-    if (p + 1) % e:
-        raise NormalizationError(
-            f"e={e} does not divide p+1={p + 1}; reduction is not supersingular"
-        )
+    check_supersingular(p, e)
     s = e * data.v_min_discriminant // 12
     (an, ad), (bn, bd) = data.minimal.a.as_integer_ratio(), data.minimal.b.as_integer_ratio()
     lam = lcm(ad, bd)

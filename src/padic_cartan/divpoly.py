@@ -17,6 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
+from .curve import check_supersingular, normalized_shape
 from .eisenstein import EisensteinElement
 from .errors import PrecisionError
 from .padic import INFINITY, NewtonPolygon, PadicScalar, check_odd_prime, newton_polygon
@@ -56,10 +57,8 @@ def build_gk(p: int, e: int, alpha_inv, k: int) -> SparsePolynomialL:
     polynomial g_k^infinity.
     """
     check_odd_prime(p)
-    if e not in (3, 4, 6):
-        raise ValueError(f"ramification index must be 3, 4 or 6, got {e}")
-    if (p + 1) % e:
-        raise ValueError(f"e={e} does not divide p+1={p + 1}; not supersingular")
+    normalized_shape(e)  # raises for e outside {3, 4, 6}
+    check_supersingular(p, e)
     if k < 1:
         raise ValueError("k must be >= 1")
     if isinstance(alpha_inv, int):

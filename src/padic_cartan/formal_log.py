@@ -92,6 +92,11 @@ def _charge(p: int, e: int, size, vr: int, target: int, digits: int = 0, cost=0)
     return cost
 
 
+def _price_level(p: int, e: int, k: int, target: int) -> None:
+    """`_charge` from p and k alone of d_(p^2k) to pi^target, whose v = -k keeps a term."""
+    _charge(p, e, (2 * k - math.log(2, p)) * (1 - 1e-12), 2 * k, target)  # N+1 > p^(2k)/2
+
+
 @lru_cache(maxsize=128)  # <= ~40 MB: a plan of exact unit-coefficient multinomials is ~300 KB
 def _sum_plan(p: int, e: int, N: int, vr: int, wA, wB, target: int):
     """((m, n, multinomial form) per kept term, dropped, exact) of the sum at r = 2N+1.

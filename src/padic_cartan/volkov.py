@@ -18,7 +18,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import NamedTuple
 
-from .curve import WeierstrassCurve, good_model_over_L, normalized_shape
+from .curve import WeierstrassCurve, check_supersingular, good_model_over_L, normalized_shape
 from .eisenstein import EisensteinElement, _pi_digits
 from .errors import (
     CanonicalSubgroupError,
@@ -26,10 +26,9 @@ from .errors import (
     PadicCartanError,
     PrecisionError,
 )
-from .formal_log import _charge, yasuda_coefficient
+from .formal_log import _price_level, yasuda_coefficient
 from .padic import INFINITY, PadicScalar
 
-NEG_INFINITY = -INFINITY
 _RELATIVE_PRECISION = itemgetter(3)  # of a form's entry (index, unit, floor, precision)
 
 # v(alpha) = (c + sign*v)/d with (c, sign) by v(Delta_min): e = 6, 4, 3 with
@@ -166,8 +165,7 @@ def beta_from_logarithm(model, k: int = 1) -> EisensteinElement:
     if not isinstance(a_l, EisensteinElement) or not isinstance(b_l, EisensteinElement):
         raise TypeError("model coefficients must be EisensteinElements over L")
     e, p = a_l.ram_index, a_l.prime
-    if (p + 1) % e:
-        raise NormalizationError(f"e={e} does not divide p+1; not supersingular")
+    check_supersingular(p, e)
     if e >= p - 1:
         raise NormalizationError(f"the ratio route needs e < p-1 (e={e}, p={p})")
     if k < 0:
@@ -175,9 +173,7 @@ def beta_from_logarithm(model, k: int = 1) -> EisensteinElement:
     # v(d_{p^2k}) = -k and v(d_{p^(2k+1)}) >= 1/e - (k+1), so these absolute
     # targets leave k*e+1 relative pi-digits on each; one extra e as guard.
     guard = e
-    # d_{p^2k} has v = -k, below its target, so its sum keeps a term costing at least this
-    # (N + 1 > p^(2k)/2, less a margin past rounding): a deep level is refused from k alone.
-    _charge(p, e, (2 * k - math.log(2, p)) * (1 - 1e-12), 2 * k, 1 + guard)
+    _price_level(p, e, k, 1 + guard)  # a deep level is refused before any sum
     num = yasuda_coefficient(a_l, b_l, p ** (2 * k + 1), 2 - e + guard)
     if num.is_exact_zero:  # the CM lifts: beta = 0 exactly, whatever the divisor
         return num
@@ -261,7 +257,7 @@ def hodge_parameters(
                 f"log route gives beta = 0 but closed form v(beta) = {v_closed}"
             )
         alpha = alpha_from_beta(beta, epsilon)
-        v_alpha = NEG_INFINITY if epsilon == 1 else INFINITY
+        v_alpha = -INFINITY if epsilon == 1 else INFINITY
     elif beta.is_zero_to_precision():
         if beta_digits < certificate:
             raise PadicCartanError(

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import random
 import subprocess
 import sys
@@ -445,8 +446,10 @@ def test_divpoly_gates(capsys):
     rc, _, err = run(capsys, "divpoly", "--p", "9", "--e", "3", "--k", "1")
     assert rc == 2 and err.strip() == "need an odd prime, got 9"
     assert run(capsys, "divpoly", "--p", "3", "--e", "4", "--k", "1")[0] == 0
-    rc, _, err = run(capsys, "divpoly", "--p", "7", "--e", "6", "--k", "1")
-    assert rc == 2 and "does not divide" in err
+    for p, e in (("7", "6"), ("13", "4")):
+        rc, out, err = run(capsys, "divpoly", "--p", p, "--e", e, "--k", "1")
+        assert (rc, out) == (2, "")
+        assert err == f"e={e} does not divide p+1={int(p) + 1}; reduction is not supersingular\n"
     rc, _, err = run(
         capsys, "divpoly", "--p", "11", "--e", "3", "--k", "1", "--v-alpha-inv", "-1"
     )
@@ -489,6 +492,41 @@ def test_adelic_bound_errors(capsys):
     for h_j in ("1e100", "1e95", "inf"):
         rc, out, err = run(capsys, "adelic-bound", "--h-j", h_j, "--json")
         assert rc == 2 and out == "" and "h_j" in err
+
+
+def test_adelic_bound_refuses_past_the_int_str_limit_by_its_estimate(capsys, monkeypatch):
+    # The bound c * p**(2n-1), c <= p, is refused by the digits of p**(2n) before it is built.
+    def bound(*args, **kwargs):
+        raise ValueError("bound reached")
+
+    real = cli.per_prime_index_bound
+    monkeypatch.setattr(cli, "per_prime_index_bound", bound)
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+    base = ["adelic-bound", "--h-j", "0", "--index-p", "11", "--index-n"]
+    for mode in ((), ("--json",)):
+        # 11**4128 has 4299 digits, 11**4130 has 4301.
+        assert run(capsys, *base, "2064", *mode) == (2, "", "bound reached\n")
+        assert run(capsys, *base, "2065", *mode) == (2, "", (
+            "--index-n 2065: the bound may need up to 4301 digits, "
+            "over Python's 4300-digit limit for int to str conversion\n"))
+        rc, out, err = run(capsys, *base, "1000000000", *mode)
+        assert (rc, out) == (2, "") and err.startswith("--index-n 1000000000: the bound")
+    rc, out, err = run(capsys, "adelic-bound", "--h-j", "0", "--index-p", "9", "--index-n", "9999")
+    assert rc == 2 and out == "" and err == "need an odd prime, got 9\n"
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)  # 0: no limit
+    assert run(capsys, *base, "2065")[2] == "bound reached\n"
+    monkeypatch.delattr(sys, "get_int_max_str_digits")  # before Python 3.10.7
+    assert run(capsys, *base, "2065")[2] == "bound reached\n"
+    monkeypatch.setattr(cli, "per_prime_index_bound", real)
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+    rc, out, _ = run(capsys, *base, "2064", "--json")
+    assert rc == 0 and len(str(json.loads(out)["per_prime"]["bound"])) == 4299
+    # The estimate bounds every row from n = 2, past the floors 30 and 147 of p = 5, 7
+    # (Python's limit is at least 640 digits).
+    for p in (3, 5, 7, 11, 13, 29):
+        for n in range(2, 60):
+            digits = len(str(real(p, n, mod_p_case="equal")))
+            assert digits <= math.floor(2 * n * math.log10(p)) + 1, (p, n)
 
 
 class _ClosedPipe(io.StringIO):

@@ -285,9 +285,10 @@ def test_good_model_rejections():
         good_model_over_L(c, 4)  # defect is 3
     with pytest.raises(NormalizationError):
         good_model_over_L(WeierstrassCurve(13, 1, 3), 3)  # multiplicative
-    with pytest.raises(NormalizationError):
+    with pytest.raises(NormalizationError) as refused:
         # defect 3 but 3 does not divide 13 + 1: ordinary, no L-model
         good_model_over_L(WeierstrassCurve(13, 13**3, 13**2), 3)
+    assert str(refused.value) == "e=3 does not divide p+1=14; reduction is not supersingular"
 
 
 def test_vp_utility_on_curve():

@@ -11,7 +11,7 @@ from padic_cartan.divpoly import (
     newton_polygon_of,
     root_valuation_partition,
 )
-from padic_cartan.errors import PrecisionError, UnsupportedPrimeError
+from padic_cartan.errors import NormalizationError, PrecisionError, UnsupportedPrimeError
 from padic_cartan.padic import INFINITY, PadicScalar
 
 
@@ -86,10 +86,11 @@ def test_rejections():
     ok = PadicScalar.from_rational(1, 11, 6)
     with pytest.raises(UnsupportedPrimeError):
         build_gk(9, 3, 0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(NormalizationError, match="^no Eisenstein normalization for e=5$"):
         build_gk(11, 5, ok, 1)
-    with pytest.raises(ValueError):
-        build_gk(5, 4, PadicScalar.from_rational(1, 5, 6), 1)  # 4 does not divide 6
+    with pytest.raises(NormalizationError) as refused:
+        build_gk(5, 4, PadicScalar.from_rational(1, 5, 6), 1)
+    assert str(refused.value) == "e=4 does not divide p+1=6; reduction is not supersingular"
     with pytest.raises(ValueError):
         build_gk(11, 3, ok, 0)
     with pytest.raises(PrecisionError):

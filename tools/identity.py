@@ -33,7 +33,10 @@ printing the first line that differs in each differing section, from each tree:
   surface    the package's sorted __all__, then a non-prime p (9) given to
              classify, beta, classify --batch, divpoly and adelic-bound, then
              classify on a composite p with no factor <= 41 (psi_12) and on a
-             coefficient in exponent form (1e5): exit code, stdout and stderr,
+             coefficient in exponent form (1e5), adelic-bound on a per-prime
+             bound past the int to str limit (p = 11, n = 2065), plain and
+             --json, and divpoly with e not dividing p + 1 (p = 13, e = 4):
+             exit code, stdout and stderr,
              the batch file's path shown as FILE; then each typed log route
              (yasuda_coefficient, series_inversion_logarithm, hasse_invariant,
              odd_coefficient_valuation) on five mixed coefficient pairs: the
@@ -70,7 +73,10 @@ NON_PRIME = (["classify", "--p", "9", "--a", "1", "--b", "1"],
              ["divpoly", "--p", "9", "--e", "4", "--k", "1"],
              ["adelic-bound", "--h-j", "0", "--index-p", "9", "--index-n", "1"])
 ODD_INPUTS = (["classify", "--p", "318665857834031151167461", "--a", "1", "--b", "1"],
-              ["classify", "--p", "11", "--a", "1e5", "--b", "1"])
+              ["classify", "--p", "11", "--a", "1e5", "--b", "1"],
+              ["adelic-bound", "--h-j", "0", "--index-p", "11", "--index-n", "2065"],
+              ["adelic-bound", "--h-j", "0", "--index-p", "11", "--index-n", "2065", "--json"],
+              ["divpoly", "--p", "13", "--e", "4", "--k", "1"])
 
 
 def _outcome(fn, show):

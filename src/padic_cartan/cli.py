@@ -40,6 +40,7 @@ from .divpoly import build_gk, format_table, root_valuation_partition
 from .eisenstein import EisensteinElement
 from .formal_log import (
     _EXACT_MULTINOMIAL_CAP,
+    _SERIES_DEFAULT_CAP,
     recurrence_logarithm,
     series_inversion_logarithm,
     yasuda_coefficient,
@@ -49,7 +50,6 @@ from .padic import PadicScalar, check_odd_prime
 from .volkov import beta_from_logarithm, hodge_parameters, v_alpha_table
 
 _DEFAULT_PRECISION = "4e"  # enough to report the k <= 3 certificates in full
-_LOGCOEFF_CAP = 501
 _DIVPOLY_K_CAP = 3
 # Adaptive-level cap of `classify`.  The library's own default is 3; the CLI
 # keeps 2, which the benchmark corpora assume (with 3, p=11 and p=17 lifts
@@ -233,9 +233,9 @@ def _cmd_logcoeffs(args) -> int:
             f"r-max {r_max} > {2 * _EXACT_MULTINOMIAL_CAP + 1} is beyond the exact "
             f"{args.method} route, even with --force"
         )
-    if r_max > _LOGCOEFF_CAP and not args.force:
+    if r_max > _SERIES_DEFAULT_CAP and not args.force:
         raise ValueError(
-            f"r-max {r_max} > {_LOGCOEFF_CAP} is slow; pass --force to allow it"
+            f"r-max {r_max} > {_SERIES_DEFAULT_CAP} is slow; pass --force to allow it"
         )
     if 4 * a**3 + 27 * b**2 == 0:
         raise ValueError(f"discriminant vanishes for a={a}, b={b}")
@@ -283,7 +283,7 @@ def _cmd_divpoly(args) -> int:
     flag, power = f"--k {k}", 2 * k
     if args.json and v is not None and v > k:
         flag, power = f"--v-alpha-inv {v}", v + k
-    _check_printable(math.floor(power * math.log10(check_odd_prime(p))) + 1,
+    _check_printable(math.floor(power * Fraction(math.log10(check_odd_prime(p)))) + 1,
                      f"{flag} puts {p}**{power} in the {'JSON' if args.json else 'table'}")
     alpha_inv = 0 if v is None else p**v  # build_gk reads the int 0 as alpha**-1 = 0 exactly
     poly = build_gk(p, e, alpha_inv, k)
@@ -321,7 +321,7 @@ def _cmd_adelic_bound(args) -> int:
         raise ValueError("--index-p and --index-n must be given together")
     if args.index_p is not None:
         p, n = check_odd_prime(args.index_p), args.index_n
-        digits = math.floor(2 * n * math.log10(p)) + 1  # of p**(2n) >= c * p**(2n-1)
+        digits = math.floor(2 * n * Fraction(math.log10(p))) + 1  # of p**(2n) >= c * p**(2n-1)
         _check_printable(digits, f"--index-n {n}: the bound may need up to {digits} digits")
         j = None
         if args.j is not None:
@@ -551,7 +551,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="multinomial sum by its order-3 recurrence (default) or series inversion",
     )
     log.add_argument("--json", action="store_true")
-    log.add_argument("--force", action="store_true", help=f"allow r-max > {_LOGCOEFF_CAP}")
+    log.add_argument("--force", action="store_true", help=f"allow r-max > {_SERIES_DEFAULT_CAP}")
     log.set_defaults(func=_cmd_logcoeffs)
 
     div = sub.add_parser(

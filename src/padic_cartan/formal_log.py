@@ -9,22 +9,22 @@ Two independent routes are provided and cross-checked in the test suite:
   directly.  When v(A) > 0 or v(B) > 0 the sum is truncated: one walk over
   the pairs stops once m*v(A) + n*v(B) alone pushes a term past the target
   precision (multinomial valuations are >= 0), and keeps the terms before it
-  by their exact Legendre valuations.  The work of the kept terms is priced,
-  and a sum over a fixed budget refused, before any arithmetic.  If none was
-  dropped, exact A and B give an exact d_r up to index 2*10**4 + 1;
-  otherwise each multinomial is taken mod the power of p its term needs, and
-  A and B are reduced to target + e*v_p(r) + e pi-digits (what the truncated
-  result can use, plus a guard of e) before they are raised to powers, as in
-  Caruso-Roe-Vaccon, "Tracking p-adic precision" (2014).  This is what makes
-  coefficients of index p**7 ~ 10**9 affordable.  Valuations are kept as
-  integer pi-digits (e*v), and the sum runs on the integer form of `padic`:
-  the plan holds each multinomial as its one-entry form, the terms are
-  concatenated and normalized by one `_product`, and 1/r is one `_scale`,
-  after an exact entry that the p-free part of r does not divide is cut to
-  the target.  One element (or scalar) is built, at the end.  Everything but
-  the powers of A and B is read off (p, e, (r-1)/2, v_p(r), v(A), v(B),
-  target): that plan is cached on this key (128 plans), so curves that share
-  valuations share it; no result changes.
+  by their exact Legendre valuations.  The pairs it visits are priced, and a
+  sum over a fixed budget refused, before any arithmetic.  One multinomial is
+  taken, and a ratio of factorials steps to each next kept one (Granville,
+  "Binomial coefficients modulo prime powers", 1997).  If none was dropped,
+  exact A and B give an exact d_r up to index 2*10**4 + 1, the bits of their
+  powers priced first (monomials step whole terms); otherwise the walk runs
+  mod the power of p the kept terms need, and A and B are reduced to target +
+  e*v_p(r) + e pi-digits (what the truncated result can use, plus a guard of
+  e) before they are raised to powers, as in Caruso-Roe-Vaccon, "Tracking
+  p-adic precision" (2014).  This makes coefficients of index p**7 ~ 10**9
+  affordable.  Valuations are integer pi-digits (e*v), and the sum runs on
+  the integer form of `padic`: the terms are normalized by one `_product`, and
+  1/r is one `_scale`, after an exact entry that the p-free part of r does not
+  divide is cut to the target; one element (or scalar) is built, at the end.
+  The plan, all but the powers of A and B, is read off (p, e, (r-1)/2, v_p(r),
+  v(A), v(B), target) and cached on this key (128 plans); no result changes.
 
 * `series_inversion_logarithm` computes the same prefix by inverting the
   Weierstrass parametrization (t = -x/y, w = -1/y = t**3 z, z a series in
@@ -52,16 +52,14 @@ from .curve import _Frozen, deforming_coefficient
 from .eisenstein import EisensteinElement, _pi_digits, _truncate
 from .errors import PrecisionError
 from .padic import (
-    _ONE, INFINITY, _Number, _power, _product, _scale, multinomial_exact,
+    _ONE, INFINITY, _Number, _monomial_inverse, _power, _product, _scale, multinomial_exact,
     multinomial_padic, multinomial_valuation, vp)
 
-# Largest (r-1)/2 for which the untruncated sum is evaluated term by term.
-_GENERIC_CAP = 3000
 # Largest (r-1)/2 at which a sum that drops no term takes exact multinomials.
 _EXACT_MULTINOMIAL_CAP = 10**4
 # Largest up-front work estimate of one Yasuda sum that is run; past it, refuse.
 _WORK_BUDGET = 6 * 10**7
-_SERIES_DEFAULT_CAP = 500
+_SERIES_DEFAULT_CAP = 501
 
 
 class FormalLogPrefix(_Frozen):
@@ -80,26 +78,32 @@ class FormalLogPrefix(_Frozen):
 
 
 def _charge(p: int, e: int, size, vr: int, target: int, digits: int = 0, cost=0):
-    """cost plus one term kept in the sum at r = 2N+1; PrecisionError past _WORK_BUDGET."""
-    # Factorial units over size = log_p(N+1) digits of up to p blocks, and powers, at
-    # the term's digits or at least the p-digits to which A and B are reduced.
+    """cost plus a pair of the sum at r = 2N+1, kept to `digits` p-digits or dropped (0);
+    PrecisionError past _WORK_BUDGET."""
+    # Kept: factorial units over size = log_p(N+1) digits of up to p blocks, and powers, at its
+    # digits or A and B's if more (cut to the budget, over it alone); dropped: its valuation.
     working = -(-(target + e * vr + e) // e)
-    cost += max(digits, working) ** 2 * p * size
+    cost += (min(max(digits, working), _WORK_BUDGET) ** 2 if digits else 1) * p * size
     if cost > _WORK_BUDGET:
         raise PrecisionError(
-            f"d_r at r ~ {p}^{size + math.log(2, p):.0f} to pi^{target} needs "
+            f"d_r at r ~ {p}^{max(vr, round(size + math.log(2, p)))} to pi^{target} needs "
             f"more than ~{cost:.2g} digit operations, over the budget {_WORK_BUDGET:.0e}")
     return cost
 
 
+def _ratio(m: int, n: int):
+    """(num, den): C(N; m+2n, m, n) = C(N; m+2n+1, m-3, n+2) * num / den, for m >= 3."""
+    return (m + 2 * n + 1) * (n + 1) * (n + 2), m * (m - 1) * (m - 2)
+
+
 def _price_level(p: int, e: int, k: int, target: int) -> None:
     """`_charge` from p and k alone of d_(p^2k) to pi^target, whose v = -k keeps a term."""
-    _charge(p, e, (2 * k - math.log(2, p)) * (1 - 1e-12), 2 * k, target)  # N+1 > p^(2k)/2
+    _charge(p, e, (2 * min(k, _WORK_BUDGET) - math.log(2, p)) * (1 - 1e-12), 2 * k, target, 1)
 
 
-@lru_cache(maxsize=128)  # <= ~40 MB: a plan of exact unit-coefficient multinomials is ~300 KB
+@lru_cache(maxsize=128)  # <= ~460 MB: a unit-coefficient plan holds up to ~3.6 MB (N ~ 3*10**5)
 def _sum_plan(p: int, e: int, N: int, vr: int, wA, wB, target: int):
-    """((m, n, multinomial form) per kept term, dropped, exact) of the sum at r = 2N+1.
+    """((m, n, multinomial) per kept term, dropped, exact) of the sum at r = 2N+1.
 
     wA, wB are v(A), v(B) in pi-digits (ints or INFINITY), vr = v_p(r).  One
     walk over the pairs of 2m + 3n = N, in the direction in which m*wA + n*wB
@@ -107,19 +111,21 @@ def _sum_plan(p: int, e: int, N: int, vr: int, wA, wB, target: int):
     valuation.  It stops at the first exactly-zero pair (a positive power of
     a zero coefficient; all later ones are zero too), or at the first whose
     power alone reaches target + e*v_p(r), past which every term is dropped
-    (v(C) >= 0).  Each kept term adds its work to an estimate that raises
+    (v(C) >= 0).  Each pair visited adds its work to an estimate that raises
     PrecisionError past _WORK_BUDGET before any arithmetic; a raise is not
-    cached.  `exact` tells exact multinomials from ones taken mod a power of p.
+    cached.  One multinomial is taken, at the least m kept; `_ratio` steps up to
+    the others mod p**top, top the most digits a term needs, each cut to its own
+    as `multinomial_padic` gives it.  If `exact` (nothing dropped, N <=
+    _EXACT_MULTINOMIAL_CAP) the plan holds the first one exact, the others None.
     """
-    if wA == wB == 0 and N > _GENERIC_CAP:  # unit coefficients: nothing is dropped
-        raise PrecisionError(
-            f"index {2 * N + 1} needs the full sum over units; cap is {_GENERIC_CAP}")
     threshold, size = target + e * vr, math.log(N + 1, p)
     if 3 * wA >= 2 * wB:
         pairs = ((m, (N - 2 * m) // 3) for m in range((2 * N) % 3, N // 2 + 1, 3))
     else:
         pairs = (((N - 3 * n) // 2, n) for n in range(N % 2, N // 3 + 1, 2))
     kept, dropped, cost = [], False, 0
+    if wA == wB == 0:  # a unit sum visits all ~N/6 pairs, each priced at least as dropped
+        _charge(p, e, size, vr, target, 0, (len(range((2 * N) % 3, N // 2 + 1, 3)) - 1) * p * size)
     for m, n in pairs:
         if (m and wA == INFINITY) or (n and wB == INFINITY):
             break
@@ -128,18 +134,24 @@ def _sum_plan(p: int, e: int, N: int, vr: int, wA, wB, target: int):
         if w_power >= threshold:
             dropped = True
             break
-        parts = (m + 2 * n, m, n)
-        w_term = e * (multinomial_valuation(N, parts, p) - vr) + w_power
-        if w_term >= target:
+        w_term = e * (multinomial_valuation(N, (m + 2 * n, m, n), p) - vr) + w_power
+        digits = max(0, -((w_term - target) // e))  # ceil((target - w_term) / e), or 0
+        cost = _charge(p, e, size, vr, target, digits, cost)
+        if not digits:
             dropped = True
             continue
-        digits = -((w_term - target) // e)  # ceil((target - w_term) / e) >= 1
-        cost = _charge(p, e, size, vr, target, digits, cost)
-        kept.append((m, n, parts, digits))
-    exact = not dropped and N <= _EXACT_MULTINOMIAL_CAP
-    return tuple((m, n, _scale(p, _ONE, multinomial_exact(N, parts), 1) if exact
-                  else multinomial_padic(N, parts, p, digits).form)
-                 for m, n, parts, digits in kept), dropped, exact
+        kept.append((m, n, digits))
+    exact, kept, terms = not dropped and N <= _EXACT_MULTINOMIAL_CAP, sorted(kept), []
+    if exact:
+        return tuple((m, n, None if t else _scale(p, _ONE, multinomial_exact(
+            N, (m + 2 * n, m, n)), 1)) for t, (m, n, _) in enumerate(kept)), dropped, exact
+    for m, n, digits in kept:
+        if not terms:
+            i, x = m, multinomial_padic(N, (m + 2 * n, m, n), p, max(t[2] for t in kept)).form
+        for i in range(i + 3, m + 1, 3):  # through the dropped pairs
+            x = _scale(p, x, *_ratio(i, (N - 2 * i) // 3))
+        terms.append((m, n, ((0, x[0][1] % p**digits, x[0][2], digits),)))
+    return tuple(terms), dropped, exact
 
 
 def _check_ring_elements(A, B):
@@ -163,18 +175,17 @@ def yasuda_coefficient(A, B, r: int, target_pi_digits: int):
     The terms that reach the target are picked, and their work estimated,
     from valuations alone; past _WORK_BUDGET that raises PrecisionError.  If
     none is dropped and (r-1)/2 <= _EXACT_MULTINOMIAL_CAP the sum takes exact
-    multinomials, so it is exact when A and B are; every other sum takes each
-    multinomial mod the power of p its term needs for the target.  That plan
-    reads only (p, e, (r-1)/2, v_p(r), v(A), v(B), target), the key on which
-    `_sum_plan` caches it (up to 128 plans).  When terms are dropped the
-    result is reduced to the target.  When the multinomials are not exact and
-    v(A), v(B) >= 0 (as on a normalized model) the powers are taken of A and
-    B reduced to target + e*v_p(r) + e pi-digits (p-digits when e = 1), so an
-    exact unit is never raised to a power near r.  That is sound: the
-    multinomials are integral and only v_p(r) is divided out, so every term
-    still carries e digits beyond the target.  Exact A and B at an r with a
-    p-free part r' give d_r mod pi**target in each coordinate whose exact
-    value r' does not divide, and the exact value in every other.
+    multinomials, so it is exact when A and B are, and the bits of powers of
+    exact entries are priced first; every other sum takes each multinomial
+    mod the power of p its term needs (the plan that `_sum_plan` caches).
+    When terms are dropped the result is reduced to the target.  When the
+    multinomials are not exact and v(A), v(B) >= 0 (as on a normalized model)
+    the powers are taken of A and B reduced to target + e*v_p(r) + e pi-digits
+    (p-digits when e = 1), so an exact unit is never raised to a power near r.
+    That is sound: the multinomials are integral and only v_p(r) is divided
+    out, so every term still carries e digits beyond the target.  Exact A and
+    B at an r with a p-free part r' give d_r mod pi**target in each coordinate
+    whose exact value r' does not divide, and the exact value in every other.
     """
     if r < 1 or r % 2 == 0:
         raise ValueError(f"coefficient index must be odd and positive, got {r}")
@@ -186,8 +197,21 @@ def yasuda_coefficient(A, B, r: int, target_pi_digits: int):
     if not exact and wA >= 0 and wB >= 0:
         working = target_pi_digits + e * vr + e
         a, b = _truncate(p, e, a, working, fill=False), _truncate(p, e, b, working, fill=False)
+    elif len(terms) > 1:  # a sum of exact entries' powers keeps every bit: priced first
+        bits = [max([t[1].bit_length() for t in x if t[3] == INFINITY] + [0]) for x in (a, b)]
+        _charge(p, e, math.log((r + 1) // 2, p), vr, target_pi_digits,
+                cost=sum(m * bits[0] + n * bits[1] for m, n, _ in terms))
+        c = terms[0][2]  # on an exact plan, the first multinomial's form
+        if step := exact and len(a) == len(b) == 1 and a[0][3] == b[0][3] == INFINITY:
+            (i, u, f, n), = _power(p, e, b, 2)  # exact monomials: a**3 / b**2 over u, and u
+            step = _product(p, e, _power(p, e, a, 3), _monomial_inverse(p, e, (i, 1, f, n))), u
     total = []
     for m, n, term in terms:
+        if term is None:  # on an exact plan, by the ratio from the multinomial before, or
+            num, den = _ratio(m, n)  # when step is set from the term before, no power left
+            if step:
+                c, den, m, n = _product(p, e, total[-1:], step[0]), den * step[1], 0, 0
+            c = term = _scale(p, c, num, den)
         if m:
             term = _product(p, e, term, _power(p, e, a, m))
         if n:
@@ -208,10 +232,9 @@ def yasuda_coefficient_exact(A, B, r: int) -> Fraction:
 
     Sums on integers a = lam**2 A, b = lam**3 B, walking the pairs of
     2m + 3n = N by increasing m: one multinomial gives the first term, and
-    C(N; m+2n-1, m+3, n-2) = C(N; m+2n, m, n) (m+2n) n(n-1) / ((m+1)(m+2)(m+3))
-    the next, as term * (m+2n) n(n-1) a**3 // ((m+1)(m+2)(m+3) b**2): exact,
-    as the quotient is the next term, an integer.  a = 0 or b = 0 leaves one
-    pair, (0, N/3) or (N/2, 0), taken before the walk.
+    `_ratio` the next, as term * num * a**3 // (den * b**2): exact, as the
+    quotient is the next term, an integer.  a = 0 or b = 0 leaves one pair,
+    (0, N/3) or (N/2, 0), taken before the walk.
     """
     if r < 1 or r % 2 == 0:
         raise ValueError(f"coefficient index must be odd and positive, got {r}")
@@ -230,8 +253,8 @@ def yasuda_coefficient_exact(A, B, r: int) -> Fraction:
     total = term = multinomial_exact(N, (m + 2 * n, m, n)) * a**m * b**n
     a3, b2 = a**3, b**2
     while a and n >= 2:
-        term = term * ((m + 2 * n) * n * (n - 1)) * a3 // ((m + 1) * (m + 2) * (m + 3) * b2)
-        m, n = m + 3, n - 2
+        m, n, (num, den) = m + 3, n - 2, _ratio(m + 3, n - 2)
+        term = term * num * a3 // (den * b2)
         total += term
     return Fraction(total, r * lam**N)
 
@@ -293,7 +316,7 @@ def series_inversion_logarithm(A, B, n_terms: int, force: bool = False) -> Forma
     da of F(s) iff i % 2 > s % 2, db iff i % 3 > s % 3, so a convolution is six
     slices by i mod 6, each times its carry.  Bounded precision over Q_p or L
     (da = db = 1).  Independent of the multinomial route, hence an oracle for
-    it.  O(n_terms**2) ring multiplications: capped at 500 unless force=True.
+    it.  O(n_terms**2) ring multiplications: capped at 501 unless force=True.
     """
     if n_terms < 1:
         raise ValueError("need at least one coefficient")

@@ -292,6 +292,24 @@ def test_deep_levels_are_priced_before_any_valuation(capsys, monkeypatch, comman
     assert len(err.strip().splitlines()) == 1 and "budget" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["beta", *EXAMPLE1, "--k", str(10**200)],
+    ["classify", *EXAMPLE1, "--k", str(10**200)],
+    ["divpoly", "--p", "11", "--e", "3", "--k", "1", "--json", "--v-alpha-inv", str(10**400)],
+    ["adelic-bound", "--h-j", "0", "--index-p", "11", "--index-n", str(10**400)],
+])
+def test_estimates_of_user_sized_ints_refuse_without_a_float(capsys, argv):
+    # A level, power or index past a float's range is priced in ints and exact
+    # rationals: one stderr line and exit 2, not an OverflowError.
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "") and len(err.splitlines()) == 1, err
+
+
+def test_a_level_past_the_budget_is_named_exactly(capsys):
+    rc, out, err = run(capsys, "beta", *EXAMPLE1, "--k", str(10**20))
+    assert (rc, out) == (2, "") and err.startswith(f"d_r at r ~ 11^{2 * 10**20} to pi^4 needs")
+
+
 def test_parser_is_built_once_with_the_same_help_and_errors(capsys):
     from padic_cartan.cli import _build_parser
 

@@ -13,6 +13,7 @@ from padic_cartan.curve import WeierstrassCurve, good_model_over_L
 from padic_cartan.eisenstein import EisensteinElement
 from padic_cartan.errors import NormalizationError, PrecisionError
 from padic_cartan.formal_log import (
+    _ratio,
     _sum_plan,
     hasse_invariant,
     odd_coefficient_valuation,
@@ -313,8 +314,10 @@ def test_exact_good_model_at_a_p_free_index_matches_the_truncated_model(a, b, e)
 
 
 def test_series_caps():
-    with pytest.raises(ValueError):
-        series_inversion_logarithm(A, B, 501)
+    # One limit with the CLI's --r-max: 501 runs without force, 502 is refused.
+    assert series_inversion_logarithm(A, B, 501).d(501) == yasuda_coefficient_exact(A, B, 501)
+    with pytest.raises(ValueError, match="beyond the oracle cap 501"):
+        series_inversion_logarithm(A, B, 502)
     with pytest.raises(ValueError):
         series_inversion_logarithm(A, B, 0)
     # force=True bypasses the cap gate (kept small here for speed)
@@ -388,11 +391,38 @@ def test_exact_route_cap():
         yasuda_coefficient_exact(A, B, 2 * 10**4 + 3)
 
 
-def test_unit_coefficients_hit_generic_cap():
-    a = PadicScalar.from_rational(1, 5, 8)
-    b = PadicScalar.from_rational(2, 5, 8)
-    with pytest.raises(PrecisionError):
-        yasuda_coefficient(a, b, 6003, 8)
+def test_unit_coefficients_past_index_6001_match_the_per_term_sum():
+    # Unit sums past r = 6001 are answered, finite or exact; 6003 is prime to 5.
+    want = _per_term_sum(Fraction(1), Fraction(2), 6003)
+    for precision in (8, INFINITY):
+        a = PadicScalar.from_rational(1, 5, precision)
+        b = PadicScalar.from_rational(2, 5, precision)
+        got = yasuda_coefficient(a, b, 6003, 8)
+        assert got.abs_precision >= 8
+        assert got.is_congruent(PadicScalar.from_rational(want, 5, 8), 8)
+
+
+def test_small_unit_sums_walk_whole_terms_up_to_the_exact_cap():
+    # Units (3, 5) over Q_11 to p^8 at r = 20001: the exact branch, each term
+    # stepped from the one before, against the oracle over Q.
+    a, b = (PadicScalar.from_rational(u, 11, INFINITY) for u in (3, 5))
+    want = yasuda_coefficient_exact(3, 5, 20001)
+    got = yasuda_coefficient(a, b, 20001, 8)
+    assert got.abs_precision == 8
+    assert got.is_congruent(PadicScalar.from_rational(want, 11, 8), 8)
+
+
+@pytest.mark.parametrize("height, r", [(400, 6001), (100, 20001)])
+def test_exact_powers_of_tall_units_are_priced_before_any_is_taken(monkeypatch, height, r):
+    # Units with `height`-digit numerators keep every bit of their powers on the
+    # exact branch: the bits are priced, and the sum refused before any power.
+    from padic_cartan import formal_log
+
+    monkeypatch.setattr(formal_log, "_power", _no_work)
+    a, b = (PadicScalar.from_rational(k * 10 ** (height - 1) + u, 11, INFINITY)
+            for k, u in ((1, 3), (2, 7)))  # 2 and 5 mod 11: units
+    with pytest.raises(PrecisionError, match="budget"):
+        yasuda_coefficient(a, b, r, 8)
 
 
 def _no_work(*args, **kwargs):
@@ -642,7 +672,9 @@ def _coefficient(p, e, w, rng):
 
 def _plan_by_fractions(p, e, N, vr, wA, wB, target):
     """The sum's kept ((m + 2n, m, n), p-digits), dropped flag and work estimate,
-    over every pair, in Fraction valuations (v = pi-digits / e)."""
+    over every pair, in Fraction valuations (v = pi-digits / e).  A kept term
+    costs max(digits, working)**2 * p * log_p(N+1); a dropped pair whose power
+    alone stays below the target (one the walk visits) p * log_p(N+1)."""
     vA, vB = (w if w == INFINITY else Fraction(w, e) for w in (wA, wB))
     goal = Fraction(target, e)
     working = math.ceil(goal + vr + 1)  # p-digits of A and B reduced for powers
@@ -651,9 +683,11 @@ def _plan_by_fractions(p, e, N, vr, wA, wB, target):
         n, rest = divmod(N - 2 * m, 3)
         if rest or (m and vA == INFINITY) or (n and vB == INFINITY):
             continue  # no pair, or an exactly zero term
-        v_term = _v(_multinomial(N, m, n), p) + (m and m * vA) + (n and n * vB) - vr
+        v_power = (m and m * vA) + (n and n * vB)
+        v_term = _v(_multinomial(N, m, n), p) + v_power - vr
         if v_term >= goal:
             dropped = True
+            cost += p * math.log(N + 1, p) if v_power < goal + vr else 0
         else:
             digits = math.ceil(goal - v_term)
             kept.append(((m + 2 * n, m, n), digits))
@@ -662,10 +696,12 @@ def _plan_by_fractions(p, e, N, vr, wA, wB, target):
 
 
 def test_kept_terms_and_digits_match_fractions(monkeypatch):
-    # Which multinomials a sum takes, to how many p-digits, whether it drops a
-    # term and whether the budget refuses it, against the same bookkeeping in
-    # Fractions: v(term) = v(C) + m v(A) + n v(B) - v(r), kept below target / e,
-    # to ceil(target / e - v(term)) digits.  Exactly zero, unit and non-integral
+    # Which terms a sum keeps, to how many p-digits, whether it drops a term and
+    # whether the budget refuses it, against the same bookkeeping in Fractions:
+    # v(term) = v(C) + m v(A) + n v(B) - v(r), kept below target / e, to
+    # ceil(target / e - v(term)) digits.  A cold sum that keeps a term takes one
+    # multinomial, the least m's: exact when it drops none, else to the most
+    # digits a kept term needs.  Exactly zero, unit and non-integral
     # coefficients included.
     calls = []
 
@@ -687,8 +723,6 @@ def test_kept_terms_and_digits_match_fractions(monkeypatch):
         key = (p, e, N, _v(r, p), wA, wB, target)
         A, B = (_coefficient(p, e, w, rng) for w in (wA, wB))
         kept, dropped, cost = _plan_by_fractions(*key)
-        if not dropped:
-            kept = [(parts, None) for parts, _ in kept]  # exact multinomials
         _sum_plan.cache_clear()  # a cached plan takes no multinomial
         calls.clear()
         if cost > budget:
@@ -698,15 +732,52 @@ def test_kept_terms_and_digits_match_fractions(monkeypatch):
             seen["refused"] += 1
             continue
         yasuda_coefficient(A, B, r, target)
-        assert sorted(calls) == sorted(kept), key
-        terms, got_dropped, _ = _sum_plan(*key)  # the plan just cached
+        first = min(kept, key=lambda k: k[0][1], default=None)
+        top = max((digits for _, digits in kept), default=None)
+        assert calls == ([] if first is None else [(first[0], None if not dropped else top)]), key
+        terms, got_dropped, exact = _sum_plan(*key)  # the plan just cached
         assert sorted((m, n) for m, n, _ in terms) == sorted((m, n) for (_, m, n), _ in kept)
-        assert got_dropped == dropped, key
+        assert got_dropped == dropped and exact == (not dropped), key
+        if dropped:  # each term's multinomial form carries its own digits
+            assert sorted((m, n, x[0][3]) for m, n, x in terms) == sorted(
+                (m, n, digits) for (_, m, n), digits in kept), key
         seen["truncated"] += dropped and bool(kept)
         seen["zero"] += INFINITY in (wA, wB)
         seen["unit"] += wA == wB == 0
         seen["negative"] += min(wA, wB) < 0
     assert seen["truncated"] >= 20 and seen["refused"] >= 20 and min(seen.values()) >= 5, seen
+
+
+@pytest.mark.parametrize("p", [5, 11])
+@pytest.mark.parametrize("e", [1, 3, 4, 6])
+def test_walked_multinomials_match_the_per_term_reference(p, e):
+    # A plan takes one multinomial and steps by _ratio to each other kept term,
+    # through the dropped pairs between: each term against multinomial_padic per
+    # term at its digits, or on an exact plan (the first multinomial, then None)
+    # the same steps against multinomial_exact; found by either walk direction.
+    rng, seen = random.Random(10 * p + e), collections.Counter()
+    for case in range(150):  # units, which drop by v(C) alone; 3 v(A) >= 2 v(B); and <
+        wA = 0 if case % 3 == 0 else rng.randrange(3 * e if case % 3 == 1 else e)
+        wB = [0, rng.randrange(3 * wA // 2 + 1), 3 * wA // 2 + 1 + rng.randrange(e)][case % 3]
+        N = rng.choice((rng.randrange(1, 400), (p ** rng.randrange(2, 4) - 1) // 2))
+        target = rng.randrange(1, 6 * e + 8)
+        try:
+            terms, dropped, exact = _sum_plan(p, e, N, _v(2 * N + 1, p), wA, wB, target)
+        except PrecisionError:
+            continue
+        c = None
+        for m, n, x in terms:
+            parts = (m + 2 * n, m, n)
+            if exact:  # the first multinomial's form, then None
+                c = x[0][1] * p ** x[0][2] if c is None else c * _ratio(m, n)[0] // _ratio(m, n)[1]
+                assert (c, x is None) == (multinomial_exact(N, parts), m != terms[0][0])
+            else:
+                assert x == multinomial_padic(N, parts, p, x[0][3]).form, (N, parts)
+        ms = [m for m, _, _ in terms]
+        seen["up" if 3 * wA >= 2 * wB else "down"] += len(ms) > 1
+        seen["exact" if exact else "mod p**top"] += len(ms) > 1
+        seen["dropped between"] += any(j - i > 3 for i, j in zip(ms, ms[1:]))
+    assert len(seen) == 5 and min(seen.values()) >= 3, seen
 
 
 # -- the cached sum plan -------------------------------------------------------
@@ -773,7 +844,8 @@ def test_over_budget_key_is_refused_every_time_and_never_cached():
 
 def _element_level_sum(A, B, r, target):
     """(d_r, dropped) by the element-level loop that the integer form replaced:
-    the same plan, each multinomial wrapped as a PadicScalar; A and B cut coordinate by coordinate (exact zeros kept
+    the same plan, each multinomial wrapped as a PadicScalar, or an exact one
+    taken per term; A and B cut coordinate by coordinate (exact zeros kept
     exact) before their powers; sum(coeff * A**m * B**n) / r with the public
     operators; then cut to the target when a term was dropped."""
     e = A.ram_index if isinstance(A, EisensteinElement) else 1
@@ -793,8 +865,10 @@ def _element_level_sum(A, B, r, target):
         working = target + e * vr + e
         A, B = cut(A, working, True), cut(B, working, True)
     total = 0 * A
-    for m, n, form in terms:  # the plan holds each multinomial's one-entry form
-        total = total + _coordinate(p, 1, form) * (A**m) * (B**n)
+    for m, n, form in terms:  # each multinomial's one-entry form, or on an exact plan none
+        C = (multinomial_exact((r - 1) // 2, (m + 2 * n, m, n)) if exact
+             else _coordinate(p, 1, form))
+        total = total + C * (A**m) * (B**n)
     total = total / r
     return (cut(total, target, False) if dropped else total), dropped
 

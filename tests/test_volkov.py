@@ -456,16 +456,18 @@ def test_truncated_model_gives_the_sums_of_the_exact_model():
                                      (11, 11, 0), (23, 23**4, 23**2), (17, 17**3, 17**2)])
 def test_level_price_is_at_most_the_divisor_sums_own(monkeypatch, p, a, b):
     # The price beta_from_logarithm reads before any sum is a lower bound: the
-    # plan of d_(p^2k) prices a term at no less, so nothing answered is refused.
-    # A CM lift returns beta = 0 before it builds that divisor, so the divisor is
-    # built here after the call (a cached plan charges nothing again).
+    # plan of d_(p^2k) prices a kept term at no less, so nothing answered is
+    # refused.  A CM lift returns beta = 0 before it builds that divisor, so the
+    # divisor is built here after the call (a cached plan charges nothing again).
+    # A dropped pair (digits 0) is priced as one digit, and is left out.
     from padic_cartan import formal_log
 
     calls, real = [], formal_log._charge
 
     def charge(p, e, size, vr, target, digits=0, cost=0):
         total = real(p, e, size, vr, target, digits, cost)
-        calls.append((vr, target, total - cost))
+        if digits:
+            calls.append((vr, target, total - cost))
         return total
 
     curve = WeierstrassCurve(p, a, b)

@@ -51,6 +51,13 @@ followed by `<key>.iqr`, the interquartile range of the same timed loops:
   volkov.hodge_parameters.p17.P70.cold, volkov.hodge_parameters.p23.P70.cold
       the same at precision 70 (k = 23) on WeierstrassCurve(17, 2 * 17**3,
       3 * 17**2) and WeierstrassCurve(23, 23**3, 23**2), also e = 3
+  volkov.hodge_parameters.p29.P97.cold
+      the same at precision 97 (k = 32) on WeierstrassCurve(29, 29**3, 29**2):
+      the deepest certificate the work budget answers at p = 29
+  formal_log.yasuda.units.N3000
+      d_r at r = 6001 to p**8 over Q_11 of the exact units A = 3, B = 5, with
+      the plan cache and block-polynomial table cleared per op: a sum that
+      drops no term, stepped by the ratio walk term by term
   padic.inverse.dD                           D = 4, 32, 256 digits; p = 11,
       PadicScalar.inverse() of random D-digit units at valuation 0
   volkov.hodge_parameters.cm
@@ -110,8 +117,8 @@ the operands it had before the later ones were added; curve.reduction and
 the classifier keys draw theirs after all of them, then eisenstein.mul.scalar,
 then eisenstein.inverse.monomial, then classifier.to_dict, then padic.div and
 eisenstein.div, and padic.factorial_unit.n80.d34 last; the .P40.cold, .p17,
-.p23, .multinomial.r501 and .series.r501.shared keys and the cli keys draw
-nothing.
+.p23, .p29, .multinomial.r501, .series.r501.shared and .units.N3000 keys and
+the cli keys draw nothing.
 --src selects the package source, so one checkout can time another
 (default: the src/ beside this script).  Given twice, both trees are loaded
 side by side and each key is timed on both in alternating rounds (A B B A
@@ -326,6 +333,14 @@ def cases(package):
     add_case("volkov.hodge_parameters.P40.cold", deep_cold, [(40,)])
     for p, a, b in ((17, 2 * 17**3, 3 * 17**2), (23, 23**3, 23**2)):
         add_case(f"volkov.hodge_parameters.p{p}.P70.cold", deep_cold, [(70, p, a, b)])
+    add_case("volkov.hodge_parameters.p29.P97.cold", deep_cold, [(97, 29, 29**3, 29**2)])
+
+    def units_cold(a, b):
+        clear()
+        return yasuda_coefficient(a, b, 6001, 8)
+
+    add_case("formal_log.yasuda.units.N3000", units_cold,
+             [tuple(PadicScalar(PRIME, u, 0, padic.INFINITY) for u in (3, 5))])
     src = os.path.dirname(os.path.dirname(sys.modules[package].__file__))
 
     def spawn(code):

@@ -46,7 +46,7 @@ from .formal_log import (
     yasuda_coefficient,
     yasuda_coefficient_exact,
 )
-from .padic import PadicScalar, check_odd_prime
+from .padic import INFINITY, PadicScalar, check_odd_prime
 from .volkov import beta_from_logarithm, hodge_parameters, v_alpha_table
 
 _DEFAULT_PRECISION = "4e"  # enough to report the k <= 3 certificates in full
@@ -285,7 +285,9 @@ def _cmd_divpoly(args) -> int:
         flag, power = f"--v-alpha-inv {v}", v + k
     _check_printable(math.floor(power * Fraction(math.log10(check_odd_prime(p)))) + 1,
                      f"{flag} puts {p}**{power} in the {'JSON' if args.json else 'table'}")
-    alpha_inv = 0 if v is None else p**v  # build_gk reads the int 0 as alpha**-1 = 0 exactly
+    if v is not None and v + k > sys.float_info.max:  # a precision adds inf to each floor
+        raise ValueError(f"--v-alpha-inv {v} puts a floor past the float range")
+    alpha_inv = 0 if v is None else PadicScalar(p, 1, v, INFINITY)  # p**v, not the int p**v
     poly = build_gk(p, e, alpha_inv, k)
     partition = root_valuation_partition(poly)
     if args.json:

@@ -10,21 +10,21 @@ Two independent routes are provided and cross-checked in the test suite:
   the pairs stops once m*v(A) + n*v(B) alone pushes a term past the target
   precision (multinomial valuations are >= 0), and keeps the terms before it
   by their exact Legendre valuations.  The pairs it visits are priced, and a
-  sum over a fixed budget refused, before any arithmetic.  One multinomial is
-  taken, and a ratio of factorials steps to each next kept one (Granville,
-  "Binomial coefficients modulo prime powers", 1997).  If none was dropped,
-  exact A and B give an exact d_r up to index 2*10**4 + 1, the bits of their
-  powers priced first (monomials step whole terms); otherwise the walk runs
-  mod the power of p the kept terms need, and A and B are reduced to target +
-  e*v_p(r) + e pi-digits (what the truncated result can use, plus a guard of
-  e) before they are raised to powers, as in Caruso-Roe-Vaccon, "Tracking
-  p-adic precision" (2014).  This makes coefficients of index p**7 ~ 10**9
-  affordable.  Valuations are integer pi-digits (e*v), and the sum runs on
-  the integer form of `padic`: the terms are normalized by one `_product`, and
-  1/r is one `_scale`, after an exact entry that the p-free part of r does not
-  divide is cut to the target; one element (or scalar) is built, at the end.
-  The plan, all but the powers of A and B, is read off (p, e, (r-1)/2, v_p(r),
-  v(A), v(B), target) and cached on this key (128 plans); no result changes.
+  sum over a fixed budget refused, before any arithmetic.  A sum is exact
+  only when it keeps one term, drops none and has index at most 2*10**4 + 1:
+  that term's multinomial is exact.  Every other sum takes one multinomial,
+  and a ratio of factorials steps to each next kept one (Granville, "Binomial
+  coefficients modulo prime powers", 1997), mod the power of p the kept terms
+  need; A and B are reduced to target + e*v_p(r) + e pi-digits (what the
+  result can use, plus a guard of e) before they are raised to powers, as in
+  Caruso-Roe-Vaccon, "Tracking p-adic precision" (2014).  This makes
+  coefficients of index p**7 ~ 10**9 affordable.  Valuations are integer
+  pi-digits (e*v), and the sum runs on the integer form of `padic`: the terms
+  are normalized by one `_product`, and 1/r is one `_scale`, after an exact
+  entry that the p-free part of r does not divide is cut to the target; one
+  element (or scalar) is built, at the end.  The plan, all but the powers of
+  A and B, is read off (p, e, (r-1)/2, v_p(r), v(A), v(B), target) and cached
+  on this key (128 plans); no result changes.
 
 * `series_inversion_logarithm` computes the same prefix by inverting the
   Weierstrass parametrization (t = -x/y, w = -1/y = t**3 z, z a series in
@@ -52,10 +52,10 @@ from .curve import _Frozen, deforming_coefficient
 from .eisenstein import EisensteinElement, _pi_digits, _truncate
 from .errors import PrecisionError
 from .padic import (
-    _ONE, INFINITY, _Number, _monomial_inverse, _power, _product, _scale, multinomial_exact,
+    _ONE, INFINITY, _Number, _power, _product, _scale, multinomial_exact,
     multinomial_padic, multinomial_valuation, vp)
 
-# Largest (r-1)/2 at which a sum that drops no term takes exact multinomials.
+# Largest (r-1)/2 of an exact d_r: a typed sum of one term, or a route over Q.
 _EXACT_MULTINOMIAL_CAP = 10**4
 # Largest up-front work estimate of one Yasuda sum that is run; past it, refuse.
 _WORK_BUDGET = 6 * 10**7
@@ -113,10 +113,10 @@ def _sum_plan(p: int, e: int, N: int, vr: int, wA, wB, target: int):
     power alone reaches target + e*v_p(r), past which every term is dropped
     (v(C) >= 0).  Each pair visited adds its work to an estimate that raises
     PrecisionError past _WORK_BUDGET before any arithmetic; a raise is not
-    cached.  One multinomial is taken, at the least m kept; `_ratio` steps up to
-    the others mod p**top, top the most digits a term needs, each cut to its own
-    as `multinomial_padic` gives it.  If `exact` (nothing dropped, N <=
-    _EXACT_MULTINOMIAL_CAP) the plan holds the first one exact, the others None.
+    cached.  A plan is `exact` (at most one term kept, none dropped, N <=
+    _EXACT_MULTINOMIAL_CAP) with that term's exact multinomial; any other takes
+    one multinomial, at the least m kept, and `_ratio` steps up to the others
+    mod p**top, top the most digits a term needs, each cut to its own digits.
     """
     threshold, size = target + e * vr, math.log(N + 1, p)
     if 3 * wA >= 2 * wB:
@@ -141,17 +141,17 @@ def _sum_plan(p: int, e: int, N: int, vr: int, wA, wB, target: int):
             dropped = True
             continue
         kept.append((m, n, digits))
-    exact, kept, terms = not dropped and N <= _EXACT_MULTINOMIAL_CAP, sorted(kept), []
-    if exact:
-        return tuple((m, n, None if t else _scale(p, _ONE, multinomial_exact(
-            N, (m + 2 * n, m, n)), 1)) for t, (m, n, _) in enumerate(kept)), dropped, exact
-    for m, n, digits in kept:
+    if not dropped and len(kept) < 2 and N <= _EXACT_MULTINOMIAL_CAP:
+        return tuple((m, n, _scale(p, _ONE, multinomial_exact(N, (m + 2 * n, m, n)), 1))
+                     for m, n, _ in kept), False, True
+    terms = []
+    for m, n, digits in sorted(kept):
         if not terms:
             i, x = m, multinomial_padic(N, (m + 2 * n, m, n), p, max(t[2] for t in kept)).form
         for i in range(i + 3, m + 1, 3):  # through the dropped pairs
             x = _scale(p, x, *_ratio(i, (N - 2 * i) // 3))
         terms.append((m, n, ((0, x[0][1] % p**digits, x[0][2], digits),)))
-    return tuple(terms), dropped, exact
+    return tuple(terms), dropped, False
 
 
 def _check_ring_elements(A, B):
@@ -173,19 +173,19 @@ def yasuda_coefficient(A, B, r: int, target_pi_digits: int):
     the odd series vanish identically.
 
     The terms that reach the target are picked, and their work estimated,
-    from valuations alone; past _WORK_BUDGET that raises PrecisionError.  If
-    none is dropped and (r-1)/2 <= _EXACT_MULTINOMIAL_CAP the sum takes exact
-    multinomials, so it is exact when A and B are, and the bits of powers of
-    exact entries are priced first; every other sum takes each multinomial
-    mod the power of p its term needs (the plan that `_sum_plan` caches).
-    When terms are dropped the result is reduced to the target.  When the
-    multinomials are not exact and v(A), v(B) >= 0 (as on a normalized model)
-    the powers are taken of A and B reduced to target + e*v_p(r) + e pi-digits
-    (p-digits when e = 1), so an exact unit is never raised to a power near r.
-    That is sound: the multinomials are integral and only v_p(r) is divided
-    out, so every term still carries e digits beyond the target.  Exact A and
-    B at an r with a p-free part r' give d_r mod pi**target in each coordinate
-    whose exact value r' does not divide, and the exact value in every other.
+    from valuations alone; past _WORK_BUDGET that raises PrecisionError.  A
+    sum is exact (when A and B are) only if it keeps one term, drops none and
+    (r-1)/2 <= _EXACT_MULTINOMIAL_CAP; every other sum takes each multinomial
+    mod the power of p its term needs (the plan that `_sum_plan` caches), and
+    is certified mod pi**target, reduced to it when terms are dropped.  When
+    v(A), v(B) >= 0 (as on a normalized model) it takes the powers of A and B
+    reduced to target + e*v_p(r) + e pi-digits (p-digits when e = 1), so an
+    exact unit is never raised to a power near r; otherwise the bits of the
+    powers of exact entries are priced first.  That is sound: the
+    multinomials are integral and only v_p(r) is divided out, so every term
+    still carries e digits beyond the target.  An exact sum at an r with a
+    p-free part r' gives d_r mod pi**target in each coordinate whose exact
+    value r' does not divide, and the exact value in every other.
     """
     if r < 1 or r % 2 == 0:
         raise ValueError(f"coefficient index must be odd and positive, got {r}")
@@ -201,17 +201,8 @@ def yasuda_coefficient(A, B, r: int, target_pi_digits: int):
         bits = [max([t[1].bit_length() for t in x if t[3] == INFINITY] + [0]) for x in (a, b)]
         _charge(p, e, math.log((r + 1) // 2, p), vr, target_pi_digits,
                 cost=sum(m * bits[0] + n * bits[1] for m, n, _ in terms))
-        c = terms[0][2]  # on an exact plan, the first multinomial's form
-        if step := exact and len(a) == len(b) == 1 and a[0][3] == b[0][3] == INFINITY:
-            (i, u, f, n), = _power(p, e, b, 2)  # exact monomials: a**3 / b**2 over u, and u
-            step = _product(p, e, _power(p, e, a, 3), _monomial_inverse(p, e, (i, 1, f, n))), u
     total = []
     for m, n, term in terms:
-        if term is None:  # on an exact plan, by the ratio from the multinomial before, or
-            num, den = _ratio(m, n)  # when step is set from the term before, no power left
-            if step:
-                c, den, m, n = _product(p, e, total[-1:], step[0]), den * step[1], 0, 0
-            c = term = _scale(p, c, num, den)
         if m:
             term = _product(p, e, term, _power(p, e, a, m))
         if n:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import itemgetter
 from typing import NamedTuple
 
 from .curve import WeierstrassCurve, check_supersingular, good_model_over_L, normalized_shape
@@ -28,8 +27,6 @@ from .errors import (
 )
 from .formal_log import _price_level, yasuda_coefficient
 from .padic import INFINITY, PadicScalar
-
-_RELATIVE_PRECISION = itemgetter(3)  # of a form's entry (index, unit, floor, precision)
 
 # v(alpha) = (c + sign*v)/d with (c, sign) by v(Delta_min): e = 6, 4, 3 with
 # epsilon = +1, then e = 3, 4, 6 with epsilon = -1.  epsilon = -sign, as
@@ -178,11 +175,6 @@ def beta_from_logarithm(model, k: int = 1) -> EisensteinElement:
     if num.is_exact_zero:  # the CM lifts: beta = 0 exactly, whatever the divisor
         return num
     den = yasuda_coefficient(a_l, b_l, p ** (2 * k), 1 + guard)
-    if k and INFINITY in map(_RELATIVE_PRECISION, den.form):
-        # d_1 = 1; a deeper divisor whose sum drops no term (as at p = 5) has exact
-        # coordinates, and its inverse would need an exact 1/unit: cut it to its
-        # target, as a sum that drops terms already is.
-        den = den.truncate_pi(1 + guard)
     beta = (num / den).mul_pi_power(e - 1)  # -(p/pi) = pi**(e-1)
     return beta.truncate_pi(k * e + 1)
 

@@ -203,8 +203,8 @@ def test_classify_refuses_a_level_cap_below_one():
 
 @pytest.mark.parametrize("a, b", [(375, 1250), (250, 1250)])
 def test_p5_lifts_whose_divisor_drops_no_term(a, b):
-    # e = 3 at p = 5: the sum of d_(p**2k) drops no term, so it is exact with a
-    # unit other than +-1, and beta divides by it cut to its target.
+    # e = 3 at p = 5: the sum of d_(p**2) keeps three terms and drops none, so it
+    # is certified to its target like any multi-term sum, and beta divides by it.
     report = classify(5, a, b)
     assert (report.defect, report.image_label) == (3, "out_of_scope(canonical_subgroup)")
     assert report.hodge.v_beta == 0 and report.hodge.beta.valuation() == 0

@@ -690,6 +690,26 @@ def test_divpoly_refuses_a_degree_past_the_int_str_limit(capsys, monkeypatch):
     assert rc == 2 and err.startswith("--v-alpha-inv 2066 puts 11**4130 in the JSON")
 
 
+def test_divpoly_table_takes_alpha_inverse_by_its_valuation(capsys, monkeypatch):
+    # The table builds alpha**-1 as an exact scalar at valuation v, never the int
+    # p**v: v = 10**7 is answered at once.  A floor v + k past the float range, which
+    # a precision adds inf to, is refused by its size before build_gk.
+    base = ["divpoly", "--p", "11", "--e", "3", "--k", "1", "--v-alpha-inv"]
+    rc, out, _ = run(capsys, *base, str(10**7))
+    assert rc == 0 and "\t-1*11^10000001*pi^2\n" in out
+    assert out.splitlines()[-1] == "120 roots of valuation 1/120"
+
+    def build_gk(*args):
+        raise ValueError("build_gk reached")
+
+    monkeypatch.setattr("padic_cartan.cli.build_gk", build_gk)
+    top = int(sys.float_info.max)
+    assert run(capsys, *base, str(top - 1)) == (2, "", "build_gk reached\n")
+    for v in (top, 10**400):
+        assert run(capsys, *base, str(v)) == (
+            2, "", f"--v-alpha-inv {v} puts a floor past the float range\n")
+
+
 @pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
                     reason="needs an int to str limit below the digits of 11**5001")
 def test_divpoly_json_past_the_int_str_limit_exits_cleanly(capsys):

@@ -13,7 +13,6 @@ from padic_cartan.curve import WeierstrassCurve, good_model_over_L
 from padic_cartan.eisenstein import EisensteinElement
 from padic_cartan.errors import NormalizationError, PrecisionError
 from padic_cartan.formal_log import (
-    _ratio,
     _sum_plan,
     hasse_invariant,
     odd_coefficient_valuation,
@@ -402,27 +401,52 @@ def test_unit_coefficients_past_index_6001_match_the_per_term_sum():
         assert got.is_congruent(PadicScalar.from_rational(want, 5, 8), 8)
 
 
-def test_small_unit_sums_walk_whole_terms_up_to_the_exact_cap():
-    # Units (3, 5) over Q_11 to p^8 at r = 20001: the exact branch, each term
-    # stepped from the one before, against the oracle over Q.
+def test_multi_term_sums_over_exact_inputs_are_certified_to_the_target():
+    # Exact inputs whose sum keeps more than one term and drops none take the
+    # p-adic walk: d_r certified mod pi**target, never exact, against the oracle
+    # over Q.  Units (3, 5) over Q_11 to p^8; and the p = 5 divisors d_(p**2k) of
+    # beta (target 4, none dropped at k = 1), on good models (a pi**(-4s),
+    # b pi**(-6s)): each term has weight 2N, so d_r scales by pi**(-2sN).
     a, b = (PadicScalar.from_rational(u, 11, INFINITY) for u in (3, 5))
-    want = yasuda_coefficient_exact(3, 5, 20001)
-    got = yasuda_coefficient(a, b, 20001, 8)
-    assert got.abs_precision == 8
-    assert got.is_congruent(PadicScalar.from_rational(want, 11, 8), 8)
+    for r in (6001, 20001):
+        assert _sum_plan(11, 1, r // 2, 0, 0, 0, 8)[1:] == (False, False)  # kept all, not exact
+        got = yasuda_coefficient(a, b, r, 8)
+        assert 8 <= got.abs_precision < INFINITY
+        want = PadicScalar.from_rational(yasuda_coefficient_exact(3, 5, r), 11, 8)
+        assert got.is_congruent(want, 8)
+    for a, b in ((375, 1250), (250, 1250)):
+        curve = WeierstrassCurve(5, a, b)
+        model, s = good_model_over_L(curve, 3), curve.reduction.v_min_discriminant // 4
+        for k in (1, 2, 3):
+            r = 5 ** (2 * k)
+            got = yasuda_coefficient(model.a, model.b, r, 4)
+            want = EisensteinElement.from_rational(yasuda_coefficient_exact(a, b, r), 5, 3,
+                                                   INFINITY).mul_pi_power(-2 * s * (r // 2))
+            assert 4 <= got.pi_precision() < INFINITY, (a, b, k)
+            assert got.is_congruent(want, 4), (a, b, k)
 
 
 @pytest.mark.parametrize("height, r", [(400, 6001), (100, 20001)])
 def test_exact_powers_of_tall_units_are_priced_before_any_is_taken(monkeypatch, height, r):
-    # Units with `height`-digit numerators keep every bit of their powers on the
-    # exact branch: the bits are priced, and the sum refused before any power.
+    # Units with `height`-digit numerators take the p-adic walk, cut to the working
+    # precision before any power: answered, against the oracle over Q on the units
+    # mod p**9 (r is prime to 11, so d_r mod p**8 reads no more of them).
     from padic_cartan import formal_log
 
+    units = [k * 10 ** (height - 1) + u for k, u in ((1, 3), (2, 7))]  # 2 and 5 mod 11
+    a, b = (PadicScalar.from_rational(u, 11, INFINITY) for u in units)
+    got = yasuda_coefficient(a, b, r, 8)
+    want = yasuda_coefficient_exact(*(u % 11**9 for u in units), r)
+    assert got.abs_precision >= 8 and got.is_congruent(PadicScalar.from_rational(want, 11, 8), 8)
+    # Over p, B's exact powers are taken whole and keep every bit: at r = 1001 (N = 500,
+    # v_11(r) = 1, v(B) = -1) the plan alone passes, the bits are priced, and the sum
+    # is refused before any power.
     monkeypatch.setattr(formal_log, "_power", _no_work)
-    a, b = (PadicScalar.from_rational(k * 10 ** (height - 1) + u, 11, INFINITY)
-            for k, u in ((1, 3), (2, 7)))  # 2 and 5 mod 11: units
+    a, b = (PadicScalar.from_rational(Fraction(k * 10 ** (20 * height - 1) + u, d), 11, INFINITY)
+            for k, u, d in ((1, 3, 1), (2, 7, 11)))
+    assert len(_sum_plan(11, 1, 500, 1, 0, -1, 8)[0]) > 1
     with pytest.raises(PrecisionError, match="budget"):
-        yasuda_coefficient(a, b, r, 8)
+        yasuda_coefficient(a, b, 1001, 8)
 
 
 def _no_work(*args, **kwargs):
@@ -700,9 +724,9 @@ def test_kept_terms_and_digits_match_fractions(monkeypatch):
     # whether the budget refuses it, against the same bookkeeping in Fractions:
     # v(term) = v(C) + m v(A) + n v(B) - v(r), kept below target / e, to
     # ceil(target / e - v(term)) digits.  A cold sum that keeps a term takes one
-    # multinomial, the least m's: exact when it drops none, else to the most
-    # digits a kept term needs.  Exactly zero, unit and non-integral
-    # coefficients included.
+    # multinomial, the least m's: exact when it keeps one term and drops none,
+    # else to the most digits a kept term needs.  Exactly zero, unit and
+    # non-integral coefficients included.
     calls = []
 
     def padic(N, parts, p, digits):
@@ -734,17 +758,19 @@ def test_kept_terms_and_digits_match_fractions(monkeypatch):
         yasuda_coefficient(A, B, r, target)
         first = min(kept, key=lambda k: k[0][1], default=None)
         top = max((digits for _, digits in kept), default=None)
-        assert calls == ([] if first is None else [(first[0], None if not dropped else top)]), key
+        one_exact = not dropped and len(kept) < 2
+        assert calls == ([] if first is None else [(first[0], None if one_exact else top)]), key
         terms, got_dropped, exact = _sum_plan(*key)  # the plan just cached
         assert sorted((m, n) for m, n, _ in terms) == sorted((m, n) for (_, m, n), _ in kept)
-        assert got_dropped == dropped and exact == (not dropped), key
-        if dropped:  # each term's multinomial form carries its own digits
+        assert got_dropped == dropped and exact == one_exact, key
+        if not exact:  # each term's multinomial form carries its own digits
             assert sorted((m, n, x[0][3]) for m, n, x in terms) == sorted(
                 (m, n, digits) for (_, m, n), digits in kept), key
         seen["truncated"] += dropped and bool(kept)
         seen["zero"] += INFINITY in (wA, wB)
         seen["unit"] += wA == wB == 0
         seen["negative"] += min(wA, wB) < 0
+        seen["several kept, none dropped"] += not dropped and len(kept) > 1
     assert seen["truncated"] >= 20 and seen["refused"] >= 20 and min(seen.values()) >= 5, seen
 
 
@@ -753,8 +779,8 @@ def test_kept_terms_and_digits_match_fractions(monkeypatch):
 def test_walked_multinomials_match_the_per_term_reference(p, e):
     # A plan takes one multinomial and steps by _ratio to each other kept term,
     # through the dropped pairs between: each term against multinomial_padic per
-    # term at its digits, or on an exact plan (the first multinomial, then None)
-    # the same steps against multinomial_exact; found by either walk direction.
+    # term at its digits, found by either walk direction, whether the plan drops
+    # a term or not.  An exact plan keeps at most one term.
     rng, seen = random.Random(10 * p + e), collections.Counter()
     for case in range(150):  # units, which drop by v(C) alone; 3 v(A) >= 2 v(B); and <
         wA = 0 if case % 3 == 0 else rng.randrange(3 * e if case % 3 == 1 else e)
@@ -765,17 +791,13 @@ def test_walked_multinomials_match_the_per_term_reference(p, e):
             terms, dropped, exact = _sum_plan(p, e, N, _v(2 * N + 1, p), wA, wB, target)
         except PrecisionError:
             continue
-        c = None
+        assert not exact or len(terms) < 2, (N, terms)
         for m, n, x in terms:
-            parts = (m + 2 * n, m, n)
-            if exact:  # the first multinomial's form, then None
-                c = x[0][1] * p ** x[0][2] if c is None else c * _ratio(m, n)[0] // _ratio(m, n)[1]
-                assert (c, x is None) == (multinomial_exact(N, parts), m != terms[0][0])
-            else:
-                assert x == multinomial_padic(N, parts, p, x[0][3]).form, (N, parts)
+            if not exact:
+                assert x == multinomial_padic(N, (m + 2 * n, m, n), p, x[0][3]).form, (N, m, n)
         ms = [m for m, _, _ in terms]
         seen["up" if 3 * wA >= 2 * wB else "down"] += len(ms) > 1
-        seen["exact" if exact else "mod p**top"] += len(ms) > 1
+        seen["dropped" if dropped else "none dropped"] += len(ms) > 1
         seen["dropped between"] += any(j - i > 3 for i, j in zip(ms, ms[1:]))
     assert len(seen) == 5 and min(seen.values()) >= 3, seen
 
@@ -865,7 +887,7 @@ def _element_level_sum(A, B, r, target):
         working = target + e * vr + e
         A, B = cut(A, working, True), cut(B, working, True)
     total = 0 * A
-    for m, n, form in terms:  # each multinomial's one-entry form, or on an exact plan none
+    for m, n, form in terms:  # each multinomial's one-entry form; an exact one taken here
         C = (multinomial_exact((r - 1) // 2, (m + 2 * n, m, n)) if exact
              else _coordinate(p, 1, form))
         total = total + C * (A**m) * (B**n)

@@ -35,12 +35,14 @@ printing the first line that differs in each differing section, from each tree:
              classify on a composite p with no factor <= 41 (psi_12) and on a
              coefficient in exponent form (1e5), adelic-bound on a per-prime
              bound past the int to str limit (p = 11, n = 2065), plain and
-             --json, and divpoly with e not dividing p + 1 (p = 13, e = 4):
-             exit code, stdout and stderr,
-             the batch file's path shown as FILE; then each typed log route
-             (yasuda_coefficient, series_inversion_logarithm, hasse_invariant,
-             odd_coefficient_valuation) on five mixed coefficient pairs: the
-             result's type names, or the error's type and message
+             --json, and divpoly with e not dividing p + 1 (p = 13, e = 4),
+             then `beta --json` at k = 0..3 and `classify` on the p = 5 lifts
+             P5_LIFTS, whose divisor d_(p**2) drops no term: exit code, stdout
+             and stderr, the batch file's path shown as FILE; then each typed
+             log route (yasuda_coefficient, series_inversion_logarithm,
+             hasse_invariant, odd_coefficient_valuation) on five mixed
+             coefficient pairs: the result's type names, or the error's type
+             and message
 
 Both trees run in this process, loaded side by side as in tools/microbench.py;
 the corpora are drawn once, with the src/ beside this script.
@@ -77,6 +79,9 @@ ODD_INPUTS = (["classify", "--p", "318665857834031151167461", "--a", "1", "--b",
               ["adelic-bound", "--h-j", "0", "--index-p", "11", "--index-n", "2065"],
               ["adelic-bound", "--h-j", "0", "--index-p", "11", "--index-n", "2065", "--json"],
               ["divpoly", "--p", "13", "--e", "4", "--k", "1"])
+P5_LIFTS = tuple(argv for a, b in (("375", "1250"), ("250", "1250"))
+                 for argv in [["beta", "--p", "5", "--a", a, "--b", b, "--k", str(k), "--json"]
+                              for k in range(4)] + [["classify", "--p", "5", "--a", a, "--b", b]])
 
 
 def _outcome(fn, show):
@@ -384,8 +389,8 @@ def pair_rule_lines(package):
 
 
 def surface_lines(package, scratch):
-    """The sorted exports, each command's refusal of a non-prime p, the ODD_INPUTS,
-    then the pair rule."""
+    """The sorted exports, each command's refusal of a non-prime p, the ODD_INPUTS
+    and P5_LIFTS, then the pair rule."""
     cli = importlib.import_module(f"{package}.cli")
     path = os.path.join(scratch, "non-prime.txt")
     with open(path, "w", encoding="utf-8") as handle:
@@ -393,7 +398,7 @@ def surface_lines(package, scratch):
     batch = _cli_run(cli, ["classify", "--batch", path], "classify --batch FILE")
     return (sorted(importlib.import_module(package).__all__)
             + [_cli_run(cli, argv) for argv in NON_PRIME] + [batch.replace(path, "FILE")]
-            + [_cli_run(cli, argv) for argv in ODD_INPUTS] + pair_rule_lines(package))
+            + [_cli_run(cli, argv) for argv in ODD_INPUTS + P5_LIFTS] + pair_rule_lines(package))
 
 
 def main(argv=None):
@@ -404,7 +409,6 @@ def main(argv=None):
     trees = args.src or [os.path.join(ROOT, "src")]
     if len(trees) > 2:
         parser.error("--src is given at most twice")
-    os.environ.pop("PADIC_CARTAN_PRECISION", None)  # read by older trees: their defaults, not the caller's
     batches, curves = corpus_batches(), logcoeff_curves()
     packages = [_load(src, f"padic_cartan_{side}") for side, src in zip("ab", trees)]
     differ = False

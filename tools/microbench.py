@@ -57,7 +57,9 @@ followed by `<key>.iqr`, the interquartile range of the same timed loops:
   formal_log.yasuda.units.N3000
       d_r at r = 6001 to p**8 over Q_11 of the exact units A = 3, B = 5, with
       the plan cache and block-polynomial table cleared per op: a sum that
-      drops no term, stepped by the ratio walk term by term
+      keeps every term, walked mod p**top on A and B cut to the working
+      precision, as every sum of more than one term is; trees that summed it
+      exactly, term by term, timed that exact sum instead
   padic.inverse.dD                           D = 4, 32, 256 digits; p = 11,
       PadicScalar.inverse() of random D-digit units at valuation 0
   volkov.hodge_parameters.cm

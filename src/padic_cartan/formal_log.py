@@ -30,9 +30,12 @@ Two independent routes are provided and cross-checked in the test suite:
   Weierstrass parametrization (t = -x/y, w = -1/y = t**3 z, z a series in
   u = t**2): z_s = [s = 0] + A (z**2)_(s-2) + B (z**3)_(s-3), and as
   1/z = 1 - A u**2 z - B u**3 z**2, log' = 1 + u z'/z (z' = dz/du) has the
-  u**s coefficient c_s = (3A(s+2) (z**2)_(s-2) + 2B(2s+3) (z**3)_(s-3)) / 6
-  = (2s+1) d_(2s+1) for s >= 1.  Half a convolution plus one per step,
-  O(n**2) ring operations; oracle use only, capped by default.
+  u**s coefficient c_s = ((4s+6) z_s - sA (z**2)_(s-2)) / 6 = (2s+1) d_(2s+1)
+  for s >= 1.  Over Q, z_s comes from the Riccati equation z' = -G_u/G_z mod
+  G of the cubic G(u, z) = 0 above (z_s = A (z**2)_(s-2) if B = 0): half a
+  convolution per step.  Over Q_p or L, where its division by 2B(2s+3) would
+  lose digits, from the cubic: half a convolution plus one.  O(n**2) ring
+  operations; oracle use only, capped by default.
 
 Both routes work over Q_p (PadicScalar or exact Fraction coefficients) and
 over L = Q_p(pi_e) (EisensteinElement coefficients).  Over Q, where d_r has
@@ -46,7 +49,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import mul, truediv
 
 from .curve import _Frozen, deforming_coefficient
 from .eisenstein import EisensteinElement, _pi_digits, _truncate
@@ -289,25 +292,34 @@ def recurrence_logarithm(A, B, n_terms: int) -> FormalLogPrefix:
 def series_inversion_logarithm(A, B, n_terms: int, force: bool = False) -> FormalLogPrefix:
     """Formal-log prefix d_0..d_{n_terms} via parameter inversion.
 
-    With w = -1/y = t**3 * z and u = t^2, z = 1 + A u^2 z^2 + B u^3 z^3, so
-    z_s = [s = 0] + A (z^2)_(s-2) + B (z^3)_(s-3).  From x = t^-2 / z and
+    With w = -1/y = t**3 * z and u = t^2, G = B u^3 z^3 + A u^2 z^2 - z + 1 = 0,
+    so z_s = [s = 0] + A (z^2)_(s-2) + B (z^3)_(s-3).  From x = t^-2 / z and
     y = -t^-3 / z, dx / (2y) = (1 + u z'/z) dt with z' = dz/du.  Dividing by z,
     1/z = 1 - A u^2 z - B u^3 z^2; as z z' = (z^2)'/2 and z^2 z' = (z^3)'/3,
     u z'/z = u z' - (A/2) u^3 (z^2)' - (B/3) u^4 (z^3)'.  With z_s put in, its
-    u^s coefficient (s >= 1) is c_s = (2s+1) d_(2s+1) =
-    (3A(s+2) (z^2)_(s-2) + 2B(2s+3) (z^3)_(s-3)) / 6: no convolution is left
-    for the log, and a step costs half a convolution for (z^2)_s (by symmetry)
-    plus one for (z^3)_s.  The loop keeps 6 c_s and divides once per d_r; 6
-    is a unit for p >= 5, and for p = 3 PadicScalar division lowers the
-    absolute precision by the lost digit.
+    u^s coefficient (s >= 1) is c_s = (2s+1) d_(2s+1) = (3A(s+2) (z^2)_(s-2) +
+    2B(2s+3) (z^3)_(s-3)) / 6 = ((4s+6) z_s - sA (z^2)_(s-2)) / 6.  The loop
+    keeps 6 c_s and divides once per d_r; 6 is a unit for p >= 5, and for p = 3
+    PadicScalar division lowers the absolute precision by the lost digit.
+
+    Over Q, z' = -G_u/G_z reduced mod G is a Riccati equation Q z' + P2 z^2 +
+    P1 z + P0 = 0: Q = -disc_z(G)/u^2 = u(-4B - A^2 u + 18AB u^2 + D u^3) with
+    D = 4A^3 + 27B^2, P2 = -u^2 (AB + 9B^2 u), P1 = -6B - 2A^2 u + 15AB u^2 +
+    D u^3 and P0 = 6B + 2A^2 u.  Its u^s coefficient (s >= 2) is the step
+    2B(2s+3) z_s = -A^2 (s+1) z_(s-1) + AB ((18s-21) z_(s-2) - (z^2)_(s-2)) +
+    D (s-2) z_(s-3) - 9B^2 (z^2)_(s-3), an exact division (else ArithmeticError);
+    B = 0 leaves z_s = A (z^2)_(s-2).  Either way a step costs one half-convolution.
+    Over Q_p or L that division would lose the digits of v(B) and of p | 2s+3,
+    so z_s comes from G, at half a convolution plus one for (z^3)_s.
 
     Exact over Q, with A = A'/da and B = B'/db: a weight-s coefficient (of z,
-    z^2, z^3, 6 c) is an integer polynomial in A, B of weight s, and the loop
-    keeps it times F(s) = da**(s//2) db**(s//3), an integer.  x_i y_(s-i) lacks
-    da of F(s) iff i % 2 > s % 2, db iff i % 3 > s % 3, so a convolution is six
-    slices by i mod 6, each times its carry.  Bounded precision over Q_p or L
-    (da = db = 1).  Independent of the multinomial route, hence an oracle for
-    it.  O(n_terms**2) ring multiplications: capped at 501 unless force=True.
+    z^2, 6 c) is an integer polynomial in A, B of weight s, and the loop keeps
+    it times F(s) = da**(s//2) db**(s//3), an integer (the step sums at F(s+3)).
+    x_i y_(s-i) lacks da of F(s) iff i % 2 > s % 2, db iff i % 3 > s % 3, so a
+    convolution is six slices by i mod 6, each times its carry.  Bounded
+    precision over Q_p or L (da = db = 1).  Independent of the multinomial
+    route, hence an oracle for it.  O(n_terms**2) ring multiplications: capped
+    at 501 unless force=True.
     """
     if n_terms < 1:
         raise ValueError("need at least one coefficient")
@@ -317,14 +329,15 @@ def series_inversion_logarithm(A, B, n_terms: int, force: bool = False) -> Forma
             "pass force=True if you mean it"
         )
     da = db = 1
-    if isinstance(A, _Number) or isinstance(B, _Number):  # over Q_p or L: A's exact 0 and 1
+    typed = isinstance(A, _Number) or isinstance(B, _Number)
+    if typed:  # over Q_p or L: A's exact 0 and 1
         _check_ring_elements(A, B)
-        zero = 0 * A
+        a, b, zero = A, B, 0 * A
         one = zero + 1
     else:
         A, B = Fraction(A), Fraction(B)
         da, db, zero, one = A.denominator, B.denominator, 0, 1
-        A, B = A.numerator, B.numerator * da  # F(2) A and F(3) B
+        a, b = A.numerator, B.numerator * da  # F(2) A and F(3) B
     # carry[s % 6][i % 6]: the factor of F(s) that F(i) F(s-i) lacks.
     carry = [[(da if i % 2 > t % 2 else 1) * (db if i % 3 > t % 3 else 1) for i in range(6)]
              for t in range(6)]
@@ -335,21 +348,36 @@ def series_inversion_logarithm(A, B, n_terms: int, force: bool = False) -> Forma
             total += part if ks[i % 6] == 1 else part * ks[i % 6]
         return total
     # A u^2 and B u^3 at F(2) and F(3), carried to F(s) by s mod 6.
-    shifts = [(A * ks[2], B * ks[3]) for ks in carry]
-    # Step s appends z_s, 6 c_s, (z^2)_s and (z^3)_s in turn; each reads only
-    # entries already appended.
+    shifts = [(a * ks[2], b * ks[3]) for ks in carry]
+    if not typed:  # the step's A^2, AB and 2B at F(4), F(5) and F(3), each carried to F(s+3)
+        ric = [(a * a * db * ks[4], a * b * ks[5], 2 * b * ks[3]) for ks in carry[3:] + carry[:3]]
+        d6, b6 = 4 * a**3 * db**2 + 27 * b * b * da, 9 * b * b * da  # D and 9B^2 at F(6)
+    def step(s):  # the Riccati z_s over Q, s >= 2 (at s = 2, index -1 reads z_1 = (z^2)_1 = 0)
+        a2, ab, b2 = ric[s % 6]
+        z_s, rest = divmod(ab * ((18 * s - 21) * z[s - 2] - z2[s - 2]) - a2 * (s + 1) * z[s - 1]
+                           + d6 * (s - 2) * z[s - 3] - b6 * z2[s - 3], b2 * (2 * s + 3))
+        if rest:
+            raise ArithmeticError(f"z_{s} of ({A}, {B}): the Riccati step does not divide")
+        return z_s
+    # Step s appends z_s, 6 c_s, (z^2)_s and, over Q_p or L, (z^3)_s in turn;
+    # each reads only entries already appended.
     z, c6, z2, z3 = [], [], [], []
     for s in range((n_terms + 1) // 2):
         a_s = shifts[s % 6][0] * z2[s - 2] if s >= 2 else zero
-        b_s = shifts[s % 6][1] * z3[s - 3] if s >= 3 else zero
-        z.append(a_s + b_s if s else one)
-        c6.append(3 * (s + 2) * a_s + 2 * (2 * s + 3) * b_s)
+        if typed:
+            b_s = shifts[s % 6][1] * z3[s - 3] if s >= 3 else zero
+            z.append(a_s + b_s if s else one)
+            c6.append(3 * (s + 2) * a_s + 2 * (2 * s + 3) * b_s)
+        else:  # the Riccati step, or z_s = A (z^2)_(s-2) when B = 0
+            z.append(step(s) if b and s >= 2 else a_s if s else one)
+            c6.append((4 * s + 6) * z[s] - s * a_s)
         h = s // 2
         z2.append(2 * dot(z, z, s, h + 1, s) + (zero if s % 2 else dot(z, z, s, h, h)))
-        z3.append(dot(z, z2, s, 0, s))
-    if isinstance(one, int):  # over Q: from the graded model back to Fractions
-        c6, zero, one = [Fraction(c) for c in c6], Fraction(0), Fraction(1)
-    d = [one] + [c6[s] / (6 * (2 * s + 1) * da ** (s // 2) * db ** (s // 3))
+        if typed:
+            z3.append(dot(z, z2, s, 0, s))
+    # Over Q, from the graded model back to Fractions: one gcd per d_r.
+    zero, one, div = (zero, one, truediv) if typed else (Fraction(0), Fraction(1), Fraction)
+    d = [one] + [div(c6[s], 6 * (2 * s + 1) * da ** (s // 2) * db ** (s // 3))
                  for s in range(1, len(c6))]
     return FormalLogPrefix(tuple(d[r // 2] if r % 2 else zero for r in range(n_terms + 1)))
 

@@ -54,6 +54,7 @@ once per prime).
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache, partial
 from operator import itemgetter
@@ -531,6 +532,8 @@ class PadicScalar(_Number):
         unit, valuation = _normal(prime, unit, valuation, abs_precision)
         if unit:
             valuation = int(valuation)  # the floor of the form is an int, as repr prints it
+            if abs_precision == INFINITY and abs(valuation) > sys.float_info.max:  # inf - floor
+                raise ValueError(f"valuation {valuation} puts an exact floor past the float range")
             form = ((0, unit, valuation, abs_precision - valuation),)
         else:
             form = () if abs_precision == INFINITY else ((0, 0, abs_precision, 0),)

@@ -122,6 +122,8 @@ def test_series_route_matches_exact_route():
         (Fraction(5, 12), Fraction(-7, 18)),
         (Fraction(1, 8), Fraction(1, 27)),
         (Fraction(2, 49), Fraction(-3, 343)),
+        (Fraction(1, 6), Fraction(1, 6)),
+        (Fraction(10**20 + 7, 6), Fraction(3 - 10**20, 6)),  # huge numerators
         (Fraction(3, 11**4), Fraction(-5, 11**6)),  # p-power denominators
         (Fraction(-2, 11**3), Fraction(7, 11)),
         (0, Fraction(-89, 29)),  # a = 0
@@ -202,6 +204,61 @@ def test_graded_series_on_one_sided_denominators():
         assert prefix == recurrence_logarithm(a, b, 501)
         for r in range(1, 502, 2):
             assert prefix.d(r) == yasuda_coefficient_exact(a, b, r), (a, b, r)
+
+
+def _cubic_series(a, b, n_terms):
+    """(d_0..d_n_terms, z_0..z_s) over Q by the plain loop of the cubic
+    z = 1 + A u^2 z^2 + B u^3 z^3, with no grading and no Riccati step."""
+    z, z2, z3, d = [], [], [], [Fraction(0)] * (n_terms + 1)
+    for s in range((n_terms + 1) // 2):
+        a_s = a * z2[s - 2] if s >= 2 else 0
+        b_s = b * z3[s - 3] if s >= 3 else 0
+        z.append(a_s + b_s if s else Fraction(1))
+        z2.append(sum(z[i] * z[s - i] for i in range(s + 1)))
+        z3.append(sum(z[i] * z2[s - i] for i in range(s + 1)))
+        c6 = 3 * (s + 2) * a_s + 2 * (2 * s + 3) * b_s
+        d[2 * s + 1] = Fraction(c6) / (6 * (2 * s + 1)) if s else Fraction(1)
+    return d, z
+
+
+def _riccati_curves(seed):
+    rng = random.Random(seed)
+    shared = [(Fraction(rng.randint(-99, 99), d), Fraction(rng.randint(-99, 99), d))
+              for d in (6, 12, 36, 11**2)]
+    huge = [(Fraction(rng.randrange(-10**20, 10**20), rng.randint(1, 40)),
+             Fraction(rng.randrange(-10**20, 10**20), rng.randint(1, 40))) for _ in range(3)]
+    ints = [(Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-9, 9) or 1)) for _ in range(2)]
+    return [(Fraction(0), Fraction(-89, 29)), (Fraction(73, 31), Fraction(0)),
+            (Fraction(0), Fraction(0)), (Fraction(1, 6), Fraction(1, 6)), *shared, *huge, *ints]
+
+
+@pytest.mark.parametrize("n_terms", [1, 2, 3, 4, 5, 7, 41, 151])
+def test_series_route_over_Q_matches_the_plain_cubic_loop(n_terms):
+    # The Q route takes z from the Riccati step on graded integers (z_s = A (z^2)_(s-2)
+    # when B = 0); the reference takes it from the cubic over Fractions.
+    for a, b in _riccati_curves(43):
+        want, _ = _cubic_series(a, b, n_terms)
+        got = series_inversion_logarithm(a, b, n_terms, force=True).coefficients
+        assert got == tuple(want) and all(type(d) is Fraction for d in got), (a, b)
+
+
+def test_cubic_series_solves_the_riccati_equation():
+    # Q z' + P2 z^2 + P1 z + P0 = 0 through u^60, the equation the Q route steps:
+    # z' = -G_u/G_z mod G for G = B u^3 z^3 + A u^2 z^2 - z + 1, Q = -disc_z(G)/u^2.
+    def times(x, y):  # the product of two coefficient lists through u^60
+        return [sum(x[i] * y[k - i] for i in range(k + 1) if i < len(x) and k - i < len(y))
+                for k in range(61)]
+
+    for A, B in _riccati_curves(60):
+        _, z = _cubic_series(A, B, 123)  # z_0..z_61
+        D = 4 * A**3 + 27 * B**2
+        Q = [0, -4 * B, -A * A, 18 * A * B, D]
+        P2, P1 = [0, 0, -A * B, -9 * B * B], [-6 * B, -2 * A * A, 15 * A * B, D]
+        P0 = [6 * B, 2 * A * A]
+        dz = [k * z[k] for k in range(1, len(z))]
+        terms = times(Q, dz), times(P2, times(z, z)), times(P1, z), P0 + [0] * 59
+        assert [sum(t) for t in zip(*terms)] == [0] * 61, (A, B)
+        assert A == B == 0 or any(times(P1, z))  # not 0 = 0 term by term
 
 
 @pytest.mark.parametrize(

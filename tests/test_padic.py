@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -279,6 +280,21 @@ def test_public_constructors_still_validate():
         PadicScalar.from_rational(1, 15, 3)
     with pytest.raises(ValueError):
         PadicScalar(5, 1, 0, 2.5)
+
+
+def test_exact_floor_past_the_float_range_is_refused_by_name():
+    # An exact entry's precision is the float inf minus its floor, so a floor past
+    # sys.float_info.max cannot be held: a ValueError naming the valuation, not an
+    # OverflowError.  Finite precisions, and floors at the edge, are kept.
+    top = int(sys.float_info.max)
+    for unit, v, named in ((1, 10**400, 10**400), (3, -10**400, -10**400),
+                           (1, top + 1, top + 1), (11, top, top + 1)):  # normalized: v + 1
+        with pytest.raises(ValueError, match=f"^valuation {named} puts an exact floor past"):
+            PadicScalar(11, unit, v, INFINITY)
+    assert repr(PadicScalar(11, 7, top, INFINITY)) == f"7*11^{top}"
+    assert repr(PadicScalar(11, 7, -top, INFINITY)) == f"7*11^{-top}"
+    v = 10**400
+    assert repr(PadicScalar(11, 7, v - 5, v)) == f"7*11^{v - 5} + O(11^{v})"  # finite precision
 
 
 def test_constructor_normalizes_unit_and_precision():

@@ -29,7 +29,8 @@ followed by `<key>.iqr`, the interquartile range of the same timed loops:
       without it)
   formal_log.series.r501.shared
       formal_log.series.r501 on (1/6, 1/6), where a and b share their
-      denominator, so the series route's grading saves least
+      denominator, so the series route's grading 6**(s//2 + s//3) overshoots
+      most the 6**(s//2) that the weight-s coefficients need
   formal_log.yasuda.p4, formal_log.yasuda.p5
       the two sums of a deep-batch level-2 beta: d_r at r = 17**4 to pi**4 and
       r = 17**5 to pi**2 on the good model over L (e = 3) of seeded p = 17

@@ -197,15 +197,16 @@ def _cmd_beta(args) -> int:
 # -- logcoeffs ------------------------------------------------------------------
 
 
-def _logcoeff_digits(a: Fraction, b: Fraction, r_max: int):
-    """For each odd r <= r_max, a bound on the decimal digits of the numerator
-    and of the denominator of d_r over Q.
+def _logcoeff_digits(a: Fraction, b: Fraction, r_max: int) -> int:
+    """A bound on the decimal digits of the numerator and of the denominator of
+    d_r over Q, for every odd r <= r_max.
 
     The terms C(N; m+2n, m, n) a**m b**n of r*d_r have 2m + 3n = N = (r-1)/2,
     so the denominator divides D = r * den(a)**(N//2) * den(b)**(N//3), and
     the numerator is at most D/r times the sum of |terms|: the constant term
     of (x + |a|/x + |b|/x**2)**N, at most its value at any x > 0, taken near
-    the least one, where x**3 = |a| x + 2|b|."""
+    the least one, where x**3 = |a| x + 2|b|.  N//2, N//3 and max(N * slope,
+    log10(2N+1)) do not decrease with N, so the bound at the largest N serves."""
     def log_sum(ys):  # log(sum(exp(y))), past the range of a float
         top = max(ys)
         return top + math.log(sum(math.exp(y - top) for y in ys))
@@ -216,9 +217,8 @@ def _logcoeff_digits(a: Fraction, b: Fraction, r_max: int):
     for _ in range(60):
         t = log_sum([c + math.log(k) + (2 - k) * t for c, k in terms]) / 3
     slope = log_sum([t] + [c - k * t for c, k in terms]) / math.log(10)
-    da, db = math.log10(a.denominator), math.log10(b.denominator)
-    return [int(N // 2 * da + N // 3 * db + max(N * slope, math.log10(2 * N + 1)) + 1e-9) + 1
-            for N in range((r_max + 1) // 2)]
+    N, da, db = (r_max - 1) // 2, math.log10(a.denominator), math.log10(b.denominator)
+    return int(N // 2 * da + N // 3 * db + max(N * slope, math.log10(2 * N + 1)) + 1e-9) + 1
 
 
 def _cmd_logcoeffs(args) -> int:
@@ -239,7 +239,7 @@ def _cmd_logcoeffs(args) -> int:
         )
     if 4 * a**3 + 27 * b**2 == 0:
         raise ValueError(f"discriminant vanishes for a={a}, b={b}")
-    digits, r = max((d, 2 * N + 1) for N, d in enumerate(_logcoeff_digits(a, b, r_max)))
+    digits, r = _logcoeff_digits(a, b, r_max), (r_max - 1) | 1  # r: the last odd r <= r_max
     _check_printable(digits, f"--r-max {r_max}: d_{r} may need up to {digits} digits")
     prefix = (series_inversion_logarithm(a, b, r_max, force=True) if args.method == "series"
               else recurrence_logarithm(a, b, r_max))

@@ -28,14 +28,12 @@ Two independent routes are provided and cross-checked in the test suite:
 
 * `series_inversion_logarithm` computes the same prefix by inverting the
   Weierstrass parametrization (t = -x/y, w = -1/y = t**3 z, z a series in
-  u = t**2): z_s = [s = 0] + A (z**2)_(s-2) + B (z**3)_(s-3), and as
-  1/z = 1 - A u**2 z - B u**3 z**2, log' = 1 + u z'/z (z' = dz/du) has the
-  u**s coefficient c_s = ((4s+6) z_s - sA (z**2)_(s-2)) / 6 = (2s+1) d_(2s+1)
-  for s >= 1.  Over Q, z_s comes from the Riccati equation z' = -G_u/G_z mod
-  G of the cubic G(u, z) = 0 above (z_s = A (z**2)_(s-2) if B = 0): half a
-  convolution per step.  Over Q_p or L, where its division by 2B(2s+3) would
-  lose digits, from the cubic: half a convolution plus one.  O(n**2) ring
-  operations; oracle use only, capped by default.
+  u = t**2).  Over Q, z and y = z**2 solve a first-order system, a Riccati
+  equation for z and the linear u**2 Q1 y' = 2(A + 9Bu)(z - 1 - A u**2 y) -
+  2u P1 y - 2u P0 z for y (both derived in its docstring; z_2k = Cat_k A**k
+  when B = 0): O(n) big-integer operations, no convolution.  Over Q_p or L,
+  where their divisions by B would lose digits, z comes from the cubic at two
+  half-convolutions a step: O(n**2) ring operations, hence a default cap.
 
 Both routes work over Q_p (PadicScalar or exact Fraction coefficients) and
 over L = Q_p(pi_e) (EisensteinElement coefficients).  Over Q, where d_r has
@@ -49,7 +47,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul, truediv
+from operator import mul
 
 from .curve import _Frozen, deforming_coefficient
 from .eisenstein import EisensteinElement, _pi_digits, _truncate
@@ -302,24 +300,30 @@ def series_inversion_logarithm(A, B, n_terms: int, force: bool = False) -> Forma
     keeps 6 c_s and divides once per d_r; 6 is a unit for p >= 5, and for p = 3
     PadicScalar division lowers the absolute precision by the lost digit.
 
-    Over Q, z' = -G_u/G_z reduced mod G is a Riccati equation Q z' + P2 z^2 +
-    P1 z + P0 = 0: Q = -disc_z(G)/u^2 = u(-4B - A^2 u + 18AB u^2 + D u^3) with
-    D = 4A^3 + 27B^2, P2 = -u^2 (AB + 9B^2 u), P1 = -6B - 2A^2 u + 15AB u^2 +
-    D u^3 and P0 = 6B + 2A^2 u.  Its u^s coefficient (s >= 2) is the step
-    2B(2s+3) z_s = -A^2 (s+1) z_(s-1) + AB ((18s-21) z_(s-2) - (z^2)_(s-2)) +
-    D (s-2) z_(s-3) - 9B^2 (z^2)_(s-3), an exact division (else ArithmeticError);
-    B = 0 leaves z_s = A (z^2)_(s-2).  Either way a step costs one half-convolution.
-    Over Q_p or L that division would lose the digits of v(B) and of p | 2s+3,
-    so z_s comes from G, at half a convolution plus one for (z^3)_s.
+    Over Q, z' = -G_u/G_z mod G is a Riccati equation Q z' + P2 y + P1 z + P0 = 0
+    with y = z^2: Q = -disc_z(G)/u^2 = u Q1, Q1 = -4B - A^2 u + 18AB u^2 + D u^3,
+    D = 4A^3 + 27B^2, P2 = -B u^2 (A + 9B u), P1 = -6B - 2A^2 u + 15AB u^2 + D u^3
+    and P0 = 6B + 2A^2 u.  Its u^s coefficient (s >= 2) is the step
+      2B(2s+3) z_s = -A^2 (s+1) z_(s-1) + AB ((18s-21) z_(s-2) - y_(s-2))
+                     + D (s-2) z_(s-3) - 9B^2 y_(s-3).
+    y is linear: Q y' = 2z Q z' = -2 P2 z^3 - 2 P1 y - 2 P0 z; on G,
+    B u^3 z^3 = z - 1 - A u^2 y; so u^2 Q1 y' = 2(A + 9Bu)(z - 1 - A u^2 y)
+    - 2u P1 y - 2u P0 z, whose u^(t+1) coefficient (t >= 1) is the step
+      4B(t+3) y_t = -[2A z_(t+1) + 6B z_t - 4A^2 z_(t-1) + A^2 (t+1) y_(t-1)
+                      - 6AB(3t+2) y_(t-2) - D(t-1) y_(t-3)].
+    Step s >= 2 gives z_s, then y_(s-1) (not at the last s: nothing reads it),
+    then 6 c_s; each division must be exact, else ArithmeticError.  B = 0
+    leaves z = 1 + A u^2 z^2: z_2k = Cat_k A^k, 6 c_s = (3s+6) z_s.  No
+    convolution: O(n_terms) big-integer operations.  Over Q_p or L the
+    divisions by B(2s+3) and B(t+3) would lose the digits of v(B) and of
+    p | 2s+3, so z, z^2 and z^3 come from G, two half-convolutions a step.
+    Those O(n_terms**2) ring operations, and over Q integers of O(n_terms)
+    digits, keep the cap of 501 (the CLI's --r-max limit) unless force=True.
 
-    Exact over Q, with A = A'/da and B = B'/db: a weight-s coefficient (of z,
-    z^2, 6 c) is an integer polynomial in A, B of weight s, and the loop keeps
-    it times F(s) = da**(s//2) db**(s//3), an integer (the step sums at F(s+3)).
-    x_i y_(s-i) lacks da of F(s) iff i % 2 > s % 2, db iff i % 3 > s % 3, so a
-    convolution is six slices by i mod 6, each times its carry.  Bounded
-    precision over Q_p or L (da = db = 1).  Independent of the multinomial
-    route, hence an oracle for it.  O(n_terms**2) ring multiplications: capped
-    at 501 unless force=True.
+    Exact over Q, with A = A'/da and B = B'/db, a weight-s coefficient (of z,
+    y, 6 c) is kept times F(s) = da**(s//2) db**(s//3), an integer; the steps
+    sum at F(s+3), where a term of weight i lacks carry[(s+3) % 6][i].
+    Independent of the multinomial route, hence an oracle for it.
     """
     if n_terms < 1:
         raise ValueError("need at least one coefficient")
@@ -328,58 +332,64 @@ def series_inversion_logarithm(A, B, n_terms: int, force: bool = False) -> Forma
             f"n_terms={n_terms} beyond the oracle cap {_SERIES_DEFAULT_CAP}; "
             "pass force=True if you mean it"
         )
-    da = db = 1
-    typed = isinstance(A, _Number) or isinstance(B, _Number)
-    if typed:  # over Q_p or L: A's exact 0 and 1
+    size = (n_terms + 1) // 2  # c_0..c_(size-1)
+    if isinstance(A, _Number) or isinstance(B, _Number):  # over Q_p or L, from G
         _check_ring_elements(A, B)
-        a, b, zero = A, B, 0 * A
-        one = zero + 1
-    else:
-        A, B = Fraction(A), Fraction(B)
-        da, db, zero, one = A.denominator, B.denominator, 0, 1
-        a, b = A.numerator, B.numerator * da  # F(2) A and F(3) B
-    # carry[s % 6][i % 6]: the factor of F(s) that F(i) F(s-i) lacks.
-    carry = [[(da if i % 2 > t % 2 else 1) * (db if i % 3 > t % 3 else 1) for i in range(6)]
-             for t in range(6)]
-    def dot(x, y, s, lo, hi):  # sum of x_i y_(s-i) over lo <= i <= hi, at F(s)
-        total, ks = zero, carry[s % 6]
-        for i in range(lo, min(lo + 6, hi + 1)):
-            part = sum(map(mul, x[i:hi + 1:6], y[s - i::-6]), zero)
-            total += part if ks[i % 6] == 1 else part * ks[i % 6]
-        return total
-    # A u^2 and B u^3 at F(2) and F(3), carried to F(s) by s mod 6.
-    shifts = [(a * ks[2], b * ks[3]) for ks in carry]
-    if not typed:  # the step's A^2, AB and 2B at F(4), F(5) and F(3), each carried to F(s+3)
-        ric = [(a * a * db * ks[4], a * b * ks[5], 2 * b * ks[3]) for ks in carry[3:] + carry[:3]]
-        d6, b6 = 4 * a**3 * db**2 + 27 * b * b * da, 9 * b * b * da  # D and 9B^2 at F(6)
-    def step(s):  # the Riccati z_s over Q, s >= 2 (at s = 2, index -1 reads z_1 = (z^2)_1 = 0)
-        a2, ab, b2 = ric[s % 6]
-        z_s, rest = divmod(ab * ((18 * s - 21) * z[s - 2] - z2[s - 2]) - a2 * (s + 1) * z[s - 1]
-                           + d6 * (s - 2) * z[s - 3] - b6 * z2[s - 3], b2 * (2 * s + 3))
-        if rest:
-            raise ArithmeticError(f"z_{s} of ({A}, {B}): the Riccati step does not divide")
-        return z_s
-    # Step s appends z_s, 6 c_s, (z^2)_s and, over Q_p or L, (z^3)_s in turn;
-    # each reads only entries already appended.
-    z, c6, z2, z3 = [], [], [], []
-    for s in range((n_terms + 1) // 2):
-        a_s = shifts[s % 6][0] * z2[s - 2] if s >= 2 else zero
-        if typed:
-            b_s = shifts[s % 6][1] * z3[s - 3] if s >= 3 else zero
-            z.append(a_s + b_s if s else one)
+        zero = 0 * A
+        z, z2, z3, c6 = [], [], [], []
+        for s in range(size):
+            a_s = A * z2[s - 2] if s >= 2 else zero
+            b_s = B * z3[s - 3] if s >= 3 else zero
+            z.append(a_s + b_s if s else zero + 1)
             c6.append(3 * (s + 2) * a_s + 2 * (2 * s + 3) * b_s)
-        else:  # the Riccati step, or z_s = A (z^2)_(s-2) when B = 0
-            z.append(step(s) if b and s >= 2 else a_s if s else one)
-            c6.append((4 * s + 6) * z[s] - s * a_s)
-        h = s // 2
-        z2.append(2 * dot(z, z, s, h + 1, s) + (zero if s % 2 else dot(z, z, s, h, h)))
-        if typed:
-            z3.append(dot(z, z2, s, 0, s))
-    # Over Q, from the graded model back to Fractions: one gcd per d_r.
-    zero, one, div = (zero, one, truediv) if typed else (Fraction(0), Fraction(1), Fraction)
-    d = [one] + [div(c6[s], 6 * (2 * s + 1) * da ** (s // 2) * db ** (s // 3))
-                 for s in range(1, len(c6))]
+            h = s // 2
+            if s < size - 2:  # (z^2)_s is read at s + 2, (z^3)_s at s + 3
+                z2.append(2 * sum(map(mul, z[h + 1:], z[s - h - 1::-1]), zero)
+                          + (zero if s % 2 else z[h] * z[h]))
+            if s < size - 3:
+                z3.append(sum(map(mul, z, reversed(z2)), zero))
+        d = [zero + 1] + [c6[s] / (6 * (2 * s + 1)) for s in range(1, size)]
+        return FormalLogPrefix(tuple(d[r // 2] if r % 2 else zero for r in range(n_terms + 1)))
+    A, B, zero = Fraction(A), Fraction(B), Fraction(0)
+    da, db = A.denominator, B.denominator
+    a, b = A.numerator, B.numerator * da  # F(2) A and F(3) B
+    z, y = [1, 0], [1, 0]  # z_0, z_1 and y_0, y_1 (read as index -1 at s = 2 and t = 2)
+    if not b:  # z_2k = Cat_k a^k at F(2k), Cat_k = Cat_(k-1) 2(2k-1)/(k+1)
+        for s in range(2, size):
+            z.append(0 if s % 2 else z[-2] * a * (2 * s - 2) // (s // 2 + 1))
+        c6 = [(3 * s + 6) * z[s] for s in range(size)]
+    else:
+        # carry[s % 6][i % 6]: the factor of F(s) that F(i) F(s-i) lacks.
+        carry = [[(da if i % 2 > t % 2 else 1) * (db if i % 3 > t % 3 else 1) for i in range(6)]
+                 for t in range(6)]
+        # A^2, AB, 2B and A at F(4), F(5), F(3) and F(2), carried to F(s+3) by s mod 6
+        ric = [(a * a * db * ks[4], a * b * ks[5], 2 * b * ks[3], a * ks[2])
+               for ks in carry[3:] + carry[:3]]
+        d6, b6 = 4 * a**3 * db**2 + 27 * b * b * da, 9 * b * b * da  # D and 9B^2 at F(6)
+        for s in range(2, size):
+            a2, ab, b2, _ = ric[s % 6]
+            z_s, rest = divmod(ab * ((18 * s - 21) * z[s - 2] - y[s - 2]) - a2 * (s + 1) * z[s - 1]
+                               + d6 * (s - 2) * z[s - 3] - b6 * y[s - 3], b2 * (2 * s + 3))
+            if rest:
+                raise ArithmeticError(f"z_{s} of ({A}, {B}): the Riccati step does not divide")
+            z.append(z_s)
+            if 3 <= s < size - 1:  # y_(s-1), read by step s + 1 only
+                y.append(_square_step(s - 1, z, y, ric, d6))
+        c6 = [(4 * s + 6) * z[s] - (s * ric[(s - 3) % 6][3] * y[s - 2] if s >= 2 else 0)
+              for s in range(size)]
+    d = [Fraction(1)] + [Fraction(c6[s], 6 * (2 * s + 1) * da ** (s // 2) * db ** (s // 3))
+                         for s in range(1, size)]  # off the grading: one gcd per d_r
     return FormalLogPrefix(tuple(d[r // 2] if r % 2 else zero for r in range(n_terms + 1)))
+
+
+def _square_step(t: int, z: list, y: list, ric: list, d6: int) -> int:
+    """y_t = (z^2)_t at F(t), t >= 2: the linear step of `series_inversion_logarithm`."""
+    a2, ab, b2, a1 = ric[t % 6]
+    y_t, rest = divmod(a2 * (4 * z[t - 1] - (t + 1) * y[t - 1]) - 2 * a1 * z[t + 1] - 3 * b2 * z[t]
+                       + 6 * ab * (3 * t + 2) * y[t - 2] + d6 * (t - 1) * y[t - 3], 2 * b2 * (t + 3))
+    if rest:
+        raise ArithmeticError(f"(z^2)_{t}: the linear step does not divide")
+    return y_t
 
 
 def hasse_invariant(A, B, p: int | None = None):

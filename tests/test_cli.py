@@ -413,7 +413,8 @@ def test_logcoeff_digit_estimate_bounds_the_true_digits():
               (Fraction(-3, 4), Fraction(0)), (Fraction(5, 6), Fraction(7, 10)),
               (Fraction(rng.randrange(-99, 99), 29), Fraction(rng.randrange(1, 99), 31))]
     for a, b in curves:
-        bounds = _logcoeff_digits(a, b, 2001)
+        bounds = [_logcoeff_digits(a, b, r) for r in range(1, 2002, 2)]
+        assert bounds == sorted(bounds)  # so the bound at r_max bounds every r <= r_max
         for r in range(1, 2002, 2):
             d = yasuda_coefficient_exact(a, b, r)
             assert bounds[r // 2] >= max(len(str(abs(d.numerator))), len(str(d.denominator))), r

@@ -13,6 +13,7 @@ from padic_cartan.curve import WeierstrassCurve, good_model_over_L
 from padic_cartan.eisenstein import EisensteinElement
 from padic_cartan.errors import NormalizationError, PrecisionError
 from padic_cartan.formal_log import (
+    _square_step,
     _sum_plan,
     hasse_invariant,
     odd_coefficient_valuation,
@@ -242,13 +243,14 @@ def test_series_route_over_Q_matches_the_plain_cubic_loop(n_terms):
         assert got == tuple(want) and all(type(d) is Fraction for d in got), (a, b)
 
 
+def _times(x, y, top=60):  # the product of two coefficient lists through u^top
+    return [sum(x[i] * y[k - i] for i in range(k + 1) if i < len(x) and k - i < len(y))
+            for k in range(top + 1)]
+
+
 def test_cubic_series_solves_the_riccati_equation():
     # Q z' + P2 z^2 + P1 z + P0 = 0 through u^60, the equation the Q route steps:
     # z' = -G_u/G_z mod G for G = B u^3 z^3 + A u^2 z^2 - z + 1, Q = -disc_z(G)/u^2.
-    def times(x, y):  # the product of two coefficient lists through u^60
-        return [sum(x[i] * y[k - i] for i in range(k + 1) if i < len(x) and k - i < len(y))
-                for k in range(61)]
-
     for A, B in _riccati_curves(60):
         _, z = _cubic_series(A, B, 123)  # z_0..z_61
         D = 4 * A**3 + 27 * B**2
@@ -256,9 +258,60 @@ def test_cubic_series_solves_the_riccati_equation():
         P2, P1 = [0, 0, -A * B, -9 * B * B], [-6 * B, -2 * A * A, 15 * A * B, D]
         P0 = [6 * B, 2 * A * A]
         dz = [k * z[k] for k in range(1, len(z))]
-        terms = times(Q, dz), times(P2, times(z, z)), times(P1, z), P0 + [0] * 59
+        terms = _times(Q, dz), _times(P2, _times(z, z)), _times(P1, z), P0 + [0] * 59
         assert [sum(t) for t in zip(*terms)] == [0] * 61, (A, B)
-        assert A == B == 0 or any(times(P1, z))  # not 0 = 0 term by term
+        assert A == B == 0 or any(_times(P1, z))  # not 0 = 0 term by term
+
+
+def test_cubic_series_squared_solves_the_linear_equation():
+    # y = z^2: u^2 Q1 y' = 2(A + 9Bu)(z - 1 - A u^2 y) - 2u P1 y - 2u P0 z through
+    # u^60 (Q = u Q1), and its u^(t+1) coefficient, the Q route's linear step for y_t.
+    for A, B in _riccati_curves(60):
+        _, z = _cubic_series(A, B, 123)  # z_0..z_61
+        y, D = _times(z, z, 61), 4 * A**3 + 27 * B**2
+        lhs = _times([0, 0, -4 * B, -A * A, 18 * A * B, D], [k * y[k] for k in range(1, 62)])
+        w = [z[k] - (k == 0) - (A * y[k - 2] if k >= 2 else 0) for k in range(61)]
+        terms = (_times([2 * A, 18 * B], w), _times([0, 12 * B, 4 * A * A, -30 * A * B, -2 * D], y),
+                 _times([0, -12 * B, -4 * A * A], z))
+        assert lhs == [sum(t) for t in zip(*terms)], (A, B)
+        assert A == B == 0 or any(lhs)  # not 0 = 0 term by term
+        y_ = [0, 0, 0] + y  # y_k at k + 3, zero below y_0
+        for t in range(1, 59):
+            assert 4 * B * (t + 3) * y[t] == -(
+                2 * A * z[t + 1] + 6 * B * z[t] - 4 * A * A * z[t - 1] + A * A * (t + 1) * y[t - 1]
+                - 6 * A * B * (3 * t + 2) * y_[t + 1] - D * (t - 1) * y_[t]), (A, B, t)
+
+
+def test_b_zero_takes_the_catalan_closed_form():
+    # z = 1 + A u^2 z^2: z_2k = Cat_k A^k, and 6 c_s = (3s+6) z_s, so d_(4k+1) =
+    # (2k+2) Cat_k A^k / (2 (4k+1)) and d_(4k+3) = 0.
+    curves = [(a, b) for a, b in _riccati_curves(43) if b == 0]
+    assert len(curves) == 2
+    for a, b in curves:
+        cat = [math.comb(2 * k, k) // (k + 1) * a**k for k in range(126)]
+        _, z = _cubic_series(a, b, 151)
+        assert z == [0 if s % 2 else cat[s // 2] for s in range(76)], a
+        d = series_inversion_logarithm(a, b, 501, force=True)
+        for r in range(1, 502, 2):
+            k = r // 4
+            assert d.d(r) == (Fraction((2 * k + 2) * cat[k], 2 * r) if r % 4 == 1 else 0), (a, r)
+
+
+def test_linear_step_fails_loudly_on_a_wrong_start(monkeypatch):
+    # (z^2)_1 = 0 read as 1 moves the numerator of y_2 by -3 A^2 (carried), which
+    # breaks the division by 4B(t+3) at once.
+    def wrong_y1(t, z, y, *rest):
+        return _square_step(t, z, [y[0], 1, *y[2:]], *rest)
+
+    assert series_inversion_logarithm(Fraction(2, 7), Fraction(-3, 5), 21).d(21)
+    monkeypatch.setattr("padic_cartan.formal_log._square_step", wrong_y1)
+    with pytest.raises(ArithmeticError, match=r"^\(z\^2\)_2: the linear step does not divide$"):
+        series_inversion_logarithm(Fraction(2, 7), Fraction(-3, 5), 21)
+
+
+def test_series_route_over_Q_matches_the_recurrence_at_the_cap():
+    for a, b in _riccati_curves(43):
+        assert series_inversion_logarithm(a, b, 501) == recurrence_logarithm(a, b, 501), (a, b)
 
 
 @pytest.mark.parametrize(

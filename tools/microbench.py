@@ -31,6 +31,10 @@ followed by `<key>.iqr`, the interquartile range of the same timed loops:
       formal_log.series.r501 on (1/6, 1/6), where a and b share their
       denominator, so the series route's grading 6**(s//2 + s//3) overshoots
       most the 6**(s//2) that the weight-s coefficients need
+  formal_log.series.r501.b0
+      formal_log.series.r501 on (-83/23, 0): with b = 0 the route over Q takes
+      z from its closed form Cat_k a**k (the cubic's z**2 half-convolution in
+      trees without it)
   formal_log.yasuda.p4, formal_log.yasuda.p5
       the two sums of a deep-batch level-2 beta: d_r at r = 17**4 to pi**4 and
       r = 17**5 to pi**2 on the good model over L (e = 3) of seeded p = 17
@@ -120,8 +124,8 @@ the operands it had before the later ones were added; curve.reduction and
 the classifier keys draw theirs after all of them, then eisenstein.mul.scalar,
 then eisenstein.inverse.monomial, then classifier.to_dict, then padic.div and
 eisenstein.div, and padic.factorial_unit.n80.d34 last; the .P40.cold, .p17,
-.p23, .p29, .multinomial.r501, .series.r501.shared and .units.N3000 keys and
-the cli keys draw nothing.
+.p23, .p29, .multinomial.r501, .series.r501.shared, .series.r501.b0 and
+.units.N3000 keys and the cli keys draw nothing.
 --src selects the package source, so one checkout can time another
 (default: the src/ beside this script).  Given twice, both trees are loaded
 side by side and each key is timed on both in alternating rounds (A B B A
@@ -231,6 +235,9 @@ def cases(package):
     add_case("formal_log.series.r501.shared",
             lambda a, b: series_inversion_logarithm(a, b, 501, force=True),
             [(Fraction(1, 6), Fraction(1, 6))])
+    add_case("formal_log.series.r501.b0",
+            lambda a, b: series_inversion_logarithm(a, b, 501, force=True),
+            [(Fraction(-83, 23), Fraction(0))])
     models = []
     while len(models) < CURVES:
         a, b = rng.randrange(1, 17) * 17**3, rng.randrange(1, 17) * 17**2

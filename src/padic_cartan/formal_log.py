@@ -257,8 +257,8 @@ def recurrence_logarithm(A, B, n_terms: int) -> FormalLogPrefix:
     g_N = [u**N] (1 + A u**2 + B u**3)**N (Lagrange inversion) is P-recursive:
     P0 g_N + ... + P3 g_(N-3) = 0, P_i cubic in N and of weight 9 + i in (A, B)
     (found by guessing).  On a = lam**2 A, b = lam**3 B the g_N are integers, so
-    each division by P0 must be exact.  g_0..g_2, and g_N wherever P0 vanishes
-    (every N when B = 0), are yasuda_coefficient_exact's.
+    each division by P0 must be exact.  B = 0 steps g_N = g_(N-2) a 4(N-1)/N (0 for
+    odd N); else g_0..g_2 and g_N where P0 vanishes are yasuda_coefficient_exact's.
     """
     if n_terms < 1:
         raise ValueError("need at least one coefficient")
@@ -269,6 +269,9 @@ def recurrence_logarithm(A, B, n_terms: int) -> FormalLogPrefix:
     a, b = int(A * lam**2), int(B * lam**3)
     U, V, g = a**3, b**2, []
     for N in range((n_terms + 1) // 2):
+        if not b:  # P0 = 0: g_N = C(N, N/2) a**(N/2), stepped from g_(N-2)
+            g.append(1 if N == 0 else 0 if N % 2 else g[-2] * a * 4 * (N - 1) // N)
+            continue
         p0 = 2 * N * (2 * N - 1) * b * (2 * U * (N - 1) - 27 * V * (2 * N - 3))
         if N < 3 or not p0:
             g.append(int(yasuda_coefficient_exact(A, B, 2 * N + 1) * (2 * N + 1) * lam**N))

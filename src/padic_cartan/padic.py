@@ -44,7 +44,7 @@ The combinatorial helpers (`val_factorial`, `multinomial_padic`, ...) never
 build the underlying factorials when the arguments are large: valuations come
 from Legendre's formula and unit parts mod p**d from one cached block product
 per base-p digit, so a multinomial with top index n costs O(d * log(d) * log_p n)
-products mod p**d, after a table of O(p * d**2) of them is built once per (p, d).
+products mod p**d, after a table of O(p * d**2) of them is built at p (again only for more d).
 
 The prime is checked, and the form normalized, where a scalar is built from
 caller data: the constructor, which the classmethods use (Miller-Rabin runs
@@ -70,6 +70,8 @@ _UNIT = itemgetter(1)  # an entry's unit
 # Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017).
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI13 = 3317044064679887385961981
+_TABLE_PRIMES = 3  # block tables held, one per prime: shallow-batch's corpus cycles through 3
+_block_tables = {}  # p -> the table of the most digits built at p, the first built first
 
 
 @lru_cache(maxsize=None)
@@ -165,20 +167,18 @@ def multinomial_exact(n: int, parts) -> int:
     return out
 
 
-@lru_cache(maxsize=64)  # <= ~16 MB: a deep certificate's largest, p = 29 at 34 digits, is ~235 KB
 def _block_polynomials(p: int, digits: int) -> tuple:
-    """Row j < digits: G_(j,a)(x) = prod_{i <= a*p**j, p ∤ i} (x + i) mod p**digits, a < p.
+    """Row j < digits: (-(j+1), G_(j,a) for a < p), G_(j,a) = prod_{i <= a*p**j, p ∤ i} (x + i).
 
-    G_(j,a) is cut to degree < ceil(digits / (j+1)), exact at any x divisible by
-    p**(j+1).  Row 0 multiplies in one factor (x + i) at a time, row j > 0 one block
-    F_j(x + t*p**j) (F_1 = G_(0,p-1), F_(j+1) = G_(j,p)).  O(p * digits**2) word
-    operations; the table holds O(p * digits * log(digits)) coefficients.
-    """
+    G_(j,a) mod p**digits, highest degree first, cut to degree < ceil(digits/(j+1)), is exact at
+    any x divisible by p**(j+1), so rows j < d, read from index d // -(j+1), serve d <= digits.
+    Row 0 takes one factor (x + i) at a time, row j > 0 one block F_j(x + t*p**j) (F_1 = G_(0,p-1),
+    F_(j+1) = G_(j,p)).  O(p*digits**2) word operations; O(p*digits*log(digits)) coefficients."""
     P, row = p**digits, [(1,)]
     for i in range(1, p):  # row 0, one factor (x + i) at a time
         g = row[-1]
         row.append(tuple([(i * c + b) % P for c, b in zip((*g, 0), (0, *g))][:digits]))
-    rows, block = [tuple(row)], row[-1]
+    rows, block = [(-1, tuple(g[::-1] for g in row))], row[-1]
     for j in range(1, digits):
         row, cut = [(1,)], -(-digits // (j + 1))
         for t in range(p):
@@ -191,7 +191,7 @@ def _block_polynomials(p: int, digits: int) -> tuple:
                                                                   min(k + 1, len(g)))]) % P
                               for k in range(min(len(g) + len(f) - 1, cut))]))
         block = row.pop()  # F_(j+1) = G_(j,p)
-        rows.append(tuple(row))
+        rows.append((-j - 1, tuple(g[::-1] for g in row)))
     return tuple(rows)
 
 
@@ -200,7 +200,7 @@ def factorial_unit(n: int, p: int, digits: int) -> int:
 
     n! = U(n) * p**(n//p) * (n//p)! with U(m) the product of the p-free i <= m, and
     U(m) = (-1)**(m // P) * U(m mod P).  Each base-p digit a_j of m mod P, from the
-    top, adds one evaluation G_(j,a_j)(x) of the table, x the part of m above digit j
+    top, adds one evaluation G_(j,a_j)(x) of p's table, x the part of m above digit j
     (Granville, "Binomial coefficients modulo prime powers").
     """
     check_odd_prime(p)
@@ -208,15 +208,20 @@ def factorial_unit(n: int, p: int, digits: int) -> int:
         raise ValueError(f"factorial of negative {n}")
     if digits < 1:
         raise ValueError("need at least one digit")
-    P, rows, out = p**digits, _block_polynomials(p, digits), 1
+    if len(rows := _block_tables.get(p, ())) < digits:  # grow on demand: D digits serve d <= D
+        rows = _block_tables[p] = ()  # the smaller table goes before the larger is built
+        rows = _block_tables[p] = _block_polynomials(p, digits)
+        if len(_block_tables) > _TABLE_PRIMES:
+            del _block_tables[next(iter(_block_tables))]  # the prime first built
+    P, out, view = p**digits, 1, rows[digits - 1::-1]  # rows j < digits, from the top
     while n:
         q, m = divmod(n, P)
         out, x, step = (-out if q % 2 else out), 0, P
-        for row in reversed(rows):
+        for k, row in view:  # k = -(j+1): G_(j,a) below degree ceil(digits/(j+1)) = -(digits//k)
             step //= p
             a, m = divmod(m, step)
             value = 0
-            for c in reversed(row[a]):
+            for c in row[a][digits // k:]:  # the terms above it vanish mod P, as p**(j+1) | x
                 value = (value * x + c) % P
             out, x = out * value % P, x + a * step
         n //= p

@@ -1,8 +1,11 @@
+import importlib.util
 import math
 import random
 import sys
+import types
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -200,6 +203,90 @@ def test_factorial_unit_matches_the_block_by_block_reference():
                   (max(0, p**j + rng.randrange(-3, 4)), p, digits)]
     for n, p, digits in cases:
         assert factorial_unit(n, p, digits) == _reference_factorial_unit(n, p, digits), (n, p)
+
+
+def test_factorial_unit_reads_the_first_rows_of_a_larger_table(monkeypatch):
+    # A D-digit table serves every d < D: its first d rows, each read below degree
+    # ceil(d/(j+1)), give what a fresh d-digit table and the block-by-block reference give.
+    rng = random.Random(47)
+    for p in (5, 11, 29):
+        for _ in range(4):
+            D = rng.randrange(2, 25)
+            d = rng.randrange(1, D)
+            ns = [rng.randrange(p**D, p ** (D + 3)), rng.randrange(p ** (2 * D)),
+                  p**D + rng.randrange(-3, 4), rng.randrange(p**d), 0]
+            monkeypatch.setattr(padic, "_block_tables", {})
+            factorial_unit(1, p, D)
+            read = [factorial_unit(n, p, d) for n in ns]
+            assert len(padic._block_tables[p]) == D, (p, D, d)  # read, not rebuilt
+            padic._block_tables.clear()
+            assert read == [factorial_unit(n, p, d) for n in ns], (p, D, d)
+            assert len(padic._block_tables[p]) == d
+            assert read == [_reference_factorial_unit(n, p, d) for n in ns], (p, D, d)
+
+
+def test_a_cold_deep_certificate_builds_at_most_two_tables(monkeypatch):
+    # Its sums ask for 41, 43, 40 and 42 digits at p = 11: one table is built at 41 and
+    # grown once, to 43, which the last two read; it is the one table kept.
+    from padic_cartan import formal_log, volkov
+
+    built, build = [], padic._block_polynomials
+
+    def counted(p, digits):
+        built.append((p, digits))
+        return build(p, digits)
+
+    monkeypatch.setattr(padic, "_block_polynomials", counted)
+    monkeypatch.setattr(padic, "_block_tables", {})
+    formal_log._sum_plan.cache_clear()
+    volkov.hodge_parameters(WeierstrassCurve(11, 11**3, 11**2), precision=124)
+    assert built == [(11, 41), (11, 43)]
+    assert list(padic._block_tables) == [11] and len(padic._block_tables[11]) == 43
+
+
+def test_block_tables_hold_at_most_the_bound_of_primes(monkeypatch):
+    # The prime first built leaves first; growing a table keeps its prime's place.
+    monkeypatch.setattr(padic, "_block_tables", {})
+    primes = (5, 7, 11, 13, 17, 19)
+    for i, p in enumerate(primes):
+        factorial_unit(10**6, p, 3)
+        factorial_unit(10**6, primes[max(0, i - 1)], 4)
+        assert len(padic._block_tables) <= padic._TABLE_PRIMES
+    assert list(padic._block_tables) == list(primes[-padic._TABLE_PRIMES:])
+    assert len(padic._block_tables[17]) == 4 and len(padic._block_tables[19]) == 3
+
+
+def _microbench(monkeypatch):
+    """tools/microbench.py as a module; the path it puts first is restored after the test."""
+    monkeypatch.setattr(sys, "path", sys.path[:])
+    path = Path(__file__).resolve().parent.parent / "tools" / "microbench.py"
+    spec = importlib.util.spec_from_file_location("microbench", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_microbench_cold_keys_empty_the_block_tables(monkeypatch):
+    # Every .cold key calls cold_clear's function first: it empties the per-prime
+    # tables and the sum plans, clears an older tree's lru_cache, and refuses a tree
+    # whose tables it cannot reach rather than time them warm.
+    from padic_cartan import formal_log
+
+    microbench = _microbench(monkeypatch)
+    clear = microbench.cold_clear(formal_log, padic)
+    factorial_unit(10**6, 11, 5)
+    formal_log.yasuda_coefficient(PadicScalar(11, 3, 0, 8), PadicScalar(11, 5, 0, 8), 61, 4)
+    assert padic._block_tables and formal_log._sum_plan.cache_info().currsize
+    clear()
+    assert padic._block_tables == {} and formal_log._sum_plan.cache_info().currsize == 0
+    older = types.SimpleNamespace(__name__="older.padic", factorial_unit=factorial_unit,
+                                  _block_polynomials=lru_cache(maxsize=64)(lambda p, d: ()))
+    older._block_polynomials(11, 4)
+    microbench.cold_clear(formal_log, older)()
+    assert older._block_polynomials.cache_info().currsize == 0
+    with pytest.raises(RuntimeError, match="no block table to clear"):
+        microbench.cold_clear(formal_log, types.SimpleNamespace(
+            __name__="other.padic", factorial_unit=factorial_unit))
 
 
 def test_factorial_unit_past_the_old_table_cap():

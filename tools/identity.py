@@ -37,12 +37,15 @@ printing the first line that differs in each differing section, from each tree:
              bound past the int to str limit (p = 11, n = 2065), plain and
              --json, and divpoly with e not dividing p + 1 (p = 13, e = 4),
              then `beta --json` at k = 0..3 and `classify` on the p = 5 lifts
-             P5_LIFTS, whose divisor d_(p**2) drops no term: exit code, stdout
-             and stderr, the batch file's path shown as FILE; then each typed
-             log route (yasuda_coefficient, series_inversion_logarithm,
-             hasse_invariant, odd_coefficient_valuation) on five mixed
-             coefficient pairs: the result's type names, or the error's type
-             and message
+             P5_LIFTS, whose divisor d_(p**2) drops no term, and `beta --json`
+             on the deep certificates DEEP, (p, p**3, p**2) to precision 124,
+             109, 100 and 97 at p = 11, 17, 23 and 29, which read the 30-40
+             digit block tables, each with the sum plans and block tables
+             cleared first: exit code, stdout and stderr, the batch file's
+             path shown as FILE; then each typed log route
+             (yasuda_coefficient, series_inversion_logarithm, hasse_invariant,
+             odd_coefficient_valuation) on five mixed coefficient pairs: the
+             result's type names, or the error's type and message
 
 Both trees run in this process, loaded side by side as in tools/microbench.py;
 the corpora are drawn once, with the src/ beside this script.
@@ -64,7 +67,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 sys.path[:0] = [HERE, os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
-from microbench import _load  # noqa: E402
+from microbench import _load, cold_clear  # noqa: E402
 
 SEEDS, PASSES = (1, 2, 3), 4
 EDGES = ((0, Fraction(-89, 29)), (Fraction(73, 31), 0), (5, -17), (-1331, 121),
@@ -82,6 +85,9 @@ ODD_INPUTS = (["classify", "--p", "318665857834031151167461", "--a", "1", "--b",
 P5_LIFTS = tuple(argv for a, b in (("375", "1250"), ("250", "1250"))
                  for argv in [["beta", "--p", "5", "--a", a, "--b", b, "--k", str(k), "--json"]
                               for k in range(4)] + [["classify", "--p", "5", "--a", a, "--b", b]])
+# The deep certificates of README.md, each run with the sum plans and block tables cleared.
+DEEP = tuple(["beta", "--p", str(p), "--a", str(p**3), "--b", str(p**2), "--precision", str(x),
+              "--json"] for p, x in ((11, 124), (17, 109), (23, 100), (29, 97)))
 
 
 def _outcome(fn, show):
@@ -388,9 +394,20 @@ def pair_rule_lines(package):
             for name, route in routes.items() for pair, (A, B) in pairs.items()]
 
 
+def deep_lines(package):
+    """`beta` on each of DEEP, the sum plans and block tables cleared before each."""
+    cli, formal_log, padic = (importlib.import_module(f"{package}.{name}")
+                              for name in ("cli", "formal_log", "padic"))
+    clear, lines = cold_clear(formal_log, padic), []
+    for argv in DEEP:
+        clear()
+        lines.append(_cli_run(cli, argv))
+    return lines
+
+
 def surface_lines(package, scratch):
-    """The sorted exports, each command's refusal of a non-prime p, the ODD_INPUTS
-    and P5_LIFTS, then the pair rule."""
+    """The sorted exports, each command's refusal of a non-prime p, the ODD_INPUTS,
+    P5_LIFTS and DEEP, then the pair rule."""
     cli = importlib.import_module(f"{package}.cli")
     path = os.path.join(scratch, "non-prime.txt")
     with open(path, "w", encoding="utf-8") as handle:
@@ -398,7 +415,8 @@ def surface_lines(package, scratch):
     batch = _cli_run(cli, ["classify", "--batch", path], "classify --batch FILE")
     return (sorted(importlib.import_module(package).__all__)
             + [_cli_run(cli, argv) for argv in NON_PRIME] + [batch.replace(path, "FILE")]
-            + [_cli_run(cli, argv) for argv in ODD_INPUTS + P5_LIFTS] + pair_rule_lines(package))
+            + [_cli_run(cli, argv) for argv in ODD_INPUTS + P5_LIFTS] + deep_lines(package)
+            + pair_rule_lines(package))
 
 
 def main(argv=None):

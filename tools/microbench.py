@@ -41,9 +41,9 @@ followed by `<key>.iqr`, the interquartile range of the same timed loops:
       curves a = u * 17**3, b = u' * 17**2; the sum plans are cached after
       the first loop
   formal_log.yasuda.p5.cold
-      formal_log.yasuda.p5 with the plan cache and padic's block-polynomial
-      table cleared before each sum: the cost of a single curve (a --src
-      without the cache times the plain sum)
+      formal_log.yasuda.p5 with the plan cache and padic's block tables
+      cleared before each sum (`cold_clear`): the cost of a single curve (a
+      --src without the cache times the plain sum)
   volkov.hodge_parameters.lift, volkov.hodge_parameters.unit_den
       hodge_parameters(WeierstrassCurve(11, a, b)) at the default level (k = 2)
       on seeded e = 3 lifts a = u * 11**3, b = u' * 11**2 with 3-digit units,
@@ -52,7 +52,7 @@ followed by `<key>.iqr`, the interquartile range of the same timed loops:
   volkov.hodge_parameters.P40.cold, .P70.cold, .P100.cold
       hodge_parameters(WeierstrassCurve(11, 11**3, 11**2), precision=P), levels
       k = 13, 23 and 33: deep certificates, which no perfbench workload reaches;
-      curve built and the plan cache and block-polynomial table cleared per op
+      curve built and the plan cache and block tables cleared per op
   volkov.hodge_parameters.p17.P70.cold, volkov.hodge_parameters.p23.P70.cold
       the same at precision 70 (k = 23) on WeierstrassCurve(17, 2 * 17**3,
       3 * 17**2) and WeierstrassCurve(23, 23**3, 23**2), also e = 3
@@ -61,7 +61,7 @@ followed by `<key>.iqr`, the interquartile range of the same timed loops:
       the deepest certificate the work budget answers at p = 29
   formal_log.yasuda.units.N3000
       d_r at r = 6001 to p**8 over Q_11 of the exact units A = 3, B = 5, with
-      the plan cache and block-polynomial table cleared per op: a sum that
+      the plan cache and block tables cleared per op: a sum that
       keeps every term, walked mod p**top on A and B cut to the working
       precision, as every sum of more than one term is; trees that summed it
       exactly, term by term, timed that exact sum instead
@@ -167,6 +167,28 @@ def _load(src, name):
     return name
 
 
+def cold_clear(formal_log, padic):
+    """The function a .cold key calls first: it empties the sum plans (where the tree has
+    them) and the factorial units' block tables, the per-prime dict `_block_tables` or, in
+    trees before it, the lru_cache of `_block_polynomials`.  A tree with `factorial_unit`
+    but neither raises, so that no .cold key times a warm table."""
+    plans = getattr(formal_log, "_sum_plan", None)
+    clears = [plans.cache_clear] if hasattr(plans, "cache_clear") else []
+    tables = getattr(padic, "_block_tables", None)
+    if isinstance(tables, dict):
+        clears.append(tables.clear)
+    elif hasattr(getattr(padic, "_block_polynomials", None), "cache_clear"):
+        clears.append(padic._block_polynomials.cache_clear)
+    elif hasattr(padic, "factorial_unit"):
+        raise RuntimeError(f"{padic.__name__} has factorial_unit but no block table to clear")
+
+    def clear():
+        for table_clear in clears:
+            table_clear()
+
+    return clear
+
+
 def cases(package):
     """(key, op, operands) for every key, in timing order, on one package tree."""
     import corpus
@@ -245,15 +267,7 @@ def cases(package):
             models.append(tuple(good_model_over_L(WeierstrassCurve(17, a, b), 3)))
     add_case("formal_log.yasuda.p4", lambda a, b: yasuda_coefficient(a, b, 17**4, 4), models)
     add_case("formal_log.yasuda.p5", lambda a, b: yasuda_coefficient(a, b, 17**5, 2), models)
-    # A .cold key clears the sum plans and the factorial units' block polynomials,
-    # each where the tree has it.
-    clears = [table.cache_clear for table in (getattr(formal_log, "_sum_plan", None),
-                                              getattr(padic, "_block_polynomials", None))
-              if hasattr(table, "cache_clear")]
-
-    def clear():
-        for table_clear in clears:
-            table_clear()
+    clear = cold_clear(formal_log, padic)
 
     def cold(a, b):
         clear()

@@ -165,7 +165,7 @@ class EisensteinElement(_Number):
             return _element(p, e, _product(p, e, _truncate(p, e, _ONE, e * N), inv_lead))
         x = _product(p, e, form, inv_lead)
         # w = 1 - x, the 1 known to x's least coordinate precision, as `1 - x` embeds it.
-        N = min((f + r for _, _, f, r in x), default=INFINITY)
+        N = min((f + r for _, _, f, r in x if r != INFINITY), default=INFINITY)
         embedded = (0, 1, 0, N) if N > 0 else (0, 0, N, 0)
         w = _product(p, e, _ONE, [embedded] + [(i, -u, f, r) for i, u, f, r in x])
         floor, prec = _bounds(w, e)
@@ -204,7 +204,7 @@ def _truncate(p: int, e: int, form, pi_digits: int, fill: bool = True):
     out = []
     for i, u, f, r in form:
         need = -((i - pi_digits) // e)
-        if need < f + r:
+        if r == INFINITY or need < f + r:
             u, f, r = (u % p ** (need - f), f, need - f) if u and f < need else (0, need, 0)
         out.append((i, u, f, r))
     if fill:

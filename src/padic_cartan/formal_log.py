@@ -61,6 +61,7 @@ _EXACT_MULTINOMIAL_CAP = 10**4
 # Largest up-front work estimate of one Yasuda sum that is run; past it, refuse.
 _WORK_BUDGET = 6 * 10**7
 _SERIES_DEFAULT_CAP = 501
+_PLAN_CACHE = 128  # plans held by `_sum_plan`, and by `volkov._beta_plan`
 
 
 class FormalLogPrefix(_Frozen):
@@ -102,7 +103,7 @@ def _price_level(p: int, e: int, k: int, target: int) -> None:
     _charge(p, e, (2 * min(k, _WORK_BUDGET) - math.log(2, p)) * (1 - 1e-12), 2 * k, target, 1)
 
 
-@lru_cache(maxsize=128)  # <= ~460 MB: a unit-coefficient plan holds up to ~3.6 MB (N ~ 3*10**5)
+@lru_cache(maxsize=_PLAN_CACHE)  # <= ~460 MB: a unit plan holds up to ~3.6 MB (N ~ 3*10**5)
 def _sum_plan(p: int, e: int, N: int, vr: int, wA, wB, target: int):
     """((m, n, multinomial) per kept term, dropped, exact) of the sum at r = 2N+1.
 

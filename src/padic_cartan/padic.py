@@ -293,7 +293,10 @@ def _product(p: int, e: int, x, y):
         k, t, f = i + j, ua * ub, fa + fb
         if k >= e:  # pi**e = -p
             k, t, f = k - e, -t, f + 1
-        N = f + (ra if ra < rb else rb)
+        try:
+            N = f + (ra if ra < rb else rb)
+        except OverflowError:  # inf plus a floor past the float range: p divides neither unit
+            return [(k, t, f, INFINITY)]
         t, f = _normal(p, t, f, N)
         return [(k, t, f, N - f)] if t else [(k, 0, N, 0)] if N != INFINITY else []
     total, base, precision = [0] * e, [INFINITY] * e, [INFINITY] * e
@@ -302,7 +305,10 @@ def _product(p: int, e: int, x, y):
             k, f, t = i + j, fa + fb, ua * ub
             if k >= e:  # pi**e = -p: floor + 1, sign flipped
                 k, f, t = k - e, f + 1, -t
-            N = f + (ra if ra < rb else rb)  # min(N_a + f_b, N_b + f_a)
+            try:
+                N = f + (ra if ra < rb else rb)  # min(N_a + f_b, N_b + f_a)
+            except OverflowError:  # an exact term's inf plus a floor past the float range
+                N = INFINITY
             if N < precision[k]:
                 precision[k] = N
             if t:  # summed over p**base[k], the least floor of index k's nonzero terms
@@ -314,7 +320,10 @@ def _product(p: int, e: int, x, y):
     for k, N in enumerate(precision):  # an exact 0 needs no normal form
         u, f = _normal(p, total[k], base[k], N) if total[k] or N != INFINITY else (0, N)
         if u:
-            out.append((k, u, f, N - f))
+            try:
+                out.append((k, u, f, N - f))
+            except OverflowError:  # an exact coordinate whose floor is past the float range
+                out.append((k, u, f, N))
         elif N != INFINITY:
             out.append((k, 0, N, 0))
     return out
@@ -381,7 +390,7 @@ def _texts(x):
     p, e = x.prime, x.ram_index
     lifts, precisions, bits = [(0, 0)] * e, [INFINITY] * e, []
     for i, u, f, r in sorted(x.form):  # in index order
-        precisions[i] = N = f + r
+        precisions[i] = N = f + r if r != INFINITY else r
         if not u:
             term = f"O({p}^{N})"
         else:
@@ -414,7 +423,7 @@ class _Number:
             return NotImplemented
         if not embed:
             return other
-        N = min((f + r for _, _, f, r in self.form), default=INFINITY)
+        N = min((f + r for _, _, f, r in self.form if r != INFINITY), default=INFINITY)
         return PadicScalar.from_rational(other, self.prime, N).form
 
     def __add__(self, other):
@@ -585,7 +594,7 @@ class PadicScalar(_Number):
     @property
     def abs_precision(self):
         (_, _, f, r), = self.form or _NO_ENTRY
-        return f + r
+        return f + r if r != INFINITY else r
 
     @property
     def is_precision_zero(self) -> bool:

@@ -7,6 +7,12 @@ alpha is the Lubin-Tate parameter attached to beta and the sign epsilon;
 together they pin the Galois image data (canonical subgroup, stabilization
 level n0) used by the classifier.
 
+On exact A, B of v >= 0 where both sums of a level keep one term, not exact,
+the route only multiplies p-free units, cuts them at powers of p and divides
+monomials (Caruso-Roe-Vaccon, "Tracking p-adic precision", 2014): beta's floors
+and precisions follow from (p, e, k, v(A), v(B)) and its unit varies as
+u_a**dm * u_b**dn, so `_beta_plan` runs the route once a shape; all else, per call.
+
 Closed-form valuations (v(beta) from v(j), the six-entry v(alpha) table) are
 implemented separately from the log route so each can check the other.
 """
@@ -15,23 +21,27 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from .curve import WeierstrassCurve, check_supersingular, good_model_over_L, normalized_shape
-from .eisenstein import EisensteinElement, _pi_digits
+from .eisenstein import EisensteinElement, _element, _pi_digits
 from .errors import (
     CanonicalSubgroupError,
     NormalizationError,
     PadicCartanError,
     PrecisionError,
 )
-from .formal_log import _price_level, yasuda_coefficient
+from .formal_log import _PLAN_CACHE, _price_level, _sum_plan, yasuda_coefficient
 from .padic import INFINITY, PadicScalar
 
 # v(alpha) = (c + sign*v)/d with (c, sign) by v(Delta_min): e = 6, 4, 3 with
 # epsilon = +1, then e = 3, 4, 6 with epsilon = -1.  epsilon = -sign, as
 # `alpha_from_beta` inverts beta (v(alpha) falls as v grows) iff epsilon = +1.
 _V_ALPHA_TABLE = {2: (4, -1), 3: (3, -1), 4: (5, -1), 8: (2, 1), 9: (1, 1), 10: (1, 1)}
+# pi-digit targets of d_(p^(2k+1)) and d_(p^2k) by e: as v(d_(p^2k)) = -k and v(d_(p^(2k+1)))
+# >= 1/e - (k+1), 2 - e and 1 keep k*e+1 relative pi-digits on each; e more is a guard.
+_TARGETS = {e: (2, 1 + e) for e in (3, 4, 6)}
 
 
 class _AlphaInfinity:
@@ -156,7 +166,9 @@ def beta_from_logarithm(model, k: int = 1) -> EisensteinElement:
     """beta via the coefficient ratio at level k, mod pi_e**(k*e+1).
 
     `model` is a GoodModelL (or any (a_l, b_l) pair of EisensteinElements)
-    for a normalized good model over L.
+    for a normalized good model over L.  A model of one exact entry each (every
+    `good_model_over_L`) of a shape with a `_beta_plan` gets, after the same
+    checks, the plan's beta times u_a**dm * u_b**dn mod p**r; others `_beta_route`.
     """
     a_l, b_l = model
     if not isinstance(a_l, EisensteinElement) or not isinstance(b_l, EisensteinElement):
@@ -167,16 +179,38 @@ def beta_from_logarithm(model, k: int = 1) -> EisensteinElement:
         raise NormalizationError(f"the ratio route needs e < p-1 (e={e}, p={p})")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    # v(d_{p^2k}) = -k and v(d_{p^(2k+1)}) >= 1/e - (k+1), so these absolute
-    # targets leave k*e+1 relative pi-digits on each; one extra e as guard.
-    guard = e
-    _price_level(p, e, k, 1 + guard)  # a deep level is refused before any sum
-    num = yasuda_coefficient(a_l, b_l, p ** (2 * k + 1), 2 - e + guard)
+    _price_level(p, e, k, _TARGETS[e][1])  # a deep level is refused before any sum
+    a, b = a_l.form, b_l.form
+    if len(a) == 1 == len(b) and a[0][3] == INFINITY == b[0][3] and (plan := _beta_plan(
+            p, e, k, e * a[0][2] + a[0][0], e * b[0][2] + b[0][0])):
+        form, dm, dn = plan
+        return _element(p, e, [(i, u and u * pow(a[0][1], dm, p**r) * pow(b[0][1], dn, p**r)
+                                % p**r, f, r) for i, u, f, r in form])
+    return _beta_route(a_l, b_l, k)
+
+
+def _beta_route(a_l, b_l, k: int) -> EisensteinElement:
+    """beta at level k by the two Yasuda sums and one division in L."""
+    p, e = a_l.prime, a_l.ram_index
+    num = yasuda_coefficient(a_l, b_l, p ** (2 * k + 1), _TARGETS[e][0])
     if num.is_exact_zero:  # the CM lifts: beta = 0 exactly, whatever the divisor
         return num
-    den = yasuda_coefficient(a_l, b_l, p ** (2 * k), 1 + guard)
+    den = yasuda_coefficient(a_l, b_l, p ** (2 * k), _TARGETS[e][1])
     beta = (num / den).mul_pi_power(e - 1)  # -(p/pi) = pi**(e-1)
     return beta.truncate_pi(k * e + 1)
+
+
+@lru_cache(maxsize=_PLAN_CACHE)
+def _beta_plan(p: int, e: int, k: int, wA: int, wB: int):
+    """(form, dm, dn): `_beta_route` on exact units 1 at pi-valuations wA, wB, and the
+    numerator's kept (m, n) less the divisor's; None off the module docstring's shapes."""
+    plans = [_sum_plan(p, e, p**j // 2, j, wA, wB, target)
+             for j, target in zip((2 * k + 1, 2 * k), _TARGETS[e])]
+    if wA < 0 or wB < 0 or any(len(terms) != 1 or exact for terms, _, exact in plans):
+        return None  # yasuda_coefficient cuts A and B to the target only at v >= 0
+    (mn, nn, _), (md, nd, _) = (terms[0] for terms, _, _ in plans)
+    units = [_element(p, e, ((w % e, 1, w // e, INFINITY),)) for w in (wA, wB)]
+    return _beta_route(*units, k).form, mn - md, nn - nd
 
 
 def alpha_from_beta(beta: EisensteinElement, epsilon: int):

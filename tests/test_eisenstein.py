@@ -1072,3 +1072,53 @@ def test_every_result_keeps_the_form_invariants():
                                               rng.randrange(1, 9))):
             check(fn)
     assert checked >= 1500
+
+
+def test_exact_floors_at_the_float_edge_multiply_add_and_print():
+    # An exact entry's precision is the float inf, which an int floor past the float
+    # range cannot be added to: the kernel adds a floor only to a finite precision, so
+    # exact operands near sys.float_info.max multiply, add, raise and print, in Q_p and
+    # in L.  A JSON lift of such a coordinate would print its p**floor digit by digit,
+    # so the JSON is checked on zeros known to such precisions, and the lifts and
+    # precisions it reads on the rest.
+    import sys
+
+    from padic_cartan.padic import _texts
+
+    top, zero = int(sys.float_info.max), PadicScalar.exact_zero(11)
+    x, y = PadicScalar(11, 1, top, INFINITY), PadicScalar(11, 3, top - 2, INFINITY)
+    z = PadicScalar(11, 5, top, top + 7)
+    cases = [
+        (x * x, f"1*11^{2 * top}"), (x**3, f"1*11^{3 * top}"), (x * y, f"3*11^{2 * top - 2}"),
+        (x * z, f"5*11^{2 * top} + O(11^{2 * top + 7})"), (x + y, f"124*11^{top - 2}"),
+        (x - y, f"118*11^{top - 2}"), (y - x, f"-118*11^{top - 2}"), (x - x, "0"),
+        (x * 3, f"3*11^{top}"), (x * zero, "0"), (x * x + 0, f"1*11^{2 * top}"),
+        (0 - x * x, f"-1*11^{2 * top}"),
+    ]
+    big = EisensteinElement(11, 3, [x, y, zero])
+    monomial = EisensteinElement(11, 3, [zero, x, zero])
+    square = f"1*11^{2 * top} + 6*11^{2 * top - 2}*pi + 9*11^{2 * top - 4}*pi^2"
+    cases += [
+        (big * big, square), (big**2, square), (big * x, f"1*11^{2 * top} + 3*11^{2 * top - 2}*pi"),
+        (big + big, f"2*11^{top} + 6*11^{top - 2}*pi"), (big - big, "0"),
+        (monomial * monomial, f"1*11^{2 * top}*pi^2"), (monomial**3, f"-1*11^{3 * top + 1}"),
+        (monomial * big, f"1*11^{2 * top}*pi + 3*11^{2 * top - 2}*pi^2"),
+    ]
+    cases.append(((big * big).truncate_pi(5), "O(11^2) + O(11^2)*pi + O(11^1)*pi^2"))
+    for value, text in cases:
+        assert repr(value) == text
+    assert (x * x).abs_precision == INFINITY and (big * big).pi_precision() == INFINITY
+    assert x * x != 0 and big * big != 0  # an int is embedded to the least finite precision
+    one = PadicScalar(11, 1, 0, INFINITY)
+    with pytest.raises(PrecisionError, match="^cannot invert an exact non-monomial$"):
+        EisensteinElement(11, 3, [one, x * x, zero]).inverse()
+    lifts, precisions, _ = _texts(big * x)
+    assert lifts == [(1, 2 * top), (3, 2 * top - 2), (0, 0)]
+    assert precisions == [INFINITY, INFINITY, INFINITY]
+    edge = x * PadicScalar.zero_to_precision(11, 5)  # a zero known to 11**(top + 5)
+    assert _scalar_json(edge) == {"lift": "0", "precision": top + 5, "repr": f"O(11^{top + 5})"}
+    element = EisensteinElement(11, 3, [PadicScalar(11, 7, 0, INFINITY), edge, zero])
+    assert _eisenstein_json(element * element) == {
+        "coordinates": ["49", "0", "0"],
+        "coordinate_precisions": ["inf", top + 5, 2 * top + 10],
+        "pi_precision": 3 * (top + 5) + 1, "repr": repr(element * element)}

@@ -268,25 +268,33 @@ def _microbench(monkeypatch):
 
 def test_microbench_cold_keys_empty_the_block_tables(monkeypatch):
     # Every .cold key calls cold_clear's function first: it empties the per-prime
-    # tables and the sum plans, clears an older tree's lru_cache, and refuses a tree
-    # whose tables it cannot reach rather than time them warm.
-    from padic_cartan import formal_log
+    # tables, the sum plans and the beta plans, clears an older tree's lru_cache, and
+    # refuses a tree whose tables or beta plans it cannot reach rather than time them warm.
+    from padic_cartan import formal_log, volkov
+    from padic_cartan.curve import WeierstrassCurve, good_model_over_L
 
     microbench = _microbench(monkeypatch)
-    clear = microbench.cold_clear(formal_log, padic)
+    clear = microbench.cold_clear(formal_log, padic, volkov)
     factorial_unit(10**6, 11, 5)
     formal_log.yasuda_coefficient(PadicScalar(11, 3, 0, 8), PadicScalar(11, 5, 0, 8), 61, 4)
+    volkov.beta_from_logarithm(good_model_over_L(WeierstrassCurve(11, 11**3, 11**2), 3), 2)
     assert padic._block_tables and formal_log._sum_plan.cache_info().currsize
+    assert volkov._beta_plan.cache_info().currsize
     clear()
     assert padic._block_tables == {} and formal_log._sum_plan.cache_info().currsize == 0
+    assert volkov._beta_plan.cache_info().currsize == 0
     older = types.SimpleNamespace(__name__="older.padic", factorial_unit=factorial_unit,
                                   _block_polynomials=lru_cache(maxsize=64)(lambda p, d: ()))
     older._block_polynomials(11, 4)
-    microbench.cold_clear(formal_log, older)()
+    before = types.SimpleNamespace(__name__="older.volkov")  # a tree without beta plans
+    microbench.cold_clear(formal_log, older, before)()
     assert older._block_polynomials.cache_info().currsize == 0
     with pytest.raises(RuntimeError, match="no block table to clear"):
         microbench.cold_clear(formal_log, types.SimpleNamespace(
-            __name__="other.padic", factorial_unit=factorial_unit))
+            __name__="other.padic", factorial_unit=factorial_unit), volkov)
+    uncached = types.SimpleNamespace(__name__="other.volkov", _beta_plan=lambda *key: None)
+    with pytest.raises(RuntimeError, match="^other.volkov has _beta_plan but no cache_clear$"):
+        microbench.cold_clear(formal_log, padic, uncached)
 
 
 def test_factorial_unit_past_the_old_table_cap():

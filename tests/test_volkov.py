@@ -1,6 +1,8 @@
 """Tests for the deformation parameters: closed forms and the log route."""
 
+import collections
 import copy
+import json
 import math
 import pickle
 import random
@@ -9,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from padic_cartan import volkov
+from padic_cartan.classifier import classify
 from padic_cartan.curve import WeierstrassCurve, good_model_over_L
 from padic_cartan.eisenstein import EisensteinElement
 from padic_cartan.errors import (
@@ -17,7 +20,7 @@ from padic_cartan.errors import (
     PadicCartanError,
     PrecisionError,
 )
-from padic_cartan.formal_log import yasuda_coefficient
+from padic_cartan.formal_log import recurrence_logarithm, yasuda_coefficient
 from padic_cartan.padic import INFINITY, PadicScalar
 from padic_cartan.volkov import (
     ALPHA_INFINITY,
@@ -483,3 +486,252 @@ def test_level_price_is_at_most_the_divisor_sums_own(monkeypatch, p, a, b):
         (vr, target, price), *plans = calls
         assert any(c[:2] == (vr, target) for c in plans)  # the divisor's sum keeps a term
         assert all(price <= cost for v, t, cost in plans if (v, t) == (vr, target))
+
+
+# -- beta plans: the rescale against the route ---------------------------------
+
+# (v(a), v(b)) of non-CM potential e-lifts by e: v(disc) = min(3 v(a), 2 v(b)).
+_LIFT_SHAPES = {3: ((3, 2), (2, 2), (4, 4), (3, 4)), 4: ((1, 2), (1, 3), (3, 5)),
+                6: ((1, 1), (2, 1), (4, 5))}
+
+
+def _shape_twins(seed, primes, kinds=("lift", "unit_den", "p_den")):
+    """(p, e, first, second): two seeded curves (a, b) of each shape and kind at each
+    p, for every e in {3, 4, 6} with e | p + 1 and e < p - 1, the route's domain.
+    unit_den divides a and b by integers prime to p, p_den scales by p**-4, p**-6."""
+    rng = random.Random(seed)
+
+    def unit(p):
+        return rng.choice((-1, 1)) * (rng.randrange(1, p) + p * rng.randrange(p * p))
+
+    def den(p):
+        return rng.choice([d for d in (2, 3, 4, 7, 9) if d % p])
+
+    for p in primes:
+        for e, shapes in _LIFT_SHAPES.items():
+            if (p + 1) % e or e >= p - 1:
+                continue
+            for va, vb in shapes:
+                for kind in kinds:
+                    twins = []
+                    for _ in range(2):
+                        a, b = Fraction(unit(p) * p**va), Fraction(unit(p) * p**vb)
+                        if kind == "unit_den":
+                            a, b = a / den(p), b / den(p)
+                        elif kind == "p_den":
+                            a, b = a / p**4, b / p**6
+                        twins.append((a, b))
+                    yield p, e, *twins
+
+
+def _outcome(fn):
+    """A result, or the error's type and message."""
+    try:
+        return fn()
+    except Exception as exc:  # every refusal is compared by type and message
+        return type(exc), str(exc)
+
+
+def _without_plans(monkeypatch):
+    monkeypatch.setattr(volkov, "_beta_plan", lambda *key: None)
+
+
+def _shape(model):
+    """(wA, wB): the pi-valuations of a model of one exact entry each."""
+    return tuple(x.ram_index * x.form[0][2] + x.form[0][0] for x in model)
+
+
+def _assert_same_beta(got, want, context):
+    """Equal forms, so equal value at full precision and equal repr."""
+    if isinstance(want, tuple):  # a refusal
+        assert got == want, context
+        return
+    assert got.form == want.form and repr(got) == repr(want) and got == want, context
+
+
+def test_rescaled_beta_equals_the_route_on_the_second_curve_of_each_shape(monkeypatch):
+    # The first curve of a shape builds its plan (a hit for every later curve), and the
+    # second reads it: its beta, or its refusal, must be the route's, at k = 0..3.
+    volkov._beta_plan.cache_clear()
+    planned = invisible = 0
+    primes = (5, 7, 11, 13, 17, 19, 23, 29)
+    for p, e, first, second in _shape_twins(50, primes):
+        models = [good_model_over_L(WeierstrassCurve(p, *ab), e) for ab in (first, second)]
+        for k in range(4):
+            _outcome(lambda: beta_from_logarithm(models[0], k))
+            hits = volkov._beta_plan.cache_info().hits
+            got = _outcome(lambda: beta_from_logarithm(models[1], k))
+            assert volkov._beta_plan.cache_info().hits == hits + 1, (p, e, second, k)
+            plan = volkov._beta_plan(p, e, k, *_shape(models[1]))
+            want = _outcome(lambda: volkov._beta_route(*models[1], k))
+            _assert_same_beta(got, want, (p, e, second, k))
+            if plan is not None:  # the route's unit, and so the rescaled one, reduced mod p**r
+                assert all(0 <= u < p**r for _, u, _, r in got.form if u), (p, e, second, k)
+            planned += plan is not None
+            invisible += plan is not None and got.is_zero_to_precision()
+    assert planned >= 100 and invisible >= 30, (planned, invisible)
+    with_plans = [classify(p, *second).to_dict()
+                  for p, _, _, second in _shape_twins(50, primes)]
+    _without_plans(monkeypatch)
+    assert with_plans == [classify(p, *second).to_dict()
+                          for p, _, _, second in _shape_twins(50, primes)]
+
+
+@pytest.mark.parametrize("p, a, b, k, why", [
+    (11, 1331, 121, 0, "the numerator keeps no term"),
+    (11, 242, 363, 0, "both sums exact"),
+    (11, 242, 363, 1, "the divisor keeps two terms"),
+    (11, 11, 121, 2, "two and four terms"),
+    (5, 375, 1250, 0, "exact at p = 5"),
+    (5, 375, 1250, 2, "three terms each"),
+])
+def test_shapes_without_a_plan_take_the_route(p, a, b, k, why):
+    curve = WeierstrassCurve(p, a, b)
+    model = good_model_over_L(curve, curve.reduction.defect)
+    assert volkov._beta_plan(p, model.a.ram_index, k, *_shape(model)) is None, why
+    assert beta_from_logarithm(model, k).form == volkov._beta_route(*model, k).form, why
+
+
+def test_cm_lifts_look_up_no_plan():
+    # An exact 0 coefficient is no exact entry: beta = 0 exactly, by the route.
+    for p, a, b in ((11, 0, 3 * 11**2), (11, 0, 11), (11, 2 * 11, 0), (23, 0, 5 * 23**4)):
+        curve = WeierstrassCurve(p, a, b)
+        model = good_model_over_L(curve, curve.reduction.defect)
+        before = volkov._beta_plan.cache_info()
+        for k in range(3):
+            assert beta_from_logarithm(model, k).is_exact_zero
+        info = volkov._beta_plan.cache_info()
+        assert (info.hits, info.misses) == (before.hits, before.misses)
+
+
+def test_every_refusal_is_the_routes(monkeypatch):
+    # The checks, the level's price, a sum over the budget while the plan is built, and
+    # a divisor zero to precision: each raises the same type and message with and
+    # without the beta plans.
+    model = good_model_over_L(WeierstrassCurve(11, 11**3, 11**2), 3)
+
+    def units(p, e, wA, wB):
+        return tuple(EisensteinElement.from_scalar(PadicScalar(p, u, 0, INFINITY), e)
+                     .mul_pi_power(w) for u, w in ((1, wA), (2, wB)))
+
+    one13, one5 = (EisensteinElement.from_rational(1, p, e, INFINITY) for p, e in ((13, 3), (5, 6)))
+    cases = [((Fraction(1), Fraction(2)), 1), ((one13, one13), 1), ((one5, one5), 1),
+             (model, -1), (model, 200), (units(23, 3, 0, 0), 2), (units(11, 3, 9, 9), 1)]
+
+    def refusals():
+        return [_outcome(lambda: beta_from_logarithm(m, k)) for m, k in cases]
+
+    volkov._beta_plan.cache_clear()
+    with_plans = refusals()
+    assert [kind for kind, _ in with_plans] == [
+        TypeError, NormalizationError, NormalizationError, ValueError, PrecisionError,
+        PrecisionError, PrecisionError]
+    assert "over the budget" in with_plans[5][1] and "zero to precision" in with_plans[6][1]
+    _without_plans(monkeypatch)
+    assert refusals() == with_plans
+
+
+def test_a_budget_patched_low_after_the_plan_was_built_still_refuses(monkeypatch):
+    from padic_cartan import formal_log
+
+    model = good_model_over_L(WeierstrassCurve(17, 2 * 17**3, 3 * 17**2), 3)
+    beta = beta_from_logarithm(model, 2)
+    assert volkov._beta_plan(17, 3, 2, *_shape(model)) is not None
+    monkeypatch.setattr(formal_log, "_WORK_BUDGET", 10)
+    with pytest.raises(PrecisionError, match=r"over the budget 1e\+01$"):
+        beta_from_logarithm(model, 2)
+    monkeypatch.undo()
+    assert beta_from_logarithm(model, 2).form == beta.form
+
+
+# -- independent oracles of the plans: the exact beta over Q, and twists ------------
+
+
+def _exact_beta(curve, k):
+    """beta at level k from d_r over Q.  The good model is (c_a pi**(-4s), c_b pi**(-6s)),
+    c_a = lam**4 a and c_b = lam**6 b on the minimal model, and every term of d_r has
+    4m + 6n = r - 1, so beta = pi**(e-1-s(p**(2k+1)-p**(2k))) q with q the ratio of
+    d_(p**(2k+1)) to d_(p**2k) of (c_a, c_b), exact by `recurrence_logarithm`; embedded
+    to k*e+1+e pi-digits."""
+    p, red = curve.prime, curve.reduction
+    e, minimal = red.defect, red.minimal
+    s, lam = e * red.v_min_discriminant // 12, math.lcm(minimal.a.denominator,
+                                                        minimal.b.denominator)
+    d = recurrence_logarithm(lam**4 * minimal.a, lam**6 * minimal.b, p ** (2 * k + 1))
+    q = d.d(p ** (2 * k + 1)) / d.d(p ** (2 * k))
+    if q == 0:  # the CM lifts
+        return EisensteinElement.zero(p, e)
+    shift = e - 1 - s * (p ** (2 * k + 1) - p ** (2 * k))
+    digits = -((shift - (k + 1) * e - 1) // e)  # e*digits + shift >= k*e + 1 + e
+    return EisensteinElement.from_rational(q, p, e, digits).mul_pi_power(shift)
+
+
+def _oracle_lifts():
+    """(p, k, a, b): seeded lifts, CM lifts among them, at p = 5, 7, 11 (k = 1) and 5 (k = 2)."""
+    rng = random.Random(55)
+    shapes = {5: ((3, 3, 2), (3, 2, 2), (3, 4, 4), (3, None, 2), (3, 3, 4)),
+              7: ((4, 1, 2), (4, 1, 3), (4, 3, 5), (4, 1, None), (4, 3, 6)),
+              11: ((3, 3, 2), (3, 4, 4), (4, 1, 2), (4, 3, None), (6, 1, 1), (6, 4, 5))}
+    draws = [(p, 1, shape) for p in (5, 7, 11) for shape in shapes[p]]
+    draws += [(5, 2, shape) for shape in shapes[5][:4]]
+    for p, k, (_, va, vb) in draws:
+        a, b = (0 if v is None else Fraction(
+            rng.choice((-1, 1)) * (rng.randrange(1, p) + p * rng.randrange(p)) * p**v,
+            rng.choice((1, 2, 3))) for v in (va, vb))
+        yield p, k, a, b
+
+
+def test_beta_agrees_with_the_exact_beta_over_q_on_every_certified_digit():
+    # Independent of the Yasuda walk, its drop rule, its cut and the plans: beta from
+    # the sums over L (read off a plan where the shape has one) against the exact beta.
+    seen = collections.Counter()
+    for p, k, a, b in _oracle_lifts():
+        curve = WeierstrassCurve(p, a, b)
+        e, certificate = curve.reduction.defect, k * curve.reduction.defect + 1
+        model = good_model_over_L(curve, e)
+        beta, exact = beta_from_logarithm(model, k), _exact_beta(curve, k)
+        assert beta.is_congruent(exact, certificate), (p, k, a, b)
+        if exact.is_exact_zero:
+            assert beta.is_exact_zero, (p, k, a, b)
+            seen["cm"] += 1
+            continue
+        if beta.is_zero_to_precision():
+            seen["invisible"] += 1
+        else:
+            assert beta.pi_precision() >= certificate, (p, k, a, b)
+            seen["visible"] += 1
+        seen["planned"] += volkov._beta_plan(p, e, k, *_shape(model)) is not None
+    assert sum(seen[kind] for kind in ("cm", "invisible", "visible")) == 20
+    assert min(seen.values()) >= 2, seen
+
+
+def test_twists_scale_beta_and_alpha_by_the_legendre_symbol():
+    # (u**2 a, u**3 b) keeps the valuation shape and moves only the units, so it runs the
+    # rescale: beta and alpha times (u|p), every other field equal.  (u**4 a, u**6 b)
+    # and (p**4 a, p**6 b) are the same curve: the same JSON.
+    rng = random.Random(56)
+    symbols = collections.Counter()
+    curves = [(p, *ab) for p, _, first, second in _shape_twins(56, (11, 17, 23), ("lift",))
+              for ab in (first, second)][::3]
+    curves += [(11, 0, 5 * 11**2), (23, 7 * 23, 0)]
+    for p, a, b in curves:
+        u = rng.choice([n for n in range(2, 40) if n % p])
+        symbol = 1 if pow(u, (p - 1) // 2, p) == 1 else -1
+        base, twist = classify(p, a, b), classify(p, u**2 * a, u**3 * b)
+        if base.hodge is not None:
+            symbols[symbol] += 1
+            assert repr(twist.hodge.beta) == repr(symbol * base.hodge.beta), (p, a, b, u)
+            alpha = base.hodge.alpha
+            if isinstance(alpha, PadicScalar):
+                assert repr(twist.hodge.alpha) == repr(symbol * alpha), (p, a, b, u)
+            else:
+                assert twist.hodge.alpha is alpha, (p, a, b, u)
+        rest = [report.to_dict() for report in (base, twist)]
+        for d in rest:
+            if d["hodge"] is not None:
+                del d["hodge"]["beta"], d["hodge"]["alpha"]
+        assert rest[0] == rest[1], (p, a, b, u)
+        same = {json.dumps(classify(p, x, y).to_dict())
+                for x, y in ((a, b), (u**4 * a, u**6 * b), (p**4 * a, p**6 * b))}
+        assert len(same) == 1, (p, a, b, u)
+    assert symbols[1] and symbols[-1], symbols

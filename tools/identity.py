@@ -30,6 +30,13 @@ printing the first line that differs in each differing section, from each tree:
              PASSES passes of perfbench's exact-logcoeffs corpus for the same
              seeds, then on the edge curves EDGES: a = 0, b = 0, integers,
              and (1/6, 1/6), one denominator shared by a and b
+  beta       `beta --json` at --k 0..3 on two seeded curves of each shape
+             BETA_SHAPES (e, v(a), v(b)) at each of BETA_PRIMES, integral or
+             over one p-free denominator drawn per shape: shapes whose sums
+             keep one term, several or none, exact sums at p = 5, beta
+             invisible at low k, CM lifts (an exact 0), and shapes that are no
+             supersingular e-lift at that p, which are refused; the second
+             curve of a shape reads the beta plans the first one built
   surface    the package's sorted __all__, then a non-prime p (9) given to
              classify, beta, classify --batch, divpoly and adelic-bound, then
              classify on a composite p with no factor <= 41 (psi_12) and on a
@@ -40,9 +47,9 @@ printing the first line that differs in each differing section, from each tree:
              P5_LIFTS, whose divisor d_(p**2) drops no term, and `beta --json`
              on the deep certificates DEEP, (p, p**3, p**2) to precision 124,
              109, 100 and 97 at p = 11, 17, 23 and 29, which read the 30-40
-             digit block tables, each with the sum plans and block tables
-             cleared first: exit code, stdout and stderr, the batch file's
-             path shown as FILE; then each typed log route
+             digit block tables, each with the sum plans, beta plans and
+             block tables cleared first: exit code, stdout and stderr, the
+             batch file's path shown as FILE; then each typed log route
              (yasuda_coefficient, series_inversion_logarithm, hasse_invariant,
              odd_coefficient_valuation) on five mixed coefficient pairs: the
              result's type names, or the error's type and message
@@ -85,7 +92,12 @@ ODD_INPUTS = (["classify", "--p", "318665857834031151167461", "--a", "1", "--b",
 P5_LIFTS = tuple(argv for a, b in (("375", "1250"), ("250", "1250"))
                  for argv in [["beta", "--p", "5", "--a", a, "--b", b, "--k", str(k), "--json"]
                               for k in range(4)] + [["classify", "--p", "5", "--a", a, "--b", b]])
-# The deep certificates of README.md, each run with the sum plans and block tables cleared.
+# (e, v(a), v(b)), None for an exact 0: v(disc) = min(3 v(a), 2 v(b)) sets e = 3, 4 or 6.
+BETA_SHAPES = ((3, 3, 2), (3, 2, 2), (3, 4, 4), (3, 3, 4), (3, None, 2), (4, 1, 2), (4, 3, 5),
+               (4, 1, None), (6, 1, 1), (6, 4, 5), (6, None, 5))
+BETA_PRIMES = (5, 7, 11, 13, 17, 19, 23)
+# The deep certificates of README.md, each run with the sum plans, beta plans and block tables
+# cleared.
 DEEP = tuple(["beta", "--p", str(p), "--a", str(p**3), "--b", str(p**2), "--precision", str(x),
               "--json"] for p, x in ((11, 124), (17, 109), (23, 100), (29, 97)))
 
@@ -394,11 +406,30 @@ def pair_rule_lines(package):
             for name, route in routes.items() for pair, (A, B) in pairs.items()]
 
 
+def beta_requests():
+    """argv of `beta --json` at --k 0..3 on two curves per prime and shape, drawn once."""
+    rng, requests = random.Random(50), []
+    for p in BETA_PRIMES:
+        for _, va, vb in BETA_SHAPES:
+            den = rng.choice((1, 1, 2, 3, 7))
+            curves = [[str(0 if v is None else Fraction(
+                rng.choice((-1, 1)) * (rng.randrange(1, p) + p * rng.randrange(p * p)) * p**v,
+                den)) for v in (va, vb)] for _ in range(2)]
+            requests += [["beta", "--p", str(p), f"--a={a}", f"--b={b}", "--k", str(k), "--json"]
+                         for k in range(4) for a, b in curves]
+    return requests
+
+
+def beta_lines(package, requests):
+    cli = importlib.import_module(f"{package}.cli")
+    return [_cli_run(cli, argv) for argv in requests]
+
+
 def deep_lines(package):
-    """`beta` on each of DEEP, the sum plans and block tables cleared before each."""
-    cli, formal_log, padic = (importlib.import_module(f"{package}.{name}")
-                              for name in ("cli", "formal_log", "padic"))
-    clear, lines = cold_clear(formal_log, padic), []
+    """`beta` on each of DEEP, the sum plans, beta plans and block tables cleared before each."""
+    cli, formal_log, padic, volkov = (importlib.import_module(f"{package}.{name}")
+                                      for name in ("cli", "formal_log", "padic", "volkov"))
+    clear, lines = cold_clear(formal_log, padic, volkov), []
     for argv in DEEP:
         clear()
         lines.append(_cli_run(cli, argv))
@@ -427,7 +458,7 @@ def main(argv=None):
     trees = args.src or [os.path.join(ROOT, "src")]
     if len(trees) > 2:
         parser.error("--src is given at most twice")
-    batches, curves = corpus_batches(), logcoeff_curves()
+    batches, curves, requests = corpus_batches(), logcoeff_curves(), beta_requests()
     packages = [_load(src, f"padic_cartan_{side}") for side, src in zip("ab", trees)]
     differ = False
     with tempfile.TemporaryDirectory() as scratch:
@@ -435,6 +466,7 @@ def main(argv=None):
                               ("cli", cli_lines),
                               ("corpus", lambda pkg: corpus_lines(pkg, batches, scratch)),
                               ("logcoeffs", lambda pkg: logcoeff_lines(pkg, curves)),
+                              ("beta", lambda pkg: beta_lines(pkg, requests)),
                               ("surface", lambda pkg: surface_lines(pkg, scratch))):
             texts = ["\n".join(dump(package)) for package in packages]
             for src, text in zip(trees, texts):

@@ -44,6 +44,14 @@ followed by `<key>.iqr`, the interquartile range of the same timed loops:
       formal_log.yasuda.p5 with the plan cache and padic's block tables
       cleared before each sum (`cold_clear`): the cost of a single curve (a
       --src without the cache times the plain sum)
+  volkov.beta_from_logarithm.p17.k2
+      beta_from_logarithm on the same models at level 2, a deep-batch shape
+      (both sums keep one term): its two sums and one division, or, in trees
+      with `_beta_plan`, the shape's plan rescaled by two modular powers; the
+      plans are cached after the first loop
+  volkov.beta_from_logarithm.p17.k2.cold
+      the same with the sum plans, beta plans and block tables cleared before
+      each call (`cold_clear`): a shape seen for the first time
   volkov.hodge_parameters.lift, volkov.hodge_parameters.unit_den
       hodge_parameters(WeierstrassCurve(11, a, b)) at the default level (k = 2)
       on seeded e = 3 lifts a = u * 11**3, b = u' * 11**2 with 3-digit units,
@@ -125,7 +133,8 @@ the classifier keys draw theirs after all of them, then eisenstein.mul.scalar,
 then eisenstein.inverse.monomial, then classifier.to_dict, then padic.div and
 eisenstein.div, and padic.factorial_unit.n80.d34 last; the .P40.cold, .p17,
 .p23, .p29, .multinomial.r501, .series.r501.shared, .series.r501.b0 and
-.units.N3000 keys and the cli keys draw nothing.
+.units.N3000 keys, the volkov.beta_from_logarithm keys (formal_log.yasuda's
+models) and the cli keys draw nothing.
 --src selects the package source, so one checkout can time another
 (default: the src/ beside this script).  Given twice, both trees are loaded
 side by side and each key is timed on both in alternating rounds (A B B A
@@ -167,13 +176,18 @@ def _load(src, name):
     return name
 
 
-def cold_clear(formal_log, padic):
-    """The function a .cold key calls first: it empties the sum plans (where the tree has
-    them) and the factorial units' block tables, the per-prime dict `_block_tables` or, in
-    trees before it, the lru_cache of `_block_polynomials`.  A tree with `factorial_unit`
-    but neither raises, so that no .cold key times a warm table."""
+def cold_clear(formal_log, padic, volkov):
+    """The function a .cold key calls first: it empties the sum plans and the beta plans
+    (where the tree has them) and the factorial units' block tables, the per-prime dict
+    `_block_tables` or, in trees before it, the lru_cache of `_block_polynomials`.  A tree
+    with `factorial_unit` but neither, or with `_beta_plan` but no `cache_clear`, raises,
+    so that no .cold key times a warm table or a warm plan."""
     plans = getattr(formal_log, "_sum_plan", None)
     clears = [plans.cache_clear] if hasattr(plans, "cache_clear") else []
+    if hasattr(volkov, "_beta_plan"):
+        if not hasattr(volkov._beta_plan, "cache_clear"):
+            raise RuntimeError(f"{volkov.__name__} has _beta_plan but no cache_clear")
+        clears.append(volkov._beta_plan.cache_clear)
     tables = getattr(padic, "_block_tables", None)
     if isinstance(tables, dict):
         clears.append(tables.clear)
@@ -267,13 +281,21 @@ def cases(package):
             models.append(tuple(good_model_over_L(WeierstrassCurve(17, a, b), 3)))
     add_case("formal_log.yasuda.p4", lambda a, b: yasuda_coefficient(a, b, 17**4, 4), models)
     add_case("formal_log.yasuda.p5", lambda a, b: yasuda_coefficient(a, b, 17**5, 2), models)
-    clear = cold_clear(formal_log, padic)
+    clear = cold_clear(formal_log, padic, volkov)
 
     def cold(a, b):
         clear()
         return yasuda_coefficient(a, b, 17**5, 2)
 
     add_case("formal_log.yasuda.p5.cold", cold, models)
+    beta = volkov.beta_from_logarithm
+    add_case("volkov.beta_from_logarithm.p17.k2", lambda a, b: beta((a, b), 2), models)
+
+    def beta_cold(a, b):
+        clear()
+        return beta((a, b), 2)
+
+    add_case("volkov.beta_from_logarithm.p17.k2.cold", beta_cold, models)
 
     def prime_to_p(low, high):
         while True:

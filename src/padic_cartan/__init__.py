@@ -75,3 +75,13 @@ __version__ = "0.1.0"
 # Every public name bound above, bar the submodules that the imports bind.
 __all__ = [name for name, value in globals().items()
            if not name.startswith("_") and not isinstance(value, _ModuleType)]
+
+
+def _clear_caches() -> int:
+    """Empty every cache that keeps state across calls; return the entries dropped."""
+    caches = (padic.is_prime, formal_log._sum_plan, volkov._beta_plan)  # read at each call
+    dropped = sum(cache.cache_info().currsize for cache in caches) + len(padic._block_tables)
+    for cache in caches:
+        cache.cache_clear()
+    padic._block_tables.clear()
+    return dropped

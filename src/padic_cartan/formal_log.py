@@ -127,7 +127,7 @@ def _sum_plan(p: int, e: int, N: int, vr: int, wA, wB, target: int):
         pairs = (((N - 3 * n) // 2, n) for n in range(N % 2, N // 3 + 1, 2))
     kept, dropped, cost = [], False, 0
     if wA == wB == 0:  # a unit sum visits all ~N/6 pairs, each priced at least as dropped
-        _charge(p, e, size, vr, target, 0, (len(range((2 * N) % 3, N // 2 + 1, 3)) - 1) * p * size)
+        _charge(p, e, size, vr, target, 0, (max(0, (N // 2 - (2 * N) % 3) // 3 + 1) - 1) * p * size)
     for m, n in pairs:
         if (m and wA == INFINITY) or (n and wB == INFINITY):
             break

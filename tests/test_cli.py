@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import collections
 import io
 import json
 import math
@@ -721,3 +722,47 @@ def test_divpoly_json_past_the_int_str_limit_exits_cleanly(capsys):
     rc, out, _ = run(capsys, "divpoly", "--p", "11", "--e", "3", "--k", "1",
                      "--v-alpha-inv", "5000")
     assert rc == 0 and out.splitlines()[-1] == "120 roots of valuation 1/120"
+
+
+# (v(a), v(b)), None for an exact 0: v(disc) = min(3 v(a), 2 v(b)) sets e = 12/gcd(12, v(disc)),
+# here e = 1, 2, 3, 4 and 6, with CM lifts among them.
+_ORACLE_SHAPES = ((0, 0), (None, 0), (2, 3), (2, None), (3, 2), (4, 4), (None, 2), (1, 2),
+                  (3, 5), (1, None), (1, 1), (4, 5), (None, 5))
+
+
+def _oracle_requests():
+    """`classify --json` and `beta --json` at a drawn --k 0..3 on two seeded curves of each
+    shape at each prime: integral, over a p-free denominator, or over p**4 and p**6."""
+    rng, requests = random.Random(53), []
+    for p in (5, 7, 11, 13, 17, 19, 23, 29):
+        for shape in _ORACLE_SHAPES:
+            for _ in range(2):
+                kind, den = rng.randrange(3), rng.choice([d for d in range(2, 30) if d % p])
+                a, b = (0 if v is None else Fraction(
+                    rng.choice((-1, 1)) * (rng.randrange(1, p) + p * rng.randrange(p * p)) * p**v,
+                    (1, den, p**w)[kind]) for v, w in zip(shape, (4, 6)))
+                curve = ["--p", str(p), f"--a={a}", f"--b={b}"]
+                requests += [["classify", *curve, "--json"],
+                             ["beta", *curve, "--k", str(rng.randrange(4)), "--json"]]
+    return requests
+
+
+def test_warm_cold_and_reversed_runs_give_the_same_bytes(capsys):
+    # No answer may depend on what the process ran before: a run in order after one
+    # clear of every cache, a run with every cache cleared before each request, and a
+    # run in reverse order give the same exit code, stdout and stderr per request.
+    import padic_cartan
+
+    requests = _oracle_requests()
+    padic_cartan._clear_caches()
+    warm = [run(capsys, *argv) for argv in requests]
+    cold = []
+    for argv in requests:
+        padic_cartan._clear_caches()
+        cold.append(run(capsys, *argv))
+    padic_cartan._clear_caches()
+    backward = [run(capsys, *argv) for argv in reversed(requests)][::-1]
+    for argv, answer, cold_answer, backward_answer in zip(requests, warm, cold, backward):
+        assert cold_answer == answer == backward_answer, argv
+    codes = collections.Counter(code for code, _, _ in warm)
+    assert codes[0] > 250 and codes[2] > 50 and sum(codes.values()) == len(requests) == 416

@@ -578,6 +578,21 @@ def test_work_budget_refuses_before_any_arithmetic(monkeypatch):
         yasuda_coefficient(a_l, b_l, 11**135, 2)
 
 
+def test_a_unit_sum_past_2_to_the_63_pairs_is_refused_by_its_estimate(monkeypatch):
+    # beta of the units (1, 2) over Q_17(pi_3) at k = 8: the level price admits it, and the
+    # numerator's unit sum counts its ~17**17/6 pairs by arithmetic (the length of a range
+    # raised OverflowError past 2**63), so it is refused before any pair is visited.
+    from padic_cartan import formal_log
+    from padic_cartan.volkov import beta_from_logarithm
+
+    one, two = (EisensteinElement.from_rational(u, 17, 3, INFINITY) for u in (1, 2))
+    for name in ("multinomial_exact", "multinomial_padic", "multinomial_valuation", "_power"):
+        monkeypatch.setattr(formal_log, name, _no_work)
+    with pytest.raises(PrecisionError, match=r"^d_r at r ~ 17\^17 to pi\^2 needs more than "
+                                             r"~2e\+22 digit operations, over the budget 6e\+07$"):
+        beta_from_logarithm((one, two), 8)
+
+
 @pytest.mark.parametrize("j", [5, 6, 7])
 @pytest.mark.parametrize("e", [1, 3])
 def test_work_budget_prices_the_digits_of_non_integral_sums(monkeypatch, e, j):

@@ -228,7 +228,8 @@ def test_factorial_unit_reads_the_first_rows_of_a_larger_table(monkeypatch):
 def test_a_cold_deep_certificate_builds_at_most_two_tables(monkeypatch):
     # Its sums ask for 41, 43, 40 and 42 digits at p = 11: one table is built at 41 and
     # grown once, to 43, which the last two read; it is the one table kept.
-    from padic_cartan import formal_log, volkov
+    import padic_cartan
+    from padic_cartan import volkov
 
     built, build = [], padic._block_polynomials
 
@@ -238,7 +239,7 @@ def test_a_cold_deep_certificate_builds_at_most_two_tables(monkeypatch):
 
     monkeypatch.setattr(padic, "_block_polynomials", counted)
     monkeypatch.setattr(padic, "_block_tables", {})
-    formal_log._sum_plan.cache_clear()
+    padic_cartan._clear_caches()
     volkov.hodge_parameters(WeierstrassCurve(11, 11**3, 11**2), precision=124)
     assert built == [(11, 41), (11, 43)]
     assert list(padic._block_tables) == [11] and len(padic._block_tables[11]) == 43
@@ -267,34 +268,29 @@ def _microbench(monkeypatch):
 
 
 def test_microbench_cold_keys_empty_the_block_tables(monkeypatch):
-    # Every .cold key calls cold_clear's function first: it empties the per-prime
-    # tables, the sum plans and the beta plans, clears an older tree's lru_cache, and
-    # refuses a tree whose tables or beta plans it cannot reach rather than time them warm.
+    # Every .cold key calls cold_clear's function first, the package's one owner of the
+    # caches that keep state across calls: it empties the block tables, the sum plans, the
+    # beta plans and is_prime, each read where the code reads it, and counts what it
+    # dropped; cold_clear refuses a tree without it rather than time its caches warm.
+    import padic_cartan
     from padic_cartan import formal_log, volkov
-    from padic_cartan.curve import WeierstrassCurve, good_model_over_L
+    from padic_cartan.curve import good_model_over_L
 
     microbench = _microbench(monkeypatch)
-    clear = microbench.cold_clear(formal_log, padic, volkov)
+    clear = microbench.cold_clear(padic_cartan)
     factorial_unit(10**6, 11, 5)
     formal_log.yasuda_coefficient(PadicScalar(11, 3, 0, 8), PadicScalar(11, 5, 0, 8), 61, 4)
     volkov.beta_from_logarithm(good_model_over_L(WeierstrassCurve(11, 11**3, 11**2), 3), 2)
-    assert padic._block_tables and formal_log._sum_plan.cache_info().currsize
-    assert volkov._beta_plan.cache_info().currsize
-    clear()
-    assert padic._block_tables == {} and formal_log._sum_plan.cache_info().currsize == 0
-    assert volkov._beta_plan.cache_info().currsize == 0
-    older = types.SimpleNamespace(__name__="older.padic", factorial_unit=factorial_unit,
-                                  _block_polynomials=lru_cache(maxsize=64)(lambda p, d: ()))
-    older._block_polynomials(11, 4)
-    before = types.SimpleNamespace(__name__="older.volkov")  # a tree without beta plans
-    microbench.cold_clear(formal_log, older, before)()
-    assert older._block_polynomials.cache_info().currsize == 0
-    with pytest.raises(RuntimeError, match="no block table to clear"):
-        microbench.cold_clear(formal_log, types.SimpleNamespace(
-            __name__="other.padic", factorial_unit=factorial_unit), volkov)
-    uncached = types.SimpleNamespace(__name__="other.volkov", _beta_plan=lambda *key: None)
-    with pytest.raises(RuntimeError, match="^other.volkov has _beta_plan but no cache_clear$"):
-        microbench.cold_clear(formal_log, padic, uncached)
+    caches = (padic.is_prime, formal_log._sum_plan, volkov._beta_plan)
+    sizes = [cache.cache_info().currsize for cache in caches] + [len(padic._block_tables)]
+    assert all(sizes) and clear() == sum(sizes)
+    assert padic._block_tables == {} and not any(c.cache_info().currsize for c in caches)
+    assert clear() == 0
+    monkeypatch.setattr(padic, "_block_tables", {11: ()})
+    assert clear() == 1 and padic._block_tables == {}
+    older = types.SimpleNamespace(__name__="older.padic_cartan")  # a tree before the owner
+    with pytest.raises(RuntimeError, match="^older.padic_cartan has no _clear_caches$"):
+        microbench.cold_clear(older)
 
 
 def test_factorial_unit_past_the_old_table_cap():

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import padic_cartan
 from padic_cartan import volkov
 from padic_cartan.classifier import classify
 from padic_cartan.curve import WeierstrassCurve, good_model_over_L
@@ -479,7 +480,7 @@ def test_level_price_is_at_most_the_divisor_sums_own(monkeypatch, p, a, b):
     monkeypatch.setattr(formal_log, "_WORK_BUDGET", math.inf)
     monkeypatch.setattr(formal_log, "_charge", charge)
     for k in range(4):
-        formal_log._sum_plan.cache_clear()
+        padic_cartan._clear_caches()
         calls.clear()
         beta_from_logarithm(model, k)
         yasuda_coefficient(model.a, model.b, p ** (2 * k), 1 + e)

@@ -47,15 +47,17 @@ printing the first line that differs in each differing section, from each tree:
              P5_LIFTS, whose divisor d_(p**2) drops no term, and `beta --json`
              on the deep certificates DEEP, (p, p**3, p**2) to precision 124,
              109, 100 and 97 at p = 11, 17, 23 and 29, which read the 30-40
-             digit block tables, each with the sum plans, beta plans and
-             block tables cleared first: exit code, stdout and stderr, the
+             digit block tables, each with every cache cleared first
+             (`padic_cartan._clear_caches`): exit code, stdout and stderr, the
              batch file's path shown as FILE; then each typed log route
              (yasuda_coefficient, series_inversion_logarithm, hasse_invariant,
              odd_coefficient_valuation) on five mixed coefficient pairs: the
              result's type names, or the error's type and message
 
 Both trees run in this process, loaded side by side as in tools/microbench.py;
-the corpora are drawn once, with the src/ beside this script.
+the corpora are drawn once, with the src/ beside this script.  A tree without
+`padic_cartan._clear_caches` is refused at the surface section; compare an
+older tree with the tools of its own checkout.
 """
 
 import argparse
@@ -96,8 +98,7 @@ P5_LIFTS = tuple(argv for a, b in (("375", "1250"), ("250", "1250"))
 BETA_SHAPES = ((3, 3, 2), (3, 2, 2), (3, 4, 4), (3, 3, 4), (3, None, 2), (4, 1, 2), (4, 3, 5),
                (4, 1, None), (6, 1, 1), (6, 4, 5), (6, None, 5))
 BETA_PRIMES = (5, 7, 11, 13, 17, 19, 23)
-# The deep certificates of README.md, each run with the sum plans, beta plans and block tables
-# cleared.
+# The deep certificates of README.md, each run with every cache cleared.
 DEEP = tuple(["beta", "--p", str(p), "--a", str(p**3), "--b", str(p**2), "--precision", str(x),
               "--json"] for p, x in ((11, 124), (17, 109), (23, 100), (29, 97)))
 
@@ -426,10 +427,9 @@ def beta_lines(package, requests):
 
 
 def deep_lines(package):
-    """`beta` on each of DEEP, the sum plans, beta plans and block tables cleared before each."""
-    cli, formal_log, padic, volkov = (importlib.import_module(f"{package}.{name}")
-                                      for name in ("cli", "formal_log", "padic", "volkov"))
-    clear, lines = cold_clear(formal_log, padic, volkov), []
+    """`beta` on each of DEEP, every cache cleared before each."""
+    cli = importlib.import_module(f"{package}.cli")
+    clear, lines = cold_clear(importlib.import_module(package)), []
     for argv in DEEP:
         clear()
         lines.append(_cli_run(cli, argv))

@@ -25,33 +25,29 @@ followed by `<key>.iqr`, the interquartile range of the same timed loops:
       one op is the whole prefix
   formal_log.multinomial.r501
       the same prefix by the route of `logcoeffs --method multinomial`:
-      recurrence_logarithm (yasuda_coefficient_exact per odd r in a tree
-      without it)
+      recurrence_logarithm
   formal_log.series.r501.shared
       formal_log.series.r501 on (1/6, 1/6), where a and b share their
       denominator, so the series route's grading 6**(s//2 + s//3) overshoots
       most the 6**(s//2) that the weight-s coefficients need
   formal_log.series.r501.b0
       formal_log.series.r501 on (-83/23, 0): with b = 0 the route over Q takes
-      z from its closed form Cat_k a**k (the cubic's z**2 half-convolution in
-      trees without it)
+      z from its closed form Cat_k a**k
   formal_log.yasuda.p4, formal_log.yasuda.p5
       the two sums of a deep-batch level-2 beta: d_r at r = 17**4 to pi**4 and
       r = 17**5 to pi**2 on the good model over L (e = 3) of seeded p = 17
       curves a = u * 17**3, b = u' * 17**2; the sum plans are cached after
       the first loop
   formal_log.yasuda.p5.cold
-      formal_log.yasuda.p5 with the plan cache and padic's block tables
-      cleared before each sum (`cold_clear`): the cost of a single curve (a
-      --src without the cache times the plain sum)
+      formal_log.yasuda.p5 with every cache cleared before each sum
+      (`cold_clear`): the cost of a single curve
   volkov.beta_from_logarithm.p17.k2
       beta_from_logarithm on the same models at level 2, a deep-batch shape
-      (both sums keep one term): its two sums and one division, or, in trees
-      with `_beta_plan`, the shape's plan rescaled by two modular powers; the
-      plans are cached after the first loop
+      (both sums keep one term): the shape's beta plan rescaled by two modular
+      powers; the plans are cached after the first loop
   volkov.beta_from_logarithm.p17.k2.cold
-      the same with the sum plans, beta plans and block tables cleared before
-      each call (`cold_clear`): a shape seen for the first time
+      the same with every cache cleared before each call (`cold_clear`): a
+      shape seen for the first time
   volkov.hodge_parameters.lift, volkov.hodge_parameters.unit_den
       hodge_parameters(WeierstrassCurve(11, a, b)) at the default level (k = 2)
       on seeded e = 3 lifts a = u * 11**3, b = u' * 11**2 with 3-digit units,
@@ -60,7 +56,7 @@ followed by `<key>.iqr`, the interquartile range of the same timed loops:
   volkov.hodge_parameters.P40.cold, .P70.cold, .P100.cold
       hodge_parameters(WeierstrassCurve(11, 11**3, 11**2), precision=P), levels
       k = 13, 23 and 33: deep certificates, which no perfbench workload reaches;
-      curve built and the plan cache and block tables cleared per op
+      curve built and every cache cleared per op
   volkov.hodge_parameters.p17.P70.cold, volkov.hodge_parameters.p23.P70.cold
       the same at precision 70 (k = 23) on WeierstrassCurve(17, 2 * 17**3,
       3 * 17**2) and WeierstrassCurve(23, 23**3, 23**2), also e = 3
@@ -69,10 +65,9 @@ followed by `<key>.iqr`, the interquartile range of the same timed loops:
       the deepest certificate the work budget answers at p = 29
   formal_log.yasuda.units.N3000
       d_r at r = 6001 to p**8 over Q_11 of the exact units A = 3, B = 5, with
-      the plan cache and block tables cleared per op: a sum that
-      keeps every term, walked mod p**top on A and B cut to the working
-      precision, as every sum of more than one term is; trees that summed it
-      exactly, term by term, timed that exact sum instead
+      every cache cleared per op: a sum that keeps every term, walked mod
+      p**top on A and B cut to the working precision, as every sum of more
+      than one term is
   padic.inverse.dD                           D = 4, 32, 256 digits; p = 11,
       PadicScalar.inverse() of random D-digit units at valuation 0
   volkov.hodge_parameters.cm
@@ -135,6 +130,10 @@ eisenstein.div, and padic.factorial_unit.n80.d34 last; the .P40.cold, .p17,
 .p23, .p29, .multinomial.r501, .series.r501.shared, .series.r501.b0 and
 .units.N3000 keys, the volkov.beta_from_logarithm keys (formal_log.yasuda's
 models) and the cli keys draw nothing.
+Every .cold key first calls the tree's `padic_cartan._clear_caches`, found
+by `cold_clear`, which empties every cache that keeps state across calls.  A
+tree without it is refused, so no .cold key times a warm cache; time an older
+tree with the tools of its own checkout.
 --src selects the package source, so one checkout can time another
 (default: the src/ beside this script).  Given twice, both trees are loaded
 side by side and each key is timed on both in alternating rounds (A B B A
@@ -176,30 +175,13 @@ def _load(src, name):
     return name
 
 
-def cold_clear(formal_log, padic, volkov):
-    """The function a .cold key calls first: it empties the sum plans and the beta plans
-    (where the tree has them) and the factorial units' block tables, the per-prime dict
-    `_block_tables` or, in trees before it, the lru_cache of `_block_polynomials`.  A tree
-    with `factorial_unit` but neither, or with `_beta_plan` but no `cache_clear`, raises,
-    so that no .cold key times a warm table or a warm plan."""
-    plans = getattr(formal_log, "_sum_plan", None)
-    clears = [plans.cache_clear] if hasattr(plans, "cache_clear") else []
-    if hasattr(volkov, "_beta_plan"):
-        if not hasattr(volkov._beta_plan, "cache_clear"):
-            raise RuntimeError(f"{volkov.__name__} has _beta_plan but no cache_clear")
-        clears.append(volkov._beta_plan.cache_clear)
-    tables = getattr(padic, "_block_tables", None)
-    if isinstance(tables, dict):
-        clears.append(tables.clear)
-    elif hasattr(getattr(padic, "_block_polynomials", None), "cache_clear"):
-        clears.append(padic._block_polynomials.cache_clear)
-    elif hasattr(padic, "factorial_unit"):
-        raise RuntimeError(f"{padic.__name__} has factorial_unit but no block table to clear")
-
-    def clear():
-        for table_clear in clears:
-            table_clear()
-
+def cold_clear(package):
+    """The function a .cold key calls first: the package's `_clear_caches`, which empties
+    every cache that keeps state across calls.  A tree without it raises, so that no .cold
+    key times a warm cache."""
+    clear = getattr(package, "_clear_caches", None)
+    if clear is None:
+        raise RuntimeError(f"{package.__name__} has no _clear_caches")
     return clear
 
 
@@ -217,7 +199,7 @@ def cases(package):
     yasuda_coefficient_exact = formal_log.yasuda_coefficient_exact
     factorial_unit, multinomial_padic = padic.factorial_unit, padic.multinomial_padic
     hodge_parameters = volkov.hodge_parameters
-    out = []
+    clear, out = cold_clear(sys.modules[package]), []
 
     def add_case(name, fn, operands):
         out.append((name, fn, operands))
@@ -264,10 +246,8 @@ def cases(package):
             lambda a, b: series_inversion_logarithm(a, b, 501, force=True), curve)
     add_case("formal_log.exact.r501",
             lambda a, b: [yasuda_coefficient_exact(a, b, r) for r in range(1, 502, 2)], curve)
-    recurrence = getattr(formal_log, "recurrence_logarithm", None)
     add_case("formal_log.multinomial.r501",
-            (lambda a, b: recurrence(a, b, 501)) if recurrence else
-            (lambda a, b: [yasuda_coefficient_exact(a, b, r) for r in range(1, 502, 2)]), curve)
+            lambda a, b: formal_log.recurrence_logarithm(a, b, 501), curve)
     add_case("formal_log.series.r501.shared",
             lambda a, b: series_inversion_logarithm(a, b, 501, force=True),
             [(Fraction(1, 6), Fraction(1, 6))])
@@ -281,7 +261,6 @@ def cases(package):
             models.append(tuple(good_model_over_L(WeierstrassCurve(17, a, b), 3)))
     add_case("formal_log.yasuda.p4", lambda a, b: yasuda_coefficient(a, b, 17**4, 4), models)
     add_case("formal_log.yasuda.p5", lambda a, b: yasuda_coefficient(a, b, 17**5, 2), models)
-    clear = cold_clear(formal_log, padic, volkov)
 
     def cold(a, b):
         clear()
